@@ -2,7 +2,8 @@
 """Sweep-throughput comparison of the numba and plain-numpy kernel backends.
 
 Runs the same seeded chain workload in two subprocesses, one per
-backend, and reports site updates per second.  Usage:
+backend, and reports site updates per second.  A backend that cannot
+be imported is reported as skipped.  Usage:
 
     python benchmarks/bench_kernels.py [--N 8] [--sweeps 4000]
 """
@@ -10,6 +11,7 @@ backend, and reports site updates per second.  Usage:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,14 +61,16 @@ def main() -> None:
     args = ap.parse_args()
 
     results = {}
-    for backend in ("numba", "numpy"):
-        try:
-            results[backend] = run_backend(backend, args.N, args.sweeps)
-        except subprocess.CalledProcessError as exc:
-            print(f"{backend}: failed\n{exc.stderr}", file=sys.stderr)
-
     print(f"{'backend':>8}  {'updates/s':>12}  {'elapsed':>9}  acceptance")
-    for backend, r in results.items():
+    for backend in ("numba", "numpy"):
+        if backend == "numba" and importlib.util.find_spec("numba") is None:
+            print(f"{backend:>8}  not importable, skipped")
+            continue
+        try:
+            r = results[backend] = run_backend(backend, args.N, args.sweeps)
+        except subprocess.CalledProcessError as exc:
+            print(f"{backend:>8}  failed\n{exc.stderr}", file=sys.stderr)
+            continue
         print(
             f"{r['backend']:>8}  {r['updates_per_s']:>12.0f}  {r['elapsed_s']:>8.2f}s"
             f"  {r['acceptance']:.3f}"

@@ -13,7 +13,6 @@ bars.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import geometry, observables
 from .configuration import LAMBDA0, Configuration
+from .fileio import atomic_write_text
 from .lattice import SQRT3
 from .observables import identity_suite
 from .sampler import Chain, SamplerParams
@@ -678,15 +678,6 @@ def scan_csv_text(records) -> str:
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(rec.csv_row() for rec in records)
     return "\n".join(lines) + "\n"
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_scan_csv(records, path) -> None:

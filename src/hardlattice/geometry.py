@@ -18,6 +18,7 @@ import numpy as np
 _EPS_HALF = sys.float_info.epsilon / 2.0  # 2**-53
 # Forward error bound for the 2x2 orientation determinant (A-bound).
 _ORIENT_ERRBOUND = (3.0 + 16.0 * _EPS_HALF) * _EPS_HALF
+_MIN_NORMAL = sys.float_info.min
 
 # Radicands of the closed-form SO(2) distance may round slightly negative
 # when the matrix is (numerically) a rotation.
@@ -167,10 +168,18 @@ def orient_sign(pa, pb, pc) -> int:
     """Exact sign of the doubled signed area of (pa, pb, pc).
 
     The fast path is the plain float determinant guarded by its forward
-    error bound; inconclusive cases are settled in rational arithmetic.
+    error bound.  That bound assumes no product underflows, so a product
+    of nonzero factors below the smallest normal float, like inconclusive
+    cases, is settled in rational arithmetic.
     """
-    detleft = (pa[0] - pc[0]) * (pb[1] - pc[1])
-    detright = (pa[1] - pc[1]) * (pb[0] - pc[0])
+    ax = pa[0] - pc[0]
+    ay = pa[1] - pc[1]
+    bx = pb[0] - pc[0]
+    by = pb[1] - pc[1]
+    detleft = ax * by
+    detright = ay * bx
+    if (abs(detleft) < _MIN_NORMAL and ax and by) or (abs(detright) < _MIN_NORMAL and ay and bx):
+        return _orient_exact(pa, pb, pc)
     det = detleft - detright
     if detleft > 0.0:
         if detright <= 0.0:

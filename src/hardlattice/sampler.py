@@ -22,6 +22,7 @@ import numpy as np
 from . import configuration as cfgmod
 from . import kernels, lattice
 from .configuration import ANGLE_SUM_TOL, Configuration
+from .fileio import atomic_write_text
 from .lattice import EMBED_BASIS
 
 RNG_ALGORITHM = "pcg64"
@@ -99,9 +100,10 @@ class Chain:
         )
         self._pos = np.array(cfg.positions, dtype=float)
         nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
-        self._nbr_idx = nbr_idx
-        self._nbr_shift = cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
         self._hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
+        self._nbr_idx, self._nbr_shift = kernels.sweep_tables(
+            nbr_idx, cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS), self._hi2
+        )
         self._raster = np.arange(1, cfg.N * cfg.N, dtype=np.int64)
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
         self.accepted = 0
@@ -222,8 +224,8 @@ class Chain:
         }
 
     def save_checkpoint(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.checkpoint(), fh)
+        """Write :meth:`checkpoint` to ``path``; a failed save keeps the old file."""
+        atomic_write_text(path, json.dumps(self.checkpoint()))
 
     @classmethod
     def from_checkpoint(cls, source) -> "Chain":

@@ -217,6 +217,13 @@ class TestOrientSign:
     def test_exact_on_collinear_floats(self):
         assert orient_sign((0.25, 0.25), (0.5, 0.5), (0.75, 0.75)) == 0
 
+    def test_underflowing_products_are_settled_exactly(self):
+        # a * a underflows to 0.0, but the triangle is positively oriented
+        a = 1.8425344645050547e-273
+        assert orient_sign((0.0, 0.0), (a, 0.0), (0.0, a)) == 1
+        assert orient_sign((0.0, 0.0), (0.0, a), (a, 0.0)) == -1
+        assert triangles_overlap(((0.0, 0.0), (a, 0.0), (0.0, a)), EQUILATERAL) is True
+
     def test_one_ulp_perturbation_resolves(self):
         # raising the middle point above the diagonal makes the path a
         # right turn; orient_sign must see through the float cancellation

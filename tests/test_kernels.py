@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,30 +58,86 @@ def test_local_ok_rejects_compressed_bond():
 
 def test_local_decision_matches_full_admissibility_check():
     """The locally checked constraints are exactly the ones a single-site
-    move can affect, so the local decision must agree with the full
-    recheck from any admissible state."""
-    cfg = C.standard_config(4, 1.05, 0.1)
-    nbr_idx, shift, hi2 = _tables(cfg)
-    chain = hl.Chain(cfg, hl.SamplerParams(sweeps=0, seed=5))
-    for _ in range(200):
-        chain.sweep()
-    base = chain.snapshot()
-    assert C.is_admissible(base).ok
-
+    move can affect, so the sweep's decision (the lean check for every
+    epsilon here), ``local_ok`` and the full recheck must all agree from
+    any admissible state."""
     rng = np.random.Generator(np.random.PCG64(17))
     accepted = rejected = 0
-    for _ in range(6000):
-        s = int(rng.integers(1, 16))
-        delta = rng.uniform(-0.06, 0.06, size=2)
-        pos = np.array(base.positions)
-        pos[s] = pos[s] + delta
-        local = kernels.local_ok(pos, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
-        full = C.is_admissible(Configuration(4, base.l, base.epsilon, pos)).ok
-        assert local == full
-        accepted += local
-        rejected += not local
+    for eps in (0.05, 0.1, 0.3, 0.5, 0.7):
+        chain = hl.Chain(C.standard_config(4, 1.0 + eps / 2, eps), hl.SamplerParams(sweeps=0, seed=5))
+        for _ in range(100):
+            chain.sweep()
+        base = chain.snapshot()
+        assert C.is_admissible(base).ok
+        nbr_idx, shift, hi2 = _tables(base)
+        assert hi2 < kernels.LEAN_HI2
+        radius = 0.5 * eps
+        for _ in range(1200):
+            s = int(rng.integers(1, 16))
+            uniforms = rng.random((1, 2))
+            rho = radius * math.sqrt(uniforms[0, 0])
+            phi = kernels.TWO_PI * uniforms[0, 1]
+            proposed = np.array(base.positions)
+            proposed[s, 0] += rho * math.cos(phi)
+            proposed[s, 1] += rho * math.sin(phi)
+
+            pos = np.array(base.positions)
+            order = np.array([s], dtype=np.int64)
+            lean = bool(kernels.sweep(pos, nbr_idx, shift, order, uniforms, radius, hi2, ANGLE_SUM_TOL))
+            local = kernels.local_ok(proposed, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
+            full = C.is_admissible(Configuration(4, base.l, eps, proposed)).ok
+            assert lean == local == full
+            assert np.array_equal(pos, proposed if lean else base.positions)
+            accepted += lean
+            rejected += not lean
     # the proposal scale straddles the constraint surface
     assert accepted >= 1000 and rejected >= 1000
+
+
+def _reference_sweep(pos, nbr_idx, shift, order, uniforms, radius, hi2):
+    """Scalar sweep that decides every proposal with the full ``local_ok``."""
+    accepted = 0
+    for t, s in enumerate(order):
+        rho = radius * math.sqrt(uniforms[t, 0])
+        phi = kernels.TWO_PI * uniforms[t, 1]
+        old = pos[s].copy()
+        pos[s, 0] = old[0] + rho * math.cos(phi)
+        pos[s, 1] = old[1] + rho * math.sin(phi)
+        if kernels.local_ok(pos, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL):
+            accepted += 1
+        else:
+            pos[s] = old
+    return accepted
+
+
+@pytest.mark.parametrize("N, sweeps", [(2, 40), (4, 20), (12, 3)])
+@pytest.mark.parametrize("scan_order", ["raster", "random"])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.7, 0.8, 1.0])
+def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps):
+    """Bitwise the same trajectory and accept count as a loop deciding with
+    ``local_ok``: through the lean check below sqrt(3) - 1, through the
+    full branch above it."""
+    cfg = C.standard_config(N, 1.0 + eps / 2, eps)
+    nbr_idx, shift, hi2 = _tables(cfg)
+    assert (hi2 < kernels.LEAN_HI2) == (eps < math.sqrt(3.0) - 1.0)
+    tables = kernels.sweep_tables(nbr_idx, shift, hi2)
+    rng = np.random.Generator(np.random.PCG64([N, int(100 * eps)]))
+    radius = 0.4 * eps
+    pos = np.array(cfg.positions)
+    ref = pos.copy()
+    total = 0
+    for _ in range(sweeps):
+        if scan_order == "random":
+            order = rng.integers(1, N * N, size=N * N - 1, dtype=np.int64)
+        else:
+            order = np.arange(1, N * N, dtype=np.int64)
+        uniforms = rng.random((order.size, 2))
+        acc = kernels.sweep(pos, *tables, order, uniforms, radius, hi2, ANGLE_SUM_TOL)
+        assert acc == _reference_sweep(ref, nbr_idx, shift, order, uniforms, radius, hi2)
+        assert pos.tobytes() == ref.tobytes()
+        total += acc
+    # both decisions were exercised
+    assert 0 < total < sweeps * (N * N - 1)
 
 
 def test_sweep_equals_sequential_single_site_updates():
@@ -133,6 +190,8 @@ _CHILD = textwrap.dedent(
 
 @pytest.mark.slow
 def test_numpy_and_numba_backends_produce_identical_trajectories():
+    # A child forced onto numba fails at import without it, so skip first.
+    pytest.importorskip("numba", reason="numba unavailable; nothing to compare")
     outs = {}
     for backend in ("numba", "numpy"):
         env = dict(os.environ, HARDLATTICE_BACKEND=backend)
@@ -141,8 +200,7 @@ def test_numpy_and_numba_backends_produce_identical_trajectories():
             [sys.executable, "-c", _CHILD], capture_output=True, text=True, env=env, check=True
         )
         outs[backend] = json.loads(out.stdout.strip().splitlines()[-1])
-    if outs["numba"]["backend"] == "numpy":
-        pytest.skip("numba unavailable; nothing to compare")
+    assert outs["numba"]["backend"] == "numba"
     assert outs["numba"]["accepted"] == outs["numpy"]["accepted"]
     assert outs["numba"]["sha"] == outs["numpy"]["sha"]
 

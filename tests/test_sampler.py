@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -123,6 +124,33 @@ class TestCheckpoint:
         chain.sweep()
         again.sweep()
         assert np.array_equal(again.snapshot().positions, chain.snapshot().positions)
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
+        path = tmp_path / "state.json"
+        chain.save_checkpoint(path)
+        saved = path.read_text()
+        chain.sweep()
+
+        # serialisation fails after the configuration has been encoded
+        good = chain.checkpoint()
+        monkeypatch.setattr(Chain, "checkpoint", lambda self: dict(good, zz=object()))
+        with pytest.raises(TypeError):
+            chain.save_checkpoint(path)
+        assert path.read_text() == saved
+
+        # the rename onto the old file fails
+        monkeypatch.undo()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError):
+            chain.save_checkpoint(path)
+        monkeypatch.undo()
+        assert path.read_text() == saved
+        assert Chain.from_checkpoint(path).sweeps_done == 0
 
 
 # ---------------------------------------------------------------------------
