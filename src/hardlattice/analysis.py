@@ -16,11 +16,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
 from . import geometry, observables
-from .configuration import LAMBDA0, Configuration
+from .configuration import LAMBDA0, Configuration, check_lattice_size
 from .fileio import atomic_write_text
 from .lattice import SQRT3
 from .observables import identity_suite
@@ -192,7 +193,6 @@ class EpsilonCertificate:
     certified: bool
 
 
-@lru_cache(maxsize=None)
 def certify_epsilon(epsilon: float, grid_points_per_axis: int = 64) -> EpsilonCertificate:
     """Grid scan plus Lipschitz certificate for the area bound at ``epsilon``.
 
@@ -201,10 +201,16 @@ def certify_epsilon(epsilon: float, grid_points_per_axis: int = 64) -> EpsilonCe
     normalized slack.  A nonpositive ``grid_margin`` is direct evidence
     that the bound fails at this window size.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if grid_points_per_axis < 64:
-        raise ValueError(f"need at least 64 grid points per axis, got {grid_points_per_axis}")
+    if not isinstance(epsilon, Real) or not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be a real number in (0, 1], got {epsilon!r}")
+    g = grid_points_per_axis
+    if not isinstance(g, (int, np.integer)) or g < 64:
+        raise ValueError(f"need an integer of at least 64 grid points per axis, got {g!r}")
+    return _certify_epsilon(epsilon, g)
+
+
+@lru_cache(maxsize=None)
+def _certify_epsilon(epsilon: float, grid_points_per_axis: int) -> EpsilonCertificate:
     grid_margin, argmin = _normalized_margin_scan(epsilon, grid_points_per_axis)
     if grid_margin <= 0.0:
         return EpsilonCertificate(
@@ -428,12 +434,9 @@ def check_estimate_chain(cfg: Configuration, c_hat: float) -> EstimateChainRepor
     L2 aggregate against the side-deviation sum, (iii) the side sum
     against the area-difference sum, (iv) the exact Pythagoras split.
     """
-    from .configuration import image_triangle_corners, triangle_gradients
+    dist2 = geometry.dist_so2_batch(cfg.gradients) ** 2
 
-    grads = triangle_gradients(cfg)
-    dist2 = geometry.dist_so2_batch(grads) ** 2
-
-    corners = image_triangle_corners(cfg)
+    corners = cfg.corners
     lengths = np.stack(
         [
             np.hypot(*(corners[:, 1] - corners[:, 0]).T),
@@ -581,13 +584,8 @@ def run_grid_point(
                 f"pythagoras={ident.pythagoras_relative_error:.3e}"
             )
         eye = np.eye(2)
-        from .configuration import triangle_gradients
-
-        grads = triangle_gradients(cfg)
-        d_id = grads - eye
-        d_l = grads - cfg.l * eye
-        op_id.append(float(np.mean(np.sum(d_id * d_id, axis=(1, 2)))))
-        op_lid.append(float(np.mean(np.sum(d_l * d_l, axis=(1, 2)))))
+        op_id.append(float(np.mean(observables.per_triangle_order_parameters(cfg, eye))))
+        op_lid.append(float(np.mean(observables.per_triangle_order_parameters(cfg, cfg.l * eye))))
         # Site-averaging would telescope to l exactly; a fixed site keeps
         # this a genuine statistic of the sampled law.
         bv = observables.bond_vector(cfg, (0, 0), (1, 0))
@@ -646,17 +644,26 @@ def scan(
     """Run one chain per (N, l) grid point and aggregate the estimates.
 
     The window is certified first; every ``l`` must lie strictly inside
-    it.  Chains get independent streams derived from ``(master_seed,
-    grid_index)``, so the output does not depend on the thread count.
+    it, and the whole grid is checked before any chain runs.  Chains get
+    independent streams derived from ``(master_seed, grid_index)``, so
+    the output does not depend on the thread count.
     """
     margin = epsilon_margin(epsilon, certification_grid)
     if margin <= 0.0:
         raise CertificationError(
             f"epsilon = {epsilon} failed certification (margin {margin:.3e})"
         )
+    if not isinstance(N_list, (list, tuple)) or not N_list:
+        raise ValueError(f"scan needs a nonempty list of lattice sizes N, got {N_list!r}")
+    if not isinstance(l_list, (list, tuple)):
+        raise ValueError(f"scan needs a list of side lengths l, got {l_list!r}")
+    for N in N_list:
+        check_lattice_size(N)
     for l in l_list:
-        if not 1.0 < l < 1.0 + epsilon:
-            raise ValueError(f"l = {l} outside the open window (1, {1.0 + epsilon})")
+        if not isinstance(l, Real) or not 1.0 < l < 1.0 + epsilon:
+            raise ValueError(
+                f"l must be a real number in the open window (1, {1.0 + epsilon}), got {l!r}"
+            )
     if params.sweeps // params.thin < 100:
         raise ValueError("scan requires at least 100 emitted samples per grid point")
     tasks = []

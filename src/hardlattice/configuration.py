@@ -18,6 +18,12 @@ determinants plus exact ``2*pi`` image angle sums at every vertex star
 ``check_omega2_oracle`` is the exact, slow cross-check based on pairwise
 interior overlap of image triangles.  Agreement of the two is a tested
 invariant of this package.
+
+Each snapshot computes its triangle geometry once: ``cfg.corners``,
+``cfg.gradients`` and ``cfg.crosses`` are cached on first use, and the
+checks and observables all read them.  Caching is safe because a
+configuration never changes: the dataclass is frozen, ``positions`` is
+read-only, and so is every cached array.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +74,7 @@ class Configuration:
     positions: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
+        check_lattice_size(self.N)
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
         if not 1.0 < self.l < 1.0 + self.epsilon:
@@ -92,6 +98,34 @@ class Configuration:
     @property
     def n_triangles(self) -> int:
         return 2 * self.N * self.N
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """Read-only :func:`image_triangle_corners` of this snapshot."""
+        return _read_only(image_triangle_corners(self))
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """Read-only :func:`triangle_gradients` of this snapshot."""
+        return _read_only(triangle_gradients(self))
+
+    @cached_property
+    def crosses(self) -> np.ndarray:
+        """Corner cross product of every triangle class (twice its signed area)."""
+        d1 = self.corners[:, 1] - self.corners[:, 0]
+        d2 = self.corners[:, 2] - self.corners[:, 0]
+        return _read_only(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def check_lattice_size(N) -> None:
+    """Raise ``ValueError`` unless ``N`` is an integer >= 2."""
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
 
 
 @dataclass
@@ -120,6 +154,7 @@ def standard_config(N: int, l: float, epsilon: float) -> Configuration:
     This is an interior point of the admissible set for every valid
     ``(N, l, epsilon)``.
     """
+    check_lattice_size(N)
     uv = np.array([lattice.site_of_index(i, N) for i in range(N * N)], dtype=float)
     return Configuration(N, float(l), float(epsilon), float(l) * (uv @ EMBED_BASIS))
 
@@ -145,7 +180,7 @@ def image_triangle_corners(cfg: Configuration) -> np.ndarray:
 def triangle_gradients(cfg: Configuration) -> np.ndarray:
     """Constant Jacobian of the affine piece on every triangle class, shape (2N^2, 2, 2)."""
     _, _, orient = lattice.triangle_tables(cfg.N)
-    corners = image_triangle_corners(cfg)
+    corners = cfg.corners
     d = np.stack((corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=-1)
     return d @ _BINV[orient]
 
@@ -189,20 +224,13 @@ def check_omega1(cfg: Configuration) -> CheckResult:
     )
 
 
-def _triangle_crosses(cfg: Configuration) -> np.ndarray:
-    corners = image_triangle_corners(cfg)
-    d1 = corners[:, 1] - corners[:, 0]
-    d2 = corners[:, 2] - corners[:, 0]
-    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
 def check_omega3(cfg: Configuration) -> CheckResult:
     """Positive Jacobian determinant on every triangle class.
 
     The reference edges are positively oriented, so the determinant sign
     equals the sign of the image corner cross product.
     """
-    cross = _triangle_crosses(cfg)
+    cross = cfg.crosses
     bad = np.flatnonzero(cross <= 0.0)
     if bad.size == 0:
         return CheckResult(True)
@@ -259,7 +287,7 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     reported as orientation failures.  Exact but O(N^4); meant for
     validation, not for the sampling hot path.
     """
-    corners = image_triangle_corners(cfg)
+    corners = cfg.corners
     T = corners.shape[0]
     tris = lattice.triangles(cfg.N)
 

@@ -13,27 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, lattice
-from .configuration import (
-    LAMBDA0,
-    Configuration,
-    image_triangle_corners,
-    position,
-    triangle_gradients,
-)
-from .lattice import EMBED_BASIS, NEIGHBOR_OFFSETS
+from . import geometry
+from .configuration import LAMBDA0, Configuration, bond_lengths, position
+from .lattice import NEIGHBOR_OFFSETS
 
 
 def per_triangle_order_parameters(cfg: Configuration, target) -> np.ndarray:
     """Squared Frobenius deviation of every triangle gradient from ``target``."""
-    diff = triangle_gradients(cfg) - np.asarray(target, dtype=float)
+    diff = cfg.gradients - np.asarray(target, dtype=float)
     return np.sum(diff * diff, axis=(1, 2))
-
-
-def order_parameter(cfg: Configuration, tri: lattice.TriangleRef, target) -> float:
-    """Squared Frobenius deviation of one triangle gradient from ``target``."""
-    t = lattice.triangle_index(tri, cfg.N)
-    return float(per_triangle_order_parameters(cfg, target)[t])
 
 
 def bond_vector(cfg: Configuration, x, z) -> np.ndarray:
@@ -45,19 +33,8 @@ def bond_vector(cfg: Configuration, x, z) -> np.ndarray:
     return position(cfg, (u + z[0], v + z[1])) - position(cfg, x)
 
 
-def bond_vectors_all_sites(cfg: Configuration, z) -> np.ndarray:
-    """``omega(x + z) - omega(x)`` for every canonical site ``x``, shape (N^2, 2)."""
-    z = (int(z[0]), int(z[1]))
-    k = NEIGHBOR_OFFSETS.index(z)
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
-    w = cfg.positions[nbr_idx[:, k]] + cfg.l * cfg.N * (nbr_wrap[:, k] @ EMBED_BASIS)
-    return w - cfg.positions
-
-
 def side_deviation_sum(cfg: Configuration) -> float:
     """Sum of squared bond-length deviations from one over the 3N^2 bond classes."""
-    from .configuration import bond_lengths
-
     d = bond_lengths(cfg) - 1.0
     return float(np.sum(d * d))
 
@@ -76,10 +53,7 @@ def area_difference_sum(cfg: Configuration) -> float:
     For any configuration satisfying the periodic boundary rule this
     equals ``2 N^2 (sqrt(3)/4) (l^2 - 1)`` independent of the positions.
     """
-    corners = image_triangle_corners(cfg)
-    d1 = corners[:, 1] - corners[:, 0]
-    d2 = corners[:, 2] - corners[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = 0.5 * cfg.crosses
     return float(np.sum(areas - LAMBDA0))
 
 
@@ -95,7 +69,7 @@ def mean_gradient(cfg: Configuration) -> np.ndarray:
     mean; by periodicity of the displacement field it equals ``l * Id``
     for every configuration satisfying the boundary rule.
     """
-    return triangle_gradients(cfg).mean(axis=0)
+    return cfg.gradients.mean(axis=0)
 
 
 def best_rotation_and_ratio(cfg: Configuration) -> tuple[float, float]:
@@ -106,7 +80,7 @@ def best_rotation_and_ratio(cfg: Configuration) -> tuple[float, float]:
     rigidity constant of the domain.  Raises ``ValueError`` when the
     distance field vanishes identically (the map is a rigid motion).
     """
-    grads = triangle_gradients(cfg)
+    grads = cfg.gradients
     theta = geometry.polar_rotation(grads.mean(axis=0))
     dist2 = geometry.dist_so2_batch(grads) ** 2
     denom_sq = LAMBDA0 * float(np.sum(dist2))
@@ -115,47 +89,6 @@ def best_rotation_and_ratio(cfg: Configuration) -> tuple[float, float]:
     diff = grads - geometry.rotation(theta)
     num_sq = LAMBDA0 * float(np.sum(diff * diff))
     return theta, math.sqrt(num_sq / denom_sq)
-
-
-@dataclass
-class ObservationRecord:
-    """Everything the experiment grid wants from one snapshot."""
-
-    op_identity: np.ndarray      # per-triangle |grad - Id|^2
-    op_scaled: np.ndarray        # per-triangle |grad - l*Id|^2
-    bond_vectors: np.ndarray     # (n_probe_sites, 6, 2)
-    side_deviation_sum: float
-    area_difference_sum: float
-    l2_gradient_deviation: float
-    rigidity_ratio: float
-
-
-def observe(cfg: Configuration, probe_sites=((0, 0),)) -> ObservationRecord:
-    """Evaluate the standard observable bundle on one snapshot."""
-    grads = triangle_gradients(cfg)
-    eye = np.eye(2)
-    d_id = grads - eye
-    d_l = grads - cfg.l * eye
-    op_id = np.sum(d_id * d_id, axis=(1, 2))
-    op_l = np.sum(d_l * d_l, axis=(1, 2))
-    bonds = np.array(
-        [[bond_vector(cfg, x, z) for z in NEIGHBOR_OFFSETS] for x in probe_sites]
-    )
-    _, ratio = best_rotation_and_ratio(cfg)
-    record = ObservationRecord(
-        op_identity=op_id,
-        op_scaled=op_l,
-        bond_vectors=bonds,
-        side_deviation_sum=side_deviation_sum(cfg),
-        area_difference_sum=area_difference_sum(cfg),
-        l2_gradient_deviation=LAMBDA0 * float(np.sum(op_l)),
-        rigidity_ratio=ratio,
-    )
-    if not np.all(np.isfinite(record.op_identity)) or not np.all(
-        np.isfinite(record.op_scaled)
-    ):
-        raise ArithmeticError("non-finite observable encountered")
-    return record
 
 
 # Tolerances of the exact-identity suite.  The identities hold in exact
@@ -188,14 +121,14 @@ def identity_suite(cfg: Configuration) -> IdentityReport:
     equals its closed form; (c) the Pythagoras split of the L2 deviation
     around the best rotation is exact.
     """
-    mg_err = geometry.frobenius(mean_gradient(cfg) - cfg.l * np.eye(2))
+    mean = mean_gradient(cfg)
+    mg_err = geometry.frobenius(mean - cfg.l * np.eye(2))
 
     area = area_difference_sum(cfg)
     closed = area_difference_closed_form(cfg.N, cfg.l)
     area_err = abs(area - closed) / abs(closed)
 
-    theta, _ = best_rotation_and_ratio(cfg)
-    R = geometry.rotation(theta)
+    R = geometry.rotation(geometry.polar_rotation(mean))
     lhs = l2_gradient_deviation(cfg, R)
     a = l2_gradient_deviation(cfg, cfg.l * np.eye(2))
     b = 2.0 * cfg.N * cfg.N * LAMBDA0 * float(np.sum((cfg.l * np.eye(2) - R) ** 2))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -57,6 +58,13 @@ class SamplerParams:
     omega2_oracle_every: int = 0
 
     def __post_init__(self):
+        for name in ("sweeps", "burn_in", "thin", "omega2_oracle_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        radius = self.proposal_radius
+        if radius is not None and (isinstance(radius, bool) or not isinstance(radius, Real)):
+            raise ValueError(f"proposal_radius must be a real number, got {radius!r}")
         if self.sweeps < 0 or self.burn_in < 0:
             raise ValueError("sweeps and burn_in must be nonnegative")
         if self.thin < 1:

@@ -5,6 +5,7 @@ import pytest
 
 import hardlattice as hl
 from hardlattice import analysis as A
+from hardlattice import configuration as C
 from hardlattice import geometry
 from hardlattice.configuration import standard_config
 from hardlattice.sampler import SamplerParams
@@ -238,6 +239,24 @@ class TestScan:
         params = SamplerParams(sweeps=100, burn_in=0, thin=5, seed=0)
         with pytest.raises(ValueError):
             A.scan([2], [1.05], 0.1, params)
+
+    def test_grid_point_builds_geometry_once_per_sample(self, monkeypatch):
+        calls = {"image_triangle_corners": 0, "triangle_gradients": 0}
+        for name in calls:
+
+            def counted(cfg, _name=name, _fn=getattr(C, name)):
+                calls[_name] += 1
+                return _fn(cfg)
+
+            monkeypatch.setattr(C, name, counted)
+        params = SamplerParams(sweeps=200, burn_in=10, thin=2, seed=0)
+        rec = A.run_grid_point(2, 1.05, 0.1, params, seed=3)
+        # The chain-start admissibility check reads the corners but not
+        # the gradients; each emitted sample builds both once.
+        assert calls == {
+            "image_triangle_corners": rec.n_samples + 1,
+            "triangle_gradients": rec.n_samples,
+        }
 
     def test_csv_layout(self):
         params = SamplerParams(sweeps=600, burn_in=100, thin=5, seed=0)

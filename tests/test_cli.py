@@ -1,6 +1,10 @@
 import json
+import math
 
-from hardlattice import analysis, cli
+import pytest
+
+from hardlattice import analysis, cli, counterexamples
+from hardlattice import configuration as cfgmod
 from hardlattice.sampler import InadmissibleStateError
 
 
@@ -65,6 +69,24 @@ class TestConfigValidation:
         cfg = {"scan": dict(SMALL_SCAN["scan"], epsilon=0.2, l=[1.05])}
         path = _write(tmp_path / "c.json", cfg)
         assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            ("scan", {"scan": {"thin": 0}}, []),
+            ("scan", {"scan": {"sweeps": "600"}}, []),
+            ("scan", {"scan": {"epsilon": "0.1"}}, []),
+            ("scan", {"scan": {"N": []}}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], N=[4])}, []),
+            ("verify", FAST_VERIFY, ["--omega2-oracle-every", "-1"]),
+        ],
+        ids=["thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "oracle-every-neg"],
+    )
+    def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):
+        path = _write(tmp_path / "c.json", config)
+        argv = [command, "--config", path, "--out", str(tmp_path / "o"), *flags]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestScanCommand:
@@ -152,6 +174,22 @@ class TestVerifyCommand:
     def test_oracle_every_flag(self, tmp_path):
         path = _write(tmp_path / "c.json", FAST_VERIFY)
         assert cli.main(["verify", "--config", path, "--omega2-oracle-every", "5"]) == 0
+
+    def test_oracle_runs_once_per_checked_sample(self, tmp_path, monkeypatch):
+        checked = []
+        oracle = cfgmod.check_omega2_oracle
+
+        def counted(cfg):
+            checked.append(cfg)
+            return oracle(cfg)
+
+        monkeypatch.setattr(cfgmod, "check_omega2_oracle", counted)
+        path = _write(tmp_path / "c.json", FAST_VERIFY)
+        assert cli.main(["verify", "--config", path, "--omega2-oracle-every", "3"]) == 0
+        block = FAST_VERIFY["verify"]
+        n_samples = block["sweeps"] // block["thin"]
+        n_counter = len(counterexamples.folded_counterexamples(4, 1.05, 0.1))
+        assert len(checked) == math.ceil(n_samples / 3) + n_counter
 
     def test_degenerate_window_fails(self, tmp_path, capsys):
         cfg = {"verify": dict(FAST_VERIFY["verify"], epsilon=1.0)}

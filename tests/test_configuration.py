@@ -67,6 +67,26 @@ class TestStandardConfig:
             cfg.positions[1, 0] = 3.0
 
 
+class TestCachedGeometry:
+    def test_equals_the_functions_bitwise(self, sample_snapshots):
+        for snap in sample_snapshots[::20]:
+            fresh = Configuration(snap.N, snap.l, snap.epsilon, snap.positions)
+            corners = C.image_triangle_corners(fresh)
+            d1 = corners[:, 1] - corners[:, 0]
+            d2 = corners[:, 2] - corners[:, 0]
+            crosses = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            assert snap.corners.tobytes() == corners.tobytes()
+            assert snap.gradients.tobytes() == triangle_gradients(fresh).tobytes()
+            assert snap.crosses.tobytes() == crosses.tobytes()
+            assert snap.gradients is snap.gradients
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = standard_config(4, 1.05, 0.1)
+        for name in ("corners", "gradients", "crosses"):
+            with pytest.raises(ValueError):
+                getattr(cfg, name).flat[0] = 1.0
+
+
 class TestPosition:
     def test_periodic_extension_at_axis(self):
         N, l = 4, 1.05

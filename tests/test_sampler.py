@@ -138,6 +138,7 @@ class TestCheckpoint:
         with pytest.raises(TypeError):
             chain.save_checkpoint(path)
         assert path.read_text() == saved
+        assert os.listdir(tmp_path) == ["state.json"]
 
         # the rename onto the old file fails
         monkeypatch.undo()
@@ -150,6 +151,7 @@ class TestCheckpoint:
             chain.save_checkpoint(path)
         monkeypatch.undo()
         assert path.read_text() == saved
+        assert os.listdir(tmp_path) == ["state.json"]  # no temp file left behind
         assert Chain.from_checkpoint(path).sweeps_done == 0
 
 
