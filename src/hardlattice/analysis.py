@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from . import geometry, observables
-from .configuration import LAMBDA0, Configuration, check_lattice_size
+from .configuration import LAMBDA0, Configuration, check_lattice_size, check_side_length
 from .fileio import atomic_write_text
 from .lattice import SQRT3
 from .observables import identity_suite
@@ -427,12 +427,16 @@ class EstimateChainReport:
         )
 
 
-def check_estimate_chain(cfg: Configuration, c_hat: float) -> EstimateChainReport:
+def check_estimate_chain(
+    cfg: Configuration, c_hat: float, identities: observables.IdentityReport
+) -> EstimateChainReport:
     """Verify the estimate chain on one admissible configuration.
 
     (i) per-triangle rigidity bound with the working constant, (ii) its
     L2 aggregate against the side-deviation sum, (iii) the side sum
-    against the area-difference sum, (iv) the exact Pythagoras split.
+    against the area-difference sum, (iv) the exact Pythagoras split,
+    read from ``identities``, the :func:`identity_suite` report of
+    ``cfg``.
     """
     dist2 = geometry.dist_so2_batch(cfg.gradients) ** 2
 
@@ -452,7 +456,7 @@ def check_estimate_chain(cfg: Configuration, c_hat: float) -> EstimateChainRepor
     sds = observables.side_deviation_sum(cfg)
     l2_margin = c_hat * LAMBDA0 * sds - LAMBDA0 * float(np.sum(dist2))
     area_margin = FOUR_SQRT3 * cfg.epsilon * observables.area_difference_sum(cfg) - sds
-    pyth = identity_suite(cfg).pythagoras_relative_error
+    pyth = identities.pythagoras_relative_error
     return EstimateChainReport(
         triangle_bound_margin=float(per_tri[worst]),
         l2_vs_side_sum_margin=float(l2_margin),
@@ -660,10 +664,7 @@ def scan(
     for N in N_list:
         check_lattice_size(N)
     for l in l_list:
-        if not isinstance(l, Real) or not 1.0 < l < 1.0 + epsilon:
-            raise ValueError(
-                f"l must be a real number in the open window (1, {1.0 + epsilon}), got {l!r}"
-            )
+        check_side_length(l, epsilon)
     if params.sweeps // params.thin < 100:
         raise ValueError("scan requires at least 100 emitted samples per grid point")
     tasks = []

@@ -270,7 +270,8 @@ def cmd_verify(args) -> int:
     eps = block["epsilon"]
     all_ok = True
 
-    # 1. Certified window.
+    # Validate the whole block, in the order scan does, before any check
+    # prints: epsilon (inside the margin), then the chain's N and l.
     try:
         margin = analysis.epsilon_margin(eps, block["certification_grid"])
         ok = margin > 0.0
@@ -278,6 +279,10 @@ def cmd_verify(args) -> int:
     except analysis.CertificationError as exc:
         ok, detail = False, str(exc)
         margin = None
+    cfgmod.check_lattice_size(block["N"])
+    cfgmod.check_side_length(block["l"], eps)
+
+    # 1. Certified window.
     all_ok &= _report("epsilon-certificate", ok, detail)
 
     # 2. Squared side-deviation bound on random triples.
@@ -313,9 +318,9 @@ def cmd_verify(args) -> int:
     snapshots = chain.run().records
 
     # 5. Exact identities on every sample.
+    identities = [analysis.identity_suite(snap) for snap in snapshots]
     worst_err = [0.0, 0.0, 0.0]
-    for snap in snapshots:
-        rep = analysis.identity_suite(snap)
+    for rep in identities:
         worst_err[0] = max(worst_err[0], rep.mean_gradient_error)
         worst_err[1] = max(worst_err[1], rep.area_relative_error)
         worst_err[2] = max(worst_err[2], rep.pythagoras_relative_error)
@@ -353,8 +358,8 @@ def cmd_verify(args) -> int:
     est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
     worst_margin = float("inf")
     chain_ok = True
-    for snap in snapshots:
-        rep = analysis.check_estimate_chain(snap, est.c_hat)
+    for snap, ident in zip(snapshots, identities):
+        rep = analysis.check_estimate_chain(snap, est.c_hat, ident)
         chain_ok &= rep.ok
         worst_margin = min(worst_margin, rep.triangle_bound_margin)
     all_ok &= _report(

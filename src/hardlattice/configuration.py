@@ -15,9 +15,11 @@ Admissibility is the conjunction of three predicates:
 ``check_omega2_fast`` certifies omega2 in ``O(N^2)`` via positive
 determinants plus exact ``2*pi`` image angle sums at every vertex star
 (a locally injective torus map of degree one is a homeomorphism);
-``check_omega2_oracle`` is the exact, slow cross-check based on pairwise
-interior overlap of image triangles.  Agreement of the two is a tested
-invariant of this package.
+``check_omega2_oracle`` is the exact cross-check based on pairwise
+interior overlap of image triangles; a cell list over the 3x3 periodic
+tiling hands it only the pairs whose bounding boxes overlap, in
+``O(N^2)`` time and memory.  Agreement of the two is a tested invariant
+of this package.
 
 Each snapshot computes its triangle geometry once: ``cfg.corners``,
 ``cfg.gradients`` and ``cfg.crosses`` are cached on first use, and the
@@ -32,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -126,6 +129,14 @@ def check_lattice_size(N) -> None:
     """Raise ``ValueError`` unless ``N`` is an integer >= 2."""
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
+
+
+def check_side_length(l, epsilon: float) -> None:
+    """Raise ``ValueError`` unless ``l`` is a real number in ``(1, 1 + epsilon)``."""
+    if not isinstance(l, Real) or not 1.0 < l < 1.0 + epsilon:
+        raise ValueError(
+            f"l must be a real number in the open window (1, {1.0 + epsilon}), got {l!r}"
+        )
 
 
 @dataclass
@@ -284,8 +295,23 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     Tests the open interiors of all image triangle representatives
     against each other and against the eight surrounding periodic
     translates (the 3x3 tiling).  Degenerate image triangles are
-    reported as orientation failures.  Exact but O(N^4); meant for
-    validation, not for the sampling hot path.
+    reported as orientation failures.  Meant for validation, not for the
+    sampling hot path.
+
+    A cell list keeps the bounding-box prefilter at ``O(N^2)`` time and
+    memory.  Each of the ``9T`` tiled image triangles is binned by the
+    lower corner of its bounding box into square cells of edge ``h``, a
+    sixteenth larger than the largest box extent ``E``.  Two boxes that
+    overlap strictly have lower corners less than ``E`` apart on each
+    axis, so their cells differ by at most one per axis: the 3x3 cell
+    neighbourhood of a centre triangle holds every image whose box can
+    overlap its own.  The sixteenth is far above the rounding of the
+    corner-to-cell division.  The strict box test then runs on those
+    candidates only, and the exact predicate decides the survivors in
+    ``(i, j, shift)`` order.  The cost per triangle is bounded while the
+    image triangles tile the plane, as on admissible states; a state
+    that piles many triangles into one cell pays more, up to the
+    all-pairs count.
     """
     corners = cfg.corners
     T = corners.shape[0]
@@ -300,8 +326,7 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
 
     ys = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
     # For identical representatives, opposite translates give the same test.
-    half = {k for k, (yu, yv) in enumerate(ys) if (yu, yv) > (0, 0)}
-    center = ys.index((0, 0))
+    half = np.array([y > (0, 0) for y in ys])
 
     # Fold the tiling shift into the integer wrap before the one float
     # multiply: corner instances that coincide in exact arithmetic then
@@ -315,26 +340,37 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
 
     lo = corners.min(axis=1)
     hi = corners.max(axis=1)
-    lo_s = tiled.min(axis=2)  # (9, T, 2)
-    hi_s = tiled.max(axis=2)
+    lo_s = tiled.min(axis=2).reshape(-1, 2)  # image k*T + j
+    hi_s = tiled.max(axis=2).reshape(-1, 2)
+
+    h = 1.0625 * float((hi_s - lo_s).max())
+    cell = np.floor(lo_s / h).astype(np.int64)
+    cell -= cell.min(axis=0) - 1  # neighbour cells stay nonnegative
+    stride = int(cell[:, 1].max()) + 2  # one key per cell, neighbours included
+    key = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(key)
+    sorted_key = key[order]
+
+    # Keys of the 3x3 cell neighbourhood of every centre triangle i, whose
+    # own image is center*T + i; then every image binned in those cells.
+    center = ys.index((0, 0))
+    step = np.arange(-1, 2)
+    nbr = key[center * T : (center + 1) * T, None] + (stride * step[:, None] + step).ravel()
+    start = np.searchsorted(sorted_key, nbr.ravel(), side="left")
+    count = np.searchsorted(sorted_key, nbr.ravel(), side="right") - start
+    ii = np.repeat(np.arange(T).repeat(nbr.shape[1]), count)
+    first = np.repeat(start - (np.cumsum(count) - count), count)
+    img = order[first + np.arange(ii.size)]
+    kk, jj = np.divmod(img, T)
 
     # Strict bounding-box prefilter: (i) vs (j, shift k).
-    mask = (
-        (lo[:, None, None, 0] < hi_s.transpose(1, 0, 2)[None, :, :, 0])
-        & (lo_s.transpose(1, 0, 2)[None, :, :, 0] < hi[:, None, None, 0])
-        & (lo[:, None, None, 1] < hi_s.transpose(1, 0, 2)[None, :, :, 1])
-        & (lo_s.transpose(1, 0, 2)[None, :, :, 1] < hi[:, None, None, 1])
-    )
-    iu = np.triu_indices(T, k=0)
-    keep = np.zeros_like(mask)
-    keep[iu[0], iu[1], :] = mask[iu[0], iu[1], :]
-    keep[np.arange(T), np.arange(T), :] = False
-    for k in half:
-        keep[np.arange(T), np.arange(T), k] = mask[np.arange(T), np.arange(T), k]
-    keep[np.arange(T), np.arange(T), center] = False
+    box = np.all((lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii]), axis=1)
+    keep = box & ((ii < jj) | ((ii == jj) & half[kk]))
+    ii, jj, kk = ii[keep], jj[keep], kk[keep]
+    sort = np.lexsort((kk, jj, ii))
 
     violations = []
-    for i, j, k in zip(*np.nonzero(keep)):
+    for i, j, k in zip(ii[sort].tolist(), jj[sort].tolist(), kk[sort].tolist()):
         if geometry.triangles_overlap(corners[i], tiled[k, j]):
             violations.append(("omega2_overlap", tris[i], tris[j], ys[k]))
     return CheckResult(not violations, violations)

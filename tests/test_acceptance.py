@@ -160,7 +160,7 @@ def test_criterion_07_estimate_chain(grid_snapshots, working_constant):
     worst = math.inf
     for snaps in grid_snapshots.values():
         for snap in snaps:
-            rep = A.check_estimate_chain(snap, c_hat)
+            rep = A.check_estimate_chain(snap, c_hat, O.identity_suite(snap))
             failures += not rep.ok
             worst = min(worst, rep.triangle_bound_margin)
             n_checked += 1

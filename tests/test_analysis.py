@@ -157,7 +157,7 @@ class TestEstimateChain:
     def test_standard_config_closed_forms(self, c_hat):
         N, l, eps = 4, 1.05, 0.1
         cfg = standard_config(N, l, eps)
-        rep = A.check_estimate_chain(cfg, c_hat)
+        rep = A.check_estimate_chain(cfg, c_hat, A.identity_suite(cfg))
         assert rep.ok
         # the side-sum vs area check reduces to 3N^2(l-1)^2 <= 6N^2 eps (l^2-1)
         expected = 4.0 * SQRT3 * eps * (2 * N * N * (SQRT3 / 4) * (l * l - 1)) - 3 * N * N * (
@@ -167,14 +167,14 @@ class TestEstimateChain:
 
     def test_passes_on_samples(self, sample_snapshots, c_hat):
         for snap in sample_snapshots[::5]:
-            rep = A.check_estimate_chain(snap, c_hat)
+            rep = A.check_estimate_chain(snap, c_hat, A.identity_suite(snap))
             assert rep.ok, rep
 
     def test_passes_near_window_edge(self, c_hat):
         # push bonds toward the upper edge of the window
         res = hl.run_chain(2, 1.09, 0.1, SamplerParams(sweeps=400, burn_in=100, thin=2, seed=5))
         for snap in res.records[::10]:
-            assert A.check_estimate_chain(snap, c_hat).ok
+            assert A.check_estimate_chain(snap, c_hat, A.identity_suite(snap)).ok
 
 
 class TestBatchMeans:

@@ -78,15 +78,22 @@ class TestConfigValidation:
             ("scan", {"scan": {"epsilon": "0.1"}}, []),
             ("scan", {"scan": {"N": []}}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], N=[4])}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], l="1.05")}, []),
             ("verify", FAST_VERIFY, ["--omega2-oracle-every", "-1"]),
         ],
-        ids=["thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "oracle-every-neg"],
+        ids=[
+            "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
+            "oracle-every-neg",
+        ],
     )
     def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):
         path = _write(tmp_path / "c.json", config)
         argv = [command, "--config", path, "--out", str(tmp_path / "o"), *flags]
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        # the block is rejected before any check runs
+        assert "PASS" not in captured.out
 
 
 class TestScanCommand:
@@ -190,6 +197,20 @@ class TestVerifyCommand:
         n_samples = block["sweeps"] // block["thin"]
         n_counter = len(counterexamples.folded_counterexamples(4, 1.05, 0.1))
         assert len(checked) == math.ceil(n_samples / 3) + n_counter
+
+    def test_identity_suite_runs_once_per_sample(self, tmp_path, monkeypatch):
+        checked = []
+        suite = analysis.identity_suite
+
+        def counted(cfg):
+            checked.append(cfg)
+            return suite(cfg)
+
+        monkeypatch.setattr(analysis, "identity_suite", counted)
+        path = _write(tmp_path / "c.json", FAST_VERIFY)
+        assert cli.main(["verify", "--config", path]) == 0
+        block = FAST_VERIFY["verify"]
+        assert len(checked) == block["sweeps"] // block["thin"]
 
     def test_degenerate_window_fails(self, tmp_path, capsys):
         cfg = {"verify": dict(FAST_VERIFY["verify"], epsilon=1.0)}

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hardlattice import configuration as C
-from hardlattice import counterexamples, lattice
+from hardlattice import counterexamples, geometry, lattice
 from hardlattice.configuration import (
     Configuration,
     check_omega1,
@@ -24,6 +25,7 @@ from hardlattice.configuration import (
     triangle_gradients,
 )
 from hardlattice.lattice import TriangleRef, embed
+from hardlattice.sampler import SamplerParams, run_chain
 
 SQRT3 = math.sqrt(3.0)
 
@@ -220,6 +222,93 @@ class TestOmega2:
         for bad in counterexamples.folded_counterexamples(4, 1.05, 0.1):
             assert not check_omega2_fast(bad).ok
             assert not check_omega2_oracle(bad).ok
+
+
+SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
+
+
+def _oracle_reference(cfg):
+    """Scalar all-pairs version of the oracle: ``(tested pairs, violations)``.
+
+    Every centre triangle i meets every triangle j > i under all nine
+    tiling shifts, and itself under the four shifts after (0, 0); a pair
+    whose boxes overlap strictly in Python floats goes to the exact
+    predicate.  Corners come from the scalar periodic extension rule.
+    """
+    N = cfg.N
+    tris = lattice.triangles(N)
+
+    def corners(tri, y):
+        return tuple(
+            tuple(float(c) for c in position(cfg, (u + N * y[0], v + N * y[1])))
+            for u, v in lattice.triangle_corners(tri)
+        )
+
+    def box(p):
+        xs, ys = [q[0] for q in p], [q[1] for q in p]
+        return min(xs), max(xs), min(ys), max(ys)
+
+    centre = [corners(t, (0, 0)) for t in tris]
+    degenerate = [
+        ("omega3_degenerate", t) for t, p in zip(tris, centre) if geometry.orient_sign(*p) == 0
+    ]
+    if degenerate:
+        return [], degenerate
+    tiled = [[corners(t, y) for y in SHIFTS] for t in tris]
+    tested, violations = [], []
+    for i, a in enumerate(centre):
+        ax0, ax1, ay0, ay1 = box(a)
+        for j in range(i, len(tris)):
+            for k, y in enumerate(SHIFTS):
+                if j == i and not y > (0, 0):
+                    continue
+                b = tiled[j][k]
+                bx0, bx1, by0, by1 = box(b)
+                if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                    tested.append((a, b))
+                    if geometry.triangles_overlap(a, b):
+                        violations.append(("omega2_overlap", tris[i], tris[j], y))
+    return tested, violations
+
+
+def _reference_states():
+    for N in (2, 3, 4):
+        yield pytest.param(standard_config(N, 1.05, 0.1), id=f"standard-N{N}")
+        params = SamplerParams(sweeps=20, burn_in=10, thin=10, seed=N)
+        yield pytest.param(run_chain(N, 1.05, 0.1, params).records[-1], id=f"sampled-N{N}")
+    for N in (4, 5, 6):
+        for n, bad in enumerate(counterexamples.folded_counterexamples(N, 1.05, 0.1)):
+            yield pytest.param(bad, id=f"folded-N{N}-{n}")
+
+
+class TestOracleCellList:
+    @pytest.mark.parametrize("cfg", list(_reference_states()))
+    def test_matches_scalar_all_pairs_reference(self, monkeypatch, cfg):
+        tested = []
+        exact = geometry.triangles_overlap
+
+        def recorded(a, b):
+            tested.append((tuple(map(tuple, a.tolist())), tuple(map(tuple, b.tolist()))))
+            return exact(a, b)
+
+        want_tested, want_violations = _oracle_reference(cfg)
+        monkeypatch.setattr(geometry, "triangles_overlap", recorded)
+        got = check_omega2_oracle(cfg)
+        assert got.violations == want_violations
+        assert got.ok == (not want_violations)
+        assert tested == want_tested
+
+    def test_peak_memory_at_n32_stays_below_16_mb(self):
+        params = SamplerParams(sweeps=30, burn_in=0, thin=30, seed=1)
+        cfg = run_chain(32, 1.05, 0.1, params).records[-1]
+        tracemalloc.start()
+        try:
+            assert check_omega2_oracle(cfg).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense all-pairs box mask needed ~130 MB here
+        assert peak < 16e6
 
 
 class TestIsAdmissible:
