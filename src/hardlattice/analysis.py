@@ -278,6 +278,7 @@ def verify_squared_bound(
     side-length triples in the window, together with the scalar step
     ``(a-1)^2 <= eps*(a-1)`` it rests on.  Requires a certified window.
     """
+    check_sample_count(n_samples)
     cert = certify_epsilon(epsilon, grid_points_per_axis)
     if not cert.certified:
         raise CertificationError(
@@ -316,6 +317,32 @@ def verify_squared_bound(
 # Edge directions of the unit reference triangle.
 _V_DIRECTIONS = np.array([[1.0, 0.0], [0.5, SQRT3 / 2.0], [0.5, -SQRT3 / 2.0]])
 
+# Candidates drawn per batch; the batch size fixes the random stream, so
+# changing it changes c_hat.  Each batch is processed in sub-blocks to
+# keep the temporaries small.
+_RIGIDITY_DRAW = 200_000
+_RIGIDITY_BLOCK = 25_000
+
+# Candidate matrices drawn per block by the SO(2) agreement check; about
+# half survive the det > 0 rejection.
+_AGREEMENT_DRAW = 256
+
+# Triangles drawn per block by the Heron check.  Blocked draws consume
+# the same stream as one draw per triangle.
+_HERON_DRAW = 4096
+
+
+def check_sample_count(n, name: str = "n_samples") -> None:
+    """Raise ``ValueError`` unless the Monte Carlo size ``n`` is an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
+def check_deviation_cap(cap, name: str = "deviation_cap") -> None:
+    """Raise ``ValueError`` unless the rigidity deviation cap is a real number in (0, 1]."""
+    if isinstance(cap, bool) or not isinstance(cap, Real) or not 0.0 < cap <= 1.0:
+        raise ValueError(f"{name} must be a real number in (0, 1], got {cap!r}")
+
 
 @dataclass
 class RigidityConstantEstimate:
@@ -337,68 +364,99 @@ def estimate_rigidity_constant(
     ``det A > 0`` and ``0 < max_i ||A v_i| - 1| <= cap``.  The supremum
     over accepted samples is the package's working constant for the
     per-triangle rigidity bound.
+
+    The rotation cancels in exact arithmetic (``|R A v| = |A v|`` and
+    ``dist(R A, SO(2)) = dist(A, SO(2))``), yet ``R`` and the stacked
+    matmul stay: numpy's matmul may contract ``c*m00 - s*m10`` into a
+    fused multiply-add, so a hand-written product moves ``c_hat`` in its
+    last bits.  Keeping them keeps ``c_hat`` bit-for-bit.  The edge
+    images ``A v_i`` are two-term products on the columns of ``A``, which
+    equal ``einsum("nij,kj->nki", A, _V_DIRECTIONS)`` bitwise.
     """
-    if not 0.0 < deviation_cap <= 1.0:
-        raise ValueError(f"deviation_cap must lie in (0, 1], got {deviation_cap}")
+    check_sample_count(n_samples)
+    check_deviation_cap(deviation_cap)
     rng = np.random.Generator(np.random.PCG64(seed))
     eye = np.eye(2)
+    h = _V_DIRECTIONS[1, 1]
     c_hat = 0.0
     kept = 0
     while kept < n_samples:
-        n = 200_000
-        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(n, 2, 2))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        c, s = np.cos(theta), np.sin(theta)
-        R = np.empty((n, 2, 2))
-        R[:, 0, 0] = c
-        R[:, 0, 1] = -s
-        R[:, 1, 0] = s
-        R[:, 1, 1] = c
-        A = R @ (eye + E)
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        Av = np.einsum("nij,kj->nki", A, _V_DIRECTIONS)
-        dev = np.abs(np.hypot(Av[..., 0], Av[..., 1]) - 1.0)
-        maxdev = dev.max(axis=1)
-        idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
-        if kept + idx.size > n_samples:
+        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(_RIGIDITY_DRAW, 2, 2))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=_RIGIDITY_DRAW)
+        for start in range(0, _RIGIDITY_DRAW, _RIGIDITY_BLOCK):
+            block = slice(start, start + _RIGIDITY_BLOCK)
+            c, s = np.cos(theta[block]), np.sin(theta[block])
+            R = np.empty((c.size, 2, 2))
+            R[:, 0, 0] = c
+            R[:, 0, 1] = -s
+            R[:, 1, 0] = s
+            R[:, 1, 1] = c
+            A = R @ (eye + E[block])
+            a00, a01, a10, a11 = np.ascontiguousarray(A.reshape(-1, 4).T)
+            det = a00 * a11 - a01 * a10
+            # v1 = (1, 0), v2/v3 = (1/2, +-h): images (x, y) per direction
+            x_half, y_half = 0.5 * a00, 0.5 * a10
+            x_h, y_h = h * a01, h * a11
+            maxdev = np.maximum(
+                np.abs(np.hypot(a00, a10) - 1.0),
+                np.maximum(
+                    np.abs(np.hypot(x_half + x_h, y_half + y_h) - 1.0),
+                    np.abs(np.hypot(x_half - x_h, y_half - y_h) - 1.0),
+                ),
+            )
+            idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
             idx = idx[: n_samples - kept]
-        if idx.size:
-            ratios = geometry.dist_so2_batch(A[idx]) ** 2 / maxdev[idx] ** 2
-            c_hat = max(c_hat, float(ratios.max()))
-            kept += idx.size
+            if idx.size:
+                ratios = geometry.dist_so2_batch(A[idx]) ** 2 / maxdev[idx] ** 2
+                c_hat = max(c_hat, float(ratios.max()))
+                kept += idx.size
+            if kept == n_samples:
+                break
     return RigidityConstantEstimate(c_hat, deviation_cap, kept, seed)
 
 
 def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int = 0) -> float:
     """Max |closed form - grid search| of the SO(2) distance over random
-    det-positive matrices (standard normal entries, rejected to det > 0)."""
+    det-positive matrices (standard normal entries, rejected to det > 0).
+
+    Candidates are drawn in blocks, which consumes the same stream as one
+    draw per matrix; the grid search runs on each block's stack, the
+    closed form under test on each matrix."""
+    check_sample_count(n_matrices, "n_matrices")
+    geometry.check_grid_size(n_grid)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     done = 0
     while done < n_matrices:
-        M = rng.standard_normal((2, 2))
-        if M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] <= 0.0:
-            continue
-        diff = abs(geometry.dist_so2(M) - geometry.dist_so2_bruteforce(M, n_grid))
-        worst = max(worst, diff)
-        done += 1
+        M = rng.standard_normal((_AGREEMENT_DRAW, 2, 2))
+        M = M[M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0.0][: n_matrices - done]
+        brute = geometry.dist_so2_bruteforce(M, n_grid)
+        for m, b in zip(M, brute.tolist()):
+            worst = max(worst, abs(geometry.dist_so2(m) - b))
+        done += len(M)
     return worst
 
 
 def heron_cross_agreement(n_triangles: int = 10_000, seed: int = 0, jitter: float = 0.05) -> float:
     """Max relative difference between the side-length area formula and the
-    cross-product area on random perturbations of the unit triangle."""
+    cross-product area on random perturbations of the unit triangle.
+
+    The corners are drawn in blocks and each triangle is checked in
+    Python floats."""
+    check_sample_count(n_triangles, "n_triangles")
     rng = np.random.Generator(np.random.PCG64(seed))
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
     worst = 0.0
-    for _ in range(n_triangles):
-        pts = base + jitter * (2.0 * rng.random((3, 2)) - 1.0)
-        a1 = math.hypot(*(pts[1] - pts[0]))
-        a2 = math.hypot(*(pts[2] - pts[1]))
-        a3 = math.hypot(*(pts[0] - pts[2]))
-        h = geometry.heron_area(a1, a2, a3)
-        c = abs(geometry.signed_area(pts[0], pts[1], pts[2]))
-        worst = max(worst, abs(h - c) / c)
+    for start in range(0, n_triangles, _HERON_DRAW):
+        k = min(_HERON_DRAW, n_triangles - start)
+        pts = base + jitter * (2.0 * rng.random((k, 3, 2)) - 1.0)
+        for p0, p1, p2 in pts.tolist():
+            a1 = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
+            a2 = math.hypot(p2[0] - p1[0], p2[1] - p1[1])
+            a3 = math.hypot(p0[0] - p2[0], p0[1] - p2[1])
+            h = geometry.heron_area(a1, a2, a3)
+            c = abs(geometry.signed_area(p0, p1, p2))
+            worst = max(worst, abs(h - c) / c)
     return worst
 
 

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, analysis, counterexamples, kernels
+from . import __version__, analysis, counterexamples, geometry, kernels
 from . import configuration as cfgmod
 from .fileio import atomic_write_text
 from .sampler import (
@@ -150,6 +150,16 @@ def _sampler_params(block: dict, seed=0) -> SamplerParams:
     )
 
 
+def _check_monte_carlo_sizes(block: dict, where: str) -> None:
+    """Reject the block's sample counts, SO(2) grid and deviation cap
+    through the checks of the functions that use them."""
+    for key in ("squared_bound_samples", "heron_samples", "dist_matrices", "rigidity_samples"):
+        if key in block:
+            analysis.check_sample_count(block[key], f"{where}.{key}")
+    geometry.check_grid_size(block["dist_grid"], f"{where}.dist_grid")
+    analysis.check_deviation_cap(block["deviation_cap"], f"{where}.deviation_cap")
+
+
 def _versions() -> dict:
     try:
         import numba
@@ -271,7 +281,8 @@ def cmd_verify(args) -> int:
     all_ok = True
 
     # Validate the whole block, in the order scan does, before any check
-    # prints: epsilon (inside the margin), then the chain's N and l.
+    # prints: epsilon (inside the margin), then the chain's N and l, then
+    # the Monte Carlo sizes of steps 2-4 and 7.
     try:
         margin = analysis.epsilon_margin(eps, block["certification_grid"])
         ok = margin > 0.0
@@ -281,6 +292,7 @@ def cmd_verify(args) -> int:
         margin = None
     cfgmod.check_lattice_size(block["N"])
     cfgmod.check_side_length(block["l"], eps)
+    _check_monte_carlo_sizes(block, "verify")
 
     # 1. Certified window.
     all_ok &= _report("epsilon-certificate", ok, detail)
@@ -376,6 +388,7 @@ def cmd_oracle(args) -> int:
     block = cfg["oracle"]
     seed = args.seed if args.seed is not None else cfg["seed"]
     out_dir = args.out if args.out is not None else cfg["out_dir"]
+    _check_monte_carlo_sizes(block, "oracle")
     os.makedirs(out_dir, exist_ok=True)
 
     ladder = []

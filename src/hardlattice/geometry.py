@@ -100,25 +100,36 @@ def dist_so2_batch(Ms: np.ndarray) -> np.ndarray:
     return np.sqrt(rad)
 
 
-def dist_so2_bruteforce(M, n_grid: int = 3600) -> float:
+def check_grid_size(n_grid, name: str = "n_grid") -> None:
+    """Raise ``ValueError`` unless the angle grid size ``n_grid`` is an integer >= 8."""
+    if isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer)) or n_grid < 8:
+        raise ValueError(f"{name} must be an integer >= 8, got {n_grid!r}")
+
+
+def dist_so2_bruteforce(M, n_grid: int = 3600):
     """Grid minimum of ``|M - R(theta)|`` over ``n_grid`` equally spaced angles.
 
     Independent of the closed form; accuracy is ``O(1/n_grid)`` since the
-    objective is sqrt(2)-Lipschitz in the angle.
+    objective is sqrt(2)-Lipschitz in the angle.  ``M`` may be a stack of
+    shape ``(..., 2, 2)``: the angle grid is built once and every matrix
+    gets the same elementwise arithmetic, so each result equals the
+    single-matrix call bitwise.  A single matrix returns a ``float``, a
+    stack an array of its leading shape; temporaries hold
+    ``stack size * n_grid`` floats.
     """
-    if n_grid < 8:
-        raise ValueError(f"n_grid must be >= 8, got {n_grid}")
+    check_grid_size(n_grid)
     m = np.asarray(M, dtype=float)
     theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
     c = np.cos(theta)
     s = np.sin(theta)
     d2 = (
-        (m[0, 0] - c) ** 2
-        + (m[0, 1] + s) ** 2
-        + (m[1, 0] - s) ** 2
-        + (m[1, 1] - c) ** 2
+        (m[..., 0, 0, None] - c) ** 2
+        + (m[..., 0, 1, None] + s) ** 2
+        + (m[..., 1, 0, None] - s) ** 2
+        + (m[..., 1, 1, None] - c) ** 2
     )
-    return math.sqrt(float(d2.min()))
+    dmin = np.sqrt(d2.min(axis=-1))
+    return float(dmin) if m.ndim == 2 else dmin
 
 
 def heron_area(a1: float, a2: float, a3: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,113 @@ class TestRigidityConstant:
         with pytest.raises(ValueError):
             A.estimate_rigidity_constant(n_samples=10, deviation_cap=0.0)
 
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "1000", True])
+    def test_rejects_bad_sample_count(self, n_samples):
+        with pytest.raises(ValueError):
+            A.estimate_rigidity_constant(n_samples=n_samples, deviation_cap=0.1)
+
+    @pytest.mark.parametrize("cap", [0.0, -0.1, 1.5, "0.1", math.nan])
+    def test_rejects_cap_outside_unit_interval(self, cap):
+        with pytest.raises(ValueError):
+            A.check_deviation_cap(cap)
+
+    def test_peak_memory_stays_small(self):
+        # the verify default: one 200k-candidate draw, processed in
+        # sub-blocks; the whole-batch temporaries peaked near 55 MB
+        tracemalloc.start()
+        try:
+            A.estimate_rigidity_constant(n_samples=200_000, deviation_cap=0.1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+
+def _reference_rigidity_constant(n_samples, deviation_cap, seed):
+    """The whole-batch einsum estimator, kept as a bit-for-bit reference."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    eye = np.eye(2)
+    c_hat = 0.0
+    kept = 0
+    while kept < n_samples:
+        n = 200_000
+        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(n, 2, 2))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        c, s = np.cos(theta), np.sin(theta)
+        R = np.empty((n, 2, 2))
+        R[:, 0, 0] = c
+        R[:, 0, 1] = -s
+        R[:, 1, 0] = s
+        R[:, 1, 1] = c
+        A_ = R @ (eye + E)
+        det = A_[:, 0, 0] * A_[:, 1, 1] - A_[:, 0, 1] * A_[:, 1, 0]
+        Av = np.einsum("nij,kj->nki", A_, A._V_DIRECTIONS)
+        dev = np.abs(np.hypot(Av[..., 0], Av[..., 1]) - 1.0)
+        maxdev = dev.max(axis=1)
+        idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
+        if kept + idx.size > n_samples:
+            idx = idx[: n_samples - kept]
+        if idx.size:
+            ratios = geometry.dist_so2_batch(A_[idx]) ** 2 / maxdev[idx] ** 2
+            c_hat = max(c_hat, float(ratios.max()))
+            kept += idx.size
+    return c_hat, kept
+
+
+def _reference_dist_so2_agreement(n_matrices, n_grid, seed):
+    """One draw and one grid search per matrix."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst = 0.0
+    done = 0
+    while done < n_matrices:
+        M = rng.standard_normal((2, 2))
+        if M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] <= 0.0:
+            continue
+        diff = abs(geometry.dist_so2(M) - geometry.dist_so2_bruteforce(M, n_grid))
+        worst = max(worst, diff)
+        done += 1
+    return worst
+
+
+def _reference_heron_cross_agreement(n_triangles, seed, jitter=0.05):
+    """One draw and numpy-scalar arithmetic per triangle."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
+    worst = 0.0
+    for _ in range(n_triangles):
+        pts = base + jitter * (2.0 * rng.random((3, 2)) - 1.0)
+        a1 = math.hypot(*(pts[1] - pts[0]))
+        a2 = math.hypot(*(pts[2] - pts[1]))
+        a3 = math.hypot(*(pts[0] - pts[2]))
+        h = geometry.heron_area(a1, a2, a3)
+        c = abs(geometry.signed_area(pts[0], pts[1], pts[2]))
+        worst = max(worst, abs(h - c) / c)
+    return worst
+
+
+class TestSampledChecksMatchReference:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("cap", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("n_samples", [30_001, 50_000])
+    def test_rigidity_constant_bitwise(self, n_samples, cap, seed):
+        # 30_001 stops in the middle of a sub-block
+        est = A.estimate_rigidity_constant(n_samples, cap, seed=seed)
+        c_hat, kept = _reference_rigidity_constant(n_samples, cap, seed)
+        assert est.c_hat == c_hat
+        assert est.n_samples == kept == n_samples
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_dist_so2_agreement_bitwise(self, seed):
+        assert A.dist_so2_agreement(500, 3600, seed=seed) == _reference_dist_so2_agreement(
+            500, 3600, seed
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_heron_cross_agreement_bitwise(self, seed):
+        # more triangles than one draw block
+        n = A._HERON_DRAW + 900
+        assert A.heron_cross_agreement(n, seed=seed) == _reference_heron_cross_agreement(n, seed)
+
 
 @pytest.fixture(scope="module")
 def c_hat():
@@ -199,6 +307,22 @@ class TestAgreementOracles:
 
     def test_heron_cross_agreement_small(self):
         assert A.heron_cross_agreement(2000, seed=1) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: A.dist_so2_agreement(0, 3600),
+            lambda: A.dist_so2_agreement(10, 4),
+            lambda: A.dist_so2_agreement(10, 3600.0),
+            lambda: A.heron_cross_agreement(0),
+            lambda: A.heron_cross_agreement(2.5),
+            lambda: A.verify_squared_bound(0.1, n_samples=0),
+        ],
+        ids=["dist-zero", "dist-grid-4", "dist-grid-float", "heron-zero", "heron-float", "sq-zero"],
+    )
+    def test_reject_bad_sizes(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestScan:

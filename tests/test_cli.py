@@ -80,10 +80,25 @@ class TestConfigValidation:
             ("verify", {"verify": dict(FAST_VERIFY["verify"], N=[4])}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], l="1.05")}, []),
             ("verify", FAST_VERIFY, ["--omega2-oracle-every", "-1"]),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], rigidity_samples="1000")}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], rigidity_samples=0)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], heron_samples=2.5)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], heron_samples=0)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], dist_matrices=0)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], squared_bound_samples=0)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], dist_grid=4)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], deviation_cap=0)}, []),
+            ("oracle", {"oracle": {"rigidity_samples": 0}}, []),
+            ("oracle", {"oracle": {"dist_matrices": "300"}}, []),
+            ("oracle", {"oracle": {"dist_grid": 4}}, []),
+            ("oracle", {"oracle": {"deviation_cap": 1.5}}, []),
         ],
         ids=[
             "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
-            "oracle-every-neg",
+            "oracle-every-neg", "verify-rigidity-str", "verify-rigidity-0", "verify-heron-float",
+            "verify-heron-0", "verify-dist-0", "verify-squared-0", "verify-dist-grid-4",
+            "verify-cap-0", "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
+            "oracle-cap-big",
         ],
     )
     def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):
@@ -92,8 +107,10 @@ class TestConfigValidation:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
-        # the block is rejected before any check runs
+        assert "Traceback" not in captured.err
+        # the block is rejected before any check runs or any file is written
         assert "PASS" not in captured.out
+        assert not (tmp_path / "o" / "oracle.json").exists()
 
 
 class TestScanCommand:

@@ -161,6 +161,22 @@ class TestDistSo2:
         with pytest.raises(ValueError):
             dist_so2_bruteforce(np.eye(2), 4)
 
+    @pytest.mark.parametrize("n_grid", [7, 8.0, 3600.5, "3600", True])
+    def test_bruteforce_rejects_non_integer_grid(self, n_grid):
+        with pytest.raises(ValueError):
+            dist_so2_bruteforce(np.eye(2), n_grid)
+
+    def test_stacked_bruteforce_matches_single_calls_bitwise(self, rng):
+        Ms = rng.standard_normal((3000, 2, 2))
+        stacked = dist_so2_bruteforce(Ms, 3600)
+        assert stacked.shape == (3000,)
+        for M, d in zip(Ms, stacked.tolist()):
+            single = dist_so2_bruteforce(M, 3600)
+            assert type(single) is float
+            assert single == d
+        nested = dist_so2_bruteforce(Ms[:12].reshape(3, 4, 2, 2), 3600)
+        assert np.array_equal(nested, stacked[:12].reshape(3, 4))
+
 
 class TestHeron:
     def test_unit_equilateral(self):
