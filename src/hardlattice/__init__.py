@@ -14,12 +14,10 @@ from .configuration import (
     is_admissible,
     standard_config,
 )
-from .kernels import BACKEND
 from .sampler import Chain, ChainResult, SamplerParams, run_chain
 
 __all__ = [
     "AdmissibilityReport",
-    "BACKEND",
     "Chain",
     "ChainResult",
     "Configuration",

@@ -25,7 +25,7 @@ from .configuration import LAMBDA0, Configuration, check_lattice_size, check_sid
 from .fileio import atomic_write_text
 from .lattice import SQRT3
 from .observables import identity_suite
-from .sampler import Chain, SamplerParams
+from .sampler import Chain, SamplerParams, check_lean_regime
 
 FOUR_SQRT3 = 4.0 * SQRT3
 
@@ -706,7 +706,8 @@ def scan(
     """Run one chain per (N, l) grid point and aggregate the estimates.
 
     The window is certified first; every ``l`` must lie strictly inside
-    it, and the whole grid is checked before any chain runs.  Chains get
+    it, the proposal radius must pass :func:`check_lean_regime`, and the
+    whole grid is checked before any chain runs.  Chains get
     independent streams derived from ``(master_seed, grid_index)``, so
     the output does not depend on the thread count.
     """
@@ -723,6 +724,7 @@ def scan(
         check_lattice_size(N)
     for l in l_list:
         check_side_length(l, epsilon)
+    check_lean_regime(epsilon, params.proposal_radius)
     if params.sweeps // params.thin < 100:
         raise ValueError("scan requires at least 100 emitted samples per grid point")
     tasks = []

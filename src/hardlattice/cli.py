@@ -35,6 +35,7 @@ from .sampler import (
     InadmissibleStateError,
     RNG_ALGORITHM,
     SamplerParams,
+    check_lean_regime,
 )
 
 EXIT_OK = 0
@@ -161,16 +162,9 @@ def _check_monte_carlo_sizes(block: dict, where: str) -> None:
 
 
 def _versions() -> dict:
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "hardlattice": __version__,
         "numpy": np.__version__,
-        "numba": numba_version,
         "python": sys.version.split()[0],
     }
 
@@ -281,8 +275,8 @@ def cmd_verify(args) -> int:
     all_ok = True
 
     # Validate the whole block, in the order scan does, before any check
-    # prints: epsilon (inside the margin), then the chain's N and l, then
-    # the Monte Carlo sizes of steps 2-4 and 7.
+    # prints: epsilon (inside the margin), then the chain's N, l and
+    # proposal radius, then the Monte Carlo sizes of steps 2-4 and 7.
     try:
         margin = analysis.epsilon_margin(eps, block["certification_grid"])
         ok = margin > 0.0
@@ -292,6 +286,10 @@ def cmd_verify(args) -> int:
         margin = None
     cfgmod.check_lattice_size(block["N"])
     cfgmod.check_side_length(block["l"], eps)
+    if ok:
+        # an uncertified window skips the chain, so only a certified one
+        # needs the chain's regime
+        check_lean_regime(eps, params.proposal_radius)
     _check_monte_carlo_sizes(block, "verify")
 
     # 1. Certified window.
@@ -389,11 +387,14 @@ def cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     out_dir = args.out if args.out is not None else cfg["out_dir"]
     _check_monte_carlo_sizes(block, "oracle")
+    ladder_eps = block["epsilon_ladder"]
+    if not isinstance(ladder_eps, list) or not ladder_eps:
+        raise ConfigError(f"oracle.epsilon_ladder must be a nonempty list, got {ladder_eps!r}")
+    certs = [analysis.certify_epsilon(eps, block["certification_grid"]) for eps in ladder_eps]
     os.makedirs(out_dir, exist_ok=True)
 
     ladder = []
-    for eps in block["epsilon_ladder"]:
-        cert = analysis.certify_epsilon(float(eps), block["certification_grid"])
+    for cert in certs:
         ladder.append(
             {
                 "epsilon": cert.epsilon,

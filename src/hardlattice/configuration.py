@@ -427,21 +427,6 @@ def reflect(cfg: Configuration) -> Configuration:
     return Configuration(N, cfg.l, cfg.epsilon, new_pos)
 
 
-def symmetry_map(cfg: Configuration, op: str, b=None) -> Configuration:
-    """Dispatch for the two measure-preserving symmetries.
-
-    ``op='translate'`` needs the lattice vector ``b``; ``op='reflect'``
-    takes no parameter.
-    """
-    if op == "translate":
-        if b is None:
-            raise ValueError("translate requires a lattice vector b")
-        return translate(cfg, b)
-    if op == "reflect":
-        return reflect(cfg)
-    raise ValueError(f"unknown symmetry operation {op!r}")
-
-
 def to_json(cfg: Configuration) -> str:
     """Serialize to the documented flat JSON record.
 

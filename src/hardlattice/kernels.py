@@ -1,77 +1,58 @@
-"""Hot inner loops of the sampler.
+"""Hot inner loop of the sampler.
 
-The single-site Metropolis update is a strictly sequential scalar loop,
-so it is written once in plain Python and compiled with numba's
-``@njit`` when available.  The backend is chosen at import time from the
-``HARDLATTICE_BACKEND`` environment variable:
+The single-site Metropolis update is a strictly sequential scalar loop.
+:func:`sweep` runs it on Python lists and floats, which index several
+times faster than numpy scalars.
 
-* ``auto`` (default): numba if importable, plain numpy otherwise,
-* ``numba``: require numba,
-* ``numpy``: force the uncompiled fallback.
+Lean check.  A proposal of site ``s`` is accepted iff its six squared
+bond lengths lie in ``(1, hi2)``, ``hi2 = (1+epsilon)**2``.  From an
+admissible state this decision equals :func:`local_ok` whenever
+``hi2 < LEAN_HI2`` (``epsilon < sqrt(3) - 1``) and the proposal radius
+``r`` is at most ``epsilon / 2``; :class:`~hardlattice.sampler.Chain`
+enforces both.
 
-Both paths execute the same function bodies and consume the same
-pre-drawn uniforms, so trajectories agree across backends.
+* Angle sums.  A triangle whose sides all lie in ``(1, 1+epsilon)`` has
+  every angle below ``arccos(1 - (1+epsilon)**2 / 2)``, which is below
+  ``2*pi/3`` exactly when ``hi2 < 3``.  Each vertex star (the moved
+  site's and its neighbours') is six such positively oriented
+  triangles, so its angle sum is a positive multiple of ``2*pi`` below
+  ``4*pi``: exactly ``2*pi``.  Bond windows and orientations at ``s``
+  therefore imply every angle-sum certificate that ``local_ok``
+  evaluates.
+* Orientations.  Before the move ``s`` sits at ``p0`` and each star
+  triangle ``(p0, q_k, q_k+1)`` has sides in ``(1, 1+epsilon)``.  Its
+  largest angle lies in ``[pi/3, 2*pi/3)``, so its area is at least
+  ``sqrt(3)/4``.  Its base ``q_k q_k+1`` is shorter than
+  ``1+epsilon < sqrt(3)``, so ``p0`` sits more than
+  ``sqrt(3) / (2*(1+epsilon)) > 1/2`` above the base line.  A proposal
+  within ``r <= epsilon/2 < 0.367`` of ``p0`` stays on the same side,
+  more than 0.13 from that line; with a base longer than 1, each doubled
+  area stays above 0.13.  The edge vectors carry a rounding error of a
+  few ulps of the site coordinates (about ``l*N``), so even at
+  ``N = 10**4`` the cross product is off by less than ``1e-10``: no
+  orientation sign can flip in floats either.  The base bonds do not
+  move, so the new star again has all sides in the window and the state
+  stays admissible.
 
-Lean check.  When ``epsilon < sqrt(3) - 1`` (``hi2 = (1+epsilon)**2 < 3``)
-a proposal of site ``s`` is decided from ``s`` alone: it is accepted iff
-its six squared bond lengths lie in ``(1, hi2)`` and its six incident
-triangles have positive cross product.  From an admissible state this
-decision equals :func:`local_ok`:
-
-* In reals: a triangle whose sides all lie in ``(1, 1+epsilon)`` has every
-  angle below ``arccos(1 - (1+epsilon)**2 / 2)``, which is below
-  ``2*pi/3`` exactly when ``hi2 < 3``.  Each vertex star (the moved site's
-  and its neighbours') is six such positively oriented triangles, so its
-  angle sum is a positive multiple of ``2*pi`` below ``4*pi``: exactly
-  ``2*pi``.  omega1 and omega3 at ``s`` therefore imply every angle-sum
-  certificate that ``local_ok`` evaluates.
-* In floats: such a triangle has area at least ``sqrt(3)/4 ~ 0.43``, so
-  its orientation sign is the same from each of its corners, and the
-  atan2 sums stay far inside ``angle_tol``.
-
-The lean check evaluates its bond lengths and cross products with the
-same expressions as :func:`star_ok`, so trajectories are bitwise those of
-the full check.  For ``hi2 >= 3`` (still allowed, up to ``epsilon = 1``)
-:func:`sweep` takes the full path through :func:`local_ok`, which also
-stays as the scalar reference.
-
-On the uncompiled backend the lean loop runs on Python lists and floats,
-which index several times faster than numpy scalars.
+The bond lengths are evaluated with the same expressions as
+:func:`star_ok`, so trajectories are bitwise those of a loop deciding
+with :func:`local_ok`, which stays as the scalar reference.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 TWO_PI = 2.0 * math.pi
 
-# Below this hi2 = (1 + epsilon)**2, i.e. for epsilon < sqrt(3) - 1, the lean
-# check decides every proposal (see the module docstring).
+# The lean check decides every proposal for hi2 = (1 + epsilon)**2 below
+# this, i.e. for epsilon < sqrt(3) - 1 (see the module docstring).
 LEAN_HI2 = 3.0
 
-
-def _resolve_backend() -> tuple:
-    choice = os.environ.get("HARDLATTICE_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"HARDLATTICE_BACKEND must be auto, numba or numpy, got {choice!r}"
-        )
-    if choice == "numpy":
-        return (lambda f: f), "numpy"
-    try:
-        from numba import njit
-    except ImportError:
-        if choice == "numba":
-            raise
-        return (lambda f: f), "numpy"
-    return njit(cache=True), "numba"
+# The one kernel there is; recorded in run metadata.
+BACKEND = "numpy"
 
 
-_jit, BACKEND = _resolve_backend()
-
-
-@_jit
 def star_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol, check_bonds):
     """Local admissibility walk around site ``s``.
 
@@ -114,7 +95,6 @@ def star_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol, check_bonds):
     return abs(total - TWO_PI) <= angle_tol
 
 
-@_jit
 def local_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol):
     """Full local decision for the current position of site ``s``.
 
@@ -131,106 +111,35 @@ def local_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol):
     return True
 
 
-@_jit
-def _full_sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2, angle_tol):
-    accepted = 0
-    n = site_order.shape[0]
-    for t in range(n):
-        s = site_order[t]
-        rho = radius * math.sqrt(uniforms[t, 0])
-        phi = TWO_PI * uniforms[t, 1]
-        oldx = pos[s, 0]
-        oldy = pos[s, 1]
-        pos[s, 0] = oldx + rho * math.cos(phi)
-        pos[s, 1] = oldy + rho * math.sin(phi)
-        if local_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol):
-            accepted += 1
-        else:
-            pos[s, 0] = oldx
-            pos[s, 1] = oldy
-    return accepted
-
-
-@_jit
-def _lean_ok(pos, nbrs, shifts, px, py, hi2):
-    """Bond windows and orientations of a site proposed at ``(px, py)``.
-
-    ``nbrs`` and ``shifts`` are the site's rows of the neighbour tables.
-    The arithmetic is that of :func:`star_ok`.  Rows are indexed as
-    ``a[i][k]`` so that one body runs on lists and on numba arrays.
-    """
-    q = pos[nbrs[0]]
-    sh = shifts[0]
-    e0x = q[0] + sh[0] - px
-    e0y = q[1] + sh[1] - py
-    d2 = e0x * e0x + e0y * e0y
-    if d2 <= 1.0 or d2 >= hi2:
-        return False
-    prevx = e0x
-    prevy = e0y
-    for k in range(1, 6):
-        q = pos[nbrs[k]]
-        sh = shifts[k]
-        ex = q[0] + sh[0] - px
-        ey = q[1] + sh[1] - py
-        d2 = ex * ex + ey * ey
-        if d2 <= 1.0 or d2 >= hi2:
-            return False
-        if prevx * ey - prevy * ex <= 0.0:
-            return False
-        prevx = ex
-        prevy = ey
-    return prevx * e0y - prevy * e0x > 0.0
-
-
-@_jit
-def _lean_sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2):
-    accepted = 0
-    for t in range(len(site_order)):
-        s = site_order[t]
-        u = uniforms[t]
-        rho = radius * math.sqrt(u[0])
-        phi = TWO_PI * u[1]
-        p = pos[s]
-        px = p[0] + rho * math.cos(phi)
-        py = p[1] + rho * math.sin(phi)
-        if _lean_ok(pos, nbr_idx[s], nbr_shift[s], px, py, hi2):
-            p[0] = px
-            p[1] = py
-            accepted += 1
-    return accepted
-
-
-def sweep_tables(nbr_idx, nbr_shift, hi2):
-    """The neighbour tables in the form :func:`sweep` runs fastest on.
-
-    Lists for the uncompiled lean loop, the arrays otherwise.  A chain
-    converts its tables once and passes the result to every sweep.
-    """
-    if BACKEND == "numpy" and hi2 < LEAN_HI2:
-        return nbr_idx.tolist(), nbr_shift.tolist()
-    return nbr_idx, nbr_shift
-
-
-def sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2, angle_tol):
+def sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2):
     """One attempted disk move per entry of ``site_order``; in-place.
 
     ``uniforms`` supplies two variates per attempt (radius and angle of
-    the proposal).  A proposal is accepted iff the local constraints
-    pass; rejection leaves the previous position exactly.  Returns the
-    number of accepted moves.  ``pos`` must be admissible on entry.
+    the proposal).  A proposal is accepted iff the lean check passes;
+    rejection leaves the previous position exactly.  Returns the number
+    of accepted moves.
 
-    For ``hi2 < LEAN_HI2`` each proposal is decided by the lean check;
-    otherwise by :func:`local_ok`.  The neighbour tables are the arrays
-    or, faster, what :func:`sweep_tables` made of them.
+    ``pos`` must be admissible on entry, with ``hi2 < LEAN_HI2`` and
+    ``radius <= epsilon / 2`` (see the module docstring).  The neighbour
+    tables are nested lists, as ``.tolist()`` makes them.
     """
-    if hi2 >= LEAN_HI2:
-        return _full_sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2, angle_tol)
-    if BACKEND == "numba":
-        return _lean_sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2)
     rows = pos.tolist()
-    accepted = _lean_sweep(
-        rows, nbr_idx, nbr_shift, site_order.tolist(), uniforms.tolist(), radius, hi2
-    )
+    accepted = 0
+    for s, (u_rho, u_phi) in zip(site_order.tolist(), uniforms.tolist()):
+        rho = radius * math.sqrt(u_rho)
+        phi = TWO_PI * u_phi
+        p = rows[s]
+        px = p[0] + rho * math.cos(phi)
+        py = p[1] + rho * math.sin(phi)
+        for j, (sx, sy) in zip(nbr_idx[s], nbr_shift[s]):
+            qx, qy = rows[j]
+            ex = qx + sx - px
+            ey = qy + sy - py
+            d2 = ex * ex + ey * ey
+            if d2 <= 1.0 or d2 >= hi2:
+                break
+        else:
+            rows[s] = [px, py]
+            accepted += 1
     pos[:] = rows
     return accepted

@@ -8,8 +8,11 @@ belongs at the level of independent chains.
 
 Randomness comes from a PCG64 stream.  Each attempted move consumes
 exactly two uniforms (proposal radius and angle), drawn per sweep before
-the kernel call, so checkpointing at sweep boundaries is exact and the
-numba and numpy kernel backends consume the identical stream.
+the kernel call, so checkpointing at sweep boundaries is exact.
+
+The kernel decides each move with the lean check of :mod:`kernels`,
+which is exact only for ``epsilon < sqrt(3) - 1`` and a proposal radius
+of at most ``epsilon / 2``; :func:`check_lean_regime` enforces both.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import configuration as cfgmod
 from . import kernels, lattice
-from .configuration import ANGLE_SUM_TOL, Configuration
+from .configuration import Configuration
 from .fileio import atomic_write_text
 from .lattice import EMBED_BASIS
 
@@ -39,12 +42,30 @@ class ChainInvariantError(RuntimeError):
     """An emitted snapshot failed a full admissibility recheck."""
 
 
+def check_lean_regime(epsilon: float, proposal_radius: float | None) -> float:
+    """Return the proposal radius of a chain at ``epsilon``.
+
+    ``proposal_radius`` defaults to ``epsilon / 10``.  Raises
+    ``ValueError`` unless ``(1 + epsilon)**2 < kernels.LEAN_HI2`` and the
+    radius is at most ``epsilon / 2``: the preconditions under which the
+    kernel's lean check decides every move exactly.
+    """
+    if not (1.0 + epsilon) * (1.0 + epsilon) < kernels.LEAN_HI2:
+        raise ValueError(f"a chain needs epsilon < sqrt(3) - 1, got {epsilon!r}")
+    radius = proposal_radius if proposal_radius is not None else epsilon / 10.0
+    if not radius <= epsilon / 2.0:
+        raise ValueError(
+            f"proposal_radius must be at most epsilon / 2 = {epsilon / 2.0}, got {radius!r}"
+        )
+    return radius
+
+
 @dataclass
 class SamplerParams:
     """Knobs of one chain.
 
     ``proposal_radius`` defaults to ``epsilon / 10`` at chain
-    construction; ``thin`` is the sweep stride between emitted
+    construction and may not exceed ``epsilon / 2``; ``thin`` is the sweep stride between emitted
     snapshots; ``omega2_oracle_every`` runs the exact injectivity oracle
     on every K-th emitted snapshot (0 disables it).
     """
@@ -91,6 +112,7 @@ class Chain:
 
     Snapshots handed to observers are immutable copies; the working
     array never escapes.  Site ``(0, 0)`` is pinned and never proposed.
+    Raises ``ValueError`` outside the regime of :func:`check_lean_regime`.
     """
 
     def __init__(self, cfg: Configuration, params: SamplerParams):
@@ -103,15 +125,12 @@ class Chain:
         self.l = cfg.l
         self.epsilon = cfg.epsilon
         self.params = params
-        self.radius = (
-            params.proposal_radius if params.proposal_radius is not None else cfg.epsilon / 10.0
-        )
+        self.radius = check_lean_regime(cfg.epsilon, params.proposal_radius)
         self._pos = np.array(cfg.positions, dtype=float)
         nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
         self._hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
-        self._nbr_idx, self._nbr_shift = kernels.sweep_tables(
-            nbr_idx, cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS), self._hi2
-        )
+        self._nbr_idx = nbr_idx.tolist()
+        self._nbr_shift = (cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)).tolist()
         self._raster = np.arange(1, cfg.N * cfg.N, dtype=np.int64)
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
         self.accepted = 0
@@ -129,21 +148,6 @@ class Chain:
     def snapshot(self) -> Configuration:
         return Configuration(self.N, self.l, self.epsilon, self._pos.copy())
 
-    def site_update(self, site) -> bool:
-        """One attempted move of a single site; returns True on acceptance."""
-        idx = lattice.site_index(site, self.N)
-        if idx == 0:
-            raise ValueError("site (0, 0) is pinned by the gauge and cannot move")
-        order = np.array([idx], dtype=np.int64)
-        uniforms = self.rng.random((1, 2))
-        acc = kernels.sweep(
-            self._pos, self._nbr_idx, self._nbr_shift, order, uniforms,
-            self.radius, self._hi2, ANGLE_SUM_TOL,
-        )
-        self.accepted += int(acc)
-        self.proposed += 1
-        return bool(acc)
-
     def sweep(self) -> int:
         """One update attempt per movable site; returns the number accepted.
 
@@ -156,8 +160,7 @@ class Chain:
             order = self._raster
         uniforms = self.rng.random((order.size, 2))
         acc = kernels.sweep(
-            self._pos, self._nbr_idx, self._nbr_shift, order, uniforms,
-            self.radius, self._hi2, ANGLE_SUM_TOL,
+            self._pos, self._nbr_idx, self._nbr_shift, order, uniforms, self.radius, self._hi2
         )
         self.accepted += int(acc)
         self.proposed += order.size

@@ -92,13 +92,19 @@ class TestConfigValidation:
             ("oracle", {"oracle": {"dist_matrices": "300"}}, []),
             ("oracle", {"oracle": {"dist_grid": 4}}, []),
             ("oracle", {"oracle": {"deviation_cap": 1.5}}, []),
+            ("scan", {"scan": dict(SMALL_SCAN["scan"], proposal_radius=0.2)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], proposal_radius=0.2)}, []),
+            ("oracle", {"oracle": {"epsilon_ladder": ["0.1"]}}, []),
+            ("oracle", {"oracle": {"epsilon_ladder": 0.1}}, []),
+            ("oracle", {"oracle": {"epsilon_ladder": []}}, []),
         ],
         ids=[
             "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
             "oracle-every-neg", "verify-rigidity-str", "verify-rigidity-0", "verify-heron-float",
             "verify-heron-0", "verify-dist-0", "verify-squared-0", "verify-dist-grid-4",
             "verify-cap-0", "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
-            "oracle-cap-big",
+            "oracle-cap-big", "scan-radius-big", "verify-radius-big", "oracle-ladder-str",
+            "oracle-ladder-scalar", "oracle-ladder-empty",
         ],
     )
     def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):
@@ -127,7 +133,7 @@ class TestScanCommand:
         assert meta["schema"] == cli.RUN_SCHEMA
         assert meta["master_seed"] == 11
         assert meta["rng"] == "pcg64"
-        assert meta["kernel_backend"] in ("numba", "numpy")
+        assert meta["kernel_backend"] == "numpy"
         assert meta["certificate"]["certified"] is True
         assert "versions" in meta
 

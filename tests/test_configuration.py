@@ -18,7 +18,6 @@ from hardlattice.configuration import (
     position,
     reflect,
     standard_config,
-    symmetry_map,
     to_json,
     translate,
     triangle_gradient,
@@ -352,17 +351,6 @@ class TestSymmetryMaps:
         for snap in sample_snapshots[::20]:
             assert is_admissible(translate(snap, (1, 3))).ok
             assert is_admissible(reflect(snap)).ok
-
-    def test_dispatch(self, sample_snapshots):
-        cfg = sample_snapshots[0]
-        assert np.array_equal(
-            symmetry_map(cfg, "translate", (1, 1)).positions, translate(cfg, (1, 1)).positions
-        )
-        assert np.array_equal(symmetry_map(cfg, "reflect").positions, reflect(cfg).positions)
-        with pytest.raises(ValueError):
-            symmetry_map(cfg, "rotate")
-        with pytest.raises(ValueError):
-            symmetry_map(cfg, "translate")
 
 
 class TestSerialization:

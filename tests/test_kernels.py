@@ -1,9 +1,4 @@
-import json
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -14,8 +9,6 @@ from hardlattice import kernels, lattice
 from hardlattice.configuration import ANGLE_SUM_TOL, Configuration
 from hardlattice.lattice import EMBED_BASIS
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-
 
 def _tables(cfg):
     nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
@@ -25,7 +18,7 @@ def _tables(cfg):
 
 
 def test_backend_is_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
 
 
 def test_local_ok_accepts_interior_state():
@@ -70,6 +63,7 @@ def test_local_decision_matches_full_admissibility_check():
         base = chain.snapshot()
         assert C.is_admissible(base).ok
         nbr_idx, shift, hi2 = _tables(base)
+        tables = nbr_idx.tolist(), shift.tolist()
         assert hi2 < kernels.LEAN_HI2
         radius = 0.5 * eps
         for _ in range(1200):
@@ -83,7 +77,7 @@ def test_local_decision_matches_full_admissibility_check():
 
             pos = np.array(base.positions)
             order = np.array([s], dtype=np.int64)
-            lean = bool(kernels.sweep(pos, nbr_idx, shift, order, uniforms, radius, hi2, ANGLE_SUM_TOL))
+            lean = bool(kernels.sweep(pos, *tables, order, uniforms, radius, hi2))
             local = kernels.local_ok(proposed, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
             full = C.is_admissible(Configuration(4, base.l, eps, proposed)).ok
             assert lean == local == full
@@ -112,17 +106,16 @@ def _reference_sweep(pos, nbr_idx, shift, order, uniforms, radius, hi2):
 
 @pytest.mark.parametrize("N, sweeps", [(2, 40), (4, 20), (12, 3)])
 @pytest.mark.parametrize("scan_order", ["raster", "random"])
-@pytest.mark.parametrize("eps", [0.1, 0.5, 0.7, 0.8, 1.0])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.7])
 def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps):
     """Bitwise the same trajectory and accept count as a loop deciding with
-    ``local_ok``: through the lean check below sqrt(3) - 1, through the
-    full branch above it."""
+    ``local_ok``, at the largest proposal radius a chain allows."""
     cfg = C.standard_config(N, 1.0 + eps / 2, eps)
     nbr_idx, shift, hi2 = _tables(cfg)
-    assert (hi2 < kernels.LEAN_HI2) == (eps < math.sqrt(3.0) - 1.0)
-    tables = kernels.sweep_tables(nbr_idx, shift, hi2)
+    assert hi2 < kernels.LEAN_HI2
+    tables = nbr_idx.tolist(), shift.tolist()
     rng = np.random.Generator(np.random.PCG64([N, int(100 * eps)]))
-    radius = 0.4 * eps
+    radius = 0.5 * eps
     pos = np.array(cfg.positions)
     ref = pos.copy()
     total = 0
@@ -132,7 +125,7 @@ def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps):
         else:
             order = np.arange(1, N * N, dtype=np.int64)
         uniforms = rng.random((order.size, 2))
-        acc = kernels.sweep(pos, *tables, order, uniforms, radius, hi2, ANGLE_SUM_TOL)
+        acc = kernels.sweep(pos, *tables, order, uniforms, radius, hi2)
         assert acc == _reference_sweep(ref, nbr_idx, shift, order, uniforms, radius, hi2)
         assert pos.tobytes() == ref.tobytes()
         total += acc
@@ -143,89 +136,30 @@ def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps):
 def test_sweep_equals_sequential_single_site_updates():
     cfg = C.standard_config(4, 1.05, 0.1)
     nbr_idx, shift, hi2 = _tables(cfg)
+    tables = nbr_idx.tolist(), shift.tolist()
     order = np.arange(1, 16, dtype=np.int64)
     uniforms = np.random.Generator(np.random.PCG64(3)).random((15, 2))
 
     pos_a = np.array(cfg.positions)
-    acc_a = kernels.sweep(pos_a, nbr_idx, shift, order, uniforms, 0.01, hi2, ANGLE_SUM_TOL)
+    acc_a = kernels.sweep(pos_a, *tables, order, uniforms, 0.01, hi2)
 
     pos_b = np.array(cfg.positions)
     acc_b = 0
     for t in range(15):
-        acc_b += kernels.sweep(
-            pos_b, nbr_idx, shift, order[t : t + 1], uniforms[t : t + 1], 0.01, hi2, ANGLE_SUM_TOL
-        )
+        acc_b += kernels.sweep(pos_b, *tables, order[t : t + 1], uniforms[t : t + 1], 0.01, hi2)
     assert acc_a == acc_b
     assert np.array_equal(pos_a, pos_b)
 
 
 def test_rejection_restores_state_exactly():
-    cfg = C.standard_config(4, 1.05, 0.1)
+    cfg = C.standard_config(4, 1.01, 0.1)
     nbr_idx, shift, hi2 = _tables(cfg)
     pos = np.array(cfg.positions)
     before = pos.copy()
     order = np.array([5], dtype=np.int64)
-    # huge radius: the proposal almost surely lands outside the window
+    # the largest radius a chain allows, towards a neighbour at 1.01:
+    # the move compresses that bond below 1
     uniforms = np.array([[0.99, 0.37]])
-    acc = kernels.sweep(pos, nbr_idx, shift, order, uniforms, 5.0, hi2, ANGLE_SUM_TOL)
+    acc = kernels.sweep(pos, nbr_idx.tolist(), shift.tolist(), order, uniforms, 0.05, hi2)
     assert acc == 0
     assert np.array_equal(pos, before)
-
-
-_CHILD = textwrap.dedent(
-    """
-    import json, sys, hashlib
-    import hardlattice as hl
-    from hardlattice import kernels
-    res = hl.run_chain(4, 1.05, 0.1, hl.SamplerParams(sweeps=250, burn_in=40, thin=250, seed=77))
-    snap = res.records[-1]
-    print(json.dumps({
-        "backend": kernels.BACKEND,
-        "accepted": res.accepted,
-        "sha": hashlib.sha256(snap.positions.tobytes()).hexdigest(),
-    }))
-    """
-)
-
-
-@pytest.mark.slow
-def test_numpy_and_numba_backends_produce_identical_trajectories():
-    # A child forced onto numba fails at import without it, so skip first.
-    pytest.importorskip("numba", reason="numba unavailable; nothing to compare")
-    outs = {}
-    for backend in ("numba", "numpy"):
-        env = dict(os.environ, HARDLATTICE_BACKEND=backend)
-        env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", _CHILD], capture_output=True, text=True, env=env, check=True
-        )
-        outs[backend] = json.loads(out.stdout.strip().splitlines()[-1])
-    assert outs["numba"]["backend"] == "numba"
-    assert outs["numba"]["accepted"] == outs["numpy"]["accepted"]
-    assert outs["numba"]["sha"] == outs["numpy"]["sha"]
-
-
-def test_backend_env_flag_forces_fallback():
-    env = dict(os.environ, HARDLATTICE_BACKEND="numpy")
-    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", "from hardlattice import kernels; print(kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_invalid_backend_env_flag_raises():
-    env = dict(os.environ, HARDLATTICE_BACKEND="cuda")
-    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", "import hardlattice.kernels"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode != 0
-    assert "HARDLATTICE_BACKEND" in out.stderr

@@ -6,7 +6,7 @@ import pytest
 
 import hardlattice as hl
 from hardlattice import configuration as C
-from hardlattice import lattice
+from hardlattice import kernels, lattice
 from hardlattice.lattice import EMBED_BASIS
 from hardlattice.sampler import Chain, InadmissibleStateError, SamplerParams
 
@@ -28,14 +28,27 @@ class TestParams:
         chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0))
         assert chain.radius == 0.01
 
+    def test_chain_rejects_epsilon_outside_lean_regime(self):
+        with pytest.raises(ValueError, match="sqrt"):
+            Chain.from_standard(2, 1.3, 0.75, SamplerParams(sweeps=0))
+
+    def test_chain_radius_bound_is_half_the_window(self):
+        with pytest.raises(ValueError, match="proposal_radius"):
+            Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, proposal_radius=0.51 * 0.1))
+        chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, proposal_radius=0.5 * 0.1))
+        assert chain.radius == 0.05
+
 
 class TestBasics:
     def test_pinned_site_cannot_move(self):
-        chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=1))
-        with pytest.raises(ValueError):
-            chain.site_update((0, 0))
-        with pytest.raises(ValueError):
-            chain.site_update((2, 2))  # canonicalizes to (0, 0)
+        for scan_order in ("raster", "random"):
+            params = SamplerParams(sweeps=0, seed=1, scan_order=scan_order)
+            chain = Chain.from_standard(4, 1.05, 0.1, params)
+            pinned = chain.snapshot().positions[0].tobytes()
+            for _ in range(50):
+                chain.sweep()
+            assert chain.accepted > 0
+            assert chain.snapshot().positions[0].tobytes() == pinned
 
     def test_zero_sweeps_gives_empty_records(self):
         res = hl.run_chain(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=1))
@@ -157,8 +170,8 @@ class TestCheckpoint:
 
 # ---------------------------------------------------------------------------
 # Uniform-law sanity at miniature scale: freeze all sites but one, run the
-# real single-site update, and compare cell occupancies against brute-force
-# cell areas of the admissible slice.
+# real kernel on that site alone, and compare cell occupancies against
+# brute-force cell areas of the admissible slice.
 # ---------------------------------------------------------------------------
 
 
@@ -229,21 +242,26 @@ def test_single_site_occupancy_matches_cell_areas():
     expected = np.bincount(cell_of_point[inside], minlength=n_cells * n_cells).astype(float)
     expected /= expected.sum()
 
-    # chain occupancy: only the chosen site ever moves
-    params = SamplerParams(sweeps=0, seed=1234, proposal_radius=0.05)
-    chain = Chain.from_standard(N, l, eps, params)
+    # chain occupancy: the kernel proposes only the chosen site
+    nbr_idx, nbr_wrap = lattice.neighbor_tables(N)
+    tables = nbr_idx.tolist(), (l * N * (nbr_wrap @ EMBED_BASIS)).tolist()
+    hi2 = (1.0 + eps) * (1.0 + eps)
+    order = np.array([idx], dtype=np.int64)
     M = 300_000
+    uniforms = np.random.Generator(np.random.PCG64(1234)).random((M, 2))
+    pos = np.array(cfg.positions)
     cells = np.empty(M, dtype=int)
+    accepted = 0
     for t in range(M):
-        chain.site_update(site)
-        x, y = chain._pos[idx] - center
+        accepted += kernels.sweep(pos, *tables, order, uniforms[t : t + 1], 0.05, hi2)
+        x, y = pos[idx] - center
         cx = min(int((x + half) / (2 * half) * n_cells), n_cells - 1)
         cy = min(int((y + half) / (2 * half) * n_cells), n_cells - 1)
         cells[t] = cx * n_cells + cy
-    assert 0.0 < chain.acceptance_rate < 1.0
+    assert 0 < accepted < M
 
     # final state must still be admissible in the full sense
-    assert C.is_admissible(chain.snapshot()).ok
+    assert C.is_admissible(C.Configuration(N, l, eps, pos)).ok
 
     checked = 0
     for c in range(n_cells * n_cells):
