@@ -201,7 +201,7 @@ def certify_epsilon(epsilon: float, grid_points_per_axis: int = 64) -> EpsilonCe
     normalized slack.  A nonpositive ``grid_margin`` is direct evidence
     that the bound fails at this window size.
     """
-    if not isinstance(epsilon, Real) or not 0.0 < epsilon <= 1.0:
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be a real number in (0, 1], got {epsilon!r}")
     g = grid_points_per_axis
     if not isinstance(g, (int, np.integer)) or g < 64:

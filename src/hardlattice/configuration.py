@@ -62,6 +62,9 @@ _BINV.setflags(write=False)
 
 LAMBDA0 = SQRT3 / 4.0  # area of the unit reference triangle
 
+# The 3x3 tiling shifts of the exact oracle; index 4 is the centre copy.
+_SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -298,50 +301,83 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     reported as orientation failures.  Meant for validation, not for the
     sampling hot path.
 
-    A cell list keeps the bounding-box prefilter at ``O(N^2)`` time and
-    memory.  Each of the ``9T`` tiled image triangles is binned by the
-    lower corner of its bounding box into square cells of edge ``h``, a
-    sixteenth larger than the largest box extent ``E``.  Two boxes that
-    overlap strictly have lower corners less than ``E`` apart on each
-    axis, so their cells differ by at most one per axis: the 3x3 cell
-    neighbourhood of a centre triangle holds every image whose box can
-    overlap its own.  The sixteenth is far above the rounding of the
-    corner-to-cell division.  The strict box test then runs on those
-    candidates only, and the exact predicate decides the survivors in
-    ``(i, j, shift)`` order.  The cost per triangle is bounded while the
-    image triangles tile the plane, as on admissible states; a state
-    that piles many triangles into one cell pays more, up to the
-    all-pairs count.
+    :func:`_oracle_candidates` hands over the pairs whose bounding boxes
+    overlap strictly, in ``(i, j, shift)`` order, from a cell list in
+    ``O(N^2)`` time and memory.  One :func:`geometry.triangles_overlap_block`
+    call settles every pair the float filter can settle.  The rest go to
+    the scalar :func:`geometry.triangles_overlap`, in that order: pairs
+    whose answer hinges on an orientation the filter leaves open (a
+    corner triple within rounding of collinear, as in some folded
+    states), and pairs with a tiled copy that rounds to degenerate, for
+    which the scalar raises :class:`geometry.DegenerateTriangleError`.  The
+    degenerate pre-pass likewise calls :func:`geometry.orient_sign` only
+    where :func:`geometry.orient_signs` leaves the sign open or zero.  The
+    answer is the exact predicate's on every pair either way.
+    """
+    corners = cfg.corners
+    sign, decided = geometry.orient_signs(corners[:, 0], corners[:, 1], corners[:, 2])
+    degenerate = [
+        t
+        for t in np.flatnonzero(~decided | (sign == 0)).tolist()
+        if geometry.orient_sign(corners[t, 0], corners[t, 1], corners[t, 2]) == 0
+    ]
+    if degenerate:
+        tris = lattice.triangles(cfg.N)
+        return CheckResult(False, [("omega3_degenerate", tris[t]) for t in degenerate])
+
+    ii, jj, kk, tiled = _oracle_candidates(cfg)
+    overlap, decided = geometry.triangles_overlap_block(corners[ii], tiled[kk, jj])
+    for n in np.flatnonzero(~decided).tolist():
+        overlap[n] = geometry.triangles_overlap(corners[ii[n]], tiled[kk[n], jj[n]])
+    hits = np.flatnonzero(overlap).tolist()
+    if not hits:
+        return CheckResult(True)
+    tris = lattice.triangles(cfg.N)
+    return CheckResult(
+        False,
+        [("omega2_overlap", tris[ii[n]], tris[jj[n]], _SHIFTS[kk[n]]) for n in hits],
+    )
+
+
+def _oracle_candidates(cfg: Configuration):
+    """Pairs for the exact oracle: ``(ii, jj, kk, tiled)``.
+
+    ``tiled[k, j]`` holds the corners of triangle ``j`` under tiling shift
+    ``_SHIFTS[k]``, shape ``(9, T, 3, 2)``.  Centre triangle ``ii[n]`` is
+    to be tested against ``tiled[kk[n], jj[n]]``; the pairs are those
+    whose bounding boxes overlap strictly, with ``i < j``, or ``i == j``
+    under the four shifts after ``(0, 0)`` (opposite translates of one
+    representative give the same test), sorted by ``(i, j, k)``.
+
+    A cell list finds them in ``O(N^2)`` time and memory.  Each of the
+    ``9T`` tiled image triangles is binned by the lower corner of its
+    bounding box into square cells of edge ``h``, a sixteenth larger than
+    the largest box extent ``E``.  Two boxes that overlap strictly have
+    lower corners less than ``E`` apart on each axis, so their cells
+    differ by at most one per axis: the 3x3 cell neighbourhood of a
+    centre triangle holds every image whose box can overlap its own.
+    The sixteenth is far above the rounding of the corner-to-cell
+    division.  The strict box test then runs on those candidates only.
+    The cost per triangle is bounded while the image triangles tile the
+    plane, as on admissible states; a state that piles many triangles
+    into one cell pays more, up to the all-pairs count.
     """
     corners = cfg.corners
     T = corners.shape[0]
-    tris = lattice.triangles(cfg.N)
-
-    degenerate = []
-    for t in range(T):
-        if geometry.orient_sign(corners[t, 0], corners[t, 1], corners[t, 2]) == 0:
-            degenerate.append(("omega3_degenerate", tris[t]))
-    if degenerate:
-        return CheckResult(False, degenerate)
-
-    ys = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
-    # For identical representatives, opposite translates give the same test.
-    half = np.array([y > (0, 0) for y in ys])
+    half = np.array([y > (0, 0) for y in _SHIFTS])
 
     # Fold the tiling shift into the integer wrap before the one float
     # multiply: corner instances that coincide in exact arithmetic then
     # coincide bitwise, so shared seam edges stay exactly shared and the
     # exact predicate sees no sliver overlaps.
     sites, wrap, _ = lattice.triangle_tables(cfg.N)
-    tiled = np.empty((len(ys), T, 3, 2))
-    for k, y in enumerate(ys):
+    tiled = np.empty((len(_SHIFTS), T, 3, 2))
+    for k, y in enumerate(_SHIFTS):
         total_wrap = wrap + np.array(y)
         tiled[k] = cfg.positions[sites] + cfg.l * cfg.N * (total_wrap @ EMBED_BASIS)
 
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1)
-    lo_s = tiled.min(axis=2).reshape(-1, 2)  # image k*T + j
-    hi_s = tiled.max(axis=2).reshape(-1, 2)
+    lo, hi = geometry.corner_box(corners)
+    lo_s, hi_s = (a.reshape(-1, 2) for a in geometry.corner_box(tiled))  # image k*T + j
 
     h = 1.0625 * float((hi_s - lo_s).max())
     cell = np.floor(lo_s / h).astype(np.int64)
@@ -353,7 +389,7 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
 
     # Keys of the 3x3 cell neighbourhood of every centre triangle i, whose
     # own image is center*T + i; then every image binned in those cells.
-    center = ys.index((0, 0))
+    center = _SHIFTS.index((0, 0))
     step = np.arange(-1, 2)
     nbr = key[center * T : (center + 1) * T, None] + (stride * step[:, None] + step).ravel()
     start = np.searchsorted(sorted_key, nbr.ravel(), side="left")
@@ -364,16 +400,12 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     kk, jj = np.divmod(img, T)
 
     # Strict bounding-box prefilter: (i) vs (j, shift k).
-    box = np.all((lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii]), axis=1)
+    box = (lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii])
+    box = box[:, 0] & box[:, 1]
     keep = box & ((ii < jj) | ((ii == jj) & half[kk]))
     ii, jj, kk = ii[keep], jj[keep], kk[keep]
     sort = np.lexsort((kk, jj, ii))
-
-    violations = []
-    for i, j, k in zip(ii[sort].tolist(), jj[sort].tolist(), kk[sort].tolist()):
-        if geometry.triangles_overlap(corners[i], tiled[k, j]):
-            violations.append(("omega2_overlap", tris[i], tris[j], ys[k]))
-    return CheckResult(not violations, violations)
+    return ii[sort], jj[sort], kk[sort], tiled
 
 
 def is_admissible(cfg: Configuration) -> AdmissibilityReport:

@@ -4,6 +4,12 @@ The overlap predicate decides interior intersection of triangles exactly:
 a floating-point orientation test with a forward error bound handles the
 generic case and an arbitrary-precision rational fallback settles the
 near-degenerate one.  No tolerance knobs are involved.
+
+:func:`orient_signs` and :func:`triangles_overlap_block` evaluate the
+same float filter on whole arrays.  They settle every entry the filter
+can settle and mark the rest undecided; only those reach the scalar
+:func:`orient_sign` / :func:`triangles_overlap` and its rational
+fallback.
 """
 
 from __future__ import annotations
@@ -205,6 +211,90 @@ def orient_sign(pa, pb, pc) -> int:
     if abs(det) >= _ORIENT_ERRBOUND * detsum:
         return _sign(det)
     return _orient_exact(pa, pb, pc)
+
+
+def orient_signs(a, b, c):
+    """Fast path of :func:`orient_sign` on stacked points, elementwise.
+
+    ``a``, ``b`` and ``c`` are arrays of shape ``(..., 2)`` that broadcast
+    against each other.  Returns ``(sign, decided)``: every entry is
+    evaluated with the scalar's float expressions, error bound and
+    underflow rule, and ``decided`` is False exactly where the scalar
+    would fall back to rational arithmetic.  Where ``decided`` holds,
+    ``sign`` is the exact sign; elsewhere it is meaningless.
+    """
+    a, b, c = np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
+    ax = a[..., 0] - c[..., 0]
+    ay = a[..., 1] - c[..., 1]
+    bx = b[..., 0] - c[..., 0]
+    by = b[..., 1] - c[..., 1]
+    detleft = ax * by
+    detright = ay * bx
+    det = detleft - detright
+    underflow = ((np.abs(detleft) < _MIN_NORMAL) & (ax != 0.0) & (by != 0.0)) | (
+        (np.abs(detright) < _MIN_NORMAL) & (ay != 0.0) & (bx != 0.0)
+    )
+    # Where the products share a strict sign, |detleft + detright| is the
+    # scalar's detsum.  Where they do not, the scalar skips the bound, and
+    # the test below passes anyway: rounding is monotone, so then
+    # |detleft + detright| <= |det| in floats.
+    decided = ~underflow & (np.abs(det) >= _ORIENT_ERRBOUND * np.abs(detleft + detright))
+    return np.sign(det).astype(np.int8), decided
+
+
+def triangles_overlap_block(P, Q):
+    """:func:`triangles_overlap` on ``M`` pairs at once, where floats settle it.
+
+    ``P`` and ``Q`` have shape ``(M, 3, 2)``.  Returns ``(overlap,
+    decided)``.  The steps are the scalar's: orient each triangle
+    counterclockwise, exit on strictly separated bounding boxes, then
+    look for a separating edge in either direction, all with
+    :func:`orient_signs`.  A pair is undecided when a triangle's own
+    orientation is undecided or zero (the scalar raises
+    :class:`DegenerateTriangleError` there) or when the separating-edge
+    outcome depends on an undecided orientation; ``overlap`` is False on
+    undecided pairs, and those belong to the scalar predicate.
+    """
+    (P, ok_p), (Q, ok_q) = _ccw_stack(P), _ccw_stack(Q)
+    (lo_p, hi_p), (lo_q, hi_q) = corner_box(P), corner_box(Q)
+    apart = (hi_p <= lo_q) | (hi_q <= lo_p)
+    apart = apart[:, 0] | apart[:, 1]
+
+    # Three-valued separating-edge test: an edge separates for certain if
+    # the other triangle's three corners are all decided on or right of
+    # it, and certainly not if any is decided strictly left of it.
+    separated = np.zeros_like(apart)
+    joined = np.ones_like(apart)
+    for S, V in ((P, Q), (Q, P)):
+        sign, decided = orient_signs(S[:, :, None], S[:, [1, 2, 0], None], V[:, None, :])
+        separated |= _any3(_all3(decided & (sign <= 0)))
+        joined &= _all3(_any3(decided & (sign > 0)))
+    decided = ok_p & ok_q & (apart | separated | joined)
+    return decided & ~apart & ~separated, decided
+
+
+def _ccw_stack(T):
+    """Counterclockwise copies of a stack of triangles, and where the
+    orientation that decides the swap is settled and nonzero."""
+    T = np.array(T, float)
+    sign, decided = orient_signs(T[:, 0], T[:, 1], T[:, 2])
+    cw = sign < 0
+    T[cw] = T[cw][:, [0, 2, 1]]
+    return T, decided & (sign != 0)
+
+
+def corner_box(T):
+    """Bounding boxes ``(lo, hi)`` of a stack of triangles ``(..., 3, 2)``."""
+    a, b, c = T[..., 0, :], T[..., 1, :], T[..., 2, :]
+    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+
+
+def _all3(x):
+    return x[..., 0] & x[..., 1] & x[..., 2]
+
+
+def _any3(x):
+    return x[..., 0] | x[..., 1] | x[..., 2]
 
 
 def _ccw_corners(tri):

@@ -215,28 +215,3 @@ def bond_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     sites.setflags(write=False)
     wrap.setflags(write=False)
     return sites, wrap
-
-
-@lru_cache(maxsize=None)
-def triangle_bond_tables(N: int) -> np.ndarray:
-    """For each triangle class, the indices of its three edge bond classes.
-
-    Shape ``(2N^2, 3)``.  Every bond class appears in exactly two rows.
-    """
-    _check_size(N)
-    lookup = {}
-    for i, bond in enumerate(bonds(N)):
-        lookup[(bond.a, bond.offset)] = i
-    out = np.empty((2 * N * N, 3), dtype=np.int64)
-    for t, tri in enumerate(triangles(N)):
-        corners = triangle_corners(tri)
-        for e in range(3):
-            a = corners[e]
-            b = corners[(e + 1) % 3]
-            off = (b[0] - a[0], b[1] - a[1])
-            if off not in BOND_OFFSETS:
-                a, b = b, a
-                off = (-off[0], -off[1])
-            out[t, e] = lookup[(canonical(a, N), off)]
-    out.setflags(write=False)
-    return out

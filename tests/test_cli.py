@@ -97,6 +97,9 @@ class TestConfigValidation:
             ("oracle", {"oracle": {"epsilon_ladder": ["0.1"]}}, []),
             ("oracle", {"oracle": {"epsilon_ladder": 0.1}}, []),
             ("oracle", {"oracle": {"epsilon_ladder": []}}, []),
+            ("scan", {"scan": dict(SMALL_SCAN["scan"], epsilon=True)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], epsilon=True)}, []),
+            ("oracle", {"oracle": {"epsilon_ladder": [True, 0.05]}}, []),
         ],
         ids=[
             "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
@@ -104,7 +107,8 @@ class TestConfigValidation:
             "verify-heron-0", "verify-dist-0", "verify-squared-0", "verify-dist-grid-4",
             "verify-cap-0", "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
             "oracle-cap-big", "scan-radius-big", "verify-radius-big", "oracle-ladder-str",
-            "oracle-ladder-scalar", "oracle-ladder-empty",
+            "oracle-ladder-scalar", "oracle-ladder-empty", "scan-epsilon-bool",
+            "verify-epsilon-bool", "oracle-ladder-bool",
         ],
     )
     def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):

@@ -280,17 +280,43 @@ def _reference_states():
             yield pytest.param(bad, id=f"folded-N{N}-{n}")
 
 
+REFERENCE_STATES = list(_reference_states())
+
+
 class TestOracleCellList:
-    @pytest.mark.parametrize("cfg", list(_reference_states()))
-    def test_matches_scalar_all_pairs_reference(self, monkeypatch, cfg):
+    @pytest.mark.parametrize("cfg", REFERENCE_STATES)
+    def test_matches_scalar_all_pairs_reference(self, cfg):
+        want_tested, want_violations = _oracle_reference(cfg)
+        got = check_omega2_oracle(cfg)
+        assert got.violations == want_violations
+        assert got.ok == (not want_violations)
+        if any(tag == "omega3_degenerate" for tag, *_ in want_violations):
+            return  # the reference tests no pair then, and neither does the oracle
+        ii, jj, kk, tiled = C._oracle_candidates(cfg)
+        pairs = [
+            (tuple(map(tuple, cfg.corners[i].tolist())), tuple(map(tuple, tiled[k, j].tolist())))
+            for i, j, k in zip(ii.tolist(), jj.tolist(), kk.tolist())
+        ]
+        assert pairs == want_tested
+
+    @pytest.mark.parametrize("cfg", REFERENCE_STATES)
+    def test_forced_fallback_tests_every_pair_with_the_scalar(self, monkeypatch, cfg):
+        """With the float filter deciding nothing, the oracle calls the
+        scalar predicate on exactly the reference's pairs, in order."""
         tested = []
         exact = geometry.triangles_overlap
+        filtered = geometry.orient_signs
 
         def recorded(a, b):
             tested.append((tuple(map(tuple, a.tolist())), tuple(map(tuple, b.tolist()))))
             return exact(a, b)
 
+        def undecided(a, b, c):
+            sign, decided = filtered(a, b, c)
+            return sign, np.zeros_like(decided)
+
         want_tested, want_violations = _oracle_reference(cfg)
+        monkeypatch.setattr(geometry, "orient_signs", undecided)
         monkeypatch.setattr(geometry, "triangles_overlap", recorded)
         got = check_omega2_oracle(cfg)
         assert got.violations == want_violations

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from hardlattice import geometry
+from hardlattice import geometry, lattice
 from hardlattice.geometry import (
     DegenerateTriangleError,
     NegativeDeterminantWarning,
@@ -266,6 +266,16 @@ class TestOrientSign:
 
 EQUILATERAL = ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))
 
+# Twelve coordinates make a pair of triangles.
+INT_COORDS = st.lists(st.integers(-8, 8), min_size=12, max_size=12)
+FLOAT_COORDS = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=12, max_size=12)
+
+
+def _triangle_pair(coords):
+    t1 = ((coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5]))
+    t2 = ((coords[6], coords[7]), (coords[8], coords[9]), (coords[10], coords[11]))
+    return t1, t2
+
 
 class TestTrianglesOverlap:
     def test_identical_triangles(self):
@@ -302,22 +312,153 @@ class TestTrianglesOverlap:
         with pytest.raises(DegenerateTriangleError):
             triangles_overlap(((0, 0), (1, 1), (2, 2)), EQUILATERAL)
 
-    @given(
-        st.lists(st.integers(-8, 8), min_size=12, max_size=12),
-    )
+    @given(INT_COORDS)
     def test_matches_fraction_clipping_oracle(self, coords):
-        t1 = ((coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5]))
-        t2 = ((coords[6], coords[7]), (coords[8], coords[9]), (coords[10], coords[11]))
+        t1, t2 = _triangle_pair(coords)
         assume(_frac_orient(*t1) != 0)
         assume(_frac_orient(*t2) != 0)
         t1f = tuple((float(x), float(y)) for x, y in t1)
         t2f = tuple((float(x), float(y)) for x, y in t2)
         assert triangles_overlap(t1f, t2f) == _overlap_oracle_fraction(t1, t2)
 
-    @given(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=12, max_size=12))
+    @given(FLOAT_COORDS)
     def test_matches_oracle_on_float_triangles(self, coords):
-        t1 = ((coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5]))
-        t2 = ((coords[6], coords[7]), (coords[8], coords[9]), (coords[10], coords[11]))
+        t1, t2 = _triangle_pair(coords)
         assume(_frac_orient(*t1) != 0)
         assume(_frac_orient(*t2) != 0)
         assert triangles_overlap(t1, t2) == _overlap_oracle_fraction(t1, t2)
+
+
+def _agrees_with_orient_sign(a, b, c):
+    """``orient_signs`` on stacked points equals ``orient_sign`` wherever it
+    decides; returns the ``decided`` mask."""
+    sign, decided = geometry.orient_signs(a, b, c)
+    assert sign.shape == decided.shape == a.shape[:-1]
+    rows = zip(a.tolist(), b.tolist(), c.tolist(), sign.tolist(), decided.tolist())
+    for pa, pb, pc, s, d in rows:
+        if d:
+            assert s == orient_sign(pa, pb, pc), (pa, pb, pc)
+    return decided
+
+
+class TestOrientSigns:
+    def test_random_points(self, rng):
+        a, b, c = rng.uniform(-4.0, 4.0, size=(3, 100_000, 2))
+        decided = _agrees_with_orient_sign(a, b, c)
+        assert decided.mean() > 0.999
+
+    def test_lattice_collinear_triples(self):
+        # three sites on one lattice line, scaled as the standard state
+        # scales them: exactly collinear before rounding, so the float
+        # determinant is rounding noise and the filter must hand it on
+        l = 1.05
+        triples = []
+        for direction in ((1, 0), (0, 1), (1, -1)):
+            d = np.array(direction)
+            for u in range(-3, 4):
+                for v in range(-3, 4):
+                    for k1, k2 in ((1, 2), (1, 3), (2, 5), (-1, 1)):
+                        sites = np.array([(u, v), (u, v) + k1 * d, (u, v) + k2 * d], dtype=float)
+                        triples.append(l * (sites @ lattice.EMBED_BASIS))
+        t = np.array(triples)
+        for perm in ((0, 1, 2), (1, 2, 0), (2, 1, 0)):
+            decided = _agrees_with_orient_sign(t[:, perm[0]], t[:, perm[1]], t[:, perm[2]])
+            assert not decided.all()
+
+    def test_one_ulp_off_collinear(self, rng):
+        a = rng.uniform(-2.0, 2.0, size=(20_000, 2))
+        c = rng.uniform(-2.0, 2.0, size=(20_000, 2))
+        mid = 0.5 * (a + c)
+        for steps in (-2, -1, 0, 1, 2):
+            b = mid.copy()
+            b[:, 1] += steps * np.spacing(mid[:, 1])
+            decided = _agrees_with_orient_sign(a, b, c)
+            assert not decided.all()
+
+    def test_shared_corners(self, rng):
+        a, b = rng.uniform(-4.0, 4.0, size=(2, 10_000, 2))
+        # a vertex on an edge's endpoint, as where image triangles meet:
+        # both products vanish, so the float determinant is exactly 0
+        for args in ((a, b, a), (a, b, b)):
+            sign, decided = geometry.orient_signs(*args)
+            assert decided.all() and not sign.any()
+            _agrees_with_orient_sign(*args)
+        # a == b with the pivot elsewhere: equal products, no margin
+        assert not _agrees_with_orient_sign(a, a, b).any()
+
+    def test_underflowing_products_are_left_to_the_exact_path(self):
+        tiny = 1.8425344645050547e-273
+        pts = np.array([(0.0, 0.0), (tiny, 0.0), (0.0, tiny)])
+        perms = np.array([(0, 1, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)])
+        a, b, c = pts[perms[:, 0]], pts[perms[:, 1]], pts[perms[:, 2]]
+        decided = _agrees_with_orient_sign(a, b, c)
+        assert not decided.any()
+
+    def test_broadcasts_over_stacked_shapes(self, rng):
+        pts = rng.uniform(-1.0, 1.0, size=(30, 2))
+        sign, decided = geometry.orient_signs(pts[:, None, None], pts[None, :, None], pts[None, None, :5])
+        assert sign.shape == decided.shape == (30, 30, 5)
+
+
+FIXED_PAIRS = [
+    (EQUILATERAL, EQUILATERAL),
+    (EQUILATERAL, tuple((x + 5.0, y) for x, y in EQUILATERAL)),
+    (EQUILATERAL, ((1.0, 0.0), (0.5, SQRT3 / 2.0), (1.5, SQRT3 / 2.0))),
+    (EQUILATERAL, ((1.0, 0.0), (2.0, 0.5), (2.0, -0.5))),
+    (EQUILATERAL, ((0.4, 0.1), (0.6, 0.1), (0.5, 0.3))),
+    (EQUILATERAL, ((0.5, -0.2), (1.5, 0.4), (-0.5, 0.4))),
+    (EQUILATERAL, ((0.5, 0.0), (0.75, SQRT3 / 4.0), (0.25, SQRT3 / 4.0))),
+    # edge-adjacent unit triangles on a scaled lattice
+    (((0.0, 0.0), (1.25, 0.0), (0.625, 1.0)), ((1.25, 0.0), (1.875, 1.0), (0.625, 1.0))),
+    (((0.0, 0.0), (1.25, 0.0), (0.625, 1.0)), ((0.0, 0.0), (0.625, 1.0), (-0.625, 1.0))),
+]
+
+
+def _block_agrees_with_scalar(P, Q):
+    """Where ``triangles_overlap_block`` decides, it equals the scalar; where
+    the scalar raises for a degenerate triangle, the pair is undecided."""
+    overlap, decided = geometry.triangles_overlap_block(P, Q)
+    assert overlap.shape == decided.shape == (len(P),)
+    for p, q, got, d in zip(P.tolist(), Q.tolist(), overlap.tolist(), decided.tolist()):
+        try:
+            want = triangles_overlap(p, q)
+        except DegenerateTriangleError:
+            assert not d, (p, q)
+            continue
+        if d:
+            assert got == want, (p, q)
+        else:
+            assert not got
+    return decided
+
+
+class TestTrianglesOverlapBlock:
+    @given(INT_COORDS)
+    def test_integer_triangles(self, coords):
+        t1, t2 = _triangle_pair(coords)
+        _block_agrees_with_scalar(np.array([t1], float), np.array([t2], float))
+
+    @given(FLOAT_COORDS)
+    def test_float_triangles(self, coords):
+        t1, t2 = _triangle_pair(coords)
+        _block_agrees_with_scalar(np.array([t1], float), np.array([t2], float))
+
+    def test_fixed_cases_in_both_orders_and_orientations(self):
+        P = np.array([p for p, _ in FIXED_PAIRS], float)
+        Q = np.array([q for _, q in FIXED_PAIRS], float)
+        flip = [0, 2, 1]
+        for A, B in ((P, Q), (Q, P), (P[:, flip], Q), (P, Q[:, flip]), (P[:, flip], Q[:, flip])):
+            assert _block_agrees_with_scalar(A, B).all()
+
+    def test_random_stacks(self, rng):
+        # small integer grids give collinear, degenerate and touching
+        # triangles; uniform floats give generic ones
+        grid = rng.integers(-3, 4, size=(2, 5000, 3, 2)).astype(float)
+        decided = _block_agrees_with_scalar(*grid)
+        assert decided.any() and not decided.all()
+        uniform = rng.uniform(-1.0, 1.0, size=(2, 5000, 3, 2))
+        assert _block_agrees_with_scalar(*uniform).all()
+
+    def test_empty_stack(self):
+        overlap, decided = geometry.triangles_overlap_block(np.empty((0, 3, 2)), np.empty((0, 3, 2)))
+        assert overlap.shape == decided.shape == (0,)

@@ -213,26 +213,12 @@ class TestTables:
                     rhs = embed((cu, cv)) + N * embed(tuple(wrap[s, k]))
                     assert np.allclose(lhs, rhs, atol=1e-12)
 
-    @pytest.mark.parametrize("N", [2, 4])
-    def test_triangle_bond_tables_double_counting(self, N):
-        table = lattice.triangle_bond_tables(N)
-        assert table.shape == (2 * N * N, 3)
-        counts = np.bincount(table.ravel(), minlength=3 * N * N)
-        # each bond class borders exactly two triangle classes
-        assert set(counts.tolist()) == {2}
-
     def test_triangle_tables_orientation_layout(self):
         _, _, orient = lattice.triangle_tables(3)
         assert list(orient[:4]) == [UP, DOWN, UP, DOWN]
 
 
 class TestBondTriangleIncidence:
-    def test_each_triangle_contributes_three_bonds(self):
-        N = 3
-        table = lattice.triangle_bond_tables(N)
-        for row in table:
-            assert len(set(row.tolist())) == 3
-
     def test_bond_lengths_of_triangle_edges_are_one(self):
         # each edge of each unperturbed representative has unit length
         for t in triangles(3):
