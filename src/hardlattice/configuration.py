@@ -19,13 +19,17 @@ determinants plus exact ``2*pi`` image angle sums at every vertex star
 interior overlap of image triangles; a cell list over the 3x3 periodic
 tiling hands it only the pairs whose bounding boxes overlap, in
 ``O(N^2)`` time and memory.  Agreement of the two is a tested invariant
-of this package.
+of this package.  For ``epsilon < sqrt(3) - 1``, omega1 and omega3
+already imply the fast certificate, and :func:`is_admissible` skips it.
 
-Each snapshot computes its triangle geometry once: ``cfg.corners``,
-``cfg.gradients`` and ``cfg.crosses`` are cached on first use, and the
-checks and observables all read them.  Caching is safe because a
-configuration never changes: the dataclass is frozen, ``positions`` is
-read-only, and so is every cached array.
+Each snapshot computes its geometry once: ``cfg.corners``,
+``cfg.gradients``, ``cfg.crosses`` and ``cfg.bond_squares`` are cached
+on first use, and the checks and observables all read them.  Caching is
+safe because a configuration never changes: the dataclass is frozen,
+``positions`` is read-only, and so is every cached array.  The builders
+take positions with leading batch axes, and :func:`snapshot_block` runs
+them once on a stack of snapshots, pre-filling each snapshot's cache
+with views of the stacked arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from numbers import Real
 
 import numpy as np
 
-from . import geometry, lattice
+from . import geometry, kernels, lattice
 from .lattice import EMBED_BASIS, SQRT3
 
 TWO_PI = 2.0 * math.pi
@@ -108,24 +112,69 @@ class Configuration:
     @cached_property
     def corners(self) -> np.ndarray:
         """Read-only :func:`image_triangle_corners` of this snapshot."""
-        return _read_only(image_triangle_corners(self))
+        return _read_only(image_triangle_corners(self.N, self.l, self.positions))
 
     @cached_property
     def gradients(self) -> np.ndarray:
         """Read-only :func:`triangle_gradients` of this snapshot."""
-        return _read_only(triangle_gradients(self))
+        return _read_only(triangle_gradients(self.N, self.corners))
 
     @cached_property
     def crosses(self) -> np.ndarray:
-        """Corner cross product of every triangle class (twice its signed area)."""
-        d1 = self.corners[:, 1] - self.corners[:, 0]
-        d2 = self.corners[:, 2] - self.corners[:, 0]
-        return _read_only(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Read-only :func:`corner_crosses` of this snapshot."""
+        return _read_only(corner_crosses(self.corners))
+
+    @cached_property
+    def bond_squares(self) -> np.ndarray:
+        """Read-only :func:`bond_length_squares` of this snapshot."""
+        return _read_only(bond_length_squares(self.N, self.l, self.positions))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True)
+class SnapshotBlock:
+    """Snapshots of one chain with their geometry stacked on a leading axis.
+
+    Row ``b`` of each array belongs to ``snapshots[b]``, a normal
+    :class:`Configuration` whose cached ``corners``, ``gradients``,
+    ``crosses`` and ``bond_squares`` are read-only views of that row.
+    Every array is read-only.
+    """
+
+    snapshots: tuple
+    positions: np.ndarray  # (B, N^2, 2)
+    corners: np.ndarray  # (B, 2N^2, 3, 2)
+    gradients: np.ndarray  # (B, 2N^2, 2, 2)
+    crosses: np.ndarray  # (B, 2N^2)
+    bond_squares: np.ndarray  # (B, 3N^2)
+
+
+def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> SnapshotBlock:
+    """Build the geometry of ``B`` snapshots, ``positions`` of shape ``(B, N^2, 2)``, at once.
+
+    The arrays come from the same functions a single snapshot's cached
+    properties call, so every snapshot's cache equals a fresh
+    ``Configuration(N, l, epsilon, positions[b])``'s bitwise.
+    ``positions`` is made read-only and owned by the block.
+    """
+    positions = _read_only(positions)
+    corners = _read_only(image_triangle_corners(N, l, positions))
+    arrays = {
+        "corners": corners,
+        "gradients": _read_only(triangle_gradients(N, corners)),
+        "crosses": _read_only(corner_crosses(corners)),
+        "bond_squares": _read_only(bond_length_squares(N, l, positions)),
+    }
+    snapshots = []
+    for b, pos in enumerate(positions):
+        snap = Configuration(N, l, epsilon, pos)
+        vars(snap).update({name: a[b] for name, a in arrays.items()})
+        snapshots.append(snap)
+    return SnapshotBlock(tuple(snapshots), positions, **arrays)
 
 
 def check_lattice_size(N) -> None:
@@ -185,18 +234,34 @@ def position(cfg: Configuration, idx) -> np.ndarray:
     return base + cfg.l * N * lattice.embed((wu, wv))
 
 
-def image_triangle_corners(cfg: Configuration) -> np.ndarray:
-    """Plane positions of the three corners of every triangle class, shape (2N^2, 3, 2)."""
-    sites, wrap, _ = lattice.triangle_tables(cfg.N)
-    return cfg.positions[sites] + cfg.l * cfg.N * (wrap @ EMBED_BASIS)
+def image_triangle_corners(N: int, l: float, positions: np.ndarray) -> np.ndarray:
+    """Plane positions of the three corners of every triangle class.
+
+    ``positions`` has shape ``(..., N^2, 2)``; the result has shape
+    ``(..., 2N^2, 3, 2)``.  Leading axes stack snapshots.
+    """
+    sites, wrap, _ = lattice.triangle_tables(N)
+    return positions[..., sites, :] + l * N * (wrap @ EMBED_BASIS)
 
 
-def triangle_gradients(cfg: Configuration) -> np.ndarray:
-    """Constant Jacobian of the affine piece on every triangle class, shape (2N^2, 2, 2)."""
-    _, _, orient = lattice.triangle_tables(cfg.N)
-    corners = cfg.corners
-    d = np.stack((corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=-1)
+def triangle_gradients(N: int, corners: np.ndarray) -> np.ndarray:
+    """Constant Jacobian of the affine piece on every triangle class.
+
+    ``corners`` is :func:`image_triangle_corners`' output, shape
+    ``(..., 2N^2, 3, 2)``; the result has shape ``(..., 2N^2, 2, 2)``.
+    """
+    _, _, orient = lattice.triangle_tables(N)
+    c0 = corners[..., 0, :]
+    d = np.stack((corners[..., 1, :] - c0, corners[..., 2, :] - c0), axis=-1)
     return d @ _BINV[orient]
+
+
+def corner_crosses(corners: np.ndarray) -> np.ndarray:
+    """Corner cross product of every triangle (twice its signed area), shape ``(..., 2N^2)``."""
+    d1 = corners[..., 1, :] - corners[..., 0, :]
+    d2 = corners[..., 2, :] - corners[..., 0, :]
+    return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+
 
 def triangle_gradient(cfg: Configuration, tri: lattice.TriangleRef) -> np.ndarray:
     """Jacobian of the affine piece on one triangle class.
@@ -209,12 +274,23 @@ def triangle_gradient(cfg: Configuration, tri: lattice.TriangleRef) -> np.ndarra
     return d @ _BINV[tri.orientation]
 
 
+def _bond_vectors(N: int, l: float, positions: np.ndarray):
+    """Components ``(dx, dy)`` of all 3N^2 bond classes, shape ``(..., 3N^2)`` each."""
+    sites, wrap = lattice.bond_tables(N)
+    pa = positions[..., sites[:, 0], :]
+    pb = positions[..., sites[:, 1], :] + l * N * (wrap @ EMBED_BASIS)
+    return pb[..., 0] - pa[..., 0], pb[..., 1] - pa[..., 1]
+
+
 def bond_lengths(cfg: Configuration) -> np.ndarray:
     """Lengths of all 3N^2 bond classes in enumeration order."""
-    sites, wrap = lattice.bond_tables(cfg.N)
-    pa = cfg.positions[sites[:, 0]]
-    pb = cfg.positions[sites[:, 1]] + cfg.l * cfg.N * (wrap @ EMBED_BASIS)
-    return np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
+    return np.hypot(*_bond_vectors(cfg.N, cfg.l, cfg.positions))
+
+
+def bond_length_squares(N: int, l: float, positions: np.ndarray) -> np.ndarray:
+    """Squared lengths of all 3N^2 bond classes, shape ``(..., 3N^2)``."""
+    dx, dy = _bond_vectors(N, l, positions)
+    return dx**2 + dy**2
 
 
 def check_omega1(cfg: Configuration) -> CheckResult:
@@ -223,10 +299,7 @@ def check_omega1(cfg: Configuration) -> CheckResult:
     By periodicity, checking the 3N^2 bond classes covers the full
     infinite bond set.  Comparisons are plain strict float comparisons.
     """
-    sites, wrap = lattice.bond_tables(cfg.N)
-    pa = cfg.positions[sites[:, 0]]
-    pb = cfg.positions[sites[:, 1]] + cfg.l * cfg.N * (wrap @ EMBED_BASIS)
-    d2 = (pb[:, 0] - pa[:, 0]) ** 2 + (pb[:, 1] - pa[:, 1]) ** 2
+    d2 = cfg.bond_squares
     hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
     bad = np.flatnonzero((d2 <= 1.0) | (d2 >= hi2))
     if bad.size == 0:
@@ -275,6 +348,11 @@ def check_omega2_fast(cfg: Configuration) -> CheckResult:
     make the torus map a local homeomorphism away from vertices and it
     has degree one, so ruling out winding defects at vertices certifies
     a global bijection.
+
+    :func:`is_admissible` calls this only where omega1 fails or
+    ``epsilon >= sqrt(3) - 1``; elsewhere omega1 and omega3 imply its
+    verdict.  It stays callable on every state, because its agreement
+    with :func:`check_omega2_oracle` is a tested invariant.
     """
     omega3 = check_omega3(cfg)
     if not omega3.ok:
@@ -313,6 +391,14 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     degenerate pre-pass likewise calls :func:`geometry.orient_sign` only
     where :func:`geometry.orient_signs` leaves the sign open or zero.  The
     answer is the exact predicate's on every pair either way.
+
+    The pre-pass checks the centre copies only, and a tiled copy can
+    round to collinear where its centre copy does not: two reflected-apex
+    states of ``folded_counterexamples(4, 1.05, 0.1)`` have such copies.
+    The oracle does not raise on them only because no such copy has
+    passed the box filter into a candidate pair, which is pinned by a
+    test, not proved; a copy that did pass would make the scalar
+    predicate raise :class:`geometry.DegenerateTriangleError`.
     """
     corners = cfg.corners
     sign, decided = geometry.orient_signs(corners[:, 0], corners[:, 1], corners[:, 2])
@@ -411,16 +497,25 @@ def _oracle_candidates(cfg: Configuration):
 def is_admissible(cfg: Configuration) -> AdmissibilityReport:
     """Conjunction of omega1, omega3 and the fast omega2 certificate.
 
-    Evaluated in the order omega1, omega3, omega2; the omega2 check is
-    skipped (reported as failing) when omega3 fails, since the angle-sum
-    certificate presupposes positive determinants.
+    Evaluated in the order omega1, omega3, omega2.  When omega3 fails,
+    omega2 is reported as failing without a check, since the angle-sum
+    certificate presupposes positive determinants.  When omega1 and
+    omega3 both hold and ``(1 + epsilon)**2 < kernels.LEAN_HI2``, omega2
+    is reported as passing without :func:`vertex_angle_sums`: every
+    triangle angle is then below ``2*pi/3``, so every vertex angle sum is
+    exactly ``2*pi`` (the first lemma of the :mod:`kernels` docstring),
+    and :func:`check_omega2_fast` would pass.  Otherwise
+    :func:`check_omega2_fast` decides.  The report is the same as when
+    :func:`check_omega2_fast` runs on every state with omega3.
     """
     r1 = check_omega1(cfg)
     r3 = check_omega3(cfg)
-    if r3.ok:
-        r2 = check_omega2_fast(cfg)
-    else:
+    if not r3.ok:
         r2 = CheckResult(False, [("omega2_skipped", "omega3 failed")])
+    elif r1.ok and (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon) < kernels.LEAN_HI2:
+        r2 = CheckResult(True)
+    else:
+        r2 = check_omega2_fast(cfg)
     return AdmissibilityReport(
         omega1_ok=r1.ok,
         omega2_ok=r2.ok,
@@ -434,6 +529,8 @@ def translate(cfg: Configuration, b) -> Configuration:
 
     ``omega'(x) = omega(x + b) - omega(b)``; the admissible set is
     invariant under this map and the origin gauge is restored exactly.
+    No run uses it: it is the scalar reference of the symmetry tests,
+    which require :func:`is_admissible` to be invariant under it.
     """
     N = cfg.N
     bu, bv = b
@@ -447,7 +544,11 @@ def translate(cfg: Configuration, b) -> Configuration:
 
 
 def reflect(cfg: Configuration) -> Configuration:
-    """Point reflection ``omega'(x) = -omega(-x)``; an involution on states."""
+    """Point reflection ``omega'(x) = -omega(-x)``; an involution on states.
+
+    No run uses it: it is the scalar reference of the symmetry tests,
+    which require :func:`is_admissible` to be invariant under it.
+    """
     N = cfg.N
     flat = np.arange(N * N)
     u, v = -(flat // N), -(flat % N)

@@ -114,7 +114,12 @@ def triangles(N: int) -> list[TriangleRef]:
 
 
 def triangle_index(tri: TriangleRef, N: int) -> int:
-    """Position of a triangle class in the :func:`triangles` enumeration."""
+    """Position of a triangle class in the :func:`triangles` enumeration.
+
+    No run uses it: it is the scalar reference for the row order of
+    :func:`triangle_tables` and of every per-triangle array built from
+    them, which the tests read one triangle at a time through it.
+    """
     u, v = canonical(tri.base, N)
     return 2 * (u * N + v) + tri.orientation
 

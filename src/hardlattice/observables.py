@@ -8,20 +8,44 @@ area-weighted sum (cell area sqrt(3)/4); no quadrature error enters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .configuration import LAMBDA0, Configuration, bond_lengths, position
+from .configuration import LAMBDA0, Configuration, SnapshotBlock, bond_lengths, position
 from .lattice import NEIGHBOR_OFFSETS
 
 
 def per_triangle_order_parameters(cfg: Configuration, target) -> np.ndarray:
     """Squared Frobenius deviation of every triangle gradient from ``target``."""
-    diff = cfg.gradients - np.asarray(target, dtype=float)
-    return np.sum(diff * diff, axis=(1, 2))
+    return _squared_deviations(cfg.gradients, np.asarray(target, dtype=float))
+
+
+def _squared_deviations(gradients: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distance of each 2x2 matrix of a stack from ``target``."""
+    diff = gradients - target
+    return np.sum(diff * diff, axis=(-2, -1))
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``a``, each row reduced on its own.
+
+    A one-snapshot sum is a 1-D reduction; a reduction over an axis of a
+    stack may add in another order (numpy picks it from the memory
+    layout).  Summing row by row keeps every sum bitwise the one-snapshot
+    sum, and ``_row_sums(a) / n`` bitwise ``np.mean`` of each row.
+    """
+    return np.array([np.add.reduce(row) for row in a])
+
+
+def block_order_parameters(block: SnapshotBlock, target) -> np.ndarray:
+    """Triangle mean of :func:`per_triangle_order_parameters` for each snapshot of ``block``.
+
+    Bitwise ``np.mean(per_triangle_order_parameters(snap, target))``.
+    """
+    op = _squared_deviations(block.gradients, np.asarray(target, dtype=float))
+    return _row_sums(op) / op.shape[-1]
 
 
 def bond_vector(cfg: Configuration, x, z) -> np.ndarray:
@@ -72,25 +96,6 @@ def mean_gradient(cfg: Configuration) -> np.ndarray:
     return cfg.gradients.mean(axis=0)
 
 
-def best_rotation_and_ratio(cfg: Configuration) -> tuple[float, float]:
-    """Polar rotation of the mean gradient and the rigidity quotient.
-
-    The quotient ``|grad - R| / |dist(grad, SO(2))|`` (both in L2 over
-    the fundamental domain) is at least one and is a lower bound for the
-    rigidity constant of the domain.  Raises ``ValueError`` when the
-    distance field vanishes identically (the map is a rigid motion).
-    """
-    grads = cfg.gradients
-    theta = geometry.polar_rotation(grads.mean(axis=0))
-    dist2 = geometry.dist_so2_batch(grads) ** 2
-    denom_sq = LAMBDA0 * float(np.sum(dist2))
-    if denom_sq == 0.0:
-        raise ValueError("rigidity ratio undefined: gradient field is a rotation field")
-    diff = grads - geometry.rotation(theta)
-    num_sq = LAMBDA0 * float(np.sum(diff * diff))
-    return theta, math.sqrt(num_sq / denom_sq)
-
-
 # Tolerances of the exact-identity suite.  The identities hold in exact
 # arithmetic for every admissible state; the tolerances only absorb
 # float rounding of O(N^2)-term sums.
@@ -135,3 +140,4 @@ def identity_suite(cfg: Configuration) -> IdentityReport:
     pyth_err = abs(lhs - a - b) / max(lhs, 1e-300)
 
     return IdentityReport(mg_err, area_err, pyth_err)
+

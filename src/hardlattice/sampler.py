@@ -31,6 +31,12 @@ from .lattice import EMBED_BASIS
 
 RNG_ALGORITHM = "pcg64"
 
+# Emitted snapshots are checked and observed in blocks of at most
+# BLOCK_SNAPSHOTS snapshots and BLOCK_SITES sites in all.  The stacked
+# geometry takes about 220 bytes per site, so a block stays near 220 kB.
+BLOCK_SNAPSHOTS = 64
+BLOCK_SITES = 1024
+
 CHECKPOINT_SCHEMA = "hardlattice.checkpoint.v1"
 
 
@@ -107,6 +113,11 @@ class ChainResult:
     sweeps_run: int
 
 
+def block_size(N: int) -> int:
+    """Snapshots per block of a chain at lattice size ``N`` (at least one)."""
+    return max(1, min(BLOCK_SNAPSHOTS, BLOCK_SITES // (N * N)))
+
+
 class Chain:
     """Mutable working state of one Metropolis chain.
 
@@ -167,40 +178,56 @@ class Chain:
         self.sweeps_done += 1
         return int(acc)
 
-    def _verify_snapshot(self, snap: Configuration, emitted: int) -> None:
-        report = cfgmod.is_admissible(snap)
-        if not report.ok:
-            raise ChainInvariantError(
-                f"snapshot after sweep {self.sweeps_done} failed recheck: "
-                f"{report.violations[:3]}"
-            )
-        every = self.params.omega2_oracle_every
-        if every > 0 and emitted % every == 0:
-            oracle = cfgmod.check_omega2_oracle(snap)
-            if not oracle.ok:
-                raise ChainInvariantError(
-                    f"snapshot after sweep {self.sweeps_done} failed the exact "
-                    f"injectivity oracle: {oracle.violations[:3]}"
-                )
-
     def run(self, observer=None) -> ChainResult:
         """Burn in, then emit a snapshot every ``thin`` sweeps.
 
-        Every emitted snapshot passes a full admissibility recheck (and
-        periodically the exact oracle).  ``observer`` receives the
-        immutable snapshot and should do at most O(snapshot) work; its
-        return values are collected, or the snapshots themselves when no
-        observer is given.
+        Emitted snapshots are handled in blocks of :func:`block_size`:
+        each emitted position is copied into the block, and when the
+        block is full (or holds the last emission) its geometry is built
+        once by :func:`configuration.snapshot_block`.  Then every snapshot
+        of the block, in order, passes a full
+        :func:`configuration.is_admissible` recheck, and the exact oracle
+        on every ``omega2_oracle_every``-th emitted snapshot; a failure
+        names the sweep after which its snapshot was taken.  Last, the
+        block goes to ``observer``, which should do at most O(block)
+        work and return one record per snapshot (anything else raises
+        ``ValueError``), or None, which adds no records.  The records
+        are collected, or the snapshots themselves when no observer is
+        given.  The sweeps after the last emission still run.
+
+        Checks run when a block is complete, so a snapshot that fails
+        one is reported after up to ``(block_size - 1) * thin`` further
+        sweeps.  All rechecks of a block precede its observer: when one
+        snapshot fails the observer's checks and a later one in the same
+        block fails the recheck, the recheck failure is raised.
         """
         for _ in range(self.params.burn_in):
             self.sweep()
+        thin = self.params.thin
+        total = self.params.sweeps // thin
+        size = block_size(self.N)
         records = []
+        emitted = 0
+        block, swept = None, []
         for s in range(self.params.sweeps):
             self.sweep()
-            if (s + 1) % self.params.thin == 0:
-                snap = self.snapshot()
-                self._verify_snapshot(snap, len(records))
-                records.append(observer(snap) if observer is not None else snap)
+            if (s + 1) % thin:
+                continue
+            if block is None:
+                block = np.empty((min(size, total - emitted), self.N * self.N, 2))
+            block[len(swept)] = self._pos
+            swept.append(self.sweeps_done)
+            if len(swept) == len(block):
+                out = self._emit(block, swept, emitted, observer)
+                if out is not None:
+                    if len(out) != len(swept):
+                        raise ValueError(
+                            f"observer returned {len(out)} records for a block of "
+                            f"{len(swept)} snapshots"
+                        )
+                    records.extend(out)
+                emitted += len(swept)
+                block, swept = None, []
         return ChainResult(
             records=records,
             acceptance_rate=self.acceptance_rate,
@@ -208,6 +235,25 @@ class Chain:
             proposed=self.proposed,
             sweeps_run=self.sweeps_done,
         )
+
+    def _emit(self, positions, swept, emitted, observer):
+        """Recheck one block of snapshots, then observe it; see :meth:`run`."""
+        block = cfgmod.snapshot_block(self.N, self.l, self.epsilon, positions)
+        every = self.params.omega2_oracle_every
+        for k, (snap, sweep) in enumerate(zip(block.snapshots, swept)):
+            report = cfgmod.is_admissible(snap)
+            if not report.ok:
+                raise ChainInvariantError(
+                    f"snapshot after sweep {sweep} failed recheck: {report.violations[:3]}"
+                )
+            if every > 0 and (emitted + k) % every == 0:
+                oracle = cfgmod.check_omega2_oracle(snap)
+                if not oracle.ok:
+                    raise ChainInvariantError(
+                        f"snapshot after sweep {sweep} failed the exact "
+                        f"injectivity oracle: {oracle.violations[:3]}"
+                    )
+        return block.snapshots if observer is None else observer(block)
 
     def checkpoint(self) -> dict:
         """JSON-ready state: positions, rng state, counters.

@@ -94,11 +94,12 @@ def test_criterion_04_bond_vector_expectation():
     series = np.empty((10_000, len(sites), 6, 2))
     count = [0]
 
-    def observer(cfg):
-        for si, x in enumerate(sites):
-            for zi, z in enumerate(NEIGHBOR_OFFSETS):
-                series[count[0], si, zi] = O.bond_vector(cfg, x, z)
-        count[0] += 1
+    def observer(block):
+        for cfg in block.snapshots:
+            for si, x in enumerate(sites):
+                for zi, z in enumerate(NEIGHBOR_OFFSETS):
+                    series[count[0], si, zi] = O.bond_vector(cfg, x, z)
+            count[0] += 1
         return None
 
     params = hl.SamplerParams(sweeps=100_000, burn_in=5_000, thin=10, seed=1001)

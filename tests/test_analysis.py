@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import hardlattice as hl
 from hardlattice import analysis as A
 from hardlattice import configuration as C
 from hardlattice import geometry
+from hardlattice import observables as O
 from hardlattice.configuration import standard_config
-from hardlattice.sampler import SamplerParams
+from hardlattice.sampler import SamplerParams, block_size
 
 SQRT3 = math.sqrt(3.0)
 
@@ -364,23 +366,78 @@ class TestScan:
         with pytest.raises(ValueError):
             A.scan([2], [1.05], 0.1, params)
 
-    def test_grid_point_builds_geometry_once_per_sample(self, monkeypatch):
-        calls = {"image_triangle_corners": 0, "triangle_gradients": 0}
-        for name in calls:
+    def test_grid_point_builds_geometry_once_per_block(self, monkeypatch):
+        builders = ("image_triangle_corners", "triangle_gradients", "corner_crosses",
+                    "bond_length_squares")
+        calls = dict.fromkeys(builders, 0)
+        for name in builders:
 
-            def counted(cfg, _name=name, _fn=getattr(C, name)):
+            def counted(*args, _name=name, _fn=getattr(C, name)):
                 calls[_name] += 1
-                return _fn(cfg)
+                return _fn(*args)
 
             monkeypatch.setattr(C, name, counted)
+        blocks = []
+
+        def recorded(*args, _fn=C.snapshot_block):
+            blocks.append(_fn(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(C, "snapshot_block", recorded)
         params = SamplerParams(sweeps=200, burn_in=10, thin=2, seed=0)
         rec = A.run_grid_point(2, 1.05, 0.1, params, seed=3)
-        # The chain-start admissibility check reads the corners but not
-        # the gradients; each emitted sample builds both once.
+        assert rec.n_samples == 100 and block_size(2) == 64
+        assert [len(b.snapshots) for b in blocks] == [64, 36]
+        # The chain-start admissibility check reads the corners, crosses
+        # and bond lengths but not the gradients; each block builds all
+        # four once, for all of its snapshots.
         assert calls == {
-            "image_triangle_corners": rec.n_samples + 1,
-            "triangle_gradients": rec.n_samples,
+            "image_triangle_corners": len(blocks) + 1,
+            "triangle_gradients": len(blocks),
+            "corner_crosses": len(blocks) + 1,
+            "bond_length_squares": len(blocks) + 1,
         }
+        for block in blocks:
+            for snap in block.snapshots:
+                fresh = C.Configuration(snap.N, snap.l, snap.epsilon, snap.positions)
+                for name in ("corners", "gradients", "crosses", "bond_squares"):
+                    cached = vars(snap)[name]  # filled by the block, not by the snapshot
+                    assert not cached.flags.writeable
+                    assert cached.tobytes() == getattr(fresh, name).tobytes()
+
+    @staticmethod
+    def _reference_snapshots(N, params, seed):
+        return hl.Chain.from_standard(N, 1.05, 0.1, replace(params, seed=seed)).run().records
+
+    def test_grid_point_equals_per_snapshot_observer(self):
+        params = SamplerParams(sweeps=300, burn_in=10, thin=1, seed=0, scan_order="random")
+        rec = A.run_grid_point(4, 1.05, 0.1, params, seed=3)
+        snaps = self._reference_snapshots(4, params, 3)
+        eye = np.eye(2)
+        op_id = [float(np.mean(O.per_triangle_order_parameters(s, eye))) for s in snaps]
+        op_lid = [float(np.mean(O.per_triangle_order_parameters(s, s.l * eye))) for s in snaps]
+        bonds = [O.bond_vector(s, (0, 0), (1, 0)) for s in snaps]
+        assert (rec.mean_op_id, rec.se_op_id) == A.batch_means(op_id)
+        assert (rec.mean_op_lid, rec.se_op_lid) == A.batch_means(op_lid)
+        assert (rec.mean_bond_dx, rec.se_bond_dx) == A.batch_means([float(b[0]) for b in bonds])
+        assert (rec.mean_bond_dy, rec.se_bond_dy) == A.batch_means([float(b[1]) for b in bonds])
+        assert rec.autocorrelation_time == A.integrated_autocorrelation_time(np.array(op_lid))
+
+    def test_identity_failure_names_the_first_failing_sample(self, monkeypatch):
+        params = SamplerParams(sweeps=200, burn_in=10, thin=1, seed=0)
+        snaps = self._reference_snapshots(2, params, 3)
+        errors = [O.identity_suite(s).pythagoras_relative_error for s in snaps]
+        tol = sorted(errors)[-5]  # the four largest errors fail
+        monkeypatch.setattr(O, "PYTHAGORAS_RTOL", tol)
+        first = next(O.identity_suite(s) for s in snaps if not O.identity_suite(s).ok)
+        with pytest.raises(A.IdentityFailureError) as err:
+            A.run_grid_point(2, 1.05, 0.1, params, seed=3)
+        assert str(err.value) == (
+            "identity suite failed at N=2, l=1.05: "
+            f"mean_gradient={first.mean_gradient_error:.3e}, "
+            f"area={first.area_relative_error:.3e}, "
+            f"pythagoras={first.pythagoras_relative_error:.3e}"
+        )
 
     def test_csv_layout(self):
         params = SamplerParams(sweeps=600, burn_in=100, thin=5, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardlattice import configuration as C
-from hardlattice import counterexamples, geometry, lattice
+from hardlattice import counterexamples, geometry, kernels, lattice
 from hardlattice.configuration import (
     Configuration,
     check_omega1,
@@ -72,18 +72,18 @@ class TestCachedGeometry:
     def test_equals_the_functions_bitwise(self, sample_snapshots):
         for snap in sample_snapshots[::20]:
             fresh = Configuration(snap.N, snap.l, snap.epsilon, snap.positions)
-            corners = C.image_triangle_corners(fresh)
+            corners = C.image_triangle_corners(fresh.N, fresh.l, fresh.positions)
             d1 = corners[:, 1] - corners[:, 0]
             d2 = corners[:, 2] - corners[:, 0]
             crosses = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
             assert snap.corners.tobytes() == corners.tobytes()
-            assert snap.gradients.tobytes() == triangle_gradients(fresh).tobytes()
+            assert snap.gradients.tobytes() == triangle_gradients(fresh.N, corners).tobytes()
             assert snap.crosses.tobytes() == crosses.tobytes()
             assert snap.gradients is snap.gradients
 
     def test_cached_arrays_are_read_only(self):
         cfg = standard_config(4, 1.05, 0.1)
-        for name in ("corners", "gradients", "crosses"):
+        for name in ("corners", "gradients", "crosses", "bond_squares"):
             with pytest.raises(ValueError):
                 getattr(cfg, name).flat[0] = 1.0
 
@@ -117,7 +117,7 @@ class TestTriangleGradient:
 
     def test_vectorized_matches_single(self, sample_snapshots):
         cfg = sample_snapshots[-1]
-        grads = triangle_gradients(cfg)
+        grads = triangle_gradients(cfg.N, cfg.corners)
         for i, tri in enumerate(lattice.triangles(cfg.N)):
             assert np.allclose(grads[i], triangle_gradient(cfg, tri), atol=1e-14)
 
@@ -169,7 +169,7 @@ class TestOmega3:
     def test_standard_passes_with_expected_determinant(self):
         cfg = standard_config(4, 1.05, 0.1)
         assert check_omega3(cfg).ok
-        dets = np.linalg.det(triangle_gradients(cfg))
+        dets = np.linalg.det(triangle_gradients(cfg.N, cfg.corners))
         assert np.allclose(dets, 1.05**2, atol=1e-12)
 
     def test_reflected_apex_fails(self):
@@ -352,6 +352,90 @@ class TestIsAdmissible:
         assert not report.omega3_ok
         assert not report.omega2_ok
         assert any(tag == "omega2_skipped" for tag, *_ in report.violations)
+
+
+def _report_with_fast_certificate(cfg):
+    """``is_admissible`` as it reads when the fast omega2 certificate runs whenever omega3 holds."""
+    r1, r3 = check_omega1(cfg), check_omega3(cfg)
+    if r3.ok:
+        r2 = check_omega2_fast(cfg)
+    else:
+        r2 = C.CheckResult(False, [("omega2_skipped", "omega3 failed")])
+    return C.AdmissibilityReport(r1.ok, r2.ok, r3.ok, r1.violations + r3.violations + r2.violations)
+
+
+def _jittered_states(epsilon, seed):
+    """Standard states moved by uniform jitter: some admissible, some not."""
+    rng = np.random.default_rng(seed)
+    l = 1.0 + epsilon / 2.0
+    for N in (3, 4, 6):
+        base = standard_config(N, l, epsilon).positions
+        for amp in (0.02, 0.08, 0.15, 0.3):
+            for _ in range(3):
+                pos = base + rng.uniform(-amp, amp, size=base.shape)
+                pos[0] = 0.0
+                yield Configuration(N, l, epsilon, pos)
+
+
+class TestImpliedOmega2:
+    STATES = [
+        *(bad for N in (4, 5, 6, 8)
+          for bad in counterexamples.folded_counterexamples(N, 1.05, 0.1)),
+        *_jittered_states(0.5, seed=1),
+        *_jittered_states(0.8, seed=2),  # epsilon >= sqrt(3) - 1: the certificate decides
+    ]
+
+    def test_reports_equal_the_fast_certificate_reports(self, monkeypatch):
+        want = [_report_with_fast_certificate(cfg) for cfg in self.STATES]
+        calls = []
+        real = C.vertex_angle_sums
+        monkeypatch.setattr(C, "vertex_angle_sums", lambda cfg: calls.append(cfg) or real(cfg))
+        got = [is_admissible(cfg) for cfg in self.STATES]
+        assert got == want
+        # The certificate ran exactly where omega1 failed or epsilon is too
+        # large for the lemma, and every kind of state occurred.
+        lean = [(1.0 + cfg.epsilon) ** 2 < kernels.LEAN_HI2 for cfg in self.STATES]
+        skipped = [r.omega1_ok and r.omega3_ok and ok for r, ok in zip(want, lean)]
+        assert len(calls) == sum(r.omega3_ok for r in want) - sum(skipped)
+        assert sum(skipped) > 0 and len(calls) > 0
+        assert sum(not r.ok for r in want) > 48 and sum(r.ok for r in want) > 0
+        assert len(self.STATES) == 48 + 2 * 36
+
+
+class TestOracleDegenerateTiledCopies:
+    """The oracle's degenerate pre-pass checks only the centre copies.
+
+    A tiled copy can round to collinear where its centre copy does not;
+    the oracle stays clear of ``DegenerateTriangleError`` only because no
+    such copy has passed the box filter into a candidate pair.
+    """
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_degenerate_tiled_copies_never_reach_the_scalar_predicate(self, monkeypatch, n):
+        cfg = counterexamples.folded_counterexamples(4, 1.05, 0.1)[n]
+        ii, jj, kk, tiled = C._oracle_candidates(cfg)
+        sign = np.array([[geometry.orient_sign(*tri) for tri in copies] for copies in tiled])
+        centre = SHIFTS.index((0, 0))
+        # Tiled copies that round to sign 0 exist, while every centre copy passes the pre-pass.
+        degenerate = {(int(k), int(j)) for k, j in np.argwhere(sign == 0)}
+        assert degenerate and all(k != centre for k, _ in degenerate)
+        assert np.all(sign[centre] != 0)
+        # No candidate pair involves one.
+        pairs = set(zip(kk.tolist(), jj.tolist()))
+        assert not pairs & degenerate
+        # The oracle reports a violation without raising; every pair it
+        # hands to the scalar predicate has two nondegenerate triangles.
+        scalar = []
+        real = geometry.triangles_overlap
+
+        def recording(a, b):
+            scalar.append((geometry.orient_sign(*a), geometry.orient_sign(*b)))
+            return real(a, b)
+
+        monkeypatch.setattr(geometry, "triangles_overlap", recording)
+        result = check_omega2_oracle(cfg)
+        assert not result.ok and result.violations
+        assert all(sa != 0 and sb != 0 for sa, sb in scalar)
 
 
 class TestSymmetryMaps:

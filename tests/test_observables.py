@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hardlattice as hl
-from hardlattice import configuration as C
 from hardlattice import geometry, lattice, observables as O
 from hardlattice.configuration import LAMBDA0, Configuration, standard_config
 from hardlattice.lattice import NEIGHBOR_OFFSETS, TriangleRef, embed
@@ -85,7 +84,7 @@ class TestL2GradientDeviation:
 
     def test_pythagoras_shift_to_any_rotation(self, sample_snapshots):
         for snap in sample_snapshots[::25]:
-            theta, _ = O.best_rotation_and_ratio(snap)
+            theta = geometry.polar_rotation(O.mean_gradient(snap))
             R = geometry.rotation(theta)
             lhs = O.l2_gradient_deviation(snap, R)
             base = O.l2_gradient_deviation(snap, snap.l * np.eye(2))
@@ -128,51 +127,6 @@ class TestMeanGradient:
         assert geometry.frobenius(O.mean_gradient(cfg) - l * np.eye(2)) <= 1e-10
 
 
-class TestBestRotationAndRatio:
-    def test_standard_config_ratio_is_one(self):
-        N, l = 4, 1.05
-        cfg = standard_config(N, l, 0.1)
-        theta, ratio = O.best_rotation_and_ratio(cfg)
-        assert abs(theta) < 1e-12
-        assert abs(ratio - 1.0) < 1e-9
-        # denominator is the constant field value sqrt(2)*(l-1) over the domain
-        grads = C.triangle_gradients(cfg)
-        denom = math.sqrt(LAMBDA0 * float(np.sum(geometry.dist_so2_batch(grads) ** 2)))
-        expected = math.sqrt(2 * N * N * LAMBDA0) * SQRT2 * (l - 1)
-        assert abs(denom - expected) < 1e-10
-
-    def test_ratio_at_least_one_on_samples(self, sample_snapshots):
-        for snap in sample_snapshots[::10]:
-            _, ratio = O.best_rotation_and_ratio(snap)
-            assert ratio >= 1.0 - 1e-12
-
-    @staticmethod
-    def _patterned_config(N, l, amp):
-        uv = np.array([lattice.site_of_index(i, N) for i in range(N * N)], dtype=float)
-        s = uv[:, 0] / N
-        t = uv[:, 1] / N
-        gx = np.sin(2 * np.pi * s) + 0.5 * np.sin(2 * np.pi * t)
-        gy = (np.cos(2 * np.pi * s) - 1.0) + 0.3 * np.sin(2 * np.pi * (s + t))
-        pos = l * (uv @ lattice.EMBED_BASIS) + amp * np.stack([gx, gy], axis=1)
-        pos[0] = 0.0
-        return Configuration(N, l, 0.1, pos)
-
-    def test_ratio_is_scale_invariant_across_resolutions(self):
-        # the same smooth displacement pattern rendered at N and 2N probes
-        # the domain-size independence of the rigidity constant
-        r8 = O.best_rotation_and_ratio(self._patterned_config(8, 1.05, 0.02))[1]
-        r16 = O.best_rotation_and_ratio(self._patterned_config(16, 1.05, 0.02))[1]
-        assert abs(r8 - r16) / r16 < 0.10
-
-    def test_rigid_motion_flagged(self):
-        # a pure rotation field has zero distance; the quotient is undefined.
-        # Such a field cannot satisfy the boundary rule with l > 1, so build
-        # the failure through the error path of a vanishing denominator.
-        cfg = standard_config(2, 1.05, 0.1)
-        grads = C.triangle_gradients(cfg)
-        assert float(np.sum(geometry.dist_so2_batch(grads) ** 2)) > 0.0
-
-
 class TestObserveAndIdentitySuite:
     def test_identity_suite_green_on_samples(self, sample_snapshots):
         for snap in sample_snapshots:
@@ -180,15 +134,45 @@ class TestObserveAndIdentitySuite:
             assert rep.ok, rep
 
 
+def _blocks(N, sweeps=150, seed=0):
+    blocks = []
+    params = hl.SamplerParams(sweeps=sweeps, burn_in=10, thin=1, seed=seed, scan_order="random")
+    hl.run_chain(N, 1.05, 0.1, params, blocks.append)
+    return blocks
+
+
+class TestBlockObservables:
+    @pytest.mark.parametrize("N", [2, 3, 4, 12])
+    def test_identity_suite_on_block_snapshots_equals_fresh_snapshots(self, N):
+        # a block snapshot reads pre-filled stacked geometry; its report
+        # must be bitwise the one a freshly built snapshot gives
+        for block in _blocks(N, seed=N):
+            for snap in block.snapshots:
+                fresh = Configuration(N, snap.l, snap.epsilon, snap.positions)
+                rep = O.identity_suite(snap)
+                assert rep == O.identity_suite(fresh)
+                assert rep.ok
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 12])
+    def test_block_order_parameters_equal_per_snapshot_means(self, N):
+        for block in _blocks(N, seed=N + 1):
+            for target in (np.eye(2), 1.05 * np.eye(2)):
+                got = O.block_order_parameters(block, target)
+                want = [float(np.mean(O.per_triangle_order_parameters(s, target)))
+                        for s in block.snapshots]
+                assert got.tolist() == want
+
+
 @pytest.mark.slow
 def test_order_parameter_samples_exchangeable_across_triangles():
     scipy_stats = pytest.importorskip("scipy.stats")
     series = {t: [] for t in (0, 1, 3, 6)}
 
-    def observer(cfg):
-        op = O.per_triangle_order_parameters(cfg, cfg.l * np.eye(2))
-        for t in series:
-            series[t].append(float(op[t]))
+    def observer(block):
+        for cfg in block.snapshots:
+            op = O.per_triangle_order_parameters(cfg, cfg.l * np.eye(2))
+            for t in series:
+                series[t].append(float(op[t]))
         return None
 
     params = hl.SamplerParams(

@@ -6,9 +6,9 @@ import pytest
 
 import hardlattice as hl
 from hardlattice import configuration as C
-from hardlattice import kernels, lattice
+from hardlattice import kernels, lattice, sampler
 from hardlattice.lattice import EMBED_BASIS
-from hardlattice.sampler import Chain, InadmissibleStateError, SamplerParams
+from hardlattice.sampler import Chain, ChainInvariantError, InadmissibleStateError, SamplerParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,14 +97,133 @@ class TestChainInvariant:
     def test_observer_receives_immutable_snapshots(self):
         seen = []
 
-        def observer(cfg):
-            seen.append(cfg)
-            return cfg.positions[1, 0]
+        def observer(block):
+            seen.extend(block.snapshots)
+            return [cfg.positions[1, 0] for cfg in block.snapshots]
 
         res = hl.run_chain(2, 1.05, 0.1, SamplerParams(sweeps=20, thin=5, seed=2), observer)
         assert len(res.records) == 4
         with pytest.raises(ValueError):
             seen[0].positions[0, 0] = 1.0
+
+
+def _reference_run(N, params):
+    """What ``Chain.run`` computes, as a plain loop that copies each emitted snapshot."""
+    chain = Chain.from_standard(N, 1.05, 0.1, params)
+    for _ in range(params.burn_in):
+        chain.sweep()
+    snaps = []
+    for s in range(params.sweeps):
+        chain.sweep()
+        if (s + 1) % params.thin == 0:
+            snaps.append(chain.snapshot())
+    return chain, snaps
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("order", ["raster", "random"])
+    @pytest.mark.parametrize("thin,sweeps", [(1, 150), (3, 200)])
+    @pytest.mark.parametrize("N", [2, 3, 4, 12])
+    def test_run_equals_plain_loop(self, N, thin, sweeps, order):
+        params = SamplerParams(sweeps=sweeps, burn_in=5, thin=thin, seed=N, scan_order=order)
+        ref, ref_snaps = _reference_run(N, params)
+        chain = Chain.from_standard(N, 1.05, 0.1, params)
+        blocks = []
+        res = chain.run(lambda block: blocks.append(block))
+        assert res.records == []
+        # More than one block, and a final partial one; the last sweeps
+        # emit nothing when thin does not divide them.
+        assert len(blocks) >= 2
+        assert all(len(b.snapshots) == sampler.block_size(N) for b in blocks[:-1])
+        assert thin == 1 or sweeps % thin != 0
+        snaps = [snap for b in blocks for snap in b.snapshots]
+        assert len(snaps) == len(ref_snaps) == sweeps // thin
+        for snap, want in zip(snaps, ref_snaps):
+            assert snap.positions.tobytes() == want.positions.tobytes()
+        for b in blocks:
+            assert b.positions.tobytes() == np.stack([s.positions for s in b.snapshots]).tobytes()
+        assert chain._pos.tobytes() == ref._pos.tobytes()
+        assert (chain.accepted, chain.proposed, chain.sweeps_done) == (
+            ref.accepted, ref.proposed, ref.sweeps_done)
+        assert res.sweeps_run == 5 + sweeps and res.accepted == ref.accepted
+
+    def test_records_default_to_the_snapshots(self):
+        params = SamplerParams(sweeps=100, burn_in=3, thin=1, seed=4)
+        _, ref_snaps = _reference_run(2, params)
+        res = hl.run_chain(2, 1.05, 0.1, params)
+        assert [s.positions.tobytes() for s in res.records] == [
+            s.positions.tobytes() for s in ref_snaps]
+
+    def test_observer_records_must_match_the_block(self):
+        params = SamplerParams(sweeps=100, thin=1, seed=4)
+        with pytest.raises(ValueError, match="records for a block of"):
+            hl.run_chain(2, 1.05, 0.1, params, lambda block: block.snapshots[1:])
+
+    def test_recheck_failure_in_a_block_precedes_its_observer(self, monkeypatch):
+        # Checks are per block: a recheck failure at the block's sixth
+        # snapshot is raised before the observer sees its first one.
+        real_check = C.is_admissible
+        calls = []
+
+        def check(cfg):
+            calls.append(None)
+            report = real_check(cfg)
+            if len(calls) == 7:  # chain start, then snapshots 0..5
+                report.omega1_ok = False
+            return report
+
+        def observer(block):
+            raise AssertionError("observer reached before the failing recheck")
+
+        monkeypatch.setattr(C, "is_admissible", check)
+        params = SamplerParams(sweeps=100, thin=1, seed=4)
+        with pytest.raises(ChainInvariantError, match="after sweep 6 failed recheck"):
+            hl.run_chain(2, 1.05, 0.1, params, observer)
+
+    def test_block_size_is_bounded_in_sites(self):
+        for N in (2, 3, 4, 8, 12, 31, 32, 33, 64):
+            b = sampler.block_size(N)
+            assert 1 <= b <= sampler.BLOCK_SNAPSHOTS
+            assert b * N * N <= max(sampler.BLOCK_SITES, N * N)
+
+    @pytest.mark.parametrize("fail_at", [None, 0, 40, 64, 70])
+    def test_recheck_failure_names_its_sweep_and_oracle_keeps_its_samples(
+        self, monkeypatch, fail_at
+    ):
+        burn_in, thin, every = 7, 3, 3
+        params = SamplerParams(sweeps=300, burn_in=burn_in, thin=thin, seed=12,
+                               omega2_oracle_every=every)
+        _, ref_snaps = _reference_run(2, params)
+        real_check, real_oracle = C.is_admissible, C.check_omega2_oracle
+        checked, oracled = [], []
+
+        def check(cfg):
+            checked.append(cfg.positions.tobytes())
+            report = real_check(cfg)
+            if fail_at is not None and len(checked) == fail_at + 2:  # +1: chain start
+                report.omega1_ok = False
+            return report
+
+        def oracle(cfg):
+            oracled.append(cfg.positions.tobytes())
+            return real_oracle(cfg)
+
+        monkeypatch.setattr(C, "is_admissible", check)
+        monkeypatch.setattr(C, "check_omega2_oracle", oracle)
+        chain = Chain.from_standard(2, 1.05, 0.1, params)
+        if fail_at is None:
+            chain.run()
+            last = len(ref_snaps)
+        else:
+            sweep = burn_in + (fail_at + 1) * thin
+            with pytest.raises(ChainInvariantError, match=f"after sweep {sweep} failed recheck"):
+                chain.run()
+            last = fail_at
+        # Checked in order; the oracle saw every third emitted sample
+        # before the failing one, as a per-snapshot loop would.
+        want = [s.positions.tobytes() for s in ref_snaps]
+        assert checked[1:] == want[: last + (fail_at is not None)]
+        assert oracled == want[:last:every]
 
 
 class TestCheckpoint:
@@ -292,10 +411,11 @@ def test_bond_length_distribution_translation_covariant():
     scipy_stats = pytest.importorskip("scipy.stats")
     samples = {(0, 0): [], (1, 1): [], (0, 1): []}
 
-    def observer(cfg):
-        for x in samples:
-            w = C.position(cfg, (x[0] + 1, x[1])) - C.position(cfg, x)
-            samples[x].append(float(np.hypot(*w)))
+    def observer(block):
+        for cfg in block.snapshots:
+            for x in samples:
+                w = C.position(cfg, (x[0] + 1, x[1])) - C.position(cfg, x)
+                samples[x].append(float(np.hypot(*w)))
         return None
 
     # the bond length decorrelates in O(100) sweeps at this proposal
