@@ -13,7 +13,6 @@ bars.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Real
@@ -741,6 +740,10 @@ def scan(
         tasks.append((int(N), float(l), float(epsilon), params, int(master_seed), i))
     records: dict[int, ScanRecord] = {}
     if threads > 1:
+        # Imported only here, so that a single-threaded run does not pay
+        # for loading concurrent.futures and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for idx, rec in pool.map(_scan_worker, tasks):
                 records[idx] = rec

@@ -1,8 +1,10 @@
 """Hot inner loop of the sampler.
 
-The single-site Metropolis update is a strictly sequential scalar loop.
-:func:`sweep` runs it on Python lists and floats, which index several
-times faster than numpy scalars.
+The single-site Metropolis update is strictly sequential.  :func:`sweep`
+runs it either as a scalar loop on Python lists and floats, which index
+several times faster than numpy scalars, or, for a visit order in which
+no site repeats, with whole-array numpy through a :class:`SweepPlan`.
+Both paths give bitwise the same positions and accept counts.
 
 Lean check.  A proposal of site ``s`` is accepted iff its six squared
 bond lengths lie in ``(1, hi2)``, ``hi2 = (1+epsilon)**2``.  From an
@@ -37,11 +39,32 @@ enforces both.
 The bond lengths are evaluated with the same expressions as
 :func:`star_ok`, so trajectories are bitwise those of a loop deciding
 with :func:`local_ok`, which stays as the scalar reference.
+
+Plan sweeps.  In a repeat-free order, attempt ``t`` at site ``s`` reads
+each neighbour ``j`` in one of two states: its start-of-sweep position
+if ``j`` is not visited before ``t``; if ``j`` is visited at ``t' < t``,
+its proposal when ``t'`` was accepted and its start position otherwise.
+Proposals do not depend on any outcome, because each site is proposed
+once, from its start position.  So each of the six bond tests has at
+most two verdicts, and both are computed up front; accept(t) is the AND
+of the six selected verdicts.  A row whose slots pass under both
+outcomes is accepted, one with a slot failing under both is rejected,
+and the remaining rows are resolved by iterating ``acc <- F(acc)`` on
+them until nothing changes.  Every dependency points to an earlier
+attempt, so the recurrence runs over a DAG: ``F`` has exactly one fixed
+point, reached after at most the longest dependency chain plus one
+rounds, and it is the scalar loop's sequence of decisions.  Proposals
+and bond tests use the scalar loop's expressions in the same order;
+numpy's ``sqrt``, ``cos`` and ``sin`` must equal ``math``'s bitwise,
+which the tests pin on the running CPU.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +74,11 @@ LEAN_HI2 = 3.0
 
 # The one kernel there is; recorded in run metadata.
 BACKEND = "numpy"
+
+# Chains with at least this many sites run raster sweeps through a
+# SweepPlan.  The measured crossover lies between N = 8 (a tie) and N = 9
+# (the plan 8-15 % faster); see README, "Kernel".
+PLAN_MIN_SITES = 81
 
 
 def star_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol, check_bonds):
@@ -111,35 +139,140 @@ def local_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol):
     return True
 
 
-def sweep(pos, nbr_idx, nbr_shift, site_order, uniforms, radius, hi2):
-    """One attempted disk move per entry of ``site_order``; in-place.
+class SweepPlan(NamedTuple):
+    """Precomputed gathers of a repeat-free visit order; see :func:`plan`.
 
+    Row ``t`` belongs to the attempt at ``order[t]``; column ``k`` to its
+    ``k``-th neighbour.  ``gather[g]`` indexes ``concat(start positions,
+    proposals)``: ``g = 0`` is the neighbour's start position, ``g = 1``
+    its proposal when it was visited earlier (else its start position
+    again).  ``pred`` is that earlier attempt's row, 0 where there is
+    none (both outcomes then read the same position).
+    """
+
+    order: np.ndarray  # (M,) sites in visit order
+    gather: np.ndarray  # (2, M, 6)
+    shift_x: np.ndarray  # (M, 6)
+    shift_y: np.ndarray  # (M, 6)
+    pred: np.ndarray  # (M, 6)
+
+
+def plan(nbr_idx, nbr_shift, order) -> SweepPlan:
+    """Build the :class:`SweepPlan` of ``order`` over the neighbour tables.
+
+    ``nbr_idx`` is the ``(n, 6)`` neighbour index array,
+    ``nbr_shift`` the ``(n, 6, 2)`` image shifts and ``order`` an
+    integer array of sites.  Sites not in
+    ``order`` never move.  Raises ``ValueError`` if a site repeats: the
+    two-outcome argument of the module docstring needs each site
+    proposed once, from its start position.
+    """
+    n, m = len(nbr_idx), order.size
+    if np.bincount(order, minlength=n).max() > 1:
+        raise ValueError("a sweep plan needs a visit order in which no site repeats")
+    rank = np.full(n, m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    nbr = nbr_idx[order]
+    nbr_rank = rank[nbr]
+    earlier = nbr_rank < np.arange(m)[:, None]
+    gather = np.stack([nbr, np.where(earlier, n + nbr_rank, nbr)])
+    shift = nbr_shift[order]
+    return SweepPlan(
+        order=order,
+        gather=gather,
+        shift_x=np.ascontiguousarray(shift[..., 0]),
+        shift_y=np.ascontiguousarray(shift[..., 1]),
+        pred=np.where(earlier, nbr_rank, 0),
+    )
+
+
+def neighbour_triples(nbr_idx, nbr_shift) -> list:
+    """Per site, its six neighbours as ``(j, sx, sy)`` Python tuples."""
+    return [
+        [(j, sx, sy) for j, (sx, sy) in zip(row, shifts)]
+        for row, shifts in zip(nbr_idx.tolist(), nbr_shift.tolist())
+    ]
+
+
+def sweep(pos, nbrs, visits, uniforms, radius, hi2):
+    """One attempted disk move per visit; in-place.
+
+    ``visits`` is either an integer array of sites, run by the scalar
+    loop over ``nbrs`` (the :func:`neighbour_triples` of the tables), or
+    a :class:`SweepPlan`, run with whole-array numpy (``nbrs`` is then
+    not read).  Both give bitwise the same positions and count.
     ``uniforms`` supplies two variates per attempt (radius and angle of
     the proposal).  A proposal is accepted iff the lean check passes;
     rejection leaves the previous position exactly.  Returns the number
     of accepted moves.
 
     ``pos`` must be admissible on entry, with ``hi2 < LEAN_HI2`` and
-    ``radius <= epsilon / 2`` (see the module docstring).  The neighbour
-    tables are nested lists, as ``.tolist()`` makes them.
+    ``radius <= epsilon / 2`` (see the module docstring).
     """
-    rows = pos.tolist()
+    if isinstance(visits, SweepPlan):
+        return _plan_sweep(pos, visits, uniforms, radius, hi2)
+    return _scalar_sweep(pos, nbrs, visits, uniforms, radius, hi2)
+
+
+def _scalar_sweep(pos, nbrs, order, uniforms, radius, hi2):
+    xs = pos[:, 0].tolist()
+    ys = pos[:, 1].tolist()
     accepted = 0
-    for s, (u_rho, u_phi) in zip(site_order.tolist(), uniforms.tolist()):
+    for s, (u_rho, u_phi) in zip(order.tolist(), uniforms.tolist()):
         rho = radius * math.sqrt(u_rho)
         phi = TWO_PI * u_phi
-        p = rows[s]
-        px = p[0] + rho * math.cos(phi)
-        py = p[1] + rho * math.sin(phi)
-        for j, (sx, sy) in zip(nbr_idx[s], nbr_shift[s]):
-            qx, qy = rows[j]
-            ex = qx + sx - px
-            ey = qy + sy - py
+        px = xs[s] + rho * math.cos(phi)
+        py = ys[s] + rho * math.sin(phi)
+        for j, sx, sy in nbrs[s]:
+            ex = xs[j] + sx - px
+            ey = ys[j] + sy - py
             d2 = ex * ex + ey * ey
             if d2 <= 1.0 or d2 >= hi2:
                 break
         else:
-            rows[s] = [px, py]
+            xs[s] = px
+            ys[s] = py
             accepted += 1
-    pos[:] = rows
+    pos[:, 0] = xs
+    pos[:, 1] = ys
     return accepted
+
+
+def _plan_sweep(pos, plan, uniforms, radius, hi2):
+    rho = radius * np.sqrt(uniforms[:, 0])
+    phi = TWO_PI * uniforms[:, 1]
+    start = pos[plan.order]
+    px = start[:, 0] + rho * np.cos(phi)
+    py = start[:, 1] + rho * np.sin(phi)
+    xs = np.concatenate((pos[:, 0], px))
+    ys = np.concatenate((pos[:, 1], py))
+    ex = xs[plan.gather] + plan.shift_x - px[:, None]
+    ey = ys[plan.gather] + plan.shift_y - py[:, None]
+    d2 = ex * ex + ey * ey
+    ok_old, ok_new = (d2 > 1.0) & (d2 < hi2)
+    acc = (ok_old & ok_new).all(axis=1)
+    amb = ~acc & (ok_old | ok_new).all(axis=1)
+    if amb.any():
+        _fixed_point(acc, amb, ok_old, ok_new, plan.pred)
+    moved = plan.order[acc]
+    pos[moved, 0] = px[acc]
+    pos[moved, 1] = py[acc]
+    return int(np.count_nonzero(acc))
+
+
+def _fixed_point(acc, amb, ok_old, ok_new, pred):
+    """Resolve the ambiguous rows of ``acc`` in place; returns the rounds.
+
+    Each round re-decides every ambiguous row from the current flags of
+    its predecessors.  It stops when a round changes nothing, so ``acc``
+    is a fixed point, the unique one.  Over a DAG that takes at most one
+    round more than there are ambiguous rows; any more means ``pred``
+    holds a cycle, and raises ``RuntimeError`` instead of looping.
+    """
+    ok_old, ok_new, pred = ok_old[amb], ok_new[amb], pred[amb]
+    for rounds in range(1, len(pred) + 2):
+        new = np.where(acc[pred], ok_new, ok_old).all(axis=1)
+        if np.array_equal(new, acc[amb]):
+            return rounds
+        acc[amb] = new
+    raise RuntimeError("sweep plan fixed point did not settle: its predecessors hold a cycle")

@@ -140,9 +140,13 @@ class Chain:
         self._pos = np.array(cfg.positions, dtype=float)
         nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
         self._hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
-        self._nbr_idx = nbr_idx.tolist()
-        self._nbr_shift = (cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)).tolist()
+        nbr_shift = cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
+        self._nbrs = kernels.neighbour_triples(nbr_idx, nbr_shift)
         self._raster = np.arange(1, cfg.N * cfg.N, dtype=np.int64)
+        # Raster sweeps at or above the crossover run vectorised.
+        self._visits = self._raster
+        if params.scan_order == "raster" and cfg.N * cfg.N >= kernels.PLAN_MIN_SITES:
+            self._visits = kernels.plan(nbr_idx, nbr_shift, self._raster)
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
         self.accepted = 0
         self.proposed = 0
@@ -165,18 +169,17 @@ class Chain:
         Draw order per sweep: the visit order first (random scan only),
         then two uniforms per attempt.
         """
+        attempts = self._raster.size
         if self.params.scan_order == "random":
-            order = self.rng.integers(1, self.N * self.N, size=self._raster.size, dtype=np.int64)
+            visits = self.rng.integers(1, self.N * self.N, size=attempts, dtype=np.int64)
         else:
-            order = self._raster
-        uniforms = self.rng.random((order.size, 2))
-        acc = kernels.sweep(
-            self._pos, self._nbr_idx, self._nbr_shift, order, uniforms, self.radius, self._hi2
-        )
-        self.accepted += int(acc)
-        self.proposed += order.size
+            visits = self._visits
+        uniforms = self.rng.random((attempts, 2))
+        acc = kernels.sweep(self._pos, self._nbrs, visits, uniforms, self.radius, self._hi2)
+        self.accepted += acc
+        self.proposed += attempts
         self.sweeps_done += 1
-        return int(acc)
+        return acc
 
     def run(self, observer=None) -> ChainResult:
         """Burn in, then emit a snapshot every ``thin`` sweeps.

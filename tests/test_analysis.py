@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -14,6 +17,7 @@ from hardlattice.configuration import standard_config
 from hardlattice.sampler import SamplerParams, block_size
 
 SQRT3 = math.sqrt(3.0)
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def _margin_objective(a1, a2, a3):
@@ -350,6 +354,19 @@ class TestScan:
         seq = A.scan([2, 4], [1.05], 0.1, params, master_seed=5, threads=1)
         par = A.scan([2, 4], [1.05], 0.1, params, master_seed=5, threads=2)
         assert A.scan_csv_text(seq) == A.scan_csv_text(par)
+
+    def test_process_pool_is_imported_only_for_threads(self):
+        # a fresh interpreter: this one may already hold the modules
+        code = (
+            "import sys, hardlattice.cli\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_rejects_side_length_outside_window(self):
         params = SamplerParams(sweeps=600, burn_in=0, thin=5, seed=0)

@@ -63,7 +63,7 @@ def test_local_decision_matches_full_admissibility_check():
         base = chain.snapshot()
         assert C.is_admissible(base).ok
         nbr_idx, shift, hi2 = _tables(base)
-        tables = nbr_idx.tolist(), shift.tolist()
+        nbrs = kernels.neighbour_triples(nbr_idx, shift)
         assert hi2 < kernels.LEAN_HI2
         radius = 0.5 * eps
         for _ in range(1200):
@@ -77,7 +77,7 @@ def test_local_decision_matches_full_admissibility_check():
 
             pos = np.array(base.positions)
             order = np.array([s], dtype=np.int64)
-            lean = bool(kernels.sweep(pos, *tables, order, uniforms, radius, hi2))
+            lean = bool(kernels.sweep(pos, nbrs, order, uniforms, radius, hi2))
             local = kernels.local_ok(proposed, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
             full = C.is_admissible(Configuration(4, base.l, eps, proposed)).ok
             assert lean == local == full
@@ -104,49 +104,129 @@ def _reference_sweep(pos, nbr_idx, shift, order, uniforms, radius, hi2):
     return accepted
 
 
-@pytest.mark.parametrize("N, sweeps", [(2, 40), (4, 20), (12, 3)])
-@pytest.mark.parametrize("scan_order", ["raster", "random"])
-@pytest.mark.parametrize("eps", [0.1, 0.5, 0.7])
-def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps):
+def _visit_order(kind, rng, N):
+    if kind == "random":  # with replacement, as random scan draws it
+        return rng.integers(1, N * N, size=N * N - 1, dtype=np.int64)
+    if kind == "permutation":
+        return 1 + rng.permutation(N * N - 1)
+    return np.arange(1, N * N, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "N, sweeps", [(2, 40), (3, 20), (4, 20), (5, 10), (6, 8), (8, 5), (12, 3), (16, 2), (32, 1)]
+)
+@pytest.mark.parametrize("scan_order", ["raster", "permutation", "random"])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.5, 0.7])
+def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps, monkeypatch):
     """Bitwise the same trajectory and accept count as a loop deciding with
-    ``local_ok``, at the largest proposal radius a chain allows."""
+    ``local_ok``, at the largest proposal radius a chain allows: the scalar
+    loop on every order, and a ``SweepPlan`` on every repeat-free one, at
+    every N whether or not a chain would pick the plan there."""
     cfg = C.standard_config(N, 1.0 + eps / 2, eps)
     nbr_idx, shift, hi2 = _tables(cfg)
     assert hi2 < kernels.LEAN_HI2
-    tables = nbr_idx.tolist(), shift.tolist()
+    nbrs = kernels.neighbour_triples(nbr_idx, shift)
     rng = np.random.Generator(np.random.PCG64([N, int(100 * eps)]))
     radius = 0.5 * eps
     pos = np.array(cfg.positions)
     ref = pos.copy()
+    planned = pos.copy()
+    resolved = []
+    fixed_point = kernels._fixed_point
+
+    def counting(acc, amb, *rest):
+        rounds = fixed_point(acc, amb, *rest)
+        resolved.append((int(amb.sum()), rounds))
+        return rounds
+
+    monkeypatch.setattr(kernels, "_fixed_point", counting)
     total = 0
     for _ in range(sweeps):
-        if scan_order == "random":
-            order = rng.integers(1, N * N, size=N * N - 1, dtype=np.int64)
-        else:
-            order = np.arange(1, N * N, dtype=np.int64)
+        order = _visit_order(scan_order, rng, N)
         uniforms = rng.random((order.size, 2))
-        acc = kernels.sweep(pos, *tables, order, uniforms, radius, hi2)
+        acc = kernels.sweep(pos, nbrs, order, uniforms, radius, hi2)
+        assert type(acc) is int
         assert acc == _reference_sweep(ref, nbr_idx, shift, order, uniforms, radius, hi2)
         assert pos.tobytes() == ref.tobytes()
+        if scan_order != "random":
+            plan = kernels.plan(nbr_idx, shift, order)
+            got = kernels.sweep(planned, None, plan, uniforms, radius, hi2)
+            assert type(got) is int and got == acc
+            assert planned.tobytes() == ref.tobytes()
         total += acc
     # both decisions were exercised
     assert 0 < total < sweeps * (N * N - 1)
+    if scan_order != "random":
+        # so were ambiguous rows, and fixed points that took a second round
+        assert sum(amb for amb, _ in resolved) > 0
+        assert max(rounds for _, rounds in resolved) >= 2
+
+
+def test_plan_rejects_a_repeated_site():
+    nbr_idx, shift, _ = _tables(C.standard_config(4, 1.05, 0.1))
+    with pytest.raises(ValueError, match="repeats"):
+        kernels.plan(nbr_idx, shift, np.array([1, 2, 3, 2], dtype=np.int64))
+
+
+def test_plan_leaves_unvisited_sites_in_place():
+    cfg = C.standard_config(4, 1.05, 0.1)
+    nbr_idx, shift, hi2 = _tables(cfg)
+    order = np.array([5, 9, 6, 10], dtype=np.int64)
+    plan = kernels.plan(nbr_idx, shift, order)
+    uniforms = np.random.Generator(np.random.PCG64(8)).random((order.size, 2))
+    pos = np.array(cfg.positions)
+    ref = pos.copy()
+    acc = kernels.sweep(pos, None, plan, uniforms, 0.05, hi2)
+    assert acc == kernels.sweep(ref, kernels.neighbour_triples(nbr_idx, shift), order, uniforms, 0.05, hi2)
+    assert acc > 0 and pos.tobytes() == ref.tobytes()
+    still = np.setdiff1d(np.arange(16), order)
+    assert pos[still].tobytes() == np.array(cfg.positions)[still].tobytes()
+
+
+class TestTrigMatchesMath:
+    """The plan sweep computes proposals with numpy's ``sqrt``, ``cos`` and
+    ``sin``, the scalar loop with ``math``'s.  Both sweeps, and so the
+    raster ``scan.csv`` across the crossover, agree bitwise only where these
+    agree bitwise on the CPU that runs them."""
+
+    COUNT = 1 << 20
+
+    @staticmethod
+    def _assert_bitwise(name, args, got, want):
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (
+            f"np.{name} differs from math.{name} on {bad.size} of {args.size} values "
+            f"(first at {args[bad[0]]!r}); the plan and scalar sweep paths, and hence "
+            f"the raster scan.csv, agree only when they are bitwise equal"
+        )
+
+    def test_sqrt_on_proposal_radii(self, rng):
+        u = rng.random(self.COUNT)
+        want = np.array([math.sqrt(x) for x in u.tolist()])
+        self._assert_bitwise("sqrt", u, np.sqrt(u), want)
+
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_trig_on_proposal_angles(self, rng, name):
+        phi = kernels.TWO_PI * rng.random(self.COUNT)
+        fn = getattr(math, name)
+        want = np.array([fn(x) for x in phi.tolist()])
+        self._assert_bitwise(name, phi, getattr(np, name)(phi), want)
 
 
 def test_sweep_equals_sequential_single_site_updates():
     cfg = C.standard_config(4, 1.05, 0.1)
     nbr_idx, shift, hi2 = _tables(cfg)
-    tables = nbr_idx.tolist(), shift.tolist()
+    nbrs = kernels.neighbour_triples(nbr_idx, shift)
     order = np.arange(1, 16, dtype=np.int64)
     uniforms = np.random.Generator(np.random.PCG64(3)).random((15, 2))
 
     pos_a = np.array(cfg.positions)
-    acc_a = kernels.sweep(pos_a, *tables, order, uniforms, 0.01, hi2)
+    acc_a = kernels.sweep(pos_a, nbrs, order, uniforms, 0.01, hi2)
 
     pos_b = np.array(cfg.positions)
     acc_b = 0
     for t in range(15):
-        acc_b += kernels.sweep(pos_b, *tables, order[t : t + 1], uniforms[t : t + 1], 0.01, hi2)
+        acc_b += kernels.sweep(pos_b, nbrs, order[t : t + 1], uniforms[t : t + 1], 0.01, hi2)
     assert acc_a == acc_b
     assert np.array_equal(pos_a, pos_b)
 
@@ -160,6 +240,6 @@ def test_rejection_restores_state_exactly():
     # the largest radius a chain allows, towards a neighbour at 1.01:
     # the move compresses that bond below 1
     uniforms = np.array([[0.99, 0.37]])
-    acc = kernels.sweep(pos, nbr_idx.tolist(), shift.tolist(), order, uniforms, 0.05, hi2)
+    acc = kernels.sweep(pos, kernels.neighbour_triples(nbr_idx, shift), order, uniforms, 0.05, hi2)
     assert acc == 0
     assert np.array_equal(pos, before)

@@ -287,6 +287,49 @@ class TestCheckpoint:
         assert Chain.from_checkpoint(path).sweeps_done == 0
 
 
+class TestSweepPaths:
+    """``_reference_run`` drives ``Chain.sweep`` itself, so only a chain on
+    the other kernel path can catch a wrong one."""
+
+    @staticmethod
+    def _state(chain):
+        return chain._pos.tobytes(), chain.accepted, chain.proposed, chain.sweeps_done
+
+    @staticmethod
+    def _advance(chain, sweeps):
+        for _ in range(sweeps):
+            chain.sweep()
+
+    def test_plan_chain_equals_scalar_chain(self, monkeypatch):
+        params = SamplerParams(sweeps=0, seed=12, proposal_radius=0.05)
+        monkeypatch.setattr(kernels, "PLAN_MIN_SITES", 10**9)
+        scalar = Chain.from_standard(12, 1.05, 0.1, params)
+        assert not isinstance(scalar._visits, kernels.SweepPlan)
+        self._advance(scalar, 30)
+        scalar_resumed = Chain.from_checkpoint(scalar.checkpoint())
+        monkeypatch.undo()
+
+        planned = Chain.from_standard(12, 1.05, 0.1, params)
+        assert 12 * 12 >= kernels.PLAN_MIN_SITES
+        assert isinstance(planned._visits, kernels.SweepPlan)
+        self._advance(planned, 30)
+        assert self._state(planned) == self._state(scalar)
+        assert 0 < planned.accepted < planned.proposed
+        assert planned.checkpoint() == scalar.checkpoint()
+
+        planned_resumed = Chain.from_checkpoint(planned.checkpoint())
+        assert isinstance(planned_resumed._visits, kernels.SweepPlan)
+        for chain in (scalar, scalar_resumed, planned, planned_resumed):
+            self._advance(chain, 30)
+        assert not isinstance(scalar_resumed._visits, kernels.SweepPlan)
+        assert (
+            self._state(planned)
+            == self._state(planned_resumed)
+            == self._state(scalar)
+            == self._state(scalar_resumed)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Uniform-law sanity at miniature scale: freeze all sites but one, run the
 # real kernel on that site alone, and compare cell occupancies against
@@ -363,7 +406,7 @@ def test_single_site_occupancy_matches_cell_areas():
 
     # chain occupancy: the kernel proposes only the chosen site
     nbr_idx, nbr_wrap = lattice.neighbor_tables(N)
-    tables = nbr_idx.tolist(), (l * N * (nbr_wrap @ EMBED_BASIS)).tolist()
+    nbrs = kernels.neighbour_triples(nbr_idx, l * N * (nbr_wrap @ EMBED_BASIS))
     hi2 = (1.0 + eps) * (1.0 + eps)
     order = np.array([idx], dtype=np.int64)
     M = 300_000
@@ -372,7 +415,7 @@ def test_single_site_occupancy_matches_cell_areas():
     cells = np.empty(M, dtype=int)
     accepted = 0
     for t in range(M):
-        accepted += kernels.sweep(pos, *tables, order, uniforms[t : t + 1], 0.05, hi2)
+        accepted += kernels.sweep(pos, nbrs, order, uniforms[t : t + 1], 0.05, hi2)
         x, y = pos[idx] - center
         cx = min(int((x + half) / (2 * half) * n_cells), n_cells - 1)
         cy = min(int((y + half) / (2 * half) * n_cells), n_cells - 1)
