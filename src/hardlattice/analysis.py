@@ -20,9 +20,9 @@ from numbers import Real
 import numpy as np
 
 from . import geometry, observables
-from .configuration import LAMBDA0, Configuration, check_lattice_size, check_side_length
+from .configuration import LAMBDA0, Configuration, check_side_length
 from .fileio import atomic_write_text
-from .lattice import SQRT3
+from .lattice import SQRT3, check_lattice_size
 from .observables import identity_suite
 from .sampler import Chain, SamplerParams, check_lean_regime
 
@@ -358,19 +358,18 @@ def estimate_rigidity_constant(
 ) -> RigidityConstantEstimate:
     """Empirical supremum of dist(A, SO(2))^2 / max_i (|A v_i| - 1)^2.
 
-    Candidates are drawn as ``R(theta) @ (Id + E)`` with ``E`` uniform in
-    ``[-2*cap, 2*cap]`` entrywise and ``theta`` uniform, then rejected to
-    ``det A > 0`` and ``0 < max_i ||A v_i| - 1| <= cap``.  The supremum
-    over accepted samples is the package's working constant for the
-    per-triangle rigidity bound.
+    Candidates are drawn as ``A = Id + E`` with ``E`` uniform in
+    ``[-2*cap, 2*cap]`` entrywise, then rejected to ``det A > 0`` and
+    ``0 < max_i ||A v_i| - 1| <= cap``.  The supremum over accepted
+    samples is the package's working constant for the per-triangle
+    rigidity bound.
 
-    The rotation cancels in exact arithmetic (``|R A v| = |A v|`` and
-    ``dist(R A, SO(2)) = dist(A, SO(2))``), yet ``R`` and the stacked
-    matmul stay: numpy's matmul may contract ``c*m00 - s*m10`` into a
-    fused multiply-add, so a hand-written product moves ``c_hat`` in its
-    last bits.  Keeping them keeps ``c_hat`` bit-for-bit.  The edge
-    images ``A v_i`` are two-term products on the columns of ``A``, which
-    equal ``einsum("nij,kj->nki", A, _V_DIRECTIONS)`` bitwise.
+    Rotating the ensemble would not change that supremum: for every
+    rotation ``R``, ``|R A v| = |A v|`` and ``dist(R A, SO(2)) =
+    dist(A, SO(2))``, so ``R A`` passes the same rejection with the same
+    ratio.  A uniform angle is still drawn after each batch of ``E`` and
+    left unused; it only keeps the random stream, so every batch's ``E``
+    is the one drawn when the candidates were rotated.
     """
     check_sample_count(n_samples)
     check_deviation_cap(deviation_cap)
@@ -381,16 +380,9 @@ def estimate_rigidity_constant(
     kept = 0
     while kept < n_samples:
         E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(_RIGIDITY_DRAW, 2, 2))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=_RIGIDITY_DRAW)
+        rng.uniform(0.0, 2.0 * math.pi, size=_RIGIDITY_DRAW)  # the unused angle
         for start in range(0, _RIGIDITY_DRAW, _RIGIDITY_BLOCK):
-            block = slice(start, start + _RIGIDITY_BLOCK)
-            c, s = np.cos(theta[block]), np.sin(theta[block])
-            R = np.empty((c.size, 2, 2))
-            R[:, 0, 0] = c
-            R[:, 0, 1] = -s
-            R[:, 1, 0] = s
-            R[:, 1, 1] = c
-            A = R @ (eye + E[block])
+            A = eye + E[start : start + _RIGIDITY_BLOCK]
             a00, a01, a10, a11 = np.ascontiguousarray(A.reshape(-1, 4).T)
             det = a00 * a11 - a01 * a10
             # v1 = (1, 0), v2/v3 = (1/2, +-h): images (x, y) per direction

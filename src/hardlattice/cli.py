@@ -132,11 +132,17 @@ def load_config(path: str | None) -> dict:
     }
     if cfg["rng"] != RNG_ALGORITHM:
         raise ConfigError(f"unsupported rng {cfg['rng']!r}; only {RNG_ALGORITHM!r} is implemented")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(cfg["threads"], int) or cfg["threads"] < 1:
-        raise ConfigError("threads must be a positive integer")
+    _check_int(cfg["seed"], "seed", 0)
+    _check_int(cfg["threads"], "threads", 1)
     return cfg
+
+
+def _check_int(value, name: str, minimum: int):
+    """Return ``value`` if it is an ``int``, not a ``bool``, and at least
+    ``minimum``; raise ``ConfigError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _sampler_params(block: dict, seed=0) -> SamplerParams:
@@ -173,19 +179,23 @@ def _write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_threads(args, cfg) -> int:
-    if args.threads is not None:
-        return args.threads
+def _seed_and_threads(args, cfg) -> tuple[int, int]:
+    """The master seed (``--seed``, else the config) and the worker count
+    (``--threads``, else ``HARDLATTICE_THREADS``, else the config), each
+    checked like the config value."""
+    seed = cfg["seed"] if args.seed is None else _check_int(args.seed, "--seed", 0)
     env = os.environ.get("HARDLATTICE_THREADS")
-    if env:
+    if args.threads is not None:
+        threads = _check_int(args.threads, "--threads", 1)
+    elif env:
         try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"HARDLATTICE_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError("HARDLATTICE_THREADS must be >= 1")
-        return n
-    return cfg["threads"]
+            env = int(env)
+        except ValueError:
+            pass  # the check below rejects the string
+        threads = _check_int(env, "HARDLATTICE_THREADS", 1)
+    else:
+        threads = cfg["threads"]
+    return seed, threads
 
 
 def _gnuplot_text(records, meta: dict) -> str:
@@ -203,8 +213,7 @@ def _gnuplot_text(records, meta: dict) -> str:
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
     block = cfg["scan"]
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+    seed, threads = _seed_and_threads(args, cfg)
     out_dir = args.out if args.out is not None else cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -269,14 +278,17 @@ def cmd_verify(args) -> int:
     block = dict(cfg["verify"])
     if args.omega2_oracle_every is not None:
         block["omega2_oracle_every"] = args.omega2_oracle_every
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed, _ = _seed_and_threads(args, cfg)
     params = _sampler_params(block, seed=np.random.SeedSequence([seed, 0]))
     eps = block["epsilon"]
     all_ok = True
 
     # Validate the whole block, in the order scan does, before any check
-    # prints: epsilon (inside the margin), then the chain's N, l and
-    # proposal radius, then the Monte Carlo sizes of steps 2-4 and 7.
+    # prints: the chain's sample count, epsilon (inside the margin), then
+    # the chain's N, l and proposal radius, then the Monte Carlo sizes of
+    # steps 2-4 and 7.
+    if params.sweeps // params.thin < 1:
+        raise ConfigError("verify requires at least one emitted sample (sweeps // thin >= 1)")
     try:
         margin = analysis.epsilon_margin(eps, block["certification_grid"])
         ok = margin > 0.0
@@ -334,14 +346,9 @@ def cmd_verify(args) -> int:
         worst_err[0] = max(worst_err[0], rep.mean_gradient_error)
         worst_err[1] = max(worst_err[1], rep.area_relative_error)
         worst_err[2] = max(worst_err[2], rep.pythagoras_relative_error)
-    ok = (
-        worst_err[0] <= analysis.observables.MEAN_GRADIENT_TOL
-        and worst_err[1] <= analysis.observables.AREA_IDENTITY_RTOL
-        and worst_err[2] <= analysis.observables.PYTHAGORAS_RTOL
-    )
     all_ok &= _report(
         "identity-suite",
-        ok,
+        all(rep.ok for rep in identities),
         f"n={len(snapshots)} mean_grad={worst_err[0]:.2e} area={worst_err[1]:.2e} "
         f"pythagoras={worst_err[2]:.2e}",
     )
@@ -384,7 +391,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     block = cfg["oracle"]
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed, _ = _seed_and_threads(args, cfg)
     out_dir = args.out if args.out is not None else cfg["out_dir"]
     _check_monte_carlo_sizes(block, "oracle")
     ladder_eps = block["epsilon_ladder"]

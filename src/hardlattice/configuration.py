@@ -43,7 +43,7 @@ from numbers import Real
 import numpy as np
 
 from . import geometry, kernels, lattice
-from .lattice import EMBED_BASIS, SQRT3
+from .lattice import EMBED_BASIS, SQRT3, check_lattice_size
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,10 +87,7 @@ class Configuration:
         check_lattice_size(self.N)
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
-        if not 1.0 < self.l < 1.0 + self.epsilon:
-            raise ValueError(
-                f"side length l must lie in (1, 1+epsilon) = (1, {1.0 + self.epsilon}), got {self.l!r}"
-            )
+        check_side_length(self.l, self.epsilon)
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (self.N * self.N, 2):
             raise ValueError(
@@ -141,16 +138,13 @@ class SnapshotBlock:
 
     Row ``b`` of each array belongs to ``snapshots[b]``, a normal
     :class:`Configuration` whose cached ``corners``, ``gradients``,
-    ``crosses`` and ``bond_squares`` are read-only views of that row.
-    Every array is read-only.
+    ``crosses`` and ``bond_squares`` are read-only views of rows of the
+    stacked geometry.  Every array is read-only.
     """
 
     snapshots: tuple
     positions: np.ndarray  # (B, N^2, 2)
-    corners: np.ndarray  # (B, 2N^2, 3, 2)
     gradients: np.ndarray  # (B, 2N^2, 2, 2)
-    crosses: np.ndarray  # (B, 2N^2)
-    bond_squares: np.ndarray  # (B, 3N^2)
 
 
 def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> SnapshotBlock:
@@ -174,13 +168,7 @@ def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> S
         snap = Configuration(N, l, epsilon, pos)
         vars(snap).update({name: a[b] for name, a in arrays.items()})
         snapshots.append(snap)
-    return SnapshotBlock(tuple(snapshots), positions, **arrays)
-
-
-def check_lattice_size(N) -> None:
-    """Raise ``ValueError`` unless ``N`` is an integer >= 2."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    return SnapshotBlock(tuple(snapshots), positions, arrays["gradients"])
 
 
 def check_side_length(l, epsilon: float) -> None:

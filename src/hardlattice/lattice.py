@@ -62,9 +62,10 @@ class TriangleRef(NamedTuple):
     orientation: int
 
 
-def _check_size(N: int) -> None:
+def check_lattice_size(N) -> None:
+    """Raise ``ValueError`` unless the period ``N`` is an integer >= 2."""
     if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"period N must be an integer >= 2, got {N!r}")
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
 
 
 def embed(idx) -> np.ndarray:
@@ -75,7 +76,7 @@ def embed(idx) -> np.ndarray:
 
 def canonical(idx, N: int) -> tuple[int, int]:
     """Representative of ``idx`` with both coordinates reduced into ``{0..N-1}``."""
-    _check_size(N)
+    check_lattice_size(N)
     u, v = idx
     return (u % N, v % N)
 
@@ -93,7 +94,7 @@ def site_of_index(i: int, N: int) -> tuple[int, int]:
 
 def bonds(N: int) -> list[Bond]:
     """All ``3*N**2`` undirected bond classes, site-major then offset-major."""
-    _check_size(N)
+    check_lattice_size(N)
     out = []
     for u in range(N):
         for v in range(N):
@@ -104,7 +105,7 @@ def bonds(N: int) -> list[Bond]:
 
 def triangles(N: int) -> list[TriangleRef]:
     """All ``2*N**2`` triangle classes, base row-major with UP before DOWN."""
-    _check_size(N)
+    check_lattice_size(N)
     out = []
     for u in range(N):
         for v in range(N):
@@ -136,7 +137,7 @@ def vertex_star(x, N: int) -> list[tuple[TriangleRef, int]]:
     Entries are ordered counterclockwise so that consecutive pairs of
     neighbors of ``x`` span consecutive star triangles.
     """
-    _check_size(N)
+    check_lattice_size(N)
     u, v = canonical(x, N)
     star = (
         (TriangleRef((u, v), UP), 0),
@@ -162,7 +163,7 @@ def neighbor_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     of shape ``(N*N, 6, 2)``; the true neighbor position is
     ``positions[idx] + l*N*(wrap @ EMBED_BASIS)``.
     """
-    _check_size(N)
+    check_lattice_size(N)
     idx = np.empty((N * N, 6), dtype=np.int64)
     wrap = np.empty((N * N, 6, 2), dtype=np.int64)
     for u in range(N):
@@ -184,7 +185,7 @@ def triangle_tables(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(sites, wrap, orient)`` with shapes ``(2N^2, 3)``,
     ``(2N^2, 3, 2)`` and ``(2N^2,)``.
     """
-    _check_size(N)
+    check_lattice_size(N)
     T = 2 * N * N
     sites = np.empty((T, 3), dtype=np.int64)
     wrap = np.empty((T, 3, 2), dtype=np.int64)
@@ -207,7 +208,7 @@ def bond_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(sites, wrap)`` with shapes ``(3N^2, 2)`` and ``(3N^2, 2)``;
     the second endpoint position is ``positions[sites[:, 1]] + l*N*(wrap @ EMBED_BASIS)``.
     """
-    _check_size(N)
+    check_lattice_size(N)
     B = 3 * N * N
     sites = np.empty((B, 2), dtype=np.int64)
     wrap = np.empty((B, 2), dtype=np.int64)

@@ -177,7 +177,11 @@ class TestRigidityConstant:
 
 
 def _reference_rigidity_constant(n_samples, deviation_cap, seed):
-    """The whole-batch einsum estimator, kept as a bit-for-bit reference."""
+    """The whole-batch einsum estimator on rotated candidates ``R(theta) (Id + E)``.
+
+    The rotation cancels in exact arithmetic, so this independent oracle
+    keeps the same samples as the estimator and differs from it only in
+    rounding."""
     rng = np.random.Generator(np.random.PCG64(seed))
     eye = np.eye(2)
     c_hat = 0.0
@@ -242,12 +246,14 @@ class TestSampledChecksMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("cap", [0.05, 0.1, 0.2])
     @pytest.mark.parametrize("n_samples", [30_001, 50_000])
-    def test_rigidity_constant_bitwise(self, n_samples, cap, seed):
-        # 30_001 stops in the middle of a sub-block
+    def test_rigidity_constant_matches_rotated_reference(self, n_samples, cap, seed):
+        # 30_001 stops in the middle of a sub-block.  Rounding of the
+        # rotation moves c_hat by at most 6.4e-14 relative over these
+        # cases; a wrong edge direction or acceptance rule moves it ~1e-3.
         est = A.estimate_rigidity_constant(n_samples, cap, seed=seed)
         c_hat, kept = _reference_rigidity_constant(n_samples, cap, seed)
-        assert est.c_hat == c_hat
         assert est.n_samples == kept == n_samples
+        assert est.c_hat == pytest.approx(c_hat, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_dist_so2_agreement_bitwise(self, seed):

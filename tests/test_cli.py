@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -100,6 +101,13 @@ class TestConfigValidation:
             ("scan", {"scan": dict(SMALL_SCAN["scan"], epsilon=True)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], epsilon=True)}, []),
             ("oracle", {"oracle": {"epsilon_ladder": [True, 0.05]}}, []),
+            ("scan", SMALL_SCAN, ["--threads", "0"]),
+            ("scan", SMALL_SCAN, ["--threads", "-4"]),
+            ("scan", dict(SMALL_SCAN, threads=True), []),
+            ("scan", dict(SMALL_SCAN, seed=True), []),
+            ("scan", SMALL_SCAN, ["--seed", "-3"]),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], sweeps=0)}, []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], sweeps=4)}, []),
         ],
         ids=[
             "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
@@ -108,7 +116,9 @@ class TestConfigValidation:
             "verify-cap-0", "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
             "oracle-cap-big", "scan-radius-big", "verify-radius-big", "oracle-ladder-str",
             "oracle-ladder-scalar", "oracle-ladder-empty", "scan-epsilon-bool",
-            "verify-epsilon-bool", "oracle-ladder-bool",
+            "verify-epsilon-bool", "oracle-ladder-bool", "threads-flag-0", "threads-flag-neg",
+            "threads-bool", "seed-bool", "seed-flag-neg", "verify-sweeps-0",
+            "verify-sweeps-below-thin",
         ],
     )
     def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):
@@ -238,6 +248,17 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--config", path]) == 0
         block = FAST_VERIFY["verify"]
         assert len(checked) == block["sweeps"] // block["thin"]
+
+    def test_nan_identity_error_fails_the_step(self, tmp_path, capsys, monkeypatch):
+        suite = analysis.identity_suite
+
+        def nan_area(cfg):
+            return dataclasses.replace(suite(cfg), area_relative_error=math.nan)
+
+        monkeypatch.setattr(analysis, "identity_suite", nan_area)
+        path = _write(tmp_path / "c.json", FAST_VERIFY)
+        assert cli.main(["verify", "--config", path]) == 3
+        assert "FAIL identity-suite" in capsys.readouterr().out
 
     def test_degenerate_window_fails(self, tmp_path, capsys):
         cfg = {"verify": dict(FAST_VERIFY["verify"], epsilon=1.0)}
