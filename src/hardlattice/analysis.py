@@ -300,8 +300,8 @@ def verify_squared_bound(
         lam = 0.25 * np.sqrt(np.clip(s0 * s1 * s2 * s3, 0.0, None))
         rhs = FOUR_SQRT3 * epsilon * (lam - lam0)
         margin = rhs - lhs
-        violations += int(np.count_nonzero(margin < 0.0))
-        min_margin = min(min_margin, float(margin.min()))
+        violations += int(np.count_nonzero(~(margin >= 0.0)))  # a NaN margin violates
+        min_margin = _fold_min(min_margin, float(margin.min()))
         done += n
     x = 1.0 + epsilon * rng.random(100_000)
     d = x - 1.0
@@ -329,6 +329,20 @@ _AGREEMENT_DRAW = 256
 # Triangles drawn per block by the Heron check.  Blocked draws consume
 # the same stream as one draw per triangle.
 _HERON_DRAW = 4096
+
+
+def _fold_max(worst: float, x: float) -> float:
+    """``max(worst, x)``, except that a NaN ``x`` is kept.
+
+    Python's ``max(0.0, nan)`` is ``0.0``, so a plain fold drops a NaN
+    and a check built on it passes; ``max(nan, x)`` is already ``nan``.
+    """
+    return x if x != x else max(worst, x)
+
+
+def _fold_min(worst: float, x: float) -> float:
+    """``min(worst, x)``, except that a NaN ``x`` is kept; see :func:`_fold_max`."""
+    return x if x != x else min(worst, x)
 
 
 def check_sample_count(n, name: str = "n_samples") -> None:
@@ -399,7 +413,7 @@ def estimate_rigidity_constant(
             idx = idx[: n_samples - kept]
             if idx.size:
                 ratios = geometry.dist_so2_batch(A[idx]) ** 2 / maxdev[idx] ** 2
-                c_hat = max(c_hat, float(ratios.max()))
+                c_hat = _fold_max(c_hat, float(ratios.max()))
                 kept += idx.size
             if kept == n_samples:
                 break
@@ -423,7 +437,7 @@ def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int =
         M = M[M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0.0][: n_matrices - done]
         brute = geometry.dist_so2_bruteforce(M, n_grid)
         for m, b in zip(M, brute.tolist()):
-            worst = max(worst, abs(geometry.dist_so2(m) - b))
+            worst = _fold_max(worst, abs(geometry.dist_so2(m) - b))
         done += len(M)
     return worst
 
@@ -447,7 +461,7 @@ def heron_cross_agreement(n_triangles: int = 10_000, seed: int = 0, jitter: floa
             a3 = math.hypot(p0[0] - p2[0], p0[1] - p2[1])
             h = geometry.heron_area(a1, a2, a3)
             c = abs(geometry.signed_area(p0, p1, p2))
-            worst = max(worst, abs(h - c) / c)
+            worst = _fold_max(worst, abs(h - c) / c)
     return worst
 
 

@@ -341,11 +341,13 @@ def cmd_verify(args) -> int:
 
     # 5. Exact identities on every sample.
     identities = [analysis.identity_suite(snap) for snap in snapshots]
-    worst_err = [0.0, 0.0, 0.0]
-    for rep in identities:
-        worst_err[0] = max(worst_err[0], rep.mean_gradient_error)
-        worst_err[1] = max(worst_err[1], rep.area_relative_error)
-        worst_err[2] = max(worst_err[2], rep.pythagoras_relative_error)
+    # ndarray.max keeps a NaN error, which a Python max fold would drop.
+    worst_err = np.array(
+        [
+            (rep.mean_gradient_error, rep.area_relative_error, rep.pythagoras_relative_error)
+            for rep in identities
+        ]
+    ).max(axis=0).tolist()
     all_ok &= _report(
         "identity-suite",
         all(rep.ok for rep in identities),
@@ -373,12 +375,13 @@ def cmd_verify(args) -> int:
 
     # 7. Estimate chain on every sample.
     est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
-    worst_margin = float("inf")
-    chain_ok = True
-    for snap, ident in zip(snapshots, identities):
-        rep = analysis.check_estimate_chain(snap, est.c_hat, ident)
-        chain_ok &= rep.ok
-        worst_margin = min(worst_margin, rep.triangle_bound_margin)
+    estimates = [
+        analysis.check_estimate_chain(snap, est.c_hat, ident)
+        for snap, ident in zip(snapshots, identities)
+    ]
+    chain_ok = all(rep.ok for rep in estimates)
+    # np.min keeps a NaN margin, as step 5's ndarray.max keeps a NaN error.
+    worst_margin = float(np.min([rep.triangle_bound_margin for rep in estimates]))
     all_ok &= _report(
         "estimate-chain",
         chain_ok,

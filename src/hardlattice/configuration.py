@@ -84,17 +84,13 @@ class Configuration:
     positions: np.ndarray
 
     def __post_init__(self):
-        check_lattice_size(self.N)
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
-        check_side_length(self.l, self.epsilon)
+        _check_parameters(self.N, self.l, self.epsilon)
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (self.N * self.N, 2):
             raise ValueError(
                 f"positions must have shape ({self.N * self.N}, 2), got {pos.shape}"
             )
-        if pos[0, 0] != 0.0 or pos[0, 1] != 0.0:
-            raise ValueError("gauge violated: site (0, 0) must sit exactly at the origin")
+        _check_gauge(pos[None])
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -132,6 +128,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_parameters(N: int, l, epsilon) -> None:
+    check_lattice_size(N)
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    check_side_length(l, epsilon)
+
+
+def _check_gauge(positions: np.ndarray) -> None:
+    """Raise unless site (0, 0) of every row of a ``(B, N^2, 2)`` stack is exactly the origin."""
+    if (positions[:, 0] != 0.0).any():
+        raise ValueError("gauge violated: site (0, 0) must sit exactly at the origin")
+
+
 @dataclass(frozen=True)
 class SnapshotBlock:
     """Snapshots of one chain with their geometry stacked on a leading axis.
@@ -147,6 +156,11 @@ class SnapshotBlock:
     gradients: np.ndarray  # (B, 2N^2, 2, 2)
 
 
+# What snapshot_block sets on each snapshot besides N, l and epsilon: the
+# positions field and the cached properties, in the order of its arrays.
+_SNAPSHOT_FIELDS = ("positions", "corners", "gradients", "crosses", "bond_squares")
+
+
 def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> SnapshotBlock:
     """Build the geometry of ``B`` snapshots, ``positions`` of shape ``(B, N^2, 2)``, at once.
 
@@ -154,21 +168,28 @@ def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> S
     properties call, so every snapshot's cache equals a fresh
     ``Configuration(N, l, epsilon, positions[b])``'s bitwise.
     ``positions`` is made read-only and owned by the block.
+
+    The block is validated once, as ``Configuration`` validates one
+    snapshot: ``N``, ``l`` and ``epsilon``, the row shape, and the gauge
+    of every row.  Each snapshot is then built without its constructor,
+    with ``positions`` a read-only view of its row of the block.
     """
+    _check_parameters(N, l, epsilon)
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 3 or positions.shape[1:] != (N * N, 2):
+        raise ValueError(f"positions must have shape (B, {N * N}, 2), got {positions.shape}")
+    _check_gauge(positions)
     positions = _read_only(positions)
     corners = _read_only(image_triangle_corners(N, l, positions))
-    arrays = {
-        "corners": corners,
-        "gradients": _read_only(triangle_gradients(N, corners)),
-        "crosses": _read_only(corner_crosses(corners)),
-        "bond_squares": _read_only(bond_length_squares(N, l, positions)),
-    }
+    gradients = _read_only(triangle_gradients(N, corners))
+    crosses = _read_only(corner_crosses(corners))
+    bond_squares = _read_only(bond_length_squares(N, l, positions))
     snapshots = []
-    for b, pos in enumerate(positions):
-        snap = Configuration(N, l, epsilon, pos)
-        vars(snap).update({name: a[b] for name, a in arrays.items()})
+    for rows in zip(positions, corners, gradients, crosses, bond_squares):
+        snap = object.__new__(Configuration)
+        vars(snap).update(zip(_SNAPSHOT_FIELDS, rows), N=N, l=l, epsilon=epsilon)
         snapshots.append(snap)
-    return SnapshotBlock(tuple(snapshots), positions, arrays["gradients"])
+    return SnapshotBlock(tuple(snapshots), positions, gradients)
 
 
 def check_side_length(l, epsilon: float) -> None:
@@ -285,13 +306,16 @@ def check_omega1(cfg: Configuration) -> CheckResult:
     """Every bond length strictly inside ``(1, 1 + epsilon)``.
 
     By periodicity, checking the 3N^2 bond classes covers the full
-    infinite bond set.  Comparisons are plain strict float comparisons.
+    infinite bond set.  Comparisons are plain strict float comparisons,
+    so a NaN length is outside the window.  A passing state is settled by
+    the extremes alone (a NaN extreme fails the comparison); only a
+    failing one pays for the violation list.
     """
     d2 = cfg.bond_squares
     hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
-    bad = np.flatnonzero((d2 <= 1.0) | (d2 >= hi2))
-    if bad.size == 0:
+    if 1.0 < np.minimum.reduce(d2) and np.maximum.reduce(d2) < hi2:
         return CheckResult(True)
+    bad = np.flatnonzero(~((d2 > 1.0) & (d2 < hi2)))
     all_bonds = lattice.bonds(cfg.N)
     return CheckResult(
         False,
@@ -303,12 +327,14 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     """Positive Jacobian determinant on every triangle class.
 
     The reference edges are positively oriented, so the determinant sign
-    equals the sign of the image corner cross product.
+    equals the sign of the image corner cross product.  A NaN cross
+    product is not positive and fails.  As in :func:`check_omega1`, the
+    minimum settles a passing state.
     """
     cross = cfg.crosses
-    bad = np.flatnonzero(cross <= 0.0)
-    if bad.size == 0:
+    if np.minimum.reduce(cross) > 0.0:
         return CheckResult(True)
+    bad = np.flatnonzero(~(cross > 0.0))
     tris = lattice.triangles(cfg.N)
     det_scale = 2.0 / SQRT3  # det(gradient) = cross / det(reference edges)
     return CheckResult(

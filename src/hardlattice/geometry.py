@@ -40,7 +40,13 @@ class NegativeDeterminantWarning(UserWarning):
 
 
 def rotation(theta: float) -> np.ndarray:
-    """Counterclockwise rotation matrix for angle ``theta``."""
+    """Counterclockwise rotation matrix for angle ``theta``.
+
+    No run calls :func:`rotation`, :func:`frobenius` or
+    :func:`polar_rotation`: :func:`observables.identity_suite` inlines
+    them on Python floats, and they are the reference it is tested
+    against.
+    """
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 

@@ -8,11 +8,11 @@ area-weighted sum (cell area sqrt(3)/4); no quadrature error enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .configuration import LAMBDA0, Configuration, SnapshotBlock, bond_lengths, position
 from .lattice import NEIGHBOR_OFFSETS
 
@@ -66,7 +66,10 @@ def side_deviation_sum(cfg: Configuration) -> float:
 def l2_gradient_deviation(cfg: Configuration, target) -> float:
     """Squared L2 distance of the gradient field from the constant ``target``.
 
-    Exact as the area-weighted sum of per-triangle deviations.
+    Exact as the area-weighted sum of per-triangle deviations.  No run
+    calls it: :func:`identity_suite` evaluates both of its deviations in
+    one stacked pass, and this is the reference that pass is tested
+    against.
     """
     return LAMBDA0 * float(np.sum(per_triangle_order_parameters(cfg, target)))
 
@@ -91,7 +94,8 @@ def mean_gradient(cfg: Configuration) -> np.ndarray:
 
     The cells all have the same reference area, so this is the plain
     mean; by periodicity of the displacement field it equals ``l * Id``
-    for every configuration satisfying the boundary rule.
+    for every configuration satisfying the boundary rule.  No run calls
+    it: it is the reference of :func:`identity_suite`'s mean.
     """
     return cfg.gradients.mean(axis=0)
 
@@ -125,19 +129,50 @@ def identity_suite(cfg: Configuration) -> IdentityReport:
     (a) mean gradient equals ``l * Id``; (b) the area-difference sum
     equals its closed form; (c) the Pythagoras split of the L2 deviation
     around the best rotation is exact.
-    """
-    mean = mean_gradient(cfg)
-    mg_err = geometry.frobenius(mean - cfg.l * np.eye(2))
 
-    area = area_difference_sum(cfg)
-    closed = area_difference_closed_form(cfg.N, cfg.l)
+    The report is bitwise the one of the plain composition of
+    :func:`mean_gradient`, :func:`geometry.frobenius`,
+    :func:`area_difference_sum`, :func:`geometry.polar_rotation`,
+    :func:`geometry.rotation` and two :func:`l2_gradient_deviation`
+    calls, at a fraction of its numpy calls:
+
+    * the mean is ``np.add.reduce(G, axis=0) / T``, which is what
+      ``ndarray.mean`` computes;
+    * the 2x2 sums of squares (the mean's error and the rotation shift
+      ``|l Id - R|^2``) add their four terms in row-major order, as
+      numpy sums fewer than eight contiguous terms;
+    * the polar angle, ``cos`` and ``sin`` are the ``math`` calls of
+      :func:`geometry.polar_rotation` and :func:`geometry.rotation`, on
+      Python floats;
+    * both L2 deviations come from one ``(2, T, 2, 2)`` pass against the
+      stacked targets ``R`` and ``l Id``; each per-triangle row is then
+      summed on its own, as one 1-D reduction.
+
+    The tests pin these numpy equalities on the CPU that runs them.
+    """
+    G = cfg.gradients
+    N, l = cfg.N, cfg.l
+    (m00, m01), (m10, m11) = (np.add.reduce(G, axis=0) / G.shape[0]).tolist()
+    d00, d11 = m00 - l, m11 - l
+    mg_err = math.sqrt(d00 * d00 + m01 * m01 + m10 * m10 + d11 * d11)
+
+    area = float(np.add.reduce(0.5 * cfg.crosses - LAMBDA0))
+    closed = area_difference_closed_form(N, l)
     area_err = abs(area - closed) / abs(closed)
 
-    R = geometry.rotation(geometry.polar_rotation(mean))
-    lhs = l2_gradient_deviation(cfg, R)
-    a = l2_gradient_deviation(cfg, cfg.l * np.eye(2))
-    b = 2.0 * cfg.N * cfg.N * LAMBDA0 * float(np.sum((cfg.l * np.eye(2) - R) ** 2))
+    c, s = m00 + m11, m10 - m01
+    if c == 0.0 and s == 0.0:
+        raise ValueError("polar rotation undefined: all rotations are equidistant")
+    theta = math.atan2(s, c)
+    cos, sin = math.cos(theta), math.sin(theta)
+    # The targets R and l * Id, shape (2, 1, 2, 2) to broadcast over triangles.
+    targets = np.array((cos, -sin, sin, cos, l, 0.0, 0.0, l)).reshape(2, 1, 2, 2)
+    diff = G - targets
+    per_triangle = np.add.reduce(diff * diff, axis=(-2, -1))
+    lhs = LAMBDA0 * float(np.add.reduce(per_triangle[0]))
+    a = LAMBDA0 * float(np.add.reduce(per_triangle[1]))
+    dc, s2 = l - cos, sin * sin
+    b = 2.0 * N * N * LAMBDA0 * (dc * dc + s2 + s2 + dc * dc)
     pyth_err = abs(lhs - a - b) / max(lhs, 1e-300)
 
     return IdentityReport(mg_err, area_err, pyth_err)
-

@@ -6,9 +6,10 @@ uniform distribution on the admissible set (acceptance ratio one inside,
 zero outside).  One chain is strictly single threaded; parallelism
 belongs at the level of independent chains.
 
-Randomness comes from a PCG64 stream.  Each attempted move consumes
-exactly two uniforms (proposal radius and angle), drawn per sweep before
-the kernel call, so checkpointing at sweep boundaries is exact.
+Randomness comes from a PCG64 stream.  Each sweep draws before the
+kernel call: in random scan order first the visit order (one site index
+per attempted move), then two uniforms per attempted move (proposal
+radius and angle).  So checkpointing at sweep boundaries is exact.
 
 The kernel decides each move with the lean check of :mod:`kernels`,
 which is exact only for ``epsilon < sqrt(3) - 1`` and a proposal radius

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,6 +336,38 @@ class TestAgreementOracles:
     def test_reject_bad_sizes(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestFoldsKeepNaN:
+    """A NaN value must reach the reported worst case: Python's
+    ``max(0.0, nan)`` is ``0.0`` and ``min(inf, nan)`` is ``inf``."""
+
+    def test_rigidity_constant(self, monkeypatch):
+        real = geometry.dist_so2_batch
+        calls = []
+
+        def nan_first(Ms):
+            out = real(Ms)
+            if not calls:
+                out[0] = math.nan
+            calls.append(len(Ms))
+            return out
+
+        monkeypatch.setattr(geometry, "dist_so2_batch", nan_first)
+        est = A.estimate_rigidity_constant(30_000, 0.1, seed=0)
+        assert len(calls) > 1 and math.isnan(est.c_hat)
+
+    def test_squared_bound_margin(self, monkeypatch):
+        monkeypatch.setattr(A, "certify_epsilon", lambda *args: SimpleNamespace(certified=True))
+        monkeypatch.setattr(A, "FOUR_SQRT3", math.nan)
+        rep = A.verify_squared_bound(0.1, n_samples=1000, seed=0)
+        assert math.isnan(rep.min_margin)
+        assert rep.n_violations == 1000 and not rep.ok
+
+    def test_fold_helpers(self):
+        assert math.isnan(A._fold_max(0.0, math.nan)) and math.isnan(A._fold_max(math.nan, 1.0))
+        assert math.isnan(A._fold_min(math.inf, math.nan)) and math.isnan(A._fold_min(math.nan, -1.0))
+        assert A._fold_max(0.5, 2.0) == 2.0 and A._fold_min(0.5, 2.0) == 0.5
 
 
 class TestScan:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hardlattice import analysis, cli, counterexamples
+from hardlattice import analysis, cli, counterexamples, geometry
 from hardlattice import configuration as cfgmod
 from hardlattice.sampler import InadmissibleStateError
 
@@ -259,6 +259,51 @@ class TestVerifyCommand:
         path = _write(tmp_path / "c.json", FAST_VERIFY)
         assert cli.main(["verify", "--config", path]) == 3
         assert "FAIL identity-suite" in capsys.readouterr().out
+
+    @staticmethod
+    def _nan_once(fn):
+        calls = []
+
+        def patched(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 1 else fn(*args)
+
+        return patched
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("heron_area", ["FAIL", "heron-vs-cross", "max_rel_diff=nan"]),
+            ("dist_so2", ["FAIL", "so2-distance-oracle", "max_abs_diff=nan"]),
+        ],
+    )
+    def test_one_nan_value_fails_its_step(self, tmp_path, capsys, monkeypatch, name, line):
+        monkeypatch.setattr(geometry, name, self._nan_once(getattr(geometry, name)))
+        path = _write(tmp_path / "c.json", FAST_VERIFY)
+        assert cli.main(["verify", "--config", path]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert line in [row.split() for row in out]
+        assert sum(row.startswith("PASS") for row in out) == 6
+
+    def test_one_nan_identity_error_is_printed(self, tmp_path, capsys, monkeypatch):
+        suite = analysis.identity_suite
+        calls = []
+
+        def nan_once(cfg):
+            calls.append(cfg)
+            rep = suite(cfg)
+            if len(calls) == 3:
+                rep = dataclasses.replace(rep, pythagoras_relative_error=math.nan)
+            return rep
+
+        monkeypatch.setattr(analysis, "identity_suite", nan_once)
+        path = _write(tmp_path / "c.json", FAST_VERIFY)
+        assert cli.main(["verify", "--config", path]) == 3
+        out = [row.split() for row in capsys.readouterr().out.splitlines()]
+        step5 = [row for row in out if row[1] == "identity-suite"]
+        assert step5[0][0] == "FAIL" and step5[0][-1] == "pythagoras=nan"
+        # step 7 reads the same report, so it fails too
+        assert ["FAIL", "estimate-chain"] in [row[:2] for row in out]
 
     def test_degenerate_window_fails(self, tmp_path, capsys):
         cfg = {"verify": dict(FAST_VERIFY["verify"], epsilon=1.0)}

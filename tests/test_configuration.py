@@ -88,6 +88,67 @@ class TestCachedGeometry:
                 getattr(cfg, name).flat[0] = 1.0
 
 
+class TestSnapshotBlock:
+    @staticmethod
+    def _rows(N=3, B=4, seed=5):
+        base = standard_config(N, 1.05, 0.1).positions
+        rng = np.random.default_rng(seed)
+        pos = base + rng.uniform(-0.01, 0.01, size=(B,) + base.shape)
+        pos[:, 0] = 0.0
+        return pos
+
+    def test_snapshots_equal_fresh_configurations(self):
+        pos = self._rows()
+        block = C.snapshot_block(3, 1.05, 0.1, pos.copy())
+        for snap, row in zip(block.snapshots, pos):
+            fresh = Configuration(3, 1.05, 0.1, row)
+            assert (snap.N, snap.l, snap.epsilon) == (3, 1.05, 0.1)
+            assert snap.positions.tobytes() == fresh.positions.tobytes()
+            for name in ("corners", "gradients", "crosses", "bond_squares"):
+                assert getattr(snap, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_snapshot_positions_are_read_only_views_of_the_block(self):
+        block = C.snapshot_block(3, 1.05, 0.1, self._rows())
+        assert not block.positions.flags.writeable
+        for b, snap in enumerate(block.snapshots):
+            assert np.shares_memory(snap.positions, block.positions)
+            assert snap.positions.base is block.positions
+            assert snap.positions.tobytes() == block.positions[b].tobytes()
+            with pytest.raises(ValueError):
+                snap.positions[1, 0] = 3.0
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    @pytest.mark.parametrize("value", [1e-300, -5e-324, math.nan])
+    def test_off_gauge_row_raises(self, row, value):
+        pos = self._rows()
+        pos[row, 0, 1] = value
+        with pytest.raises(ValueError, match="gauge violated"):
+            C.snapshot_block(3, 1.05, 0.1, pos)
+
+    def test_negative_zero_origin_is_in_gauge(self):
+        pos = self._rows()
+        pos[1, 0] = -0.0
+        assert len(C.snapshot_block(3, 1.05, 0.1, pos).snapshots) == 4
+
+    @pytest.mark.parametrize(
+        "N, l, epsilon",
+        [(1, 1.05, 0.1), (2.0, 1.05, 0.1), (3, 1.0, 0.1), (3, 1.1, 0.1), (3, "1.05", 0.1),
+         (3, 1.05, 0.0), (3, 1.05, 1.5)],
+    )
+    def test_parameter_errors_raise_as_the_constructor_does(self, N, l, epsilon):
+        pos = self._rows()
+        with pytest.raises(ValueError):
+            Configuration(N, l, epsilon, pos[0])
+        with pytest.raises(ValueError):
+            C.snapshot_block(N, l, epsilon, pos)
+
+    def test_wrong_row_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            C.snapshot_block(3, 1.05, 0.1, self._rows(N=2))
+        with pytest.raises(ValueError, match="shape"):
+            C.snapshot_block(3, 1.05, 0.1, self._rows()[0])
+
+
 class TestPosition:
     def test_periodic_extension_at_axis(self):
         N, l = 4, 1.05
@@ -400,6 +461,93 @@ class TestImpliedOmega2:
         assert sum(skipped) > 0 and len(calls) > 0
         assert sum(not r.ok for r in want) > 48 and sum(r.ok for r in want) > 0
         assert len(self.STATES) == 48 + 2 * 36
+
+
+def _with_site_value(cfg, index, value):
+    pos = np.array(cfg.positions)
+    pos[index] = value
+    return Configuration(cfg.N, cfg.l, cfg.epsilon, pos)
+
+
+def _reference_omega1(cfg):
+    """:func:`check_omega1` without its short-circuit: the violation list of every state."""
+    d2 = cfg.bond_squares
+    hi2 = (1.0 + cfg.epsilon) ** 2
+    bad = np.flatnonzero(~((d2 > 1.0) & (d2 < hi2)))
+    bonds = lattice.bonds(cfg.N)
+    return C.CheckResult(bad.size == 0, [("omega1", bonds[i], math.sqrt(float(d2[i]))) for i in bad])
+
+
+def _reference_omega3(cfg):
+    """:func:`check_omega3` without its short-circuit."""
+    cross = cfg.crosses
+    bad = np.flatnonzero(~(cross > 0.0))
+    tris = lattice.triangles(cfg.N)
+    return C.CheckResult(bad.size == 0, [("omega3", tris[i], float(cross[i]) * (2.0 / SQRT3)) for i in bad])
+
+
+def _reference_is_admissible(cfg):
+    r1, r3 = _reference_omega1(cfg), _reference_omega3(cfg)
+    if not r3.ok:
+        r2 = C.CheckResult(False, [("omega2_skipped", "omega3 failed")])
+    elif r1.ok and (1.0 + cfg.epsilon) ** 2 < kernels.LEAN_HI2:
+        r2 = C.CheckResult(True)
+    else:
+        r2 = check_omega2_fast(cfg)
+    return C.AdmissibilityReport(r1.ok, r2.ok, r3.ok, r1.violations + r3.violations + r2.violations)
+
+
+def _non_finite_states():
+    for N in (2, 4):
+        cfg = standard_config(N, 1.05, 0.1)
+        for value in ((math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3), (-math.inf, math.nan)):
+            yield _with_site_value(cfg, N + 1, value)
+
+
+class TestShortCircuitedChecks:
+    """``check_omega1`` and ``check_omega3`` settle a passing state from the
+    extremes alone; the reports must be those of the full violation scan."""
+
+    def _states(self, sample_snapshots):
+        yield from sample_snapshots[::10]  # passing
+        yield from TestImpliedOmega2.STATES  # omega1- and omega3-failing, epsilon = 0.5 and 0.8
+        yield from _non_finite_states()
+        cfg = standard_config(4, 1.05, 0.1)
+        yield _with_moved_site(cfg, (1, 0), (1.0 + cfg.epsilon, 0.0))  # bond exactly at the edge
+        yield _with_moved_site(cfg, (0, 1), (0.7, 0.0))  # exactly degenerate triangle
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_reports_equal_the_full_scan(self, sample_snapshots):
+        kinds = set()
+        for cfg in self._states(sample_snapshots):
+            want = _reference_is_admissible(cfg)
+            # repr compares NaN violation values as equal and tells -0.0 from 0.0
+            assert repr(check_omega1(cfg)) == repr(_reference_omega1(cfg))
+            assert repr(check_omega3(cfg)) == repr(_reference_omega3(cfg))
+            assert repr(is_admissible(cfg)) == repr(want)
+            kinds.add((want.omega1_ok, want.omega3_ok, cfg.epsilon))
+        assert {(True, True), (False, True), (False, False)} <= {k[:2] for k in kinds}
+        assert {0.1, 0.5, 0.8} <= {k[2] for k in kinds}
+
+
+class TestNonFiniteSites:
+    @pytest.mark.parametrize("value", [(math.nan, 0.3), (0.3, math.nan), (math.nan, math.nan)])
+    def test_nan_site_is_not_admissible(self, value):
+        cfg = _with_site_value(standard_config(4, 1.05, 0.1), 5, value)
+        report = is_admissible(cfg)
+        assert not report.ok
+        assert not check_omega1(cfg).ok and not check_omega3(cfg).ok
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("value", [(math.inf, 0.3), (0.3, -math.inf)])
+    def test_inf_site_is_not_admissible(self, value):
+        cfg = _with_site_value(standard_config(4, 1.05, 0.1), 5, value)
+        assert not is_admissible(cfg).ok
+
+    def test_nan_bond_is_reported(self):
+        cfg = _with_site_value(standard_config(2, 1.05, 0.1), 3, (math.nan, 0.0))
+        res = check_omega1(cfg)
+        assert not res.ok and all(math.isnan(v[2]) for v in res.violations)
 
 
 class TestOracleDegenerateTiledCopies:

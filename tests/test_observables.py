@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +162,112 @@ class TestBlockObservables:
                 want = [float(np.mean(O.per_triangle_order_parameters(s, target)))
                         for s in block.snapshots]
                 assert got.tolist() == want
+
+
+def _reference_identity_suite(cfg):
+    """The identity suite as the plain composition of its parts, the oracle of the lean one."""
+    mean = O.mean_gradient(cfg)
+    mg_err = geometry.frobenius(mean - cfg.l * np.eye(2))
+    area = O.area_difference_sum(cfg)
+    closed = O.area_difference_closed_form(cfg.N, cfg.l)
+    area_err = abs(area - closed) / abs(closed)
+    R = geometry.rotation(geometry.polar_rotation(mean))
+    lhs = O.l2_gradient_deviation(cfg, R)
+    a = O.l2_gradient_deviation(cfg, cfg.l * np.eye(2))
+    b = 2.0 * cfg.N * cfg.N * LAMBDA0 * float(np.sum((cfg.l * np.eye(2) - R) ** 2))
+    pyth_err = abs(lhs - a - b) / max(lhs, 1e-300)
+    return O.IdentityReport(mg_err, area_err, pyth_err)
+
+
+def _block_snapshots(N, epsilon, sweeps, seed):
+    blocks = []
+    params = hl.SamplerParams(sweeps=sweeps, burn_in=10, thin=1, seed=seed, scan_order="random")
+    hl.run_chain(N, 1.0 + epsilon / 2.0, epsilon, params, blocks.append)
+    return [snap for block in blocks for snap in block.snapshots]
+
+
+class TestLeanIdentitySuite:
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 12, 32])
+    def test_equals_reference_on_block_and_fresh_snapshots(self, N, epsilon):
+        snaps = _block_snapshots(N, epsilon, sweeps=80 if N <= 8 else 12, seed=N)
+        for snap in snaps:
+            fresh = Configuration(N, snap.l, snap.epsilon, snap.positions)
+            want = _reference_identity_suite(fresh)
+            assert O.identity_suite(snap) == want
+            assert O.identity_suite(fresh) == want
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 7, 12, 32])
+    def test_equals_reference_on_standard_states(self, N):
+        for l, epsilon in ((1.0001, 0.1), (1.05, 0.1), (1.3, 0.5), (1.9, 1.0)):
+            cfg = standard_config(N, l, epsilon)
+            assert O.identity_suite(cfg) == _reference_identity_suite(cfg)
+
+    def test_equals_reference_on_inadmissible_periodic_states(self, rng):
+        for N in (2, 4, 6):
+            for _ in range(20):
+                pos = standard_config(N, 1.05, 0.1).positions + rng.uniform(-0.4, 0.4, (N * N, 2))
+                pos[0] = 0.0
+                cfg = Configuration(N, 1.05, 0.1, pos)
+                assert O.identity_suite(cfg) == _reference_identity_suite(cfg)
+
+    def test_undefined_polar_rotation_raises_as_the_reference_does(self):
+        # The boundary rule pins the mean gradient at l * Id, so only a
+        # stand-in for a configuration reaches the equidistant case.
+        G = np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (8, 1, 1))
+        fake = SimpleNamespace(N=2, l=1.05, gradients=G, crosses=np.ones(8))
+        for suite in (O.identity_suite, _reference_identity_suite):
+            with pytest.raises(ValueError, match="equidistant"):
+                suite(fake)
+
+
+class TestLeanSuiteNumpyEqualities:
+    """:func:`observables.identity_suite` replaces three numpy calls of the
+    reference composition with cheaper ones that must give the same bits.
+    These are properties of numpy's summation order on the CPU that runs
+    the tests, not of IEEE arithmetic, so they are pinned here."""
+
+    SIZES = [8, 18, 32, 50, 128, 200, 512, 1152, 2048]
+
+    @staticmethod
+    def _stack(rng, T):
+        # gradient-like entries: l * Id plus perturbations of several scales
+        G = 1.05 * np.eye(2) + rng.uniform(-0.3, 0.3, (T, 2, 2)) * 10.0 ** rng.integers(-6, 1, (T, 1, 1))
+        block = np.stack([G, G[::-1]])  # a row of a stacked block is a view
+        return [G, block[1]]
+
+    @staticmethod
+    def _assert_bitwise(got, want, what):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, f"{what} differs in {bad.size} of {want.size} values"
+
+    @pytest.mark.parametrize("T", SIZES)
+    def test_reduce_over_triangles_divided_is_mean(self, rng, T):
+        for _ in range(20):
+            for G in self._stack(rng, T):
+                self._assert_bitwise(np.add.reduce(G, axis=0) / T, G.mean(axis=0), "mean")
+
+    @pytest.mark.parametrize("T", SIZES)
+    def test_trailing_axes_reduce_of_a_stack_is_the_reduce_of_each_half(self, rng, T):
+        for _ in range(20):
+            G = self._stack(rng, T)[0]
+            targets = np.array([geometry.rotation(rng.uniform(-0.1, 0.1)), 1.05 * np.eye(2)])
+            diff = G - targets[:, None]
+            stacked = np.add.reduce(diff * diff, axis=(-2, -1))
+            for k in range(2):
+                half = G - targets[k]
+                self._assert_bitwise(stacked[k], np.sum(half * half, axis=(-2, -1)), "stack")
+                self._assert_bitwise(np.add.reduce(stacked[k]), np.sum(stacked[k]), "row sum")
+
+    def test_sum_of_a_2x2_adds_in_row_major_order(self, rng):
+        m = rng.uniform(-1.0, 1.0, (200_000, 2, 2)) * 10.0 ** rng.integers(-8, 9, (200_000, 2, 2))
+        sq = m * m
+        want = ((sq[:, 0, 0] + sq[:, 0, 1]) + sq[:, 1, 0]) + sq[:, 1, 1]
+        got = np.array([np.sum(x) for x in sq[:2000]])
+        self._assert_bitwise(got, want[:2000], "2x2 sum")
+        self._assert_bitwise(np.sum(sq, axis=(-2, -1)), want, "stacked 2x2 sums")
 
 
 @pytest.mark.slow

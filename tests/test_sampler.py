@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -84,6 +85,16 @@ class TestBasics:
         bad = C.Configuration(4, cfg.l, cfg.epsilon, pos)
         with pytest.raises(InadmissibleStateError):
             Chain(bad, SamplerParams(sweeps=1))
+
+    @pytest.mark.parametrize("value", [(math.nan, 0.0), (1.05, math.nan)])
+    def test_rejects_nan_site(self, value):
+        # NaN fails every comparison, so it must fail the window and sign tests
+        cfg = C.standard_config(4, 1.05, 0.1)
+        pos = np.array(cfg.positions)
+        pos[5] = value
+        bad = C.Configuration(4, cfg.l, cfg.epsilon, pos)
+        with pytest.raises(InadmissibleStateError):
+            Chain(bad, SamplerParams(sweeps=10))
 
 
 class TestChainInvariant:
@@ -256,6 +267,19 @@ class TestCheckpoint:
         chain.sweep()
         again.sweep()
         assert np.array_equal(again.snapshot().positions, chain.snapshot().positions)
+
+    def test_rejects_checkpoint_with_nan_position(self, tmp_path):
+        chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
+        chain.sweep()
+        data = chain.checkpoint()
+        data["configuration"]["positions"][3] = math.nan
+        with pytest.raises(InadmissibleStateError):
+            Chain.from_checkpoint(data)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))  # written as the JSON literal NaN
+        assert "NaN" in path.read_text()
+        with pytest.raises(InadmissibleStateError):
+            Chain.from_checkpoint(path)
 
     def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
