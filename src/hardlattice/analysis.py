@@ -252,6 +252,11 @@ def epsilon_margin(epsilon: float, grid_points_per_axis: int = 64) -> float:
     return cert.margin
 
 
+# Side-length triples drawn per block by the squared-bound check; any
+# block size consumes the same stream, and 25k keeps the work in cache.
+_SQUARED_DRAW = 25_000
+
+
 @dataclass
 class SquaredBoundReport:
     epsilon: float
@@ -276,6 +281,8 @@ def verify_squared_bound(
     Tests ``sum (a_i-1)^2 <= 4*sqrt(3)*eps*(area(a) - area0)`` on uniform
     side-length triples in the window, together with the scalar step
     ``(a-1)^2 <= eps*(a-1)`` it rests on.  Requires a certified window.
+    Triples are drawn in blocks of :data:`_SQUARED_DRAW`, which consumes
+    the same stream as one draw.
     """
     check_sample_count(n_samples)
     cert = certify_epsilon(epsilon, grid_points_per_axis)
@@ -284,22 +291,12 @@ def verify_squared_bound(
             f"epsilon = {epsilon} is not certified; the squared bound presupposes it"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    lam0 = 0.25 * math.sqrt(3.0)
     violations = 0
     min_margin = math.inf
     done = 0
     while done < n_samples:
-        n = min(200_000, n_samples - done)
-        a = 1.0 + epsilon * rng.random((n, 3))
-        dev = a - 1.0
-        lhs = np.sum(dev * dev, axis=1)
-        s0 = a.sum(axis=1)
-        s1 = -a[:, 0] + a[:, 1] + a[:, 2]
-        s2 = a[:, 0] - a[:, 1] + a[:, 2]
-        s3 = a[:, 0] + a[:, 1] - a[:, 2]
-        lam = 0.25 * np.sqrt(np.clip(s0 * s1 * s2 * s3, 0.0, None))
-        rhs = FOUR_SQRT3 * epsilon * (lam - lam0)
-        margin = rhs - lhs
+        n = min(_SQUARED_DRAW, n_samples - done)
+        margin = _squared_bound_margins(rng.random((n, 3)), epsilon)
         violations += int(np.count_nonzero(~(margin >= 0.0)))  # a NaN margin violates
         min_margin = _fold_min(min_margin, float(margin.min()))
         done += n
@@ -309,6 +306,40 @@ def verify_squared_bound(
     return SquaredBoundReport(epsilon, n_samples, violations, min_margin, scalar_ok)
 
 
+def _squared_bound_margins(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """``rhs - lhs`` of the squared bound for the sides ``1 + epsilon*u``, ``u`` of shape ``(n, 3)``.
+
+    The sides are laid out as three contiguous rows.  Sums run left to
+    right, as ``np.sum(axis=1)`` adds three columns, and Heron's product
+    ``s0*s1*s2*s3`` and the margin in the order the formula reads, so
+    every margin is bitwise that of the formula on numpy's row sums.
+    """
+    a = np.ascontiguousarray(u.T)
+    a *= epsilon
+    a += 1.0
+    a0, a1, a2 = a
+    dev = a - 1.0
+    dev *= dev
+    lhs = dev[0] + dev[1]
+    lhs += dev[2]
+    # s0 = (a0 + a1) + a2, s1 = (-a0 + a1) + a2 = a2 - w,
+    # s2 = (a0 - a1) + a2 = w + a2, s3 = (a0 + a1) - a2, w = a0 - a1
+    pair = a0 + a1
+    w = a0 - a1
+    prod = pair + a2
+    prod *= a2 - w
+    prod *= w + a2
+    pair -= a2
+    prod *= pair
+    np.clip(prod, 0.0, None, out=prod)
+    margin = np.sqrt(prod, out=prod)
+    margin *= 0.25  # the area lam
+    margin -= 0.25 * math.sqrt(3.0)  # lam0
+    margin *= FOUR_SQRT3 * epsilon  # rhs
+    margin -= lhs
+    return margin
+
+
 # ---------------------------------------------------------------------------
 # Empirical rigidity constant of the per-triangle bound
 # ---------------------------------------------------------------------------
@@ -316,11 +347,18 @@ def verify_squared_bound(
 # Edge directions of the unit reference triangle.
 _V_DIRECTIONS = np.array([[1.0, 0.0], [0.5, SQRT3 / 2.0], [0.5, -SQRT3 / 2.0]])
 
-# Candidates drawn per batch; the batch size fixes the random stream, so
-# changing it changes c_hat.  Each batch is processed in sub-blocks to
-# keep the temporaries small.
+# Candidates per batch; the batch size fixes the random stream, so
+# changing it changes c_hat.  Each batch's E is drawn and tested in
+# sub-blocks, which consumes the same stream as one draw per batch and
+# keeps the work arrays small.
 _RIGIDITY_DRAW = 200_000
 _RIGIDITY_BLOCK = 25_000
+
+# Relative slack of the estimator's squared-length prefilter, and the
+# largest cap for which its lower bound is proved; the derivation is in
+# estimate_rigidity_constant's docstring.
+_RIGIDITY_SLACK = 1e-9
+_RIGIDITY_LOWER_CAP = 0.5
 
 # Candidate matrices drawn per block by the SO(2) agreement check; about
 # half survive the det > 0 rejection.
@@ -365,6 +403,16 @@ class RigidityConstantEstimate:
     seed: int
 
 
+def _rigidity_q_bounds(cap: float) -> tuple[float, float]:
+    """The prefilter's bounds ``(q_lo, q_hi)`` on a squared image length;
+    see :func:`estimate_rigidity_constant`."""
+    q_hi = (1.0 + cap) * (1.0 + _RIGIDITY_SLACK)
+    if cap > _RIGIDITY_LOWER_CAP:
+        return 0.0, q_hi * q_hi
+    q_lo = (1.0 - cap) * (1.0 - _RIGIDITY_SLACK)
+    return q_lo * q_lo, q_hi * q_hi
+
+
 def estimate_rigidity_constant(
     n_samples: int = 1_000_000,
     deviation_cap: float = 0.1,
@@ -381,42 +429,107 @@ def estimate_rigidity_constant(
     Rotating the ensemble would not change that supremum: for every
     rotation ``R``, ``|R A v| = |A v|`` and ``dist(R A, SO(2)) =
     dist(A, SO(2))``, so ``R A`` passes the same rejection with the same
-    ratio.  A uniform angle is still drawn after each batch of ``E`` and
-    left unused; it only keeps the random stream, so every batch's ``E``
-    is the one drawn when the candidates were rotated.
+    ratio.  A uniform angle per candidate is still skipped after each
+    batch of ``E`` (``bit_generator.advance``, the state drawing it would
+    leave); it only keeps the random stream, so every batch's ``E`` is
+    the one drawn when the candidates were rotated.
+
+    Most candidates fail the cap, and a ``hypot`` costs several times a
+    square, so each sub-block first drops the rows whose squared image
+    lengths ``q = x*x + y*y`` cannot pass; ``x``, ``y`` are bitwise the
+    image components the acceptance test takes ``hypot`` of.  Only the
+    surviving rows run the test, in the order written above.  A row is
+    dropped when one of its three ``q`` exceeds ``((1 + cap)(1 + d))^2``
+    or, for ``cap <= _RIGIDITY_LOWER_CAP = 1/2``, falls below
+    ``((1 - cap)(1 - d))^2``, with ``d = _RIGIDITY_SLACK = 1e-9``.  Such
+    a row would fail the test:
+
+    Let ``r`` be the exact length of ``(x, y)`` and ``H = hypot(x, y)``
+    as computed.  Entries of ``A`` are at most 3 in size, so nothing
+    overflows; ``q`` carries three roundings, each threshold four, and
+    ``hypot`` is within an ulp.  That is a relative error below ``2e-15``
+    in all, far below ``d/4`` (an underflow in ``q`` moves it by less
+    than ``1e-300``, far below either threshold's resolution).
+
+    * Above: ``r > (1 + cap)(1 + d/2)``, so ``H > (1 + cap)(1 + d/4)``
+      and ``H - 1 > cap + d/4``.  Rounding is monotone and ``cap + d/4``
+      exceeds the next float after ``cap <= 1``, so ``fl(H - 1) > cap``
+      and ``maxdev <= cap`` fails.
+    * Below: ``r < (1 - cap)(1 - d/2)``, so ``H < (1 - cap)(1 - d/4)``
+      and ``1 - H > cap + (1 - cap) d/4 >= cap + d/8``.  By the same
+      argument ``|fl(H - 1)| = fl(1 - H) > cap``, and ``maxdev <= cap``
+      fails.  The margin ``(1 - cap) d/4``
+      vanishes as ``cap -> 1``, which is why the lower bound stops at
+      ``cap = 1/2``; above it only the upper bound drops rows.
+
+    So the accepted samples, their order and every ratio are those of
+    the test run on every row: ``c_hat`` and ``n_samples`` are bitwise
+    unchanged by the prefilter.
     """
     check_sample_count(n_samples)
     check_deviation_cap(deviation_cap)
+    cap = deviation_cap
     rng = np.random.Generator(np.random.PCG64(seed))
-    eye = np.eye(2)
     h = _V_DIRECTIONS[1, 1]
+    q_lo, q_hi = _rigidity_q_bounds(cap)
+    # work arrays, reused by every sub-block: the entries of A as rows
+    # (a00, a01, a10, a11), four image components, q and its partner
+    a = np.empty((4, _RIGIDITY_BLOCK))
+    x_half, y_half, x_h, y_h, q, w = np.empty((6, _RIGIDITY_BLOCK))
+    keep, test = np.empty((2, _RIGIDITY_BLOCK), dtype=bool)
     c_hat = 0.0
     kept = 0
     while kept < n_samples:
-        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(_RIGIDITY_DRAW, 2, 2))
-        rng.uniform(0.0, 2.0 * math.pi, size=_RIGIDITY_DRAW)  # the unused angle
-        for start in range(0, _RIGIDITY_DRAW, _RIGIDITY_BLOCK):
-            A = eye + E[start : start + _RIGIDITY_BLOCK]
-            a00, a01, a10, a11 = np.ascontiguousarray(A.reshape(-1, 4).T)
-            det = a00 * a11 - a01 * a10
+        for _ in range(_RIGIDITY_DRAW // _RIGIDITY_BLOCK):
+            a[...] = rng.uniform(-2.0 * cap, 2.0 * cap, size=(_RIGIDITY_BLOCK, 4)).T
+            # Id + E: off the diagonal 0.0 + e is e, as the draw
+            # low + (high - low) * u never yields -0.0
+            a[0] += 1.0
+            a[3] += 1.0
+            a00, a01, a10, a11 = a
             # v1 = (1, 0), v2/v3 = (1/2, +-h): images (x, y) per direction
-            x_half, y_half = 0.5 * a00, 0.5 * a10
-            x_h, y_h = h * a01, h * a11
+            np.multiply(0.5, a00, out=x_half)
+            np.multiply(0.5, a10, out=y_half)
+            np.multiply(h, a01, out=x_h)
+            np.multiply(h, a11, out=y_h)
+            np.multiply(a00, a00, out=q)
+            np.multiply(a10, a10, out=w)
+            q += w
+            np.less_equal(q, q_hi, out=keep)
+            np.greater_equal(q, q_lo, out=test)
+            keep &= test
+            for op in (np.add, np.subtract):
+                op(x_half, x_h, out=q)
+                q *= q
+                op(y_half, y_h, out=w)
+                w *= w
+                q += w
+                np.less_equal(q, q_hi, out=test)
+                keep &= test
+                np.greater_equal(q, q_lo, out=test)
+                keep &= test
+            b = a[:, np.flatnonzero(keep)]
+            b00, b01, b10, b11 = b
+            det = b00 * b11 - b01 * b10
+            bx_half, by_half = 0.5 * b00, 0.5 * b10
+            bx_h, by_h = h * b01, h * b11
             maxdev = np.maximum(
-                np.abs(np.hypot(a00, a10) - 1.0),
+                np.abs(np.hypot(b00, b10) - 1.0),
                 np.maximum(
-                    np.abs(np.hypot(x_half + x_h, y_half + y_h) - 1.0),
-                    np.abs(np.hypot(x_half - x_h, y_half - y_h) - 1.0),
+                    np.abs(np.hypot(bx_half + bx_h, by_half + by_h) - 1.0),
+                    np.abs(np.hypot(bx_half - bx_h, by_half - by_h) - 1.0),
                 ),
             )
-            idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
+            idx = np.flatnonzero((det > 0.0) & (maxdev <= cap) & (maxdev > 0.0))
             idx = idx[: n_samples - kept]
             if idx.size:
-                ratios = geometry.dist_so2_batch(A[idx]) ** 2 / maxdev[idx] ** 2
+                A = b[:, idx].T.reshape(-1, 2, 2)
+                ratios = geometry.dist_so2_batch(A) ** 2 / maxdev[idx] ** 2
                 c_hat = _fold_max(c_hat, float(ratios.max()))
                 kept += idx.size
             if kept == n_samples:
                 break
+        rng.bit_generator.advance(_RIGIDITY_DRAW)  # the unused angles
     return RigidityConstantEstimate(c_hat, deviation_cap, kept, seed)
 
 

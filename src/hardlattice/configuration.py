@@ -70,18 +70,29 @@ LAMBDA0 = SQRT3 / 4.0  # area of the unit reference triangle
 _SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
     """Immutable snapshot of the system state.
 
     ``positions[u*N + v]`` is the plane position of canonical site
-    ``(u, v)``; ``positions[0]`` is exactly the origin.
+    ``(u, v)``; ``positions[0]`` is exactly the origin.  Two
+    configurations are equal when ``N``, ``l`` and ``epsilon`` are and
+    the positions are elementwise; like the arrays, they are unhashable.
     """
 
     N: int
     l: float
     epsilon: float
     positions: np.ndarray
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.l, self.epsilon) == (other.N, other.l, other.epsilon) and (
+            np.array_equal(self.positions, other.positions)
+        )
+
+    __hash__ = None
 
     def __post_init__(self):
         _check_parameters(self.N, self.l, self.epsilon)
@@ -141,19 +152,31 @@ def _check_gauge(positions: np.ndarray) -> None:
         raise ValueError("gauge violated: site (0, 0) must sit exactly at the origin")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotBlock:
     """Snapshots of one chain with their geometry stacked on a leading axis.
 
     Row ``b`` of each array belongs to ``snapshots[b]``, a normal
     :class:`Configuration` whose cached ``corners``, ``gradients``,
     ``crosses`` and ``bond_squares`` are read-only views of rows of the
-    stacked geometry.  Every array is read-only.
+    stacked geometry.  Every array is read-only.  Blocks compare as
+    configurations do: equal snapshots and elementwise equal arrays.
     """
 
     snapshots: tuple
     positions: np.ndarray  # (B, N^2, 2)
     gradients: np.ndarray  # (B, 2N^2, 2, 2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.snapshots == other.snapshots
+            and np.array_equal(self.positions, other.positions)
+            and np.array_equal(self.gradients, other.gradients)
+        )
+
+    __hash__ = None
 
 
 # What snapshot_block sets on each snapshot besides N, l and epsilon: the

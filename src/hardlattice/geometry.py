@@ -71,16 +71,29 @@ def polar_rotation(M) -> float:
     return math.atan2(s, c)
 
 
+def _check_2x2(m: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless ``m`` is a 2x2 matrix or a stack of them."""
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} needs 2x2 matrices, got shape {m.shape}")
+
+
 def dist_so2(M) -> float:
-    """Frobenius distance from ``M`` to the rotation group.
+    """Frobenius distance from the 2x2 matrix ``M`` to the rotation group.
 
     For ``det M >= 0`` this is the closed form
     ``sqrt(|M|^2 + 2 - 2*sqrt(|M|^2 + 2*det M))`` (the singular values
     appear as ``(s1-1)^2 + (s2-1)^2``).  A negative determinant falls
     back to a fine grid search and emits :class:`NegativeDeterminantWarning`.
+
+    The closed form runs on Python floats.  ``|M|^2`` adds the four
+    squares left to right, as numpy's ``np.sum`` of a 2x2 array does, so
+    the result is bitwise that of the same formula on numpy scalars.
     """
     m = np.asarray(M, dtype=float)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if m.shape != (2, 2):
+        raise ValueError(f"dist_so2 needs one 2x2 matrix, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
+    det = a * d - b * c
     if det < 0.0:
         warnings.warn(
             "dist_so2 called with det < 0; using grid search",
@@ -88,7 +101,7 @@ def dist_so2(M) -> float:
             stacklevel=2,
         )
         return dist_so2_bruteforce(m, 36000)
-    nsq = float(np.sum(m * m))
+    nsq = a * a + b * b + c * c + d * d
     inner = nsq + 2.0 * det
     if inner < 0.0:
         inner = 0.0
@@ -103,6 +116,7 @@ def dist_so2(M) -> float:
 def dist_so2_batch(Ms: np.ndarray) -> np.ndarray:
     """Vectorized :func:`dist_so2` for a stack of det-positive matrices."""
     m = np.asarray(Ms, dtype=float)
+    _check_2x2(m, "dist_so2_batch")
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if np.any(det < 0.0):
         raise ValueError("dist_so2_batch requires det >= 0 for every matrix")
@@ -118,6 +132,11 @@ def check_grid_size(n_grid, name: str = "n_grid") -> None:
         raise ValueError(f"{name} must be an integer >= 8, got {n_grid!r}")
 
 
+# Matrices per grid-search chunk: two (chunk, n_grid) work arrays of
+# 460 kB at the default grid stay in cache; 16 ran fastest of 4 ... 64.
+_BRUTEFORCE_CHUNK = 16
+
+
 def dist_so2_bruteforce(M, n_grid: int = 3600):
     """Grid minimum of ``|M - R(theta)|`` over ``n_grid`` equally spaced angles.
 
@@ -126,21 +145,37 @@ def dist_so2_bruteforce(M, n_grid: int = 3600):
     shape ``(..., 2, 2)``: the angle grid is built once and every matrix
     gets the same elementwise arithmetic, so each result equals the
     single-matrix call bitwise.  A single matrix returns a ``float``, a
-    stack an array of its leading shape; temporaries hold
-    ``stack size * n_grid`` floats.
+    stack an array of its leading shape.
+
+    The squared distance is
+    ``(m00 - c)^2 + (m01 + s)^2 + (m10 - s)^2 + (m11 - c)^2``, summed left
+    to right with each square taken as ``x*x``; it is evaluated in place
+    on :data:`_BRUTEFORCE_CHUNK` matrices at a time, so the work arrays
+    do not grow with the stack.
     """
     check_grid_size(n_grid)
     m = np.asarray(M, dtype=float)
+    _check_2x2(m, "dist_so2_bruteforce")
     theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
     c = np.cos(theta)
     s = np.sin(theta)
-    d2 = (
-        (m[..., 0, 0, None] - c) ** 2
-        + (m[..., 0, 1, None] + s) ** 2
-        + (m[..., 1, 0, None] - s) ** 2
-        + (m[..., 1, 1, None] - c) ** 2
-    )
-    dmin = np.sqrt(d2.min(axis=-1))
+    flat = m.reshape(-1, 4)
+    d2min = np.empty(len(flat))
+    rows = min(_BRUTEFORCE_CHUNK, len(flat))
+    acc = np.empty((rows, n_grid))
+    term = np.empty((rows, n_grid))
+    for start in range(0, len(flat), _BRUTEFORCE_CHUNK):
+        m00, m01, m10, m11 = flat[start : start + _BRUTEFORCE_CHUNK].T[:, :, None]
+        k = len(m00)
+        a, t = acc[:k], term[:k]
+        np.subtract(m00, c, out=a)
+        a *= a
+        for op, x, y in ((np.add, m01, s), (np.subtract, m10, s), (np.subtract, m11, c)):
+            op(x, y, out=t)
+            t *= t
+            a += t
+        a.min(axis=1, out=d2min[start : start + k])
+    dmin = np.sqrt(d2min).reshape(m.shape[:-2])
     return float(dmin) if m.ndim == 2 else dmin
 
 

@@ -269,6 +269,164 @@ class TestSampledChecksMatchReference:
         assert A.heron_cross_agreement(n, seed=seed) == _reference_heron_cross_agreement(n, seed)
 
 
+def _reference_rigidity_batch(n_samples, deviation_cap, seed):
+    """The estimator without its prefilter: one ``(200k, 2, 2)`` draw per
+    batch, the unused angles drawn, ``hypot`` on every candidate.
+
+    Returns ``(c_hat, kept, stop)``, ``stop`` the number of candidates
+    read up to and including the last accepted one."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    eye = np.eye(2)
+    h = A._V_DIRECTIONS[1, 1]
+    c_hat = 0.0
+    kept = 0
+    batch = 0
+    while kept < n_samples:
+        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(A._RIGIDITY_DRAW, 2, 2))
+        rng.uniform(0.0, 2.0 * math.pi, size=A._RIGIDITY_DRAW)
+        for start in range(0, A._RIGIDITY_DRAW, A._RIGIDITY_BLOCK):
+            A_ = eye + E[start : start + A._RIGIDITY_BLOCK]
+            a00, a01, a10, a11 = np.ascontiguousarray(A_.reshape(-1, 4).T)
+            det = a00 * a11 - a01 * a10
+            x_half, y_half = 0.5 * a00, 0.5 * a10
+            x_h, y_h = h * a01, h * a11
+            maxdev = np.maximum(
+                np.abs(np.hypot(a00, a10) - 1.0),
+                np.maximum(
+                    np.abs(np.hypot(x_half + x_h, y_half + y_h) - 1.0),
+                    np.abs(np.hypot(x_half - x_h, y_half - y_h) - 1.0),
+                ),
+            )
+            idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
+            idx = idx[: n_samples - kept]
+            if idx.size:
+                ratios = geometry.dist_so2_batch(A_[idx]) ** 2 / maxdev[idx] ** 2
+                c_hat = A._fold_max(c_hat, float(ratios.max()))
+                kept += idx.size
+                stop = batch * A._RIGIDITY_DRAW + start + int(idx[-1]) + 1
+            if kept == n_samples:
+                break
+        batch += 1
+    return c_hat, kept, stop
+
+
+def _reference_squared_margins(u, epsilon):
+    """The squared bound's margins on ``(n, 3)`` rows, with ``np.sum``."""
+    lam0 = 0.25 * math.sqrt(3.0)
+    a = 1.0 + epsilon * u
+    dev = a - 1.0
+    lhs = np.sum(dev * dev, axis=1)
+    s0 = a.sum(axis=1)
+    s1 = -a[:, 0] + a[:, 1] + a[:, 2]
+    s2 = a[:, 0] - a[:, 1] + a[:, 2]
+    s3 = a[:, 0] + a[:, 1] - a[:, 2]
+    lam = 0.25 * np.sqrt(np.clip(s0 * s1 * s2 * s3, 0.0, None))
+    rhs = A.FOUR_SQRT3 * epsilon * (lam - lam0)
+    return rhs - lhs
+
+
+def _reference_squared_bound(epsilon, n_samples, seed):
+    """The squared bound with 200k draws of ``(n, 3)`` rows."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    violations = 0
+    min_margin = math.inf
+    done = 0
+    while done < n_samples:
+        n = min(200_000, n_samples - done)
+        margin = _reference_squared_margins(rng.random((n, 3)), epsilon)
+        violations += int(np.count_nonzero(~(margin >= 0.0)))
+        min_margin = A._fold_min(min_margin, float(margin.min()))
+        done += n
+    x = 1.0 + epsilon * rng.random(100_000)
+    d = x - 1.0
+    scalar_ok = bool(np.all(d * d <= epsilon * d))
+    return A.SquaredBoundReport(epsilon, n_samples, violations, min_margin, scalar_ok)
+
+
+def _recorded_batches(monkeypatch, fn):
+    """Run ``fn`` and return every stack it passed to ``geometry.dist_so2_batch``, joined."""
+    real = geometry.dist_so2_batch
+    seen = []
+
+    def record(Ms):
+        seen.append(np.array(Ms))
+        return real(Ms)
+
+    monkeypatch.setattr(geometry, "dist_so2_batch", record)
+    out = fn()
+    monkeypatch.setattr(geometry, "dist_so2_batch", real)
+    return out, np.concatenate(seen)
+
+
+class TestFastSampledChecksAreBitwise:
+    @pytest.mark.parametrize("cap", [1e-3, 0.05, 0.1, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("n_samples", [1, 10_001, 50_001])
+    def test_rigidity_constant_keeps_every_sample(self, monkeypatch, cap, n_samples):
+        # 31k-41k of a 200k batch pass, so 10_001 stops inside a
+        # sub-block of the first batch and 50_001 inside the second batch
+        seed = 7 if cap < 0.5 else 0
+        est, got = _recorded_batches(
+            monkeypatch, lambda: A.estimate_rigidity_constant(n_samples, cap, seed=seed)
+        )
+        (c_hat, kept, stop), want = _recorded_batches(
+            monkeypatch, lambda: _reference_rigidity_batch(n_samples, cap, seed)
+        )
+        assert got.tobytes() == want.tobytes()
+        assert (est.c_hat, est.n_samples) == (c_hat, kept) == (c_hat, n_samples)
+        if n_samples > 1:
+            assert stop % A._RIGIDITY_BLOCK != 0
+            assert (stop > A._RIGIDITY_DRAW) == (n_samples == 50_001)
+
+    def test_advance_leaves_the_state_of_drawing_the_angles(self):
+        drawn = np.random.Generator(np.random.PCG64(11))
+        skipped = np.random.Generator(np.random.PCG64(11))
+        for rng in (drawn, skipped):
+            rng.uniform(-0.2, 0.2, size=(A._RIGIDITY_DRAW, 2, 2))
+        drawn.uniform(0.0, 2.0 * math.pi, size=A._RIGIDITY_DRAW)
+        skipped.bit_generator.advance(A._RIGIDITY_DRAW)
+        assert drawn.bit_generator.state == skipped.bit_generator.state
+        assert drawn.random(5).tolist() == skipped.random(5).tolist()
+
+    @pytest.mark.parametrize("cap", [1e-3, 0.05, 0.1, 0.3, 0.5, 0.75, 0.999, 1.0])
+    def test_prefilter_bounds_keep_every_passing_length(self, rng, cap):
+        # image vectors whose hypot lands within a few ulps of 1 +- cap,
+        # where the test's own rounding decides: every one that passes
+        # |hypot - 1| <= cap has its q = x*x + y*y inside the bounds
+        q_lo, q_hi = A._rigidity_q_bounds(cap)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=20_000)
+        for edge in (1.0 + cap, 1.0 - cap):
+            r = edge + np.spacing(edge) * rng.integers(-8, 9, size=phi.size)
+            x, y = r * np.cos(phi), r * np.sin(phi)
+            passes = np.abs(np.hypot(x, y) - 1.0) <= cap
+            q = x * x + y * y
+            assert passes.any()
+            assert np.all((q[passes] >= q_lo) & (q[passes] <= q_hi))
+        # and the bounds do drop lengths off by more than the slack
+        assert (1.0 + cap + 4e-9) ** 2 > q_hi
+        assert cap > A._RIGIDITY_LOWER_CAP or (1.0 - cap - 4e-9) ** 2 < q_lo
+
+    @pytest.mark.parametrize("epsilon", [0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("n_samples", [1, A._SQUARED_DRAW + 1, 200_001])
+    def test_squared_bound_matches_row_sum_reference(self, epsilon, n_samples):
+        for seed in (0, 5):
+            got = A.verify_squared_bound(epsilon, n_samples, seed=seed)
+            assert got == _reference_squared_bound(epsilon, n_samples, seed)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 0.1, 0.5, 1.0])
+    def test_squared_margins_bitwise(self, rng, epsilon):
+        u = rng.random((100_000, 3))
+        u[:3] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+        got = A._squared_bound_margins(u, epsilon)
+        assert got.tobytes() == _reference_squared_margins(u, epsilon).tobytes()
+
+    def test_row_sums_of_three_add_left_to_right(self, rng):
+        # verify_squared_bound's column sums rely on it
+        x = rng.standard_normal((100_000, 3)) * 10.0 ** rng.uniform(-3, 3, (100_000, 3))
+        d = x * x
+        assert np.sum(d, axis=1).tobytes() == ((d[:, 0] + d[:, 1]) + d[:, 2]).tobytes()
+        assert x.sum(axis=1).tobytes() == ((x[:, 0] + x[:, 1]) + x[:, 2]).tobytes()
+
+
 @pytest.fixture(scope="module")
 def c_hat():
     return A.estimate_rigidity_constant(n_samples=300_000, deviation_cap=0.1, seed=0).c_hat

@@ -149,6 +149,37 @@ class TestSnapshotBlock:
             C.snapshot_block(3, 1.05, 0.1, self._rows()[0])
 
 
+class TestEquality:
+    def test_equal_configurations_compare_equal(self):
+        a, b = standard_config(2, 1.05, 0.1), standard_config(2, 1.05, 0.1)
+        assert a is not b
+        assert a == b and not a != b
+        assert a in [standard_config(3, 1.05, 0.1), b]
+
+    def test_any_field_difference_compares_unequal(self):
+        a = standard_config(2, 1.05, 0.1)
+        assert a != standard_config(3, 1.05, 0.1)
+        assert a != standard_config(2, 1.04, 0.1)
+        assert a != standard_config(2, 1.05, 0.2)
+        assert a != _with_moved_site(a, (1, 1), a.positions[3] + [1e-12, 0.0])
+        assert a != "standard" and a != None  # noqa: E711
+
+    def test_configurations_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(standard_config(2, 1.05, 0.1))
+
+    def test_snapshot_blocks_compare_by_value(self):
+        pos = TestSnapshotBlock._rows()
+        block = C.snapshot_block(3, 1.05, 0.1, pos.copy())
+        assert block == C.snapshot_block(3, 1.05, 0.1, pos.copy())
+        moved = pos.copy()
+        moved[2, 4, 0] += 1e-9
+        assert block != C.snapshot_block(3, 1.05, 0.1, moved)
+        assert block != C.snapshot_block(3, 1.05, 0.1, pos[:3].copy())
+        with pytest.raises(TypeError):
+            hash(block)
+
+
 class TestPosition:
     def test_periodic_extension_at_axis(self):
         N, l = 4, 1.05

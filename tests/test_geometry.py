@@ -178,6 +178,87 @@ class TestDistSo2:
         assert np.array_equal(nested, stacked[:12].reshape(3, 4))
 
 
+def _reference_dist_so2(M):
+    """The closed form on numpy scalars, with ``np.sum`` for ``|M|^2``."""
+    m = np.asarray(M, dtype=float)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    nsq = float(np.sum(m * m))
+    inner = max(nsq + 2.0 * det, 0.0)
+    return math.sqrt(max(nsq + 2.0 - 2.0 * math.sqrt(inner), 0.0))
+
+
+def _reference_bruteforce(M, n_grid):
+    """The grid search as one stacked expression with ``(stack, n_grid)`` temporaries."""
+    m = np.asarray(M, dtype=float)
+    theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
+    c = np.cos(theta)
+    s = np.sin(theta)
+    d2 = (
+        (m[..., 0, 0, None] - c) ** 2
+        + (m[..., 0, 1, None] + s) ** 2
+        + (m[..., 1, 0, None] - s) ** 2
+        + (m[..., 1, 1, None] - c) ** 2
+    )
+    dmin = np.sqrt(d2.min(axis=-1))
+    return float(dmin) if m.ndim == 2 else dmin
+
+
+class TestDistSo2MatchesReference:
+    def test_numpy_sum_of_four_adds_left_to_right(self, rng):
+        # the closed form's |M|^2 relies on it; a + ((b + c) + d), which
+        # a reduction seeded with the first element would give, differs
+        # on about a quarter of these
+        for _ in range(20_000):
+            sq = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3, (2, 2))
+            sq = sq * sq
+            a, b, c, d = sq.ravel().tolist()
+            assert float(np.sum(sq)) == ((a + b) + c) + d
+
+    def test_closed_form_bitwise(self, rng):
+        Ms = rng.standard_normal((40_000, 2, 2))
+        Ms = list(Ms[np.linalg.det(Ms) > 0.0])
+        Ms += [np.eye(2), 1.05 * np.eye(2), rotation(0.3), np.diag([1e-9, 3.0]), np.zeros((2, 2))]
+        for M in Ms:
+            assert dist_so2(M) == _reference_dist_so2(M)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2, 2),
+            (1, 2, 2),
+            (geometry._BRUTEFORCE_CHUNK - 1, 2, 2),
+            (geometry._BRUTEFORCE_CHUNK, 2, 2),
+            (geometry._BRUTEFORCE_CHUNK + 1, 2, 2),
+            (3, 5, 2, 2),
+            (0, 2, 2),
+        ],
+    )
+    @pytest.mark.parametrize("n_grid", [8, 97, 3600])
+    def test_chunked_grid_search_bitwise(self, rng, shape, n_grid):
+        M = rng.standard_normal(shape)
+        got = dist_so2_bruteforce(M, n_grid)
+        want = _reference_bruteforce(M, n_grid)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+class TestSo2HelpersRequire2x2:
+    # (3, 3): np.eye(3) gave 0.7265 from dist_so2 and 0.0 from the grid search
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 3), (3, 2), (1, 2, 2), (4, 3, 3), ()])
+    def test_dist_so2_rejects(self, shape):
+        with pytest.raises(ValueError, match="2x2"):
+            dist_so2(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2, 3), (4, 3, 2), (5, 3, 3), ()])
+    def test_stack_helpers_reject(self, shape):
+        M = np.ones(shape)
+        with pytest.raises(ValueError, match="2x2"):
+            dist_so2_bruteforce(M, 3600)
+        with pytest.raises(ValueError, match="2x2"):
+            geometry.dist_so2_batch(M)
+
+
 class TestHeron:
     def test_unit_equilateral(self):
         assert abs(heron_area(1.0, 1.0, 1.0) - SQRT3 / 4.0) < 1e-16
