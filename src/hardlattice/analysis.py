@@ -836,7 +836,8 @@ def scan(
     it, the proposal radius must pass :func:`check_lean_regime`, and the
     whole grid is checked before any chain runs.  Chains get
     independent streams derived from ``(master_seed, grid_index)``, so
-    the output does not depend on the thread count.
+    the output does not depend on the thread count.  At most one worker
+    process runs per grid point; a single one runs in this process.
     """
     margin = epsilon_margin(epsilon, certification_grid)
     if margin <= 0.0:
@@ -858,12 +859,13 @@ def scan(
     for i, (N, l) in enumerate((N, l) for N in N_list for l in l_list):
         tasks.append((int(N), float(l), float(epsilon), params, int(master_seed), i))
     records: dict[int, ScanRecord] = {}
-    if threads > 1:
+    workers = min(threads, len(tasks))  # a pool forks all of them at once
+    if workers > 1:
         # Imported only here, so that a single-threaded run does not pay
         # for loading concurrent.futures and multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, rec in pool.map(_scan_worker, tasks):
                 records[idx] = rec
     else:

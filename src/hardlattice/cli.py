@@ -134,6 +134,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"unsupported rng {cfg['rng']!r}; only {RNG_ALGORITHM!r} is implemented")
     _check_int(cfg["seed"], "seed", 0)
     _check_int(cfg["threads"], "threads", 1)
+    _check_out_dir(cfg["out_dir"], "out_dir")
     return cfg
 
 
@@ -142,6 +143,13 @@ def _check_int(value, name: str, minimum: int):
     ``minimum``; raise ``ConfigError`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_out_dir(value, name: str):
+    """Return ``value`` if it is a non-empty string; raise ``ConfigError`` otherwise."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty path, got {value!r}")
     return value
 
 
@@ -214,7 +222,7 @@ def cmd_scan(args) -> int:
     cfg = load_config(args.config)
     block = cfg["scan"]
     seed, threads = _seed_and_threads(args, cfg)
-    out_dir = args.out if args.out is not None else cfg["out_dir"]
+    out_dir = cfg["out_dir"] if args.out is None else _check_out_dir(args.out, "--out")
     os.makedirs(out_dir, exist_ok=True)
 
     params = _sampler_params(block)
@@ -395,7 +403,7 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     block = cfg["oracle"]
     seed, _ = _seed_and_threads(args, cfg)
-    out_dir = args.out if args.out is not None else cfg["out_dir"]
+    out_dir = cfg["out_dir"] if args.out is None else _check_out_dir(args.out, "--out")
     _check_monte_carlo_sizes(block, "oracle")
     ladder_eps = block["epsilon_ladder"]
     if not isinstance(ladder_eps, list) or not ladder_eps:
@@ -488,10 +496,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, analysis.CertificationError) as exc:
+    except (ValueError, analysis.CertificationError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InadmissibleStateError as exc:

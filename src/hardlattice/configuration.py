@@ -13,7 +13,7 @@ Admissibility is the conjunction of three predicates:
 * omega3 -- every triangle's affine piece preserves orientation.
 
 ``check_omega2_fast`` certifies omega2 in ``O(N^2)`` via positive
-determinants plus exact ``2*pi`` image angle sums at every vertex star
+determinants plus an exact integer winding number 1 of every vertex star
 (a locally injective torus map of degree one is a homeomorphism);
 ``check_omega2_oracle`` is the exact cross-check based on pairwise
 interior overlap of image triangles; a cell list over the 3x3 periodic
@@ -44,12 +44,6 @@ import numpy as np
 
 from . import geometry, kernels, lattice
 from .lattice import EMBED_BASIS, SQRT3, check_lattice_size
-
-TWO_PI = 2.0 * math.pi
-
-# Six atan2 evaluations round at ~1e-15 each; a genuine winding defect
-# changes the sum by a multiple of 2*pi, so 1e-9 separates the two cleanly.
-ANGLE_SUM_TOL = 1e-9
 
 CONFIG_SCHEMA = "hardlattice.configuration.v1"
 
@@ -104,14 +98,6 @@ class Configuration:
         _check_gauge(pos[None])
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_sites(self) -> int:
-        return self.N * self.N
-
-    @property
-    def n_triangles(self) -> int:
-        return 2 * self.N * self.N
 
     @cached_property
     def corners(self) -> np.ndarray:
@@ -366,25 +352,15 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     )
 
 
-def vertex_angle_sums(cfg: Configuration) -> np.ndarray:
-    """Image angle sum of the six star triangles at every canonical site."""
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
-    w = cfg.positions[nbr_idx] + cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
-    e = w - cfg.positions[:, None, :]
-    e2 = np.roll(e, -1, axis=1)
-    cross = e[..., 0] * e2[..., 1] - e[..., 1] * e2[..., 0]
-    dot = e[..., 0] * e2[..., 0] + e[..., 1] * e2[..., 1]
-    return np.arctan2(cross, dot).sum(axis=1)
-
-
 def check_omega2_fast(cfg: Configuration) -> CheckResult:
     """O(N^2) injectivity certificate.
 
-    All determinants positive plus angle sum ``2*pi`` (within
-    :data:`ANGLE_SUM_TOL`) at every vertex star.  Positive determinants
-    make the torus map a local homeomorphism away from vertices and it
-    has degree one, so ruling out winding defects at vertices certifies
-    a global bijection.
+    All determinants positive, and the six neighbour images of every
+    site wind exactly once around its image
+    (:func:`geometry.winding_numbers`, an exact integer count).
+    Positive determinants make the torus map a local homeomorphism away
+    from vertices and it has degree one, so ruling out winding defects
+    at vertices certifies a global bijection.
 
     :func:`is_admissible` calls this only where omega1 fails or
     ``epsilon >= sqrt(3) - 1``; elsewhere omega1 and omega3 imply its
@@ -394,16 +370,15 @@ def check_omega2_fast(cfg: Configuration) -> CheckResult:
     omega3 = check_omega3(cfg)
     if not omega3.ok:
         return CheckResult(False, [("omega2_precondition",) + v[1:] for v in omega3.violations])
-    sums = vertex_angle_sums(cfg)
-    bad = np.flatnonzero(np.abs(sums - TWO_PI) > ANGLE_SUM_TOL)
+    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
+    star = cfg.positions[nbr_idx] + cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
+    winding = geometry.winding_numbers(cfg.positions, star)
+    bad = np.flatnonzero(winding != 1)
     if bad.size == 0:
         return CheckResult(True)
     return CheckResult(
         False,
-        [
-            ("omega2_angle", lattice.site_of_index(int(i), cfg.N), float(sums[i]))
-            for i in bad
-        ],
+        [("omega2_winding", lattice.site_of_index(int(i), cfg.N), int(winding[i])) for i in bad],
     )
 
 
@@ -425,9 +400,9 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     corner triple within rounding of collinear, as in some folded
     states), and pairs with a tiled copy that rounds to degenerate, for
     which the scalar raises :class:`geometry.DegenerateTriangleError`.  The
-    degenerate pre-pass likewise calls :func:`geometry.orient_sign` only
-    where :func:`geometry.orient_signs` leaves the sign open or zero.  The
-    answer is the exact predicate's on every pair either way.
+    degenerate pre-pass takes its exact signs from
+    :func:`geometry.orient_signs_exact`.  The answer is the exact
+    predicate's on every pair either way.
 
     The pre-pass checks the centre copies only, and a tiled copy can
     round to collinear where its centre copy does not: two reflected-apex
@@ -438,12 +413,8 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     predicate raise :class:`geometry.DegenerateTriangleError`.
     """
     corners = cfg.corners
-    sign, decided = geometry.orient_signs(corners[:, 0], corners[:, 1], corners[:, 2])
-    degenerate = [
-        t
-        for t in np.flatnonzero(~decided | (sign == 0)).tolist()
-        if geometry.orient_sign(corners[t, 0], corners[t, 1], corners[t, 2]) == 0
-    ]
+    sign = geometry.orient_signs_exact(corners[:, 0], corners[:, 1], corners[:, 2])
+    degenerate = np.flatnonzero(sign == 0).tolist()
     if degenerate:
         tris = lattice.triangles(cfg.N)
         return CheckResult(False, [("omega3_degenerate", tris[t]) for t in degenerate])
@@ -535,13 +506,13 @@ def is_admissible(cfg: Configuration) -> AdmissibilityReport:
     """Conjunction of omega1, omega3 and the fast omega2 certificate.
 
     Evaluated in the order omega1, omega3, omega2.  When omega3 fails,
-    omega2 is reported as failing without a check, since the angle-sum
+    omega2 is reported as failing without a check, since the winding
     certificate presupposes positive determinants.  When omega1 and
     omega3 both hold and ``(1 + epsilon)**2 < kernels.LEAN_HI2``, omega2
-    is reported as passing without :func:`vertex_angle_sums`: every
-    triangle angle is then below ``2*pi/3``, so every vertex angle sum is
-    exactly ``2*pi`` (the first lemma of the :mod:`kernels` docstring),
-    and :func:`check_omega2_fast` would pass.  Otherwise
+    is reported as passing without the winding count: every triangle
+    angle is then below ``2*pi/3``, so every vertex star winds exactly
+    once (the first lemma of the :mod:`kernels` docstring), and
+    :func:`check_omega2_fast` would pass.  Otherwise
     :func:`check_omega2_fast` decides.  The report is the same as when
     :func:`check_omega2_fast` runs on every state with omega3.
     """
@@ -561,6 +532,16 @@ def is_admissible(cfg: Configuration) -> AdmissibilityReport:
     )
 
 
+def _positions_at(cfg: Configuration, sign: int, b=(0, 0)) -> np.ndarray:
+    """Positions of the sites ``sign * x + b`` for the canonical sites ``x``, in their order."""
+    N = cfg.N
+    flat = np.arange(N * N)
+    u, v = sign * (flat // N) + b[0], sign * (flat % N) + b[1]
+    cu, cv = u % N, v % N
+    wrap = np.stack(((u - cu) // N, (v - cv) // N), axis=-1)
+    return cfg.positions[cu * N + cv] + cfg.l * N * (wrap @ EMBED_BASIS)
+
+
 def translate(cfg: Configuration, b) -> Configuration:
     """Pull the configuration back by lattice vector ``b`` and re-gauge.
 
@@ -569,15 +550,8 @@ def translate(cfg: Configuration, b) -> Configuration:
     No run uses it: it is the scalar reference of the symmetry tests,
     which require :func:`is_admissible` to be invariant under it.
     """
-    N = cfg.N
-    bu, bv = b
-    flat = np.arange(N * N)
-    u, v = flat // N + bu, flat % N + bv
-    cu, cv = u % N, v % N
-    wrap = np.stack(((u - cu) // N, (v - cv) // N), axis=-1)
-    gathered = cfg.positions[cu * N + cv] + cfg.l * N * (wrap @ EMBED_BASIS)
-    new_pos = gathered - gathered[0]
-    return Configuration(N, cfg.l, cfg.epsilon, new_pos)
+    gathered = _positions_at(cfg, 1, b)
+    return Configuration(cfg.N, cfg.l, cfg.epsilon, gathered - gathered[0])
 
 
 def reflect(cfg: Configuration) -> Configuration:
@@ -586,15 +560,9 @@ def reflect(cfg: Configuration) -> Configuration:
     No run uses it: it is the scalar reference of the symmetry tests,
     which require :func:`is_admissible` to be invariant under it.
     """
-    N = cfg.N
-    flat = np.arange(N * N)
-    u, v = -(flat // N), -(flat % N)
-    cu, cv = u % N, v % N
-    wrap = np.stack(((u - cu) // N, (v - cv) // N), axis=-1)
-    gathered = cfg.positions[cu * N + cv] + cfg.l * N * (wrap @ EMBED_BASIS)
-    new_pos = -gathered
+    new_pos = -_positions_at(cfg, -1)
     new_pos[0] = 0.0
-    return Configuration(N, cfg.l, cfg.epsilon, new_pos)
+    return Configuration(cfg.N, cfg.l, cfg.epsilon, new_pos)
 
 
 def to_json(cfg: Configuration) -> str:

@@ -23,10 +23,10 @@ def wrapped_vertex_config(
     """Double cover at one vertex: the six neighbors wind twice around it.
 
     Consecutive image angles are all 2*pi/3, so the star determinants
-    stay positive while the angle sum becomes 4*pi; neighbors three
-    apart land on identical positions, so two star triangles coincide
-    and the overlap oracle must fire.  The vertex must not have site
-    (0, 0) among its neighbors.
+    stay positive while the star winds twice around the vertex;
+    neighbors three apart land on identical positions, so two star
+    triangles coincide and the overlap oracle must fire.  The vertex
+    must not have site (0, 0) among its neighbors.
     """
     cfg = standard_config(N, l, epsilon)
     pos = np.array(cfg.positions)

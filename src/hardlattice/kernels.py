@@ -13,14 +13,14 @@ admissible state this decision equals :func:`local_ok` whenever
 ``r`` is at most ``epsilon / 2``; :class:`~hardlattice.sampler.Chain`
 enforces both.
 
-* Angle sums.  A triangle whose sides all lie in ``(1, 1+epsilon)`` has
+* Winding.  A triangle whose sides all lie in ``(1, 1+epsilon)`` has
   every angle below ``arccos(1 - (1+epsilon)**2 / 2)``, which is below
   ``2*pi/3`` exactly when ``hi2 < 3``.  Each vertex star (the moved
   site's and its neighbours') is six such positively oriented
-  triangles, so its angle sum is a positive multiple of ``2*pi`` below
-  ``4*pi``: exactly ``2*pi``.  Bond windows and orientations at ``s``
-  therefore imply every angle-sum certificate that ``local_ok``
-  evaluates.
+  triangles; their angles at the vertex sum to ``2*pi`` times the
+  star's winding number, and the sum lies in ``(0, 4*pi)``, so the
+  winding number is 1.  Bond windows and orientations at ``s``
+  therefore imply every winding certificate that ``local_ok`` evaluates.
 * Orientations.  Before the move ``s`` sits at ``p0`` and each star
   triangle ``(p0, q_k, q_k+1)`` has sides in ``(1, 1+epsilon)``.  Its
   largest angle lies in ``[pi/3, 2*pi/3)``, so its area is at least
@@ -81,28 +81,21 @@ BACKEND = "numpy"
 PLAN_MIN_SITES = 81
 
 
-def star_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol, check_bonds):
+def star_ok(pos, nbr_idx, nbr_shift, s, hi2, check_bonds):
     """Local admissibility walk around site ``s``.
 
-    Checks, in one pass over the six neighbors in counterclockwise order:
-    squared bond lengths strictly inside ``(1, hi2)`` (only when
-    ``check_bonds``), positive orientation of the six incident triangles,
-    and the image angle sum at ``s`` equal to ``2*pi`` within
-    ``angle_tol``.
+    Checks, over the six neighbors in counterclockwise order: squared
+    bond lengths strictly inside ``(1, hi2)`` (only when
+    ``check_bonds``), positive orientation of the six incident triangles
+    (a NaN cross product fails), and winding number 1 of the neighbour
+    hexagon around ``s``.  With ``s`` left of every hexagon edge ``a b``,
+    that number is the count of edges with ``a_y <= 0 < b_y`` (Sunday's
+    crossing rule); a rounded difference has the exact one's sign.
     """
     px = pos[s, 0]
     py = pos[s, 1]
-    j = nbr_idx[s, 0]
-    e0x = pos[j, 0] + nbr_shift[s, 0, 0] - px
-    e0y = pos[j, 1] + nbr_shift[s, 0, 1] - py
-    if check_bonds:
-        d2 = e0x * e0x + e0y * e0y
-        if d2 <= 1.0 or d2 >= hi2:
-            return False
-    prevx = e0x
-    prevy = e0y
-    total = 0.0
-    for k in range(1, 6):
+    e = []
+    for k in range(6):
         j = nbr_idx[s, k]
         ex = pos[j, 0] + nbr_shift[s, k, 0] - px
         ey = pos[j, 1] + nbr_shift[s, k, 1] - py
@@ -110,31 +103,27 @@ def star_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol, check_bonds):
             d2 = ex * ex + ey * ey
             if d2 <= 1.0 or d2 >= hi2:
                 return False
-        cr = prevx * ey - prevy * ex
-        if cr <= 0.0:
+        e.append((ex, ey))
+    crossings = 0
+    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
+        if not ax * by - ay * bx > 0.0:
             return False
-        total += math.atan2(cr, prevx * ex + prevy * ey)
-        prevx = ex
-        prevy = ey
-    cr = prevx * e0y - prevy * e0x
-    if cr <= 0.0:
-        return False
-    total += math.atan2(cr, prevx * e0x + prevy * e0y)
-    return abs(total - TWO_PI) <= angle_tol
+        crossings += ay <= 0.0 < by
+    return crossings == 1
 
 
-def local_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol):
+def local_ok(pos, nbr_idx, nbr_shift, s, hi2):
     """Full local decision for the current position of site ``s``.
 
-    Bond window and orientation at ``s`` plus angle sums at ``s`` and at
+    Bond window and orientation at ``s`` plus windings at ``s`` and at
     each of its six neighbors; these are exactly the constraints a move
     of ``s`` can affect.
     """
-    if not star_ok(pos, nbr_idx, nbr_shift, s, hi2, angle_tol, True):
+    if not star_ok(pos, nbr_idx, nbr_shift, s, hi2, True):
         return False
     for k in range(6):
         v = nbr_idx[s, k]
-        if not star_ok(pos, nbr_idx, nbr_shift, v, hi2, angle_tol, False):
+        if not star_ok(pos, nbr_idx, nbr_shift, v, hi2, False):
             return False
     return True
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -28,3 +30,26 @@ def sample_snapshots(sample_chain_result):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.PCG64(99))
+
+
+def _fraction_winding(p, polygon) -> int:
+    """Sunday's crossing rule in rational arithmetic: how often the closed
+    ``polygon`` winds around ``p``.  Edge ``a -> b`` counts +1 where
+    ``a.y <= p.y < b.y`` with ``p`` strictly left of it, and -1 where
+    ``b.y <= p.y < a.y`` with ``p`` strictly right of it."""
+    px, py = Fraction(p[0]), Fraction(p[1])
+    q = [(Fraction(x), Fraction(y)) for x, y in polygon]
+    w = 0
+    for (ax, ay), (bx, by) in zip(q, q[1:] + q[:1]):
+        side = (ax - px) * (by - py) - (ay - py) * (bx - px)
+        if ay <= py < by and side > 0:
+            w += 1
+        elif by <= py < ay and side < 0:
+            w -= 1
+    return w
+
+
+@pytest.fixture(scope="session")
+def fraction_winding():
+    """The exact reference of ``geometry.winding_numbers``, one polygon at a time."""
+    return _fraction_winding

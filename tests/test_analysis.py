@@ -552,6 +552,35 @@ class TestScan:
         par = A.scan([2, 4], [1.05], 0.1, params, master_seed=5, threads=2)
         assert A.scan_csv_text(seq) == A.scan_csv_text(par)
 
+    def test_worker_count_is_capped_at_the_grid_size(self, monkeypatch):
+        # a pool forks all its workers at once; record the count instead
+        import concurrent.futures
+
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        params = SamplerParams(sweeps=500, burn_in=0, thin=5, seed=0)
+        seq = A.scan([2, 3], [1.05], 0.1, params, master_seed=5)
+        assert A.scan_csv_text(A.scan([2, 3], [1.05], 0.1, params, master_seed=5, threads=64)) == (
+            A.scan_csv_text(seq)
+        )
+        assert made == [2]
+        A.scan([2], [1.05], 0.1, params, master_seed=5, threads=64)
+        assert made == [2]  # one grid point runs in this process
+
     def test_process_pool_is_imported_only_for_threads(self):
         # a fresh interpreter: this one may already hold the modules
         code = (

@@ -108,6 +108,12 @@ class TestConfigValidation:
             ("scan", SMALL_SCAN, ["--seed", "-3"]),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], sweeps=0)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], sweeps=4)}, []),
+            ("scan", dict(SMALL_SCAN, out_dir=5), []),
+            ("scan", dict(SMALL_SCAN, out_dir=None), []),
+            ("scan", dict(SMALL_SCAN, out_dir=""), []),
+            ("verify", dict(FAST_VERIFY, out_dir=5), []),
+            ("scan", SMALL_SCAN, ["--out", ""]),
+            ("oracle", {}, ["--out", ""]),
         ],
         ids=[
             "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
@@ -118,7 +124,8 @@ class TestConfigValidation:
             "oracle-ladder-scalar", "oracle-ladder-empty", "scan-epsilon-bool",
             "verify-epsilon-bool", "oracle-ladder-bool", "threads-flag-0", "threads-flag-neg",
             "threads-bool", "seed-bool", "seed-flag-neg", "verify-sweeps-0",
-            "verify-sweeps-below-thin",
+            "verify-sweeps-below-thin", "out-dir-int", "out-dir-null", "out-dir-empty",
+            "verify-out-dir-int", "out-flag-empty", "oracle-out-flag-empty",
         ],
     )
     def test_bad_value_maps_to_exit_one(self, tmp_path, capsys, command, config, flags):

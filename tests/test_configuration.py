@@ -286,11 +286,13 @@ class TestOmega2:
         assert not check_omega2_fast(bad).ok
         assert not check_omega2_oracle(bad).ok
 
-    def test_angle_sum_is_four_pi_at_wrapped_vertex(self):
+    def test_wrapped_vertex_winds_twice(self, fraction_winding):
         bad = counterexamples.wrapped_vertex_config(4, 1.05, 0.1, vertex=(2, 2))
-        sums = C.vertex_angle_sums(bad)
-        wrapped = sums[lattice.site_index((2, 2), 4)]
-        assert abs(wrapped - 4.0 * math.pi) < 1e-9
+        p, star = _stars(bad)
+        s = lattice.site_index((2, 2), 4)
+        assert geometry.winding_numbers(p, star)[s] == 2
+        assert fraction_winding(p[s], star[s]) == 2
+        assert abs(_angle_sums(p, star)[s] - 4.0 * math.pi) < ANGLE_SUM_TOL
 
     def test_coincident_sites_fail_oracle(self):
         bad = counterexamples.coincident_sites_config(4, 1.05, 0.1)
@@ -313,6 +315,26 @@ class TestOmega2:
         for bad in counterexamples.folded_counterexamples(4, 1.05, 0.1):
             assert not check_omega2_fast(bad).ok
             assert not check_omega2_oracle(bad).ok
+
+
+# Tolerance of the angle-sum reference below: six atan2 evaluations
+# round at ~1e-15 each, and a winding defect moves a sum by 2*pi.
+ANGLE_SUM_TOL = 1e-9
+
+
+def _stars(cfg):
+    """Every site's image and its six neighbour images, in counterclockwise order."""
+    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
+    return cfg.positions, cfg.positions[nbr_idx] + cfg.l * cfg.N * (nbr_wrap @ lattice.EMBED_BASIS)
+
+
+def _angle_sums(p, star):
+    """Sum of the six signed image angles at every star: ``2*pi`` times its winding number."""
+    e = star - p[:, None, :]
+    e2 = np.roll(e, -1, axis=1)
+    cross = e[..., 0] * e2[..., 1] - e[..., 1] * e2[..., 0]
+    dot = e[..., 0] * e2[..., 0] + e[..., 1] * e2[..., 1]
+    return np.arctan2(cross, dot).sum(axis=1)
 
 
 SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
@@ -480,8 +502,8 @@ class TestImpliedOmega2:
     def test_reports_equal_the_fast_certificate_reports(self, monkeypatch):
         want = [_report_with_fast_certificate(cfg) for cfg in self.STATES]
         calls = []
-        real = C.vertex_angle_sums
-        monkeypatch.setattr(C, "vertex_angle_sums", lambda cfg: calls.append(cfg) or real(cfg))
+        real = geometry.winding_numbers
+        monkeypatch.setattr(geometry, "winding_numbers", lambda p, q: calls.append(p) or real(p, q))
         got = [is_admissible(cfg) for cfg in self.STATES]
         assert got == want
         # The certificate ran exactly where omega1 failed or epsilon is too
@@ -492,6 +514,38 @@ class TestImpliedOmega2:
         assert sum(skipped) > 0 and len(calls) > 0
         assert sum(not r.ok for r in want) > 48 and sum(r.ok for r in want) > 0
         assert len(self.STATES) == 48 + 2 * 36
+
+    def test_windings_equal_exact_and_angle_sum_references(self, sample_snapshots, fraction_winding):
+        """Where omega3 holds and the certificate counts, every star winds
+        once: by the exact crossing rule, and by the atan2 angle sums the
+        certificate used to take, within their own tolerance.  So the
+        certificate passes exactly where the angle-sum certificate did."""
+        counted = 0
+        for cfg in [*self.STATES, *sample_snapshots[::10]]:
+            res = check_omega2_fast(cfg)
+            if not check_omega3(cfg).ok:
+                assert not res.ok
+                continue
+            p, star = _stars(cfg)
+            w = geometry.winding_numbers(p, star)
+            sums = _angle_sums(p, star)
+            assert w.tolist() == [fraction_winding(a, b) for a, b in zip(p, star)]
+            assert np.all(np.abs(sums - 2.0 * math.pi * w) <= ANGLE_SUM_TOL)
+            bad = np.flatnonzero(w != 1)
+            assert res.violations == [
+                ("omega2_winding", lattice.site_of_index(int(i), cfg.N), int(w[i])) for i in bad
+            ]
+            assert res.ok == bool(np.all(np.abs(sums - 2.0 * math.pi) <= ANGLE_SUM_TOL))
+            counted += 1
+        assert counted > 50
+
+    def test_standard_stars_put_vertices_on_the_line_through_the_centre(self):
+        """Horizontal bonds have exactly ``e.y == 0``, so the half-open
+        crossing rule decides the standard state's winding."""
+        cfg = standard_config(4, 1.05, 0.1)
+        p, star = _stars(cfg)
+        assert np.all(np.any(star[..., 1] == p[:, None, 1], axis=1))
+        assert check_omega2_fast(cfg).ok
 
 
 def _with_site_value(cfg, index, value):

@@ -5,8 +5,8 @@ import pytest
 
 import hardlattice as hl
 from hardlattice import configuration as C
-from hardlattice import kernels, lattice
-from hardlattice.configuration import ANGLE_SUM_TOL, Configuration
+from hardlattice import counterexamples, kernels, lattice
+from hardlattice.configuration import Configuration
 from hardlattice.lattice import EMBED_BASIS
 
 
@@ -26,7 +26,7 @@ def test_local_ok_accepts_interior_state():
     nbr_idx, shift, hi2 = _tables(cfg)
     pos = np.array(cfg.positions)
     for s in range(1, 16):
-        assert kernels.local_ok(pos, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
+        assert kernels.local_ok(pos, nbr_idx, shift, s, hi2)
 
 
 def test_local_ok_rejects_bond_stretched_past_window():
@@ -36,7 +36,7 @@ def test_local_ok_rejects_bond_stretched_past_window():
     s = lattice.site_index((2, 2), 4)
     # push the site away from its (1, 0) neighbor beyond 1 + epsilon
     pos[s] = pos[s] + np.array([-(0.2), 0.0])
-    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
+    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
 
 
 def test_local_ok_rejects_compressed_bond():
@@ -46,7 +46,74 @@ def test_local_ok_rejects_compressed_bond():
     s = lattice.site_index((1, 1), 4)
     nbr = pos[lattice.site_index((2, 1), 4)]
     pos[s] = nbr + np.array([-0.99, 0.0])  # bond length 0.99 < 1
-    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
+    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
+
+
+def test_local_ok_rejects_nan_neighbour():
+    cfg = C.standard_config(4, 1.05, 0.1)
+    nbr_idx, shift, hi2 = _tables(cfg)
+    pos = np.array(cfg.positions)
+    s = lattice.site_index((1, 1), 4)
+    # only x is NaN: every y comparison of the winding count still holds
+    pos[nbr_idx[s, 2], 0] = math.nan
+    assert not kernels.star_ok(pos, nbr_idx, shift, s, hi2, False)
+    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
+
+
+def _angle_sum_star_ok(e, hi2, check_bonds):
+    """``star_ok`` as an angle-sum certificate, on the six edge vectors ``e``:
+    bond windows, positive orientations, and six ``atan2`` angles summing
+    to ``2*pi`` within 1e-9."""
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
+        if check_bonds and not 1.0 < ax * ax + ay * ay < hi2:
+            return False
+        cr = ax * by - ay * bx
+        if cr <= 0.0:
+            return False
+        total += math.atan2(cr, ax * bx + ay * by)
+    return abs(total - 2.0 * math.pi) <= 1e-9
+
+
+def test_star_ok_matches_angle_sum_reference_on_random_stars():
+    """The winding count decides every star as the angle sums did, at
+    every epsilon a configuration allows, on stars that wind once and
+    stars that wind twice around the centre."""
+    rng = np.random.Generator(np.random.PCG64(23))
+    nbr_idx = np.tile(np.arange(1, 7), (7, 1))
+    shift = np.zeros((7, 6, 2))
+    rejected = twice = 0
+    for eps in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        hi2 = (1.0 + eps) * (1.0 + eps)
+        for n in range(1500):
+            turns = 2 if n % 10 == 0 else 1
+            ang = 0.1 + turns * np.arange(6) * math.pi / 3 + rng.uniform(-0.6, 0.6, 6)
+            length = 1.0 + eps * rng.uniform(-0.1, 1.1, (6, 1))
+            pos = np.zeros((7, 2))
+            pos[0] = rng.uniform(-1.0, 1.0, 2)
+            pos[1:] = pos[0] + length * np.stack((np.cos(ang), np.sin(ang)), 1)
+            e = [(x + 0.0 - pos[0, 0], y + 0.0 - pos[0, 1]) for x, y in pos[1:].tolist()]
+            for check_bonds in (True, False):
+                want = _angle_sum_star_ok(e, hi2, check_bonds)
+                assert kernels.star_ok(pos, nbr_idx, shift, 0, hi2, check_bonds) == want
+                rejected += not want
+            # a double star with positive orientations: only the winding rejects it
+            twice += turns == 2 and all(ax * by - ay * bx > 0.0 for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]))
+    assert 3000 < rejected < 15000 and twice > 100
+
+
+def test_local_ok_rejects_wrapped_vertex():
+    bad = counterexamples.wrapped_vertex_config(4, 1.05, 0.1, vertex=(2, 2))
+    nbr_idx, shift, hi2 = _tables(bad)
+    s = lattice.site_index((2, 2), 4)
+    pos = np.array(bad.positions)
+    # the six bonds and orientations at the vertex pass: its winding of 2 rejects it
+    e = pos[nbr_idx[s]] + shift[s] - pos[s]
+    e2 = np.roll(e, -1, axis=0)
+    assert np.all(e[:, 0] * e2[:, 1] - e[:, 1] * e2[:, 0] > 0.0)
+    assert np.all(((e * e).sum(axis=1) > 1.0) & ((e * e).sum(axis=1) < hi2))
+    assert not kernels.star_ok(pos, nbr_idx, shift, s, hi2, True)
+    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
 
 
 def test_local_decision_matches_full_admissibility_check():
@@ -78,7 +145,7 @@ def test_local_decision_matches_full_admissibility_check():
             pos = np.array(base.positions)
             order = np.array([s], dtype=np.int64)
             lean = bool(kernels.sweep(pos, nbrs, order, uniforms, radius, hi2))
-            local = kernels.local_ok(proposed, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL)
+            local = kernels.local_ok(proposed, nbr_idx, shift, s, hi2)
             full = C.is_admissible(Configuration(4, base.l, eps, proposed)).ok
             assert lean == local == full
             assert np.array_equal(pos, proposed if lean else base.positions)
@@ -97,7 +164,7 @@ def _reference_sweep(pos, nbr_idx, shift, order, uniforms, radius, hi2):
         old = pos[s].copy()
         pos[s, 0] = old[0] + rho * math.cos(phi)
         pos[s, 1] = old[1] + rho * math.sin(phi)
-        if kernels.local_ok(pos, nbr_idx, shift, s, hi2, ANGLE_SUM_TOL):
+        if kernels.local_ok(pos, nbr_idx, shift, s, hi2):
             accepted += 1
         else:
             pos[s] = old

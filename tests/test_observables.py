@@ -271,6 +271,10 @@ class TestLeanSuiteNumpyEqualities:
 
 
 @pytest.mark.slow
+# at 10,000 samples per series scipy falls back from the exact KS method
+@pytest.mark.filterwarnings(
+    "ignore:ks_2samp. Exact calculation unsuccessful. Switching to method=asymp.:RuntimeWarning"
+)
 def test_order_parameter_samples_exchangeable_across_triangles():
     scipy_stats = pytest.importorskip("scipy.stats")
     series = {t: [] for t in (0, 1, 3, 6)}

@@ -12,6 +12,9 @@ from hardlattice.lattice import EMBED_BASIS
 from hardlattice.sampler import Chain, ChainInvariantError, InadmissibleStateError, SamplerParams
 
 TWO_PI = 2.0 * math.pi
+# Six atan2 evaluations round at ~1e-15 each; a winding defect moves an
+# angle sum by a multiple of 2*pi, so 1e-9 separates the two cleanly.
+ANGLE_SUM_TOL = 1e-9
 
 
 class TestParams:
@@ -394,7 +397,7 @@ def _batched_admissible(points, cfg, movable_idx):
     cr = e[..., 0] * e2[..., 1] - e[..., 1] * e2[..., 0]
     dt = e[..., 0] * e2[..., 0] + e[..., 1] * e2[..., 1]
     sums = np.arctan2(cr, dt).sum(axis=2)
-    ok &= np.all(np.abs(sums - TWO_PI) <= C.ANGLE_SUM_TOL, axis=1)
+    ok &= np.all(np.abs(sums - TWO_PI) <= ANGLE_SUM_TOL, axis=1)
     return ok
 
 
