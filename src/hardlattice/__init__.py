@@ -8,7 +8,6 @@ from .configuration import (
     AdmissibilityReport,
     Configuration,
     check_omega1,
-    check_omega2_fast,
     check_omega2_oracle,
     check_omega3,
     is_admissible,
@@ -24,7 +23,6 @@ __all__ = [
     "SamplerParams",
     "__version__",
     "check_omega1",
-    "check_omega2_fast",
     "check_omega2_oracle",
     "check_omega3",
     "is_admissible",

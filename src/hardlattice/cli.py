@@ -363,15 +363,16 @@ def cmd_verify(args) -> int:
         f"pythagoras={worst_err[2]:.2e}",
     )
 
-    # 6. Fast injectivity certificate vs exact oracle.  The chain's
-    # recheck passed the fast certificate on every sample, or it raised.
+    # 6. Injectivity read off exact omega3, as is_admissible reports
+    # omega2, vs the exact oracle.  The chain's recheck passed
+    # is_admissible on every sample, or it raised.
     checked = snapshots[:: max(1, params.omega2_oracle_every)]
     agree = all(cfgmod.check_omega2_oracle(snap).ok for snap in checked)
     n_counter = 0
     # the constructions are about the checks, not the verify window;
     # fixed parameters keep them valid for any configured epsilon
     for bad in counterexamples.folded_counterexamples(4, 1.05, 0.1):
-        fast_rejects = not cfgmod.check_omega2_fast(bad).ok
+        fast_rejects = not cfgmod.check_omega3(bad).ok
         oracle_rejects = not cfgmod.check_omega2_oracle(bad).ok
         agree &= fast_rejects and oracle_rejects
         n_counter += 1

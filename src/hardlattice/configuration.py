@@ -12,15 +12,27 @@ Admissibility is the conjunction of three predicates:
   injective,
 * omega3 -- every triangle's affine piece preserves orientation.
 
-``check_omega2_fast`` certifies omega2 in ``O(N^2)`` via positive
-determinants plus an exact integer winding number 1 of every vertex star
-(a locally injective torus map of degree one is a homeomorphism);
-``check_omega2_oracle`` is the exact cross-check based on pairwise
-interior overlap of image triangles; a cell list over the 3x3 periodic
-tiling hands it only the pairs whose bounding boxes overlap, in
-``O(N^2)`` time and memory.  Agreement of the two is a tested invariant
-of this package.  For ``epsilon < sqrt(3) - 1``, omega1 and omega3
-already imply the fast certificate, and :func:`is_admissible` skips it.
+Lemma: omega3 decides omega2.  If every image triangle is positively
+oriented, the six angles at vertex ``v`` sum to ``2*pi*w_v``, with
+``w_v >= 1`` the winding number of its star.  Each triangle's three
+angles lie in three different stars, so ``sum_v 2*pi*w_v = 2*N^2*pi``
+and every ``w_v = 1``: the torus map is a local homeomorphism of degree
+one, hence injective.  A negative or degenerate triangle forces a double
+cover, so omega2 fails exactly where omega3 fails.
+
+The proof is about the periodic extension in real arithmetic, and
+:func:`check_omega3` takes exact signs of the float corners of
+:func:`image_triangle_corners`.  A corner at its centre copy is the
+stored position; a wrapped corner, on the seam, is the rounded copy
+``fl(p + fl(l*N*embed(w)))``, a few ulps of ``l*N`` off its periodic
+image.  So only a seam triangle whose doubled area lies within that
+rounding of zero can get another verdict than the exact periodic one.
+
+``check_omega2_oracle`` is the independent cross-check, based on
+pairwise interior overlap of image triangles; a cell list over the 3x3
+periodic tiling hands it only the pairs whose bounding boxes overlap, in
+``O(N^2)`` time and memory.  Its agreement with :func:`is_admissible`'s
+omega2 is a tested invariant of this package.
 
 Each snapshot computes its geometry once: ``cfg.corners``,
 ``cfg.gradients``, ``cfg.crosses`` and ``cfg.bond_squares`` are cached
@@ -42,7 +54,7 @@ from numbers import Real
 
 import numpy as np
 
-from . import geometry, kernels, lattice
+from . import geometry, lattice
 from .lattice import EMBED_BASIS, SQRT3, check_lattice_size
 
 CONFIG_SCHEMA = "hardlattice.configuration.v1"
@@ -59,6 +71,12 @@ _BINV = np.array(
 _BINV.setflags(write=False)
 
 LAMBDA0 = SQRT3 / 4.0  # area of the unit reference triangle
+
+# A state passes check_omega3 without exact signs when its smallest corner
+# cross product exceeds _OMEGA3_SLACK times its largest squared bond
+# length, which is at most _BOND_SQUARE_CAP; see check_omega3.
+_OMEGA3_SLACK = 2.0 * geometry._ORIENT_ERRBOUND
+_BOND_SQUARE_CAP = 2.0**1000
 
 # The 3x3 tiling shifts of the exact oracle; index 4 is the centre copy.
 _SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
@@ -333,17 +351,50 @@ def check_omega1(cfg: Configuration) -> CheckResult:
 
 
 def check_omega3(cfg: Configuration) -> CheckResult:
-    """Positive Jacobian determinant on every triangle class.
+    """Exact omega3: every triangle's float corners turn counterclockwise.
 
-    The reference edges are positively oriented, so the determinant sign
-    equals the sign of the image corner cross product.  A NaN cross
-    product is not positive and fails.  As in :func:`check_omega1`, the
-    minimum settles a passing state.
+    The determinant's sign is the exact sign of
+    ``D = (c1 - c0) x (c2 - c0)`` over the corners of
+    :func:`image_triangle_corners`; a triangle with a non-finite corner
+    fails.  Violations report ``cfg.crosses`` scaled to a determinant.
+    With ``M`` the largest squared bond length, a state with
+    ``M < _BOND_SQUARE_CAP`` and
+    ``min(cfg.crosses) > 2 * _ORIENT_ERRBOUND * M`` passes in floats; any
+    other (a non-finite coordinate makes ``M`` NaN or infinite) pays for
+    :func:`geometry.orient_signs_exact` over its finite triangles.
+
+    Proof that the test gives ``D > 0``, with ``u = 2**-53``.  (1) The
+    seven roundings of ``cross = fl(fl(a_x b_y) - fl(a_y b_x))``, where
+    ``a = fl(c1 - c0)`` and ``b = fl(c2 - c0)``, and an underflow of at
+    most ``2**-1075`` per product give, by Cauchy-Schwarz,
+    ``|cross - D| <= 4.001 u |c1 - c0| |c2 - c0| + 2**-1073``.  (2) ``c0``
+    is a stored position, and ``c1 - c0``, and ``c2 - c0`` of an UP
+    triangle, round to bitwise bond vectors: they are at most
+    ``r = sqrt(M + 2**-1074) / (1 - u)**2`` long.  (3) Edge ``c2 - c0`` of
+    a DOWN triangle is a reversed bond whose ends, on the seam, are other
+    rounded copies, off by ``u`` times the size of the seam points.
+    Stored positions lie within ``2(N - 1) r`` of the origin (bonds inside
+    the grid) and ``fl(l*N) <= N r`` (row 0's ``N`` bonds add up to that
+    shift exactly), so seam points lie within ``3 N r`` of it and the edge
+    is at most ``r (1 + 6 N u)`` long.  (4) For ``N <= 2**40`` (``N**2``
+    sites must fit in memory), ``|cross - D| <= 4.01 u M + 2**-1072``,
+    which is below ``2 * _ORIENT_ERRBOUND * M = (6 + 32 u) u M`` because
+    ``M > 0.9`` (``r >= fl(l*N) / N > 1 - u``).  The cap keeps every step
+    finite.
     """
     cross = cfg.crosses
-    if np.minimum.reduce(cross) > 0.0:
+    m = np.maximum.reduce(cfg.bond_squares)
+    if m < _BOND_SQUARE_CAP and np.minimum.reduce(cross) > _OMEGA3_SLACK * m:
         return CheckResult(True)
-    bad = np.flatnonzero(~(cross > 0.0))
+    # Exact signs of the finite triangles; the float filter of
+    # orient_signs_exact(c1, c2, c0) evaluates corner_crosses' expression.
+    fails = ~_finite_triangles(cfg.corners)
+    idx = np.flatnonzero(~fails)
+    c = cfg.corners[idx]
+    fails[idx[geometry.orient_signs_exact(c[:, 1], c[:, 2], c[:, 0]) <= 0]] = True
+    bad = np.flatnonzero(fails)
+    if bad.size == 0:
+        return CheckResult(True)
     tris = lattice.triangles(cfg.N)
     det_scale = 2.0 / SQRT3  # det(gradient) = cross / det(reference edges)
     return CheckResult(
@@ -352,34 +403,9 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     )
 
 
-def check_omega2_fast(cfg: Configuration) -> CheckResult:
-    """O(N^2) injectivity certificate.
-
-    All determinants positive, and the six neighbour images of every
-    site wind exactly once around its image
-    (:func:`geometry.winding_numbers`, an exact integer count).
-    Positive determinants make the torus map a local homeomorphism away
-    from vertices and it has degree one, so ruling out winding defects
-    at vertices certifies a global bijection.
-
-    :func:`is_admissible` calls this only where omega1 fails or
-    ``epsilon >= sqrt(3) - 1``; elsewhere omega1 and omega3 imply its
-    verdict.  It stays callable on every state, because its agreement
-    with :func:`check_omega2_oracle` is a tested invariant.
-    """
-    omega3 = check_omega3(cfg)
-    if not omega3.ok:
-        return CheckResult(False, [("omega2_precondition",) + v[1:] for v in omega3.violations])
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
-    star = cfg.positions[nbr_idx] + cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
-    winding = geometry.winding_numbers(cfg.positions, star)
-    bad = np.flatnonzero(winding != 1)
-    if bad.size == 0:
-        return CheckResult(True)
-    return CheckResult(
-        False,
-        [("omega2_winding", lattice.site_of_index(int(i), cfg.N), int(winding[i])) for i in bad],
-    )
+def _finite_triangles(corners: np.ndarray) -> np.ndarray:
+    """Mask of the triangles whose three corners are finite, shape ``(2N^2,)``."""
+    return np.isfinite(corners).all(axis=(-2, -1))
 
 
 def check_omega2_oracle(cfg: Configuration) -> CheckResult:
@@ -387,9 +413,10 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
 
     Tests the open interiors of all image triangle representatives
     against each other and against the eight surrounding periodic
-    translates (the 3x3 tiling).  Degenerate image triangles are
-    reported as orientation failures.  Meant for validation, not for the
-    sampling hot path.
+    translates (the 3x3 tiling).  A triangle with a non-finite corner is
+    reported as ``omega3_nonfinite``, as :func:`check_omega3` fails it,
+    and degenerate image triangles as ``omega3_degenerate``; no pair is
+    tested then.  Meant for validation, not for the sampling hot path.
 
     :func:`_oracle_candidates` hands over the pairs whose bounding boxes
     overlap strictly, in ``(i, j, shift)`` order, from a cell list in
@@ -413,6 +440,10 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     predicate raise :class:`geometry.DegenerateTriangleError`.
     """
     corners = cfg.corners
+    finite = _finite_triangles(corners)
+    if not finite.all():
+        tris = lattice.triangles(cfg.N)
+        return CheckResult(False, [("omega3_nonfinite", tris[t]) for t in np.flatnonzero(~finite)])
     sign = geometry.orient_signs_exact(corners[:, 0], corners[:, 1], corners[:, 2])
     degenerate = np.flatnonzero(sign == 0).tolist()
     if degenerate:
@@ -503,32 +534,20 @@ def _oracle_candidates(cfg: Configuration):
 
 
 def is_admissible(cfg: Configuration) -> AdmissibilityReport:
-    """Conjunction of omega1, omega3 and the fast omega2 certificate.
+    """Conjunction of omega1 and omega3, with omega2 read off omega3.
 
-    Evaluated in the order omega1, omega3, omega2.  When omega3 fails,
-    omega2 is reported as failing without a check, since the winding
-    certificate presupposes positive determinants.  When omega1 and
-    omega3 both hold and ``(1 + epsilon)**2 < kernels.LEAN_HI2``, omega2
-    is reported as passing without the winding count: every triangle
-    angle is then below ``2*pi/3``, so every vertex star winds exactly
-    once (the first lemma of the :mod:`kernels` docstring), and
-    :func:`check_omega2_fast` would pass.  Otherwise
-    :func:`check_omega2_fast` decides.  The report is the same as when
-    :func:`check_omega2_fast` runs on every state with omega3.
+    By the lemma of the module docstring, omega2 holds exactly where
+    omega3 does, for every ``epsilon``.  A failing omega2 is reported
+    with the violation ``("omega2_skipped", "omega3 failed")``.
     """
     r1 = check_omega1(cfg)
     r3 = check_omega3(cfg)
-    if not r3.ok:
-        r2 = CheckResult(False, [("omega2_skipped", "omega3 failed")])
-    elif r1.ok and (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon) < kernels.LEAN_HI2:
-        r2 = CheckResult(True)
-    else:
-        r2 = check_omega2_fast(cfg)
+    r2 = [] if r3.ok else [("omega2_skipped", "omega3 failed")]
     return AdmissibilityReport(
         omega1_ok=r1.ok,
-        omega2_ok=r2.ok,
+        omega2_ok=r3.ok,
         omega3_ok=r3.ok,
-        violations=r1.violations + r3.violations + r2.violations,
+        violations=r1.violations + r3.violations + r2,
     )
 
 

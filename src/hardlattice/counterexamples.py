@@ -2,8 +2,9 @@
 injectivity checks.
 
 Each constructor starts from the scaled standard configuration and
-breaks injectivity in a controlled way, so both the fast certificate and
-the exact overlap oracle must reject the result.
+breaks injectivity in a controlled way, so both exact omega3 (from which
+:func:`~hardlattice.configuration.is_admissible` reads omega2) and the
+exact overlap oracle must reject the result.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ def wrapped_vertex_config(
     """Double cover at one vertex: the six neighbors wind twice around it.
 
     Consecutive image angles are all 2*pi/3, so the star determinants
-    stay positive while the star winds twice around the vertex;
-    neighbors three apart land on identical positions, so two star
-    triangles coincide and the overlap oracle must fire.  The vertex
-    must not have site (0, 0) among its neighbors.
+    stay positive while the star winds twice around the vertex; by the
+    lemma in :mod:`~hardlattice.configuration`, triangles away from the
+    vertex then fail omega3.  Neighbors three apart land on identical
+    positions, so two star triangles coincide and the overlap oracle
+    must fire.  The vertex must not have site (0, 0) among its neighbors.
     """
     cfg = standard_config(N, l, epsilon)
     pos = np.array(cfg.positions)

@@ -9,7 +9,7 @@ near-degenerate one.  No tolerance knobs are involved.
 same float filter on whole arrays.  They settle every entry the filter
 can settle and mark the rest undecided; only those reach the scalar
 :func:`orient_sign` / :func:`triangles_overlap` and its rational
-fallback, as in :func:`orient_signs_exact` and :func:`winding_numbers`.
+fallback, as in :func:`orient_signs_exact`.
 """
 
 from __future__ import annotations
@@ -295,25 +295,6 @@ def orient_signs_exact(a, b, c):
     for i in zip(*np.nonzero(~decided)):
         sign[i] = orient_sign(a[i], b[i], c[i])
     return sign
-
-
-def winding_numbers(p, q):
-    """Winding number of each closed polygon ``q`` ``(..., K, 2)`` around ``p`` ``(..., 2)``.
-
-    Sunday's crossing rule: edge ``q_k q_k+1`` counts +1 where
-    ``q_k.y <= p.y < q_k+1.y`` and ``p`` is strictly left of it, and -1
-    where ``q_k+1.y <= p.y < q_k.y`` and ``p`` is strictly right of it.
-    The comparisons are exact on floats and the sides come from
-    :func:`orient_signs_exact`, so for ``p`` off the polygon the count is
-    the true winding number of the float points, with no tolerance.
-    """
-    p = np.asarray(p, float)[..., None, :]
-    a = np.asarray(q, float)
-    b = np.roll(a, -1, axis=-2)
-    side = orient_signs_exact(a, b, p)
-    up = (a[..., 1] <= p[..., 1]) & (p[..., 1] < b[..., 1]) & (side > 0)
-    down = (b[..., 1] <= p[..., 1]) & (p[..., 1] < a[..., 1]) & (side < 0)
-    return np.count_nonzero(up, axis=-1) - np.count_nonzero(down, axis=-1)
 
 
 def triangles_overlap_block(P, Q):

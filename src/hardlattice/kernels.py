@@ -13,19 +13,17 @@ admissible state this decision equals :func:`local_ok` whenever
 ``r`` is at most ``epsilon / 2``; :class:`~hardlattice.sampler.Chain`
 enforces both.
 
-* Winding.  A triangle whose sides all lie in ``(1, 1+epsilon)`` has
-  every angle below ``arccos(1 - (1+epsilon)**2 / 2)``, which is below
-  ``2*pi/3`` exactly when ``hi2 < 3``.  Each vertex star (the moved
-  site's and its neighbours') is six such positively oriented
-  triangles; their angles at the vertex sum to ``2*pi`` times the
-  star's winding number, and the sum lies in ``(0, 4*pi)``, so the
-  winding number is 1.  Bond windows and orientations at ``s``
-  therefore imply every winding certificate that ``local_ok`` evaluates.
-* Orientations.  Before the move ``s`` sits at ``p0`` and each star
-  triangle ``(p0, q_k, q_k+1)`` has sides in ``(1, 1+epsilon)``.  Its
-  largest angle lies in ``[pi/3, 2*pi/3)``, so its area is at least
-  ``sqrt(3)/4``.  Its base ``q_k q_k+1`` is shorter than
-  ``1+epsilon < sqrt(3)``, so ``p0`` sits more than
+* Injectivity.  By the lemma in :mod:`~hardlattice.configuration`,
+  omega3 decides omega2, so a move of ``s`` can change only its six bond
+  lengths and the orientations of its six incident triangles, which is
+  what :func:`local_ok` checks.
+* Orientations.  A triangle whose sides all lie in ``(1, 1+epsilon)``
+  has every angle below ``arccos(1 - (1+epsilon)**2 / 2)``, which is
+  below ``2*pi/3`` exactly when ``hi2 < 3``.  Before the move ``s`` sits
+  at ``p0`` and each star triangle ``(p0, q_k, q_k+1)`` has sides in
+  ``(1, 1+epsilon)``.  Its largest angle lies in ``[pi/3, 2*pi/3)``, so
+  its area is at least ``sqrt(3)/4``.  Its base ``q_k q_k+1`` is shorter
+  than ``1+epsilon < sqrt(3)``, so ``p0`` sits more than
   ``sqrt(3) / (2*(1+epsilon)) > 1/2`` above the base line.  A proposal
   within ``r <= epsilon/2 < 0.367`` of ``p0`` stays on the same side,
   more than 0.13 from that line; with a base longer than 1, each doubled
@@ -36,9 +34,9 @@ enforces both.
   move, so the new star again has all sides in the window and the state
   stays admissible.
 
-The bond lengths are evaluated with the same expressions as
-:func:`star_ok`, so trajectories are bitwise those of a loop deciding
-with :func:`local_ok`, which stays as the scalar reference.
+The bond lengths are evaluated with :func:`local_ok`'s expressions, so
+trajectories are bitwise those of a loop deciding with it; it stays as
+the scalar reference.
 
 Plan sweeps.  In a repeat-free order, attempt ``t`` at site ``s`` reads
 each neighbour ``j`` in one of two states: its start-of-sweep position
@@ -81,16 +79,15 @@ BACKEND = "numpy"
 PLAN_MIN_SITES = 81
 
 
-def star_ok(pos, nbr_idx, nbr_shift, s, hi2, check_bonds):
-    """Local admissibility walk around site ``s``.
+def local_ok(pos, nbr_idx, nbr_shift, s, hi2):
+    """Local admissibility of site ``s`` at its current position.
 
-    Checks, over the six neighbors in counterclockwise order: squared
-    bond lengths strictly inside ``(1, hi2)`` (only when
-    ``check_bonds``), positive orientation of the six incident triangles
-    (a NaN cross product fails), and winding number 1 of the neighbour
-    hexagon around ``s``.  With ``s`` left of every hexagon edge ``a b``,
-    that number is the count of edges with ``a_y <= 0 < b_y`` (Sunday's
-    crossing rule); a rounded difference has the exact one's sign.
+    Its six squared bond lengths lie strictly inside ``(1, hi2)`` and its
+    six incident triangles, over the neighbours in counterclockwise
+    order, are positively oriented (a NaN cross product fails).  When
+    every constraint not involving ``s`` holds, these decide whether the
+    state is admissible: by the lemma in
+    :mod:`~hardlattice.configuration`, omega3 implies omega2.
     """
     px = pos[s, 0]
     py = pos[s, 1]
@@ -99,33 +96,11 @@ def star_ok(pos, nbr_idx, nbr_shift, s, hi2, check_bonds):
         j = nbr_idx[s, k]
         ex = pos[j, 0] + nbr_shift[s, k, 0] - px
         ey = pos[j, 1] + nbr_shift[s, k, 1] - py
-        if check_bonds:
-            d2 = ex * ex + ey * ey
-            if d2 <= 1.0 or d2 >= hi2:
-                return False
+        d2 = ex * ex + ey * ey
+        if d2 <= 1.0 or d2 >= hi2:
+            return False
         e.append((ex, ey))
-    crossings = 0
-    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
-        if not ax * by - ay * bx > 0.0:
-            return False
-        crossings += ay <= 0.0 < by
-    return crossings == 1
-
-
-def local_ok(pos, nbr_idx, nbr_shift, s, hi2):
-    """Full local decision for the current position of site ``s``.
-
-    Bond window and orientation at ``s`` plus windings at ``s`` and at
-    each of its six neighbors; these are exactly the constraints a move
-    of ``s`` can affect.
-    """
-    if not star_ok(pos, nbr_idx, nbr_shift, s, hi2, True):
-        return False
-    for k in range(6):
-        v = nbr_idx[s, k]
-        if not star_ok(pos, nbr_idx, nbr_shift, v, hi2, False):
-            return False
-    return True
+    return all(ax * by - ay * bx > 0.0 for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]))
 
 
 class SweepPlan(NamedTuple):

@@ -12,8 +12,11 @@ per attempted move), then two uniforms per attempted move (proposal
 radius and angle).  So checkpointing at sweep boundaries is exact.
 
 The kernel decides each move with the lean check of :mod:`kernels`,
-which is exact only for ``epsilon < sqrt(3) - 1`` and a proposal radius
-of at most ``epsilon / 2``; :func:`check_lean_regime` enforces both.
+which reads the six bond lengths alone.  It is exact only for
+``epsilon < sqrt(3) - 1`` and a proposal radius of at most
+``epsilon / 2``, where no orientation can flip and, by the lemma in
+:mod:`configuration`, injectivity follows from orientation;
+:func:`check_lean_regime` enforces both.
 """
 
 from __future__ import annotations

@@ -51,5 +51,8 @@ def _fraction_winding(p, polygon) -> int:
 
 @pytest.fixture(scope="session")
 def fraction_winding():
-    """The exact reference of ``geometry.winding_numbers``, one polygon at a time."""
+    """How often a closed polygon winds around a point, in exact arithmetic.
+
+    The test reference for the lemma in ``hardlattice.configuration``:
+    where exact omega3 holds, every vertex star winds once."""
     return _fraction_winding

@@ -180,14 +180,14 @@ def test_criterion_08_injectivity_oracle_equivalence(grid_snapshots):
     assert len(snaps) >= 1000
     agree = True
     for snap in snaps:
-        fast = C.check_omega2_fast(snap).ok
+        fast = C.is_admissible(snap).omega2_ok
         oracle = C.check_omega2_oracle(snap).ok
         agree &= fast and oracle
     bad_states = counterexamples.folded_counterexamples(4, 1.05, EPSILON)
     assert len(bad_states) >= 10
     rejected = 0
     for bad in bad_states:
-        fast_rejects = not C.check_omega2_fast(bad).ok
+        fast_rejects = not C.is_admissible(bad).omega2_ok
         oracle_rejects = not C.check_omega2_oracle(bad).ok
         agree &= fast_rejects and oracle_rejects
         rejected += fast_rejects and oracle_rejects

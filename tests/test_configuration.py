@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hardlattice
 from hardlattice import configuration as C
-from hardlattice import counterexamples, geometry, kernels, lattice
+from hardlattice import counterexamples, geometry, lattice
 from hardlattice.configuration import (
     Configuration,
     check_omega1,
-    check_omega2_fast,
     check_omega2_oracle,
     check_omega3,
     from_json,
@@ -33,6 +33,11 @@ def _with_moved_site(cfg, site, new_xy):
     pos = np.array(cfg.positions)
     pos[lattice.site_index(site, cfg.N)] = new_xy
     return Configuration(cfg.N, cfg.l, cfg.epsilon, pos)
+
+
+def test_every_exported_name_resolves():
+    for name in hardlattice.__all__:
+        assert hasattr(hardlattice, name), name
 
 
 class TestStandardConfig:
@@ -278,26 +283,32 @@ class TestOmega3:
 class TestOmega2:
     def test_standard_passes_both(self):
         cfg = standard_config(4, 1.05, 0.1)
-        assert check_omega2_fast(cfg).ok
+        assert is_admissible(cfg).omega2_ok
         assert check_omega2_oracle(cfg).ok
 
     def test_double_cover_fails_both(self):
         bad = counterexamples.wrapped_vertex_config(4, 1.05, 0.1)
-        assert not check_omega2_fast(bad).ok
+        assert not is_admissible(bad).omega2_ok
         assert not check_omega2_oracle(bad).ok
 
-    def test_wrapped_vertex_winds_twice(self, fraction_winding):
-        bad = counterexamples.wrapped_vertex_config(4, 1.05, 0.1, vertex=(2, 2))
+    def test_wrapped_vertex_fails_omega3_away_from_the_vertex(self, fraction_winding):
+        """The star winds twice around the vertex while its own six
+        triangles are positive; by the lemma, a triangle elsewhere is not."""
+        vertex = (2, 2)
+        bad = counterexamples.wrapped_vertex_config(4, 1.05, 0.1, vertex=vertex)
         p, star = _stars(bad)
-        s = lattice.site_index((2, 2), 4)
-        assert geometry.winding_numbers(p, star)[s] == 2
+        s = lattice.site_index(vertex, 4)
         assert fraction_winding(p[s], star[s]) == 2
         assert abs(_angle_sums(p, star)[s] - 4.0 * math.pi) < ANGLE_SUM_TOL
+        failed = {tri for _, tri, _ in check_omega3(bad).violations}
+        assert failed == {t for t, ok in zip(lattice.triangles(4), _exact_omega3(bad)) if not ok}
+        incident = {tri for tri, _ in lattice.vertex_star(vertex, 4)}
+        assert failed and not failed & incident
 
     def test_coincident_sites_fail_oracle(self):
         bad = counterexamples.coincident_sites_config(4, 1.05, 0.1)
         assert not check_omega2_oracle(bad).ok
-        assert not check_omega2_fast(bad).ok
+        assert not is_admissible(bad).omega2_ok
 
     def test_degenerate_image_reported_as_orientation_failure(self):
         cfg = standard_config(4, 1.05, 0.1)
@@ -306,14 +317,14 @@ class TestOmega2:
         assert not res.ok
         assert any(tag == "omega3_degenerate" for tag, *_ in res.violations)
 
-    def test_fast_and_oracle_agree_on_samples(self, sample_snapshots):
+    def test_admissibility_and_oracle_agree_on_samples(self, sample_snapshots):
         for snap in sample_snapshots[::10]:
-            assert check_omega2_fast(snap).ok
+            assert is_admissible(snap).omega2_ok
             assert check_omega2_oracle(snap).ok
 
-    def test_fast_and_oracle_agree_on_counterexamples(self):
+    def test_admissibility_and_oracle_agree_on_counterexamples(self):
         for bad in counterexamples.folded_counterexamples(4, 1.05, 0.1):
-            assert not check_omega2_fast(bad).ok
+            assert not is_admissible(bad).omega2_ok
             assert not check_omega2_oracle(bad).ok
 
 
@@ -460,22 +471,12 @@ class TestIsAdmissible:
         report = is_admissible(_with_moved_site(cfg, (1, 0), target))
         assert not report.omega1_ok and not report.ok
 
-    def test_folded_triangle_skips_fast_injectivity(self):
+    def test_folded_triangle_fails_omega2_with_omega3(self):
         bad = counterexamples.reflected_apex_config(4, 1.05, 0.1)
         report = is_admissible(bad)
         assert not report.omega3_ok
         assert not report.omega2_ok
         assert any(tag == "omega2_skipped" for tag, *_ in report.violations)
-
-
-def _report_with_fast_certificate(cfg):
-    """``is_admissible`` as it reads when the fast omega2 certificate runs whenever omega3 holds."""
-    r1, r3 = check_omega1(cfg), check_omega3(cfg)
-    if r3.ok:
-        r2 = check_omega2_fast(cfg)
-    else:
-        r2 = C.CheckResult(False, [("omega2_skipped", "omega3 failed")])
-    return C.AdmissibilityReport(r1.ok, r2.ok, r3.ok, r1.violations + r3.violations + r2.violations)
 
 
 def _jittered_states(epsilon, seed):
@@ -496,56 +497,36 @@ class TestImpliedOmega2:
         *(bad for N in (4, 5, 6, 8)
           for bad in counterexamples.folded_counterexamples(N, 1.05, 0.1)),
         *_jittered_states(0.5, seed=1),
-        *_jittered_states(0.8, seed=2),  # epsilon >= sqrt(3) - 1: the certificate decides
+        *_jittered_states(0.8, seed=2),  # epsilon >= sqrt(3) - 1, outside any chain's regime
     ]
 
-    def test_reports_equal_the_fast_certificate_reports(self, monkeypatch):
-        want = [_report_with_fast_certificate(cfg) for cfg in self.STATES]
-        calls = []
-        real = geometry.winding_numbers
-        monkeypatch.setattr(geometry, "winding_numbers", lambda p, q: calls.append(p) or real(p, q))
-        got = [is_admissible(cfg) for cfg in self.STATES]
-        assert got == want
-        # The certificate ran exactly where omega1 failed or epsilon is too
-        # large for the lemma, and every kind of state occurred.
-        lean = [(1.0 + cfg.epsilon) ** 2 < kernels.LEAN_HI2 for cfg in self.STATES]
-        skipped = [r.omega1_ok and r.omega3_ok and ok for r, ok in zip(want, lean)]
-        assert len(calls) == sum(r.omega3_ok for r in want) - sum(skipped)
-        assert sum(skipped) > 0 and len(calls) > 0
-        assert sum(not r.ok for r in want) > 48 and sum(r.ok for r in want) > 0
+    def test_omega2_is_exact_omega3_and_the_oracle(self, sample_snapshots, fraction_winding):
+        """The lemma on a corpus: ``is_admissible``'s omega2, the oracle and
+        exact omega3 agree on every state, and where exact omega3 holds,
+        every vertex star winds exactly once."""
+        states = [
+            *self.STATES,
+            *sample_snapshots[::10],
+            counterexamples.wrapped_vertex_config(4, 1.05, 0.1),
+        ]
+        passed = 0
+        for cfg in states:
+            exact = bool(np.all(_exact_omega3(cfg)))
+            assert is_admissible(cfg).omega2_ok == check_omega2_oracle(cfg).ok == exact
+            if exact:
+                p, star = _stars(cfg)
+                assert [fraction_winding(a, b) for a, b in zip(p, star)] == [1] * len(p)
+                passed += 1
+        assert 50 < passed < len(states) - 48  # both verdicts occur; the 48 folded states fail
         assert len(self.STATES) == 48 + 2 * 36
 
-    def test_windings_equal_exact_and_angle_sum_references(self, sample_snapshots, fraction_winding):
-        """Where omega3 holds and the certificate counts, every star winds
-        once: by the exact crossing rule, and by the atan2 angle sums the
-        certificate used to take, within their own tolerance.  So the
-        certificate passes exactly where the angle-sum certificate did."""
-        counted = 0
-        for cfg in [*self.STATES, *sample_snapshots[::10]]:
-            res = check_omega2_fast(cfg)
-            if not check_omega3(cfg).ok:
-                assert not res.ok
-                continue
-            p, star = _stars(cfg)
-            w = geometry.winding_numbers(p, star)
-            sums = _angle_sums(p, star)
-            assert w.tolist() == [fraction_winding(a, b) for a, b in zip(p, star)]
-            assert np.all(np.abs(sums - 2.0 * math.pi * w) <= ANGLE_SUM_TOL)
-            bad = np.flatnonzero(w != 1)
-            assert res.violations == [
-                ("omega2_winding", lattice.site_of_index(int(i), cfg.N), int(w[i])) for i in bad
-            ]
-            assert res.ok == bool(np.all(np.abs(sums - 2.0 * math.pi) <= ANGLE_SUM_TOL))
-            counted += 1
-        assert counted > 50
 
-    def test_standard_stars_put_vertices_on_the_line_through_the_centre(self):
-        """Horizontal bonds have exactly ``e.y == 0``, so the half-open
-        crossing rule decides the standard state's winding."""
-        cfg = standard_config(4, 1.05, 0.1)
-        p, star = _stars(cfg)
-        assert np.all(np.any(star[..., 1] == p[:, None, 1], axis=1))
-        assert check_omega2_fast(cfg).ok
+def _exact_omega3(cfg):
+    """Per triangle: finite corners that turn strictly counterclockwise, by
+    the scalar exact predicate on each triangle's float corners."""
+    return [
+        bool(np.isfinite(c).all()) and geometry.orient_sign(*c.tolist()) > 0 for c in cfg.corners
+    ]
 
 
 def _with_site_value(cfg, index, value):
@@ -564,22 +545,17 @@ def _reference_omega1(cfg):
 
 
 def _reference_omega3(cfg):
-    """:func:`check_omega3` without its short-circuit."""
+    """:func:`check_omega3` without its float shortcut: exact signs of every triangle."""
     cross = cfg.crosses
-    bad = np.flatnonzero(~(cross > 0.0))
+    bad = [i for i, ok in enumerate(_exact_omega3(cfg)) if not ok]
     tris = lattice.triangles(cfg.N)
-    return C.CheckResult(bad.size == 0, [("omega3", tris[i], float(cross[i]) * (2.0 / SQRT3)) for i in bad])
+    return C.CheckResult(not bad, [("omega3", tris[i], float(cross[i]) * (2.0 / SQRT3)) for i in bad])
 
 
 def _reference_is_admissible(cfg):
     r1, r3 = _reference_omega1(cfg), _reference_omega3(cfg)
-    if not r3.ok:
-        r2 = C.CheckResult(False, [("omega2_skipped", "omega3 failed")])
-    elif r1.ok and (1.0 + cfg.epsilon) ** 2 < kernels.LEAN_HI2:
-        r2 = C.CheckResult(True)
-    else:
-        r2 = check_omega2_fast(cfg)
-    return C.AdmissibilityReport(r1.ok, r2.ok, r3.ok, r1.violations + r3.violations + r2.violations)
+    r2 = [] if r3.ok else [("omega2_skipped", "omega3 failed")]
+    return C.AdmissibilityReport(r1.ok, r3.ok, r3.ok, r1.violations + r3.violations + r2)
 
 
 def _non_finite_states():
@@ -590,8 +566,9 @@ def _non_finite_states():
 
 
 class TestShortCircuitedChecks:
-    """``check_omega1`` and ``check_omega3`` settle a passing state from the
-    extremes alone; the reports must be those of the full violation scan."""
+    """``check_omega1`` settles a passing state from the extremes alone and
+    ``check_omega3`` from its float test; the reports must be those of the
+    full violation scan with exact signs."""
 
     def _states(self, sample_snapshots):
         yield from sample_snapshots[::10]  # passing
@@ -629,10 +606,62 @@ class TestNonFiniteSites:
         cfg = _with_site_value(standard_config(4, 1.05, 0.1), 5, value)
         assert not is_admissible(cfg).ok
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_oracle_fails_at_the_non_finite_site(self, value):
+        cfg = _with_site_value(standard_config(4, 1.05, 0.1), 5, value)
+        star = {tri for tri, _ in lattice.vertex_star((1, 1), 4)}
+        res = check_omega2_oracle(cfg)
+        assert not res.ok
+        assert sorted(res.violations) == sorted(("omega3_nonfinite", tri) for tri in star)
+        if math.isnan(value):  # an infinite site warns of inf - inf in cfg.crosses
+            assert {tri for _, tri, _ in check_omega3(cfg).violations} == star
+
     def test_nan_bond_is_reported(self):
         cfg = _with_site_value(standard_config(2, 1.05, 0.1), 3, (math.nan, 0.0))
         res = check_omega1(cfg)
         assert not res.ok and all(math.isnan(v[2]) for v in res.violations)
+
+
+class TestExactOmega3:
+    def test_float_and_exact_signs_disagree_on_a_sliver(self):
+        """Site (1, 1) of a jittered state slides onto its hexagon edge from
+        site (1, 0) to site (0, 1), so the DOWN triangle at (1, 0) is a
+        sliver and the other triangles stay positive.  Site (1, 0) sits
+        near y = 0, so the corner differences from it round.  Nudged by
+        ulps, the sliver's float cross product has the wrong sign both
+        ways: <= 0 where the exact sign is +1, and > 0 where it is -1.
+        ``check_omega3`` follows the exact signs, and the oracle agrees."""
+        rng = np.random.default_rng(0)
+        pos = standard_config(4, 1.05, 0.1).positions + rng.uniform(-0.02, 0.02, (16, 2))
+        pos[0] = 0.0
+        cfg = Configuration(4, 1.05, 0.1, pos)
+        t = lattice.triangle_index(TriangleRef((1, 0), lattice.DOWN), 4)
+        a, b = position(cfg, (1, 0)), position(cfg, (0, 1))
+        kinds = set()
+        for f in (0.3, 0.5, 0.6):
+            m = a + f * (b - a)
+            for nudge in np.ndindex(9, 9):
+                sliver = _with_moved_site(cfg, (1, 1), m + (np.array(nudge) - 4) * np.spacing(m))
+                exact = _exact_omega3(sliver)
+                assert exact[:t] + exact[t + 1 :] == [True] * (len(exact) - 1)
+                assert check_omega3(sliver) == _reference_omega3(sliver)
+                assert is_admissible(sliver).omega2_ok == check_omega2_oracle(sliver).ok == exact[t]
+                kinds.add((bool(sliver.crosses[t] > 0.0), exact[t]))
+        assert kinds == {(True, True), (False, False), (True, False), (False, True)}
+
+    def test_edges_from_the_first_corner_are_bond_vectors(self, sample_snapshots):
+        """``c1 - c0``, and ``c2 - c0`` of an UP triangle, round to bitwise
+        the bond vectors whose squares ``bond_squares`` holds (step 2 of the
+        proof in ``check_omega3``)."""
+        for cfg in [sample_snapshots[0], *TestImpliedOmega2.STATES[::7]]:
+            c = cfg.corners
+            edge = lambda k: c[:, k] - c[:, 0]
+            sq = lambda d: d[..., 0] ** 2 + d[..., 1] ** 2
+            bonds = cfg.bond_squares.reshape(-1, 3)  # offsets (1, 0), (0, 1), (1, -1) per site
+            up, down = slice(0, None, 2), slice(1, None, 2)
+            assert np.array_equal(sq(edge(1)[up]), bonds[:, 0])
+            assert np.array_equal(sq(edge(2)[up]), bonds[:, 1])
+            assert np.array_equal(sq(edge(1)[down]), bonds[:, 1])
 
 
 class TestOracleDegenerateTiledCopies:

@@ -563,73 +563,3 @@ class TestOrientSignsExact:
         sign = geometry.orient_signs_exact(pts[:, None, None], pts[None, :, None], pts[None, None, :3])
         assert sign.shape == (7, 7, 3)
         assert sign[2, 2].tolist() == [0, 0, 0]
-
-
-def _hexagon(angles, scale=1.0):
-    return [(scale * math.cos(a), scale * math.sin(a)) for a in angles]
-
-
-# Hexagons around the origin: (name, vertices, winding number).
-HEXAGONS = [
-    ("ccw", _hexagon(np.arange(6) * math.pi / 3), 1),
-    ("cw", _hexagon(-np.arange(6) * math.pi / 3), -1),
-    ("twice", _hexagon(np.arange(6) * 2 * math.pi / 3 + 0.1), 2),
-    ("twice-cw", _hexagon(-np.arange(6) * 2 * math.pi / 3 + 0.1), -2),
-    ("outside", [(x + 5.0, y) for x, y in _hexagon(np.arange(6) * math.pi / 3)], 0),
-    # vertices exactly on the horizontal line through the centre, on the
-    # ray and opposite it: the standard star's horizontal bonds
-    ("on-ray", (1.05 * (np.array(lattice.NEIGHBOR_OFFSETS) @ lattice.EMBED_BASIS)).tolist(), 1),
-    ("on-ray-touch", [(1.0, 0.0), (2.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (2.0, -1.0), (3.0, 0.0)], 1),
-    ("collinear", [(1.0, -1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)], 1),
-    ("coincident", [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, 0.0), (0.0, -1.0)], 1),
-    ("edge-line-through-centre", [(1.0, -1.0), (2.0, -2.0), (2.0, 2.0), (-1.0, 1.0), (-2.0, 0.5), (-1.0, -2.0)], 1),
-]
-
-
-class TestWindingNumbers:
-    @pytest.mark.parametrize("name, hexagon, want", HEXAGONS, ids=[h[0] for h in HEXAGONS])
-    def test_fixed_hexagons(self, fraction_winding, name, hexagon, want):
-        q = np.array([hexagon], float)
-        p = np.zeros((1, 2))
-        assert fraction_winding(p[0], hexagon) == want
-        assert geometry.winding_numbers(p, q).tolist() == [want]
-        # the count is invariant under a cyclic relabelling of the vertices
-        for k in range(1, 6):
-            assert geometry.winding_numbers(p, np.roll(q, k, axis=1)).tolist() == [want]
-
-    def test_matches_fraction_reference_on_degenerate_hexagons(self, rng, fraction_winding):
-        # small grids scaled by 0.1 put vertices on the line through p,
-        # on edges' lines through p, and on each other, and p on the
-        # polygon; the rule still gives one integer, the same in both
-        q = 0.1 * rng.integers(-2, 3, size=(4000, 6, 2))
-        p = 0.1 * rng.integers(-1, 2, size=(4000, 2))
-        want = [fraction_winding(a, b) for a, b in zip(p.tolist(), q.tolist())]
-        assert geometry.winding_numbers(p, q).tolist() == want
-        assert {-1, 0, 1, 2} <= set(want)
-
-    def test_matches_fraction_reference_ulps_off_an_edge(self, fraction_winding):
-        # p on an ulp grid across the line of the edge (-12, -12) -> (24, 24),
-        # where the float determinant often rounds to 0 or to the wrong sign
-        hexagon = [(-12.0, -12.0), (24.0, 24.0), (0.0, 30.0), (-30.0, 24.0), (-30.0, 0.0), (-20.0, -20.0)]
-        steps = np.arange(24) * 2.0**-53
-        p = 0.5 + np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
-        want = [fraction_winding(a, hexagon) for a in p.tolist()]
-        q = np.broadcast_to(np.array(hexagon), (len(p), 6, 2))
-        assert geometry.winding_numbers(p, q).tolist() == want
-        assert set(want) == {0, 1}
-
-    def test_matches_fraction_reference_one_ulp_off_the_ray(self, fraction_winding):
-        # a vertex one ulp above, on, or below the line through p
-        base = np.array(_hexagon(np.arange(6) * math.pi / 3, 1.05))
-        rows = []
-        for dy in (-1, 0, 1):
-            q = base.copy()
-            q[0, 1] = dy * 5e-324
-            rows.append(q)
-            q = base.copy()
-            q[3, 1] = dy * 5e-324
-            rows.append(q)
-        q = np.array(rows)
-        p = np.zeros((len(q), 2))
-        want = [fraction_winding(a, b) for a, b in zip(p.tolist(), q.tolist())]
-        assert geometry.winding_numbers(p, q).tolist() == want == [1] * len(q)

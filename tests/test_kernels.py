@@ -54,66 +54,39 @@ def test_local_ok_rejects_nan_neighbour():
     nbr_idx, shift, hi2 = _tables(cfg)
     pos = np.array(cfg.positions)
     s = lattice.site_index((1, 1), 4)
-    # only x is NaN: every y comparison of the winding count still holds
+    # only x is NaN: the bond test fails on the NaN square
     pos[nbr_idx[s, 2], 0] = math.nan
-    assert not kernels.star_ok(pos, nbr_idx, shift, s, hi2, False)
     assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
 
 
-def _angle_sum_star_ok(e, hi2, check_bonds):
-    """``star_ok`` as an angle-sum certificate, on the six edge vectors ``e``:
-    bond windows, positive orientations, and six ``atan2`` angles summing
-    to ``2*pi`` within 1e-9."""
-    total = 0.0
-    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
-        if check_bonds and not 1.0 < ax * ax + ay * ay < hi2:
-            return False
-        cr = ax * by - ay * bx
-        if cr <= 0.0:
-            return False
-        total += math.atan2(cr, ax * bx + ay * by)
-    return abs(total - 2.0 * math.pi) <= 1e-9
+def test_local_ok_rejects_nan_cross_product():
+    """With ``hi2`` NaN the bond test passes every square, NaN included
+    (``d2 >= nan`` is False), so only the orientation test can reject a
+    NaN neighbour: a NaN cross product is not positive."""
+    cfg = C.standard_config(4, 1.05, 0.1)
+    nbr_idx, shift, _ = _tables(cfg)
+    pos = np.array(cfg.positions)
+    s = lattice.site_index((1, 1), 4)
+    assert kernels.local_ok(pos, nbr_idx, shift, s, math.nan)
+    pos[nbr_idx[s, 2], 0] = math.nan
+    assert not kernels.local_ok(pos, nbr_idx, shift, s, math.nan)
 
 
-def test_star_ok_matches_angle_sum_reference_on_random_stars():
-    """The winding count decides every star as the angle sums did, at
-    every epsilon a configuration allows, on stars that wind once and
-    stars that wind twice around the centre."""
-    rng = np.random.Generator(np.random.PCG64(23))
-    nbr_idx = np.tile(np.arange(1, 7), (7, 1))
-    shift = np.zeros((7, 6, 2))
-    rejected = twice = 0
-    for eps in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-        hi2 = (1.0 + eps) * (1.0 + eps)
-        for n in range(1500):
-            turns = 2 if n % 10 == 0 else 1
-            ang = 0.1 + turns * np.arange(6) * math.pi / 3 + rng.uniform(-0.6, 0.6, 6)
-            length = 1.0 + eps * rng.uniform(-0.1, 1.1, (6, 1))
-            pos = np.zeros((7, 2))
-            pos[0] = rng.uniform(-1.0, 1.0, 2)
-            pos[1:] = pos[0] + length * np.stack((np.cos(ang), np.sin(ang)), 1)
-            e = [(x + 0.0 - pos[0, 0], y + 0.0 - pos[0, 1]) for x, y in pos[1:].tolist()]
-            for check_bonds in (True, False):
-                want = _angle_sum_star_ok(e, hi2, check_bonds)
-                assert kernels.star_ok(pos, nbr_idx, shift, 0, hi2, check_bonds) == want
-                rejected += not want
-            # a double star with positive orientations: only the winding rejects it
-            twice += turns == 2 and all(ax * by - ay * bx > 0.0 for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]))
-    assert 3000 < rejected < 15000 and twice > 100
-
-
-def test_local_ok_rejects_wrapped_vertex():
+def test_local_ok_passes_the_wrapped_vertex_outside_its_precondition():
+    """``wrapped_vertex_config`` winds twice around its vertex, yet the six
+    bonds and orientations there pass: ``local_ok`` decides only states in
+    which every constraint not involving ``s`` holds, and this one has
+    inverted triangles away from the vertex, which is where exact omega3,
+    and so the full check, rejects it."""
     bad = counterexamples.wrapped_vertex_config(4, 1.05, 0.1, vertex=(2, 2))
     nbr_idx, shift, hi2 = _tables(bad)
     s = lattice.site_index((2, 2), 4)
     pos = np.array(bad.positions)
-    # the six bonds and orientations at the vertex pass: its winding of 2 rejects it
-    e = pos[nbr_idx[s]] + shift[s] - pos[s]
-    e2 = np.roll(e, -1, axis=0)
-    assert np.all(e[:, 0] * e2[:, 1] - e[:, 1] * e2[:, 0] > 0.0)
-    assert np.all(((e * e).sum(axis=1) > 1.0) & ((e * e).sum(axis=1) < hi2))
-    assert not kernels.star_ok(pos, nbr_idx, shift, s, hi2, True)
-    assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
+    assert kernels.local_ok(pos, nbr_idx, shift, s, hi2)
+    incident = {tri for tri, _ in lattice.vertex_star((2, 2), 4)}
+    failed = {tri for _, tri, _ in C.check_omega3(bad).violations}
+    assert failed and not failed & incident
+    assert not C.is_admissible(bad).ok
 
 
 def test_local_decision_matches_full_admissibility_check():
