@@ -529,6 +529,47 @@ def _exact_omega3(cfg):
     ]
 
 
+def _hexagon(angles, scale=1.0):
+    return [(scale * math.cos(a), scale * math.sin(a)) for a in angles]
+
+
+# Vertex stars around the origin: (name, vertices, winding number).
+STARS = [
+    ("ccw", _hexagon(np.arange(6) * math.pi / 3), 1),
+    ("cw", _hexagon(-np.arange(6) * math.pi / 3), -1),
+    ("twice", _hexagon(np.arange(6) * 2 * math.pi / 3 + 0.1), 2),
+    ("twice-cw", _hexagon(-np.arange(6) * 2 * math.pi / 3 + 0.1), -2),
+    ("outside", [(x + 5.0, y) for x, y in _hexagon(np.arange(6) * math.pi / 3)], 0),
+    # vertices exactly on the horizontal line through the centre, on the
+    # ray and opposite it: the standard star's horizontal bonds
+    ("on-ray", (1.05 * (np.array(lattice.NEIGHBOR_OFFSETS) @ lattice.EMBED_BASIS)).tolist(), 1),
+    ("on-ray-touch", [(1.0, 0.0), (2.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (2.0, -1.0), (3.0, 0.0)], 1),
+    ("collinear", [(1.0, -1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)], 1),
+    ("coincident", [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, 0.0), (0.0, -1.0)], 1),
+    ("edge-line-through-centre", [(1.0, -1.0), (2.0, -2.0), (2.0, 2.0), (-1.0, 1.0), (-2.0, 0.5), (-1.0, -2.0)], 1),
+]
+
+
+class TestStarWinding:
+    @pytest.mark.parametrize("name, star, want", STARS, ids=[s[0] for s in STARS])
+    def test_positive_star_winds_at_least_once(self, fraction_winding, name, star, want):
+        """The lemma's local step: where the six triangles (centre, q_k,
+        q_k+1) are positively oriented, the star winds ``w >= 1`` times
+        around its centre.  ``twice`` has positive triangles and ``w = 2``,
+        so a single star does not force ``w = 1``; the sum over all stars
+        does.  The exact winding reference gives the table's count under
+        every cyclic relabelling of the vertices."""
+        p = (0.0, 0.0)
+        for k in range(6):
+            assert fraction_winding(p, star[k:] + star[:k]) == want
+        q = np.array(star)
+        signs = geometry.orient_signs_exact(np.array(p), q, np.roll(q, -1, axis=0))
+        if np.all(signs > 0):
+            assert want >= 1
+        # the degenerate stars wind once with a zero triangle: the converse fails
+        assert np.all(signs > 0) == (name in ("ccw", "twice", "on-ray", "collinear"))
+
+
 def _with_site_value(cfg, index, value):
     pos = np.array(cfg.positions)
     pos[index] = value

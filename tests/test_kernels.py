@@ -59,6 +59,43 @@ def test_local_ok_rejects_nan_neighbour():
     assert not kernels.local_ok(pos, nbr_idx, shift, s, hi2)
 
 
+def _reference_local_ok(pos, nbr_idx, shift, s, hi2):
+    """``local_ok`` in array form: the six edge vectors from ``s``, their
+    squares strictly inside ``(1, hi2)`` and the six cross products of
+    consecutive edges positive."""
+    e = pos[nbr_idx[s]] + shift[s] - pos[s]
+    d2 = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+    f = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    return bool(np.all((d2 > 1.0) & (d2 < hi2)) and np.all(cross > 0.0))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+def test_local_ok_matches_array_reference_on_random_stars(eps):
+    """Random stars, one in ten winding twice around the centre, with bond
+    lengths straddling both ends of the window: ``local_ok`` agrees with
+    the array reference on each.  A double star whose bonds and triangles
+    pass is accepted: ``local_ok`` decides only states in which every
+    constraint not involving ``s`` holds."""
+    rng = np.random.Generator(np.random.PCG64(23))
+    nbr_idx = np.tile(np.arange(1, 7), (7, 1))
+    shift = np.zeros((7, 6, 2))
+    hi2 = (1.0 + eps) * (1.0 + eps)
+    accepted = twice = 0
+    for n in range(1500):
+        turns = 2 if n % 10 == 0 else 1
+        ang = 0.1 + turns * np.arange(6) * math.pi / 3 + rng.uniform(-0.6, 0.6, 6)
+        length = 1.0 + eps * rng.uniform(-0.1, 1.1, (6, 1))
+        pos = np.zeros((7, 2))
+        pos[0] = rng.uniform(-1.0, 1.0, 2)
+        pos[1:] = pos[0] + length * np.stack((np.cos(ang), np.sin(ang)), 1)
+        got = kernels.local_ok(pos, nbr_idx, shift, 0, hi2)
+        assert got == _reference_local_ok(pos, nbr_idx, shift, 0, hi2)
+        accepted += got
+        twice += got and turns == 2
+    assert 0 < accepted < 1500 and twice > 0
+
+
 def test_local_ok_rejects_nan_cross_product():
     """With ``hi2`` NaN the bond test passes every square, NaN included
     (``d2 >= nan`` is False), so only the orientation test can reject a
