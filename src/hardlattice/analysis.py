@@ -631,7 +631,7 @@ def check_estimate_chain(
 
     sds = observables.side_deviation_sum(cfg)
     l2_margin = c_hat * LAMBDA0 * sds - LAMBDA0 * float(np.sum(dist2))
-    area_margin = FOUR_SQRT3 * cfg.epsilon * observables.area_difference_sum(cfg) - sds
+    area_margin = FOUR_SQRT3 * cfg.epsilon * cfg.area_difference - sds
     pyth = identities.pythagoras_relative_error
     return EstimateChainReport(
         triangle_bound_margin=float(per_tri[worst]),
@@ -753,10 +753,12 @@ def run_grid_point(
     """One chain at one grid point, with the identity suite on every sample.
 
     The observer takes the chain's snapshot blocks.  Each snapshot goes
-    through :func:`identity_suite` on its own, reading the geometry the
-    block pre-filled; the order parameters are evaluated on the stacked
-    arrays, bitwise the per-snapshot means of
-    :func:`observables.per_triangle_order_parameters`.
+    through :func:`identity_suite` on its own, reading the reductions the
+    block pre-filled.  The order parameters are bitwise the per-snapshot
+    means of :func:`observables.per_triangle_order_parameters`: ``op_id``
+    is evaluated on the stacked arrays, and ``op_lid`` is the cached
+    deviation sum from ``l * Id`` that the identity suite reads, over the
+    triangle count.
     """
     chain = Chain.from_standard(N, l, epsilon, replace(params, seed=seed))
     op_id, op_lid, bdx, bdy = [], [], [], []
@@ -771,9 +773,9 @@ def run_grid_point(
                     f"area={ident.area_relative_error:.3e}, "
                     f"pythagoras={ident.pythagoras_relative_error:.3e}"
                 )
-        eye = np.eye(2)
-        op_id.extend(observables.block_order_parameters(block, eye).tolist())
-        op_lid.extend(observables.block_order_parameters(block, chain.l * eye).tolist())
+        op_id.extend(observables.block_order_parameters(block, np.eye(2)).tolist())
+        T = block.gradients.shape[1]
+        op_lid.extend(snap.deviation_sums[1] / T for snap in block.snapshots)
         # Site-averaging would telescope to l exactly; a fixed site keeps
         # this a genuine statistic of the sampled law: the bond from site
         # (0, 0) to its (1, 0) neighbour, canonical index N.

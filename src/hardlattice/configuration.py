@@ -36,12 +36,29 @@ omega2 is a tested invariant of this package.
 
 Each snapshot computes its geometry once: ``cfg.corners``,
 ``cfg.gradients``, ``cfg.crosses`` and ``cfg.bond_squares`` are cached
-on first use, and the checks and observables all read them.  Caching is
-safe because a configuration never changes: the dataclass is frozen,
-``positions`` is read-only, and so is every cached array.  The builders
+on first use, and so are the scalar reductions the checks and the
+identity suite read:
+
+* ``cfg.bond_square_range``, the min and max of ``bond_squares``;
+* ``cfg.cross_min``, the min of ``crosses``;
+* ``cfg.gradient_mean``, the mean gradient (the gradient sum over the
+  triangles divided by their number), as a row-major 4-tuple;
+* ``cfg.area_difference``, the sum of image minus reference areas;
+* ``cfg.nearest_rotation``, ``(cos, sin)`` of the rotation nearest to
+  the mean gradient, or None where every rotation is equally near;
+* ``cfg.deviation_sums``, the sums over the triangles of the squared
+  Frobenius deviations of the gradients from that rotation and from
+  ``l * Id``.
+
+A NaN coordinate makes every reduction it reaches NaN, and a NaN passes
+no comparison.  Caching is safe because a configuration never changes:
+the dataclass is frozen, ``positions`` is read-only, and so is every
+cached array; the reductions are Python floats and tuples.  The builders
 take positions with leading batch axes, and :func:`snapshot_block` runs
 them once on a stack of snapshots, pre-filling each snapshot's cache
-with views of the stacked arrays.
+with views of the stacked arrays and with its row of the stacked
+reductions.  A lone snapshot computes the reductions on first use with
+the same functions, on a stack of one.
 """
 
 from __future__ import annotations
@@ -137,10 +154,117 @@ class Configuration:
         """Read-only :func:`bond_length_squares` of this snapshot."""
         return _read_only(bond_length_squares(self.N, self.l, self.positions))
 
+    @cached_property
+    def bond_square_range(self) -> tuple[float, float]:
+        """``(min, max)`` of :attr:`bond_squares`."""
+        return _extremes(self.bond_squares[None])[0]
+
+    @cached_property
+    def cross_min(self) -> float:
+        """Smallest of :attr:`crosses`."""
+        return _minima(self.crosses[None])[0]
+
+    @cached_property
+    def gradient_mean(self) -> tuple[float, float, float, float]:
+        """Mean of :attr:`gradients` over the triangles, ``(m00, m01, m10, m11)``."""
+        return _gradient_means(self.gradients[None])[0]
+
+    @cached_property
+    def area_difference(self) -> float:
+        """Sum over the triangles of image area minus reference area."""
+        return _area_differences(self.crosses[None])[0]
+
+    @cached_property
+    def nearest_rotation(self) -> tuple[float, float] | None:
+        """``(cos, sin)`` of the rotation nearest to :attr:`gradient_mean`, or None.
+
+        None where every rotation is equally near; see :func:`_nearest_rotation`.
+        """
+        return _nearest_rotation(self.gradient_mean)
+
+    @cached_property
+    def deviation_sums(self) -> tuple[float, float]:
+        """Squared deviations of :attr:`gradients` from the nearest rotation and from ``l * Id``.
+
+        Each is a sum over the triangles of squared Frobenius distances,
+        not yet weighted by the cell area; see :func:`_deviation_sums`.
+        """
+        return _deviation_sums(self.l, self.gradients[None], [self.nearest_rotation])[0]
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# The reductions below take stacks with a leading snapshot axis and return
+# one Python value per snapshot.  A lone snapshot calls them on a stack of
+# one, so its values are those snapshot_block fills in.  A minimum or
+# maximum is exact in any order and keeps a NaN; a sum over the triangles
+# is each row's own 1-D np.add.reduce, which a reduction over an axis of
+# the stack need not reproduce (numpy picks its order from the layout).
+
+
+def _row_sums(a: np.ndarray) -> list[float]:
+    """Sum of each row of a 2-D stack, each row reduced on its own as a 1-D array."""
+    return [float(np.add.reduce(row)) for row in a]
+
+
+def _minima(a: np.ndarray) -> list[float]:
+    return np.minimum.reduce(a, axis=1).tolist()
+
+
+def _extremes(a: np.ndarray) -> list[tuple[float, float]]:
+    return list(zip(_minima(a), np.maximum.reduce(a, axis=1).tolist()))
+
+
+def _gradient_means(gradients: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """Mean over the triangles of each ``(T, 2, 2)`` row of ``gradients``.
+
+    The gradients are summed one triangle after another, bitwise
+    ``ndarray.mean(axis=0)`` of the row (pinned by the tests).
+    """
+    B, T = gradients.shape[:2]
+    return list(map(tuple, (np.add.reduce(gradients, axis=1) / T).reshape(B, 4).tolist()))
+
+
+def _area_differences(crosses: np.ndarray) -> list[float]:
+    return _row_sums(0.5 * crosses - LAMBDA0)
+
+
+def _nearest_rotation(mean) -> tuple[float, float] | None:
+    """``(cos, sin)`` of :func:`geometry.polar_rotation` of the 2x2 ``mean``, row-major.
+
+    None where that raises: every rotation is equally near.  The angle,
+    ``cos`` and ``sin`` are the ``math`` calls of
+    :func:`geometry.polar_rotation` and :func:`geometry.rotation`.
+    """
+    m00, m01, m10, m11 = mean
+    c, s = m00 + m11, m10 - m01
+    if c == 0.0 and s == 0.0:
+        return None
+    theta = math.atan2(s, c)
+    return math.cos(theta), math.sin(theta)
+
+
+def _deviation_sums(l: float, gradients: np.ndarray, rotations) -> list[tuple[float, float]]:
+    """Per snapshot, the sums over its triangles of ``|G - R|^2`` and ``|G - l Id|^2``.
+
+    ``R`` is the snapshot's entry of ``rotations`` (NaN where it is
+    None).  Both deviations of the whole stack come from one
+    ``(B, 2, T, 2, 2)`` pass; each 2x2 sum of squares adds its four terms
+    in row-major order, as ``np.sum`` of a 2x2 does (pinned by the
+    tests), and each per-triangle row is then summed on its own.
+    """
+    rows = []
+    for r in rotations:
+        c, s = (math.nan, math.nan) if r is None else r
+        rows.append((c, -s, s, c, l, 0.0, 0.0, l))
+    diff = gradients[:, None] - np.array(rows).reshape(-1, 2, 1, 2, 2)
+    sq = diff * diff
+    per_triangle = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
+    sums = _row_sums(per_triangle.reshape(-1, gradients.shape[1]))
+    return list(zip(sums[0::2], sums[1::2]))
 
 
 def _check_parameters(N: int, l, epsilon) -> None:
@@ -163,8 +287,9 @@ class SnapshotBlock:
     Row ``b`` of each array belongs to ``snapshots[b]``, a normal
     :class:`Configuration` whose cached ``corners``, ``gradients``,
     ``crosses`` and ``bond_squares`` are read-only views of rows of the
-    stacked geometry.  Every array is read-only.  Blocks compare as
-    configurations do: equal snapshots and elementwise equal arrays.
+    stacked geometry, and whose cached reductions are pre-filled.  Every
+    array is read-only.  Blocks compare as configurations do: equal
+    snapshots and elementwise equal arrays.
     """
 
     snapshots: tuple
@@ -184,17 +309,29 @@ class SnapshotBlock:
 
 
 # What snapshot_block sets on each snapshot besides N, l and epsilon: the
-# positions field and the cached properties, in the order of its arrays.
-_SNAPSHOT_FIELDS = ("positions", "corners", "gradients", "crosses", "bond_squares")
+# positions field and the cached properties, in the order of its rows.
+_SNAPSHOT_FIELDS = (
+    "positions",
+    "corners",
+    "gradients",
+    "crosses",
+    "bond_squares",
+    "bond_square_range",
+    "cross_min",
+    "gradient_mean",
+    "area_difference",
+    "nearest_rotation",
+    "deviation_sums",
+)
 
 
 def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> SnapshotBlock:
     """Build the geometry of ``B`` snapshots, ``positions`` of shape ``(B, N^2, 2)``, at once.
 
-    The arrays come from the same functions a single snapshot's cached
-    properties call, so every snapshot's cache equals a fresh
-    ``Configuration(N, l, epsilon, positions[b])``'s bitwise.
-    ``positions`` is made read-only and owned by the block.
+    The arrays and the scalar reductions come from the same functions a
+    single snapshot's cached properties call, so every snapshot's cache
+    equals a fresh ``Configuration(N, l, epsilon, positions[b])``'s
+    bitwise.  ``positions`` is made read-only and owned by the block.
 
     The block is validated once, as ``Configuration`` validates one
     snapshot: ``N``, ``l`` and ``epsilon``, the row shape, and the gauge
@@ -211,8 +348,22 @@ def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> S
     gradients = _read_only(triangle_gradients(N, corners))
     crosses = _read_only(corner_crosses(corners))
     bond_squares = _read_only(bond_length_squares(N, l, positions))
+    means = _gradient_means(gradients)
+    rotations = [_nearest_rotation(m) for m in means]
     snapshots = []
-    for rows in zip(positions, corners, gradients, crosses, bond_squares):
+    for rows in zip(
+        positions,
+        corners,
+        gradients,
+        crosses,
+        bond_squares,
+        _extremes(bond_squares),
+        _minima(crosses),
+        means,
+        _area_differences(crosses),
+        rotations,
+        _deviation_sums(l, gradients, rotations),
+    ):
         snap = object.__new__(Configuration)
         vars(snap).update(zip(_SNAPSHOT_FIELDS, rows), N=N, l=l, epsilon=epsilon)
         snapshots.append(snap)
@@ -335,13 +486,14 @@ def check_omega1(cfg: Configuration) -> CheckResult:
     By periodicity, checking the 3N^2 bond classes covers the full
     infinite bond set.  Comparisons are plain strict float comparisons,
     so a NaN length is outside the window.  A passing state is settled by
-    the extremes alone (a NaN extreme fails the comparison); only a
-    failing one pays for the violation list.
+    the cached ``cfg.bond_square_range`` alone (a NaN extreme fails the
+    comparison); only a failing one pays for the violation list.
     """
-    d2 = cfg.bond_squares
+    lo, hi = cfg.bond_square_range
     hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
-    if 1.0 < np.minimum.reduce(d2) and np.maximum.reduce(d2) < hi2:
+    if 1.0 < lo and hi < hi2:
         return CheckResult(True)
+    d2 = cfg.bond_squares
     bad = np.flatnonzero(~((d2 > 1.0) & (d2 < hi2)))
     all_bonds = lattice.bonds(cfg.N)
     return CheckResult(
@@ -357,9 +509,9 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     ``D = (c1 - c0) x (c2 - c0)`` over the corners of
     :func:`image_triangle_corners`; a triangle with a non-finite corner
     fails.  Violations report ``cfg.crosses`` scaled to a determinant.
-    With ``M`` the largest squared bond length, a state with
-    ``M < _BOND_SQUARE_CAP`` and
-    ``min(cfg.crosses) > 2 * _ORIENT_ERRBOUND * M`` passes in floats; any
+    With ``M`` the largest squared bond length (the cached
+    ``cfg.bond_square_range[1]``), a state with ``M < _BOND_SQUARE_CAP``
+    and ``cfg.cross_min > 2 * _ORIENT_ERRBOUND * M`` passes in floats; any
     other (a non-finite coordinate makes ``M`` NaN or infinite) pays for
     :func:`geometry.orient_signs_exact` over its finite triangles.
 
@@ -382,9 +534,8 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     ``M > 0.9`` (``r >= fl(l*N) / N > 1 - u``).  The cap keeps every step
     finite.
     """
-    cross = cfg.crosses
-    m = np.maximum.reduce(cfg.bond_squares)
-    if m < _BOND_SQUARE_CAP and np.minimum.reduce(cross) > _OMEGA3_SLACK * m:
+    m = cfg.bond_square_range[1]
+    if m < _BOND_SQUARE_CAP and cfg.cross_min > _OMEGA3_SLACK * m:
         return CheckResult(True)
     # Exact signs of the finite triangles; the float filter of
     # orient_signs_exact(c1, c2, c0) evaluates corner_crosses' expression.
@@ -399,7 +550,7 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     det_scale = 2.0 / SQRT3  # det(gradient) = cross / det(reference edges)
     return CheckResult(
         False,
-        [("omega3", tris[i], float(cross[i]) * det_scale) for i in bad],
+        [("omega3", tris[i], float(cfg.crosses[i]) * det_scale) for i in bad],
     )
 
 

@@ -43,9 +43,9 @@ def rotation(theta: float) -> np.ndarray:
     """Counterclockwise rotation matrix for angle ``theta``.
 
     No run calls :func:`rotation`, :func:`frobenius` or
-    :func:`polar_rotation`: :func:`observables.identity_suite` inlines
-    them on Python floats, and they are the reference it is tested
-    against.
+    :func:`polar_rotation`: the identity suite and the cached
+    ``Configuration.nearest_rotation`` inline them on Python floats, and
+    they are the reference those are tested against.
     """
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -228,17 +228,27 @@ def orient_sign(pa, pb, pc) -> int:
     The fast path is the plain float determinant guarded by its forward
     error bound.  That bound assumes no product underflows, so a product
     of nonzero factors below the smallest normal float, like inconclusive
-    cases, is settled in rational arithmetic.
+    cases, is settled in rational arithmetic.  So is a determinant that
+    is not finite: a corner difference or a product that overflows makes
+    it infinite or NaN, and then it says nothing about the sign.  The
+    corners must be finite (``ValueError`` otherwise).  The arithmetic is
+    on Python floats, so an overflow raises no numpy warning.
     """
-    ax = pa[0] - pc[0]
-    ay = pa[1] - pc[1]
-    bx = pb[0] - pc[0]
-    by = pb[1] - pc[1]
+    pax, pay, pbx, pby, pcx, pcy = map(float, (pa[0], pa[1], pb[0], pb[1], pc[0], pc[1]))
+    ax = pax - pcx
+    ay = pay - pcy
+    bx = pbx - pcx
+    by = pby - pcy
     detleft = ax * by
     detright = ay * bx
+    det = detleft - detright
+    # An overflowed difference or product leaves det infinite or NaN.
+    if not math.isfinite(det):
+        if not all(map(math.isfinite, (pax, pay, pbx, pby, pcx, pcy))):
+            raise ValueError(f"orient_sign needs finite corners, got {(pa, pb, pc)}")
+        return _orient_exact(pa, pb, pc)
     if (abs(detleft) < _MIN_NORMAL and ax and by) or (abs(detright) < _MIN_NORMAL and ay and bx):
         return _orient_exact(pa, pb, pc)
-    det = detleft - detright
     if detleft > 0.0:
         if detright <= 0.0:
             return _sign(det)
@@ -265,22 +275,27 @@ def orient_signs(a, b, c):
     ``sign`` is the exact sign; elsewhere it is meaningless.
     """
     a, b, c = np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
-    ax = a[..., 0] - c[..., 0]
-    ay = a[..., 1] - c[..., 1]
-    bx = b[..., 0] - c[..., 0]
-    by = b[..., 1] - c[..., 1]
-    detleft = ax * by
-    detright = ay * bx
-    det = detleft - detright
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax = a[..., 0] - c[..., 0]
+        ay = a[..., 1] - c[..., 1]
+        bx = b[..., 0] - c[..., 0]
+        by = b[..., 1] - c[..., 1]
+        detleft = ax * by
+        detright = ay * bx
+        det = detleft - detright
+        detsum = np.abs(detleft + detright)
+        sign = np.sign(det).astype(np.int8)
     underflow = ((np.abs(detleft) < _MIN_NORMAL) & (ax != 0.0) & (by != 0.0)) | (
         (np.abs(detright) < _MIN_NORMAL) & (ay != 0.0) & (bx != 0.0)
     )
     # Where the products share a strict sign, |detleft + detright| is the
     # scalar's detsum.  Where they do not, the scalar skips the bound, and
     # the test below passes anyway: rounding is monotone, so then
-    # |detleft + detright| <= |det| in floats.
-    decided = ~underflow & (np.abs(det) >= _ORIENT_ERRBOUND * np.abs(detleft + detright))
-    return np.sign(det).astype(np.int8), decided
+    # |detleft + detright| <= |det| in floats.  A non-finite det (an
+    # overflow, or a non-finite corner) is left undecided, as the scalar
+    # leaves it to rational arithmetic.
+    decided = ~underflow & np.isfinite(det) & (np.abs(det) >= _ORIENT_ERRBOUND * detsum)
+    return sign, decided
 
 
 def orient_signs_exact(a, b, c):

@@ -150,9 +150,27 @@ def vertex_star(x, N: int) -> list[tuple[TriangleRef, int]]:
     return [(TriangleRef(canonical(t.base, N), t.orientation), slot) for t, slot in star]
 
 
-def _split_wrap(u: int, v: int, N: int) -> tuple[int, int, int, int]:
-    cu, cv = u % N, v % N
-    return cu, cv, (u - cu) // N, (v - cv) // N
+def _wrapped(u: np.ndarray, v: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat canonical indices and integer wrap vectors of integer arrays ``u``, ``v``.
+
+    Returns ``(flat, wrap)``: ``flat`` has the shape of ``u``, and
+    ``wrap`` one more trailing axis of two, with
+    ``(u, v) == canonical((u, v), N) + N * wrap`` entrywise.
+    """
+    wu, cu = np.divmod(u, N)
+    wv, cv = np.divmod(v, N)
+    return cu * N + cv, np.stack((wu, wv), axis=-1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _grid(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``(u, v)`` of the canonical sites in flat-index order, int64."""
+    return np.divmod(np.arange(N * N, dtype=np.int64), N)
 
 
 @lru_cache(maxsize=None)
@@ -164,18 +182,9 @@ def neighbor_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     ``positions[idx] + l*N*(wrap @ EMBED_BASIS)``.
     """
     check_lattice_size(N)
-    idx = np.empty((N * N, 6), dtype=np.int64)
-    wrap = np.empty((N * N, 6, 2), dtype=np.int64)
-    for u in range(N):
-        for v in range(N):
-            s = u * N + v
-            for k, (du, dv) in enumerate(NEIGHBOR_OFFSETS):
-                cu, cv, wu, wv = _split_wrap(u + du, v + dv, N)
-                idx[s, k] = cu * N + cv
-                wrap[s, k] = (wu, wv)
-    idx.setflags(write=False)
-    wrap.setflags(write=False)
-    return idx, wrap
+    u, v = _grid(N)
+    off = np.array(NEIGHBOR_OFFSETS, dtype=np.int64)
+    return _read_only(*_wrapped(u[:, None] + off[:, 0], v[:, None] + off[:, 1], N))
 
 
 @lru_cache(maxsize=None)
@@ -183,22 +192,16 @@ def triangle_tables(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner lookup for all triangle classes in enumeration order.
 
     Returns ``(sites, wrap, orient)`` with shapes ``(2N^2, 3)``,
-    ``(2N^2, 3, 2)`` and ``(2N^2,)``.
+    ``(2N^2, 3, 2)`` and ``(2N^2,)``: triangle ``2*s + o`` has base site
+    ``s`` and orientation ``o``, and its corners are those of
+    :func:`triangle_corners`.
     """
     check_lattice_size(N)
-    T = 2 * N * N
-    sites = np.empty((T, 3), dtype=np.int64)
-    wrap = np.empty((T, 3, 2), dtype=np.int64)
-    orient = np.empty(T, dtype=np.int64)
-    for t, tri in enumerate(triangles(N)):
-        orient[t] = tri.orientation
-        for c, (cu, cv) in enumerate(triangle_corners(tri)):
-            ku, kv, wu, wv = _split_wrap(cu, cv, N)
-            sites[t, c] = ku * N + kv
-            wrap[t, c] = (wu, wv)
-    for arr in (sites, wrap, orient):
-        arr.setflags(write=False)
-    return sites, wrap, orient
+    u, v = _grid(N)
+    off = np.array(TRIANGLE_CORNER_OFFSETS, dtype=np.int64)  # (orientation, corner, 2)
+    sites, wrap = _wrapped(u[:, None, None] + off[..., 0], v[:, None, None] + off[..., 1], N)
+    orient = np.tile(np.array([UP, DOWN], dtype=np.int64), N * N)
+    return _read_only(sites.reshape(-1, 3), wrap.reshape(-1, 3, 2), orient)
 
 
 @lru_cache(maxsize=None)
@@ -209,15 +212,8 @@ def bond_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     the second endpoint position is ``positions[sites[:, 1]] + l*N*(wrap @ EMBED_BASIS)``.
     """
     check_lattice_size(N)
-    B = 3 * N * N
-    sites = np.empty((B, 2), dtype=np.int64)
-    wrap = np.empty((B, 2), dtype=np.int64)
-    for i, bond in enumerate(bonds(N)):
-        au, av = bond.a
-        sites[i, 0] = au * N + av
-        cu, cv, wu, wv = _split_wrap(au + bond.offset[0], av + bond.offset[1], N)
-        sites[i, 1] = cu * N + cv
-        wrap[i] = (wu, wv)
-    sites.setflags(write=False)
-    wrap.setflags(write=False)
-    return sites, wrap
+    u, v = _grid(N)
+    off = np.array(BOND_OFFSETS, dtype=np.int64)
+    far, wrap = _wrapped(u[:, None] + off[:, 0], v[:, None] + off[:, 1], N)
+    near = np.repeat(u * N + v, len(BOND_OFFSETS))
+    return _read_only(np.stack((near, far.ravel()), axis=1), wrap.reshape(-1, 2))

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import LAMBDA0, Configuration, SnapshotBlock, bond_lengths, position
+from .configuration import (
+    LAMBDA0,
+    Configuration,
+    SnapshotBlock,
+    _row_sums,
+    bond_lengths,
+    position,
+)
 from .lattice import NEIGHBOR_OFFSETS
 
 
@@ -28,24 +35,14 @@ def _squared_deviations(gradients: np.ndarray, target: np.ndarray) -> np.ndarray
     return np.sum(diff * diff, axis=(-2, -1))
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of each row of ``a``, each row reduced on its own.
-
-    A one-snapshot sum is a 1-D reduction; a reduction over an axis of a
-    stack may add in another order (numpy picks it from the memory
-    layout).  Summing row by row keeps every sum bitwise the one-snapshot
-    sum, and ``_row_sums(a) / n`` bitwise ``np.mean`` of each row.
-    """
-    return np.array([np.add.reduce(row) for row in a])
-
-
 def block_order_parameters(block: SnapshotBlock, target) -> np.ndarray:
     """Triangle mean of :func:`per_triangle_order_parameters` for each snapshot of ``block``.
 
-    Bitwise ``np.mean(per_triangle_order_parameters(snap, target))``.
+    Bitwise ``np.mean(per_triangle_order_parameters(snap, target))``:
+    each snapshot's row is summed on its own, as a 1-D reduction.
     """
     op = _squared_deviations(block.gradients, np.asarray(target, dtype=float))
-    return _row_sums(op) / op.shape[-1]
+    return np.array(_row_sums(op)) / op.shape[-1]
 
 
 def bond_vector(cfg: Configuration, x, z) -> np.ndarray:
@@ -67,9 +64,9 @@ def l2_gradient_deviation(cfg: Configuration, target) -> float:
     """Squared L2 distance of the gradient field from the constant ``target``.
 
     Exact as the area-weighted sum of per-triangle deviations.  No run
-    calls it: :func:`identity_suite` evaluates both of its deviations in
-    one stacked pass, and this is the reference that pass is tested
-    against.
+    calls it: ``Configuration.deviation_sums`` evaluates both deviations
+    of :func:`identity_suite` in one stacked pass, and this is the
+    reference that pass is tested against.
     """
     return LAMBDA0 * float(np.sum(per_triangle_order_parameters(cfg, target)))
 
@@ -134,43 +131,34 @@ def identity_suite(cfg: Configuration) -> IdentityReport:
     :func:`mean_gradient`, :func:`geometry.frobenius`,
     :func:`area_difference_sum`, :func:`geometry.polar_rotation`,
     :func:`geometry.rotation` and two :func:`l2_gradient_deviation`
-    calls, at a fraction of its numpy calls:
+    calls.  It reads the snapshot's cached reductions
+    (``gradient_mean``, ``area_difference``, ``nearest_rotation`` and
+    ``deviation_sums``, which :func:`configuration.snapshot_block` fills
+    in for a whole block at once) and does the rest on Python floats:
 
-    * the mean is ``np.add.reduce(G, axis=0) / T``, which is what
-      ``ndarray.mean`` computes;
     * the 2x2 sums of squares (the mean's error and the rotation shift
       ``|l Id - R|^2``) add their four terms in row-major order, as
       numpy sums fewer than eight contiguous terms;
-    * the polar angle, ``cos`` and ``sin`` are the ``math`` calls of
-      :func:`geometry.polar_rotation` and :func:`geometry.rotation`, on
-      Python floats;
-    * both L2 deviations come from one ``(2, T, 2, 2)`` pass against the
-      stacked targets ``R`` and ``l Id``; each per-triangle row is then
-      summed on its own, as one 1-D reduction.
+    * the two L2 deviations are the cached sums times the cell area.
 
-    The tests pin these numpy equalities on the CPU that runs them.
+    The tests pin the numpy equalities the reductions rely on, on the
+    CPU that runs them.
     """
-    G = cfg.gradients
     N, l = cfg.N, cfg.l
-    (m00, m01), (m10, m11) = (np.add.reduce(G, axis=0) / G.shape[0]).tolist()
+    m00, m01, m10, m11 = cfg.gradient_mean
     d00, d11 = m00 - l, m11 - l
     mg_err = math.sqrt(d00 * d00 + m01 * m01 + m10 * m10 + d11 * d11)
 
-    area = float(np.add.reduce(0.5 * cfg.crosses - LAMBDA0))
     closed = area_difference_closed_form(N, l)
-    area_err = abs(area - closed) / abs(closed)
+    area_err = abs(cfg.area_difference - closed) / abs(closed)
 
-    c, s = m00 + m11, m10 - m01
-    if c == 0.0 and s == 0.0:
+    rotation = cfg.nearest_rotation
+    if rotation is None:
         raise ValueError("polar rotation undefined: all rotations are equidistant")
-    theta = math.atan2(s, c)
-    cos, sin = math.cos(theta), math.sin(theta)
-    # The targets R and l * Id, shape (2, 1, 2, 2) to broadcast over triangles.
-    targets = np.array((cos, -sin, sin, cos, l, 0.0, 0.0, l)).reshape(2, 1, 2, 2)
-    diff = G - targets
-    per_triangle = np.add.reduce(diff * diff, axis=(-2, -1))
-    lhs = LAMBDA0 * float(np.add.reduce(per_triangle[0]))
-    a = LAMBDA0 * float(np.add.reduce(per_triangle[1]))
+    cos, sin = rotation
+    rotation_sum, lid_sum = cfg.deviation_sums
+    lhs = LAMBDA0 * rotation_sum
+    a = LAMBDA0 * lid_sum
     dc, s2 = l - cos, sin * sin
     b = 2.0 * N * N * LAMBDA0 * (dc * dc + s2 + s2 + dc * dc)
     pyth_err = abs(lhs - a - b) / max(lhs, 1e-300)

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
-from hardlattice import analysis, cli, counterexamples, geometry
+from hardlattice import analysis, cli, counterexamples, geometry, kernels, observables
 from hardlattice import configuration as cfgmod
 from hardlattice.sampler import InadmissibleStateError
 
@@ -212,6 +213,48 @@ class TestScanCommand:
         monkeypatch.setattr(analysis, "scan", boom)
         path = _write(tmp_path / "c.json", SMALL_SCAN)
         assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace every binding of ``fn`` in the loaded hardlattice modules by a
+    counting wrapper, as the benchmark's tracer does; returns the call list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hardlattice" or name.startswith("hardlattice."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestScanCallCounts:
+    """The call counts the benchmark's traced self-check asserts, on a small scan.
+
+    N = 2 runs the scalar sweep in blocks of 64 snapshots, N = 9 the
+    vectorised raster plan in blocks of 12 (the last one partial); thin 2
+    tells a per-sweep count from a per-sample one.
+    """
+
+    SCAN = {"N": [2, 9], "l": [1.03, 1.05], "sweeps": 200, "burn_in": 7, "thin": 2}
+
+    def test_counts_per_sweep_per_sample_and_per_chain(self, tmp_path, monkeypatch):
+        assert observables.identity_suite is analysis.identity_suite
+        suite = _count_calls(monkeypatch, observables.identity_suite)
+        admissible = _count_calls(monkeypatch, cfgmod.is_admissible)
+        sweeps = _count_calls(monkeypatch, kernels.sweep)
+        path = _write(tmp_path / "c.json", {"scan": self.SCAN})
+        argv = ["scan", "--config", path, "--out", str(tmp_path / "o"), "--threads", "1"]
+        assert cli.main(argv) == 0
+        chains = len(self.SCAN["N"]) * len(self.SCAN["l"])
+        emitted = chains * (self.SCAN["sweeps"] // self.SCAN["thin"])
+        assert len(suite) == emitted
+        assert len(admissible) == emitted + chains
+        assert len(sweeps) == chains * (self.SCAN["burn_in"] + self.SCAN["sweeps"])
 
 
 class TestVerifyCommand:

@@ -7,7 +7,7 @@ import pytest
 
 import hardlattice
 from hardlattice import configuration as C
-from hardlattice import counterexamples, geometry, lattice
+from hardlattice import counterexamples, geometry, lattice, observables
 from hardlattice.configuration import (
     Configuration,
     check_omega1,
@@ -86,11 +86,45 @@ class TestCachedGeometry:
             assert snap.crosses.tobytes() == crosses.tobytes()
             assert snap.gradients is snap.gradients
 
+    def test_reductions_equal_their_references_on_lone_snapshots(self):
+        folded = counterexamples.folded_counterexamples(4, 1.05, 0.1)
+        for cfg in (standard_config(4, 1.05, 0.1), *folded):
+            _assert_reductions_equal_references(cfg)
+
     def test_cached_arrays_are_read_only(self):
         cfg = standard_config(4, 1.05, 0.1)
         for name in ("corners", "gradients", "crosses", "bond_squares"):
             with pytest.raises(ValueError):
                 getattr(cfg, name).flat[0] = 1.0
+
+
+# The scalar reductions a snapshot caches; snapshot_block pre-fills them.
+REDUCTIONS = (
+    "bond_square_range",
+    "cross_min",
+    "gradient_mean",
+    "area_difference",
+    "nearest_rotation",
+    "deviation_sums",
+)
+
+
+def _assert_reductions_equal_references(cfg):
+    """Every cached reduction of ``cfg`` against plain numpy on its arrays."""
+    d2, cross, G = cfg.bond_squares, cfg.crosses, cfg.gradients
+    assert cfg.bond_square_range == (float(d2.min()), float(d2.max()))
+    assert cfg.cross_min == float(cross.min())
+    mean = G.mean(axis=0)
+    assert cfg.gradient_mean == tuple(mean.ravel().tolist())
+    assert cfg.area_difference == float(np.sum(0.5 * cross - C.LAMBDA0))
+    R = geometry.rotation(geometry.polar_rotation(mean))
+    assert cfg.nearest_rotation == (R[0, 0], R[1, 0])
+    want = [float(np.sum(observables.per_triangle_order_parameters(cfg, target)))
+            for target in (R, cfg.l * np.eye(2))]
+    assert list(cfg.deviation_sums) == want
+    values = [*cfg.bond_square_range, cfg.cross_min, *cfg.gradient_mean, cfg.area_difference,
+              *cfg.nearest_rotation, *cfg.deviation_sums]
+    assert all(type(v) is float for v in values)
 
 
 class TestSnapshotBlock:
@@ -111,6 +145,20 @@ class TestSnapshotBlock:
             assert snap.positions.tobytes() == fresh.positions.tobytes()
             for name in ("corners", "gradients", "crosses", "bond_squares"):
                 assert getattr(snap, name).tobytes() == getattr(fresh, name).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 12, 32])
+    def test_prefilled_reductions_equal_lazy_ones_and_their_references(self, N):
+        # a block pre-fills every reduction; a fresh snapshot computes them
+        # on first use.  repr tells -0.0 from 0.0 and round-trips floats.
+        params = SamplerParams(sweeps=3 if N == 32 else 20, burn_in=5, thin=1, seed=N,
+                               scan_order="random")
+        snaps = run_chain(N, 1.05, 0.1, params).records
+        for snap in snaps:
+            assert set(REDUCTIONS) <= set(vars(snap))
+            fresh = Configuration(N, snap.l, snap.epsilon, snap.positions)
+            for name in REDUCTIONS:
+                assert repr(getattr(snap, name)) == repr(getattr(fresh, name)), name
+            _assert_reductions_equal_references(fresh)
 
     def test_snapshot_positions_are_read_only_views_of_the_block(self):
         block = C.snapshot_block(3, 1.05, 0.1, self._rows())
@@ -656,6 +704,45 @@ class TestNonFiniteSites:
         assert sorted(res.violations) == sorted(("omega3_nonfinite", tri) for tri in star)
         if math.isnan(value):  # an infinite site warns of inf - inf in cfg.crosses
             assert {tri for _, tri, _ in check_omega3(cfg).violations} == star
+
+    @staticmethod
+    def _block_with_nan_row(N, site, coordinate, B=5, row=2):
+        base = standard_config(N, 1.05, 0.1).positions
+        rng = np.random.default_rng(site)
+        pos = base + rng.uniform(-0.01, 0.01, size=(B,) + base.shape)
+        pos[:, 0] = 0.0
+        pos[row, site, coordinate] = math.nan
+        return C.snapshot_block(N, 1.05, 0.1, pos)
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_nan_row_of_a_block_fails_both_checks_wherever_it_sits(self, N):
+        # whichever site holds the NaN, and so wherever its NaN bonds and
+        # crosses sit in the stacked rows, the cached extremes read NaN
+        for site in range(1, N * N):
+            for coordinate in (0, 1):
+                block = self._block_with_nan_row(N, site, coordinate)
+                for b, snap in enumerate(block.snapshots):
+                    fresh = Configuration(N, snap.l, snap.epsilon, snap.positions)
+                    report = is_admissible(snap)
+                    assert repr(report) == repr(is_admissible(fresh))
+                    if b != 2:
+                        assert report.ok
+                        continue
+                    assert all(map(math.isnan, (*snap.bond_square_range, snap.cross_min)))
+                    assert not report.omega1_ok and not report.omega3_ok
+                    assert not report.omega2_ok and not report.ok
+                    assert not check_omega1(snap).ok and not check_omega3(snap).ok
+
+    def test_nan_row_of_a_block_gives_the_fresh_identity_report(self):
+        block = self._block_with_nan_row(4, 5, 1)
+        for snap in block.snapshots:
+            fresh = Configuration(4, snap.l, snap.epsilon, snap.positions)
+            report = observables.identity_suite(snap)
+            assert repr(report) == repr(observables.identity_suite(fresh))
+        nan_report = observables.identity_suite(block.snapshots[2])
+        assert not nan_report.ok
+        assert math.isnan(nan_report.mean_gradient_error)
+        assert math.isnan(nan_report.pythagoras_relative_error)
 
     def test_nan_bond_is_reported(self):
         cfg = _with_site_value(standard_config(2, 1.05, 0.1), 3, (math.nan, 0.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,22 @@ class TestOrientSign:
         assert orient_sign((0.25, 0.25), (0.5, down), (0.75, 0.75)) == 1
         assert _frac_orient((0.25, 0.25), (0.5, down), (0.75, 0.75)) == 1
 
+    def test_overflowing_determinant_is_settled_exactly(self):
+        cases = _overflow_cases()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [orient_sign(*t) for t in cases]
+            got_np = [orient_sign(*np.array(t)) for t in cases]  # numpy float corners
+        want = [_frac_orient(*t) for t in cases]
+        assert got == got_np == want
+        assert orient_sign(*OVERFLOW_TRIPLES[0]) == -1
+        assert set(want) == {-1, 1}
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_corner_raises(self, bad):
+        with pytest.raises(ValueError, match="finite corners"):
+            orient_sign((bad, 0.0), (1.0, 0.0), (0.0, 1.0))
+
     @given(
         st.lists(
             st.floats(min_value=-4.0, max_value=4.0, allow_nan=False).map(
@@ -343,6 +360,25 @@ class TestOrientSign:
     def test_matches_rational_reference(self, coords):
         a, b, c = (coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5])
         assert orient_sign(a, b, c) == _frac_orient(a, b, c)
+
+
+# Finite corners whose float determinant overflows, so that it says
+# nothing about the exact sign.
+OVERFLOW_TRIPLES = [
+    # a corner difference overflows to inf and meets a zero: det is NaN
+    ((1e308, 1e-300), (1e308, 0.0), (-1e308, 0.0)),
+    # a difference overflows, its product with a tiny one stays inf: det
+    # is +inf, the exact sign negative
+    ((1e308, 1e-299), (0.0, 1e-300), (-1e308, 0.0)),
+    # both products overflow to inf: det is NaN
+    ((1e200, 1e200), (1e200, 2e200), (0.0, 0.0)),
+]
+
+
+def _overflow_cases():
+    """The triples above in all six corner orders, the listed order first."""
+    orders = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+    return [tuple(t[k] for k in order) for t in OVERFLOW_TRIPLES for order in orders]
 
 
 EQUILATERAL = ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))
@@ -546,6 +582,18 @@ class TestTrianglesOverlapBlock:
 
 
 class TestOrientSignsExact:
+    def test_overflowing_determinant_is_left_to_the_exact_path(self):
+        a, b, c = (np.array(x) for x in zip(*_overflow_cases()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sign, decided = geometry.orient_signs(a, b, c)
+            got = geometry.orient_signs_exact(a, b, c)
+        want = [_frac_orient(*t) for t in _overflow_cases()]
+        # in their listed order every triple overflows; another pivot may not
+        assert not decided[::6].any()
+        assert (sign[decided] == np.array(want)[decided]).all()
+        assert got.tolist() == want
+
     def test_equals_scalar_on_degenerate_and_generic_stacks(self, rng):
         # a small grid scaled by 0.1: collinear and coincident triples
         # whose float determinant is rounding noise, and generic ones

@@ -12,6 +12,7 @@ from hardlattice.lattice import (
     bonds,
     canonical,
     embed,
+    site_index,
     triangle_corners,
     triangles,
     vertex_star,
@@ -212,6 +213,38 @@ class TestTables:
                     lhs = embed((u + du, v + dv))
                     rhs = embed((cu, cv)) + N * embed(tuple(wrap[s, k]))
                     assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 32, 33])
+    def test_tables_equal_the_scalar_enumerations(self, N):
+        # the whole-array tables against loops over bonds(), triangles()
+        # and triangle_corners(): same dtype, shape and values
+        def split(x):
+            c = canonical(x, N)
+            return site_index(c, N), ((x[0] - c[0]) // N, (x[1] - c[1]) // N)
+
+        def table(rows):
+            return np.array(rows, dtype=np.int64)
+
+        nbr = [split((u + du, v + dv)) for u in range(N) for v in range(N)
+               for du, dv in NEIGHBOR_OFFSETS]
+        want_nbr = (table([i for i, _ in nbr]).reshape(N * N, 6),
+                    table([w for _, w in nbr]).reshape(N * N, 6, 2))
+        corners = [split(c) for t in triangles(N) for c in triangle_corners(t)]
+        want_tri = (table([i for i, _ in corners]).reshape(-1, 3),
+                    table([w for _, w in corners]).reshape(-1, 3, 2),
+                    table([t.orientation for t in triangles(N)]))
+        ends = [(b, split((b.a[0] + b.offset[0], b.a[1] + b.offset[1]))) for b in bonds(N)]
+        assert all(site_index(b.b, N) == far for b, (far, _) in ends)
+        want_bond = (table([(site_index(b.a, N), far) for b, (far, _) in ends]),
+                     table([w for _, (_, w) in ends]))
+        for got, want in ((lattice.neighbor_tables(N), want_nbr),
+                          (lattice.triangle_tables(N), want_tri),
+                          (lattice.bond_tables(N), want_bond)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+                assert not g.flags.writeable
 
     def test_triangle_tables_orientation_layout(self):
         _, _, orient = lattice.triangle_tables(3)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,6 +163,16 @@ class TestBlockObservables:
                 assert got.tolist() == want
 
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 12])
+    def test_cached_lid_deviation_sum_over_t_is_the_lid_order_parameter(self, N):
+        # the scan's op_lid reads the sum the identity suite reads
+        for block in _blocks(N, seed=N + 2):
+            T = block.gradients.shape[1]
+            got = [snap.deviation_sums[1] / T for snap in block.snapshots]
+            want = O.block_order_parameters(block, 1.05 * np.eye(2)).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def _reference_identity_suite(cfg):
     """The identity suite as the plain composition of its parts, the oracle of the lean one."""
     mean = O.mean_gradient(cfg)
@@ -213,12 +222,16 @@ class TestLeanIdentitySuite:
 
     def test_undefined_polar_rotation_raises_as_the_reference_does(self):
         # The boundary rule pins the mean gradient at l * Id, so only a
-        # stand-in for a configuration reaches the equidistant case.
+        # snapshot whose cached gradients are replaced by a stand-in
+        # reaches the equidistant case; its reductions are computed from
+        # the stand-in on first use.
         G = np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (8, 1, 1))
-        fake = SimpleNamespace(N=2, l=1.05, gradients=G, crosses=np.ones(8))
         for suite in (O.identity_suite, _reference_identity_suite):
+            cfg = standard_config(2, 1.05, 0.1)
+            vars(cfg)["gradients"] = G
             with pytest.raises(ValueError, match="equidistant"):
-                suite(fake)
+                suite(cfg)
+            assert cfg.nearest_rotation is None
 
 
 class TestLeanSuiteNumpyEqualities:
@@ -260,6 +273,45 @@ class TestLeanSuiteNumpyEqualities:
                 half = G - targets[k]
                 self._assert_bitwise(stacked[k], np.sum(half * half, axis=(-2, -1)), "stack")
                 self._assert_bitwise(np.add.reduce(stacked[k]), np.sum(stacked[k]), "row sum")
+
+    @staticmethod
+    def _gradient_block(rng, B, T):
+        return np.stack([TestLeanSuiteNumpyEqualities._stack(rng, T)[0] for _ in range(B)])
+
+    @pytest.mark.parametrize("B", [1, 7, 64])
+    @pytest.mark.parametrize("T", SIZES)
+    def test_sum_over_axis_1_of_a_block_is_each_snapshots_mean(self, rng, B, T):
+        # configuration._gradient_means: one reduction over the triangle
+        # axis of (B, T, 2, 2) against axis 0 of each (T, 2, 2) snapshot
+        for _ in range(3):
+            G = self._gradient_block(rng, B, T)
+            means = np.add.reduce(G, axis=1) / T
+            for b in range(B):
+                self._assert_bitwise(means[b], np.add.reduce(G[b], axis=0) / T, "block sum")
+                self._assert_bitwise(means[b], G[b].mean(axis=0), "block mean")
+
+    @pytest.mark.parametrize("B", [1, 7, 64])
+    @pytest.mark.parametrize("T", SIZES)
+    def test_block_deviations_are_each_snapshots(self, rng, B, T):
+        # configuration._deviation_sums: one (B, 2, T, 2, 2) pass against
+        # each snapshot's two targets, its 2x2 sums added in row-major
+        # order, then each per-triangle row summed on its own, against
+        # np.sum of each snapshot's deviations
+        G = self._gradient_block(rng, B, T)
+        targets = np.stack([
+            np.array([geometry.rotation(rng.uniform(-0.1, 0.1)), 1.05 * np.eye(2)])
+            for _ in range(B)
+        ])[:, :, None]
+        diff = G[:, None] - targets
+        sq = diff * diff
+        per_triangle = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
+        rows = per_triangle.reshape(-1, T)
+        for b in range(B):
+            for k in range(2):
+                half = G[b] - targets[b, k, 0]
+                want = np.sum(half * half, axis=(-2, -1))
+                self._assert_bitwise(per_triangle[b, k], want, "block deviations")
+                self._assert_bitwise(np.add.reduce(rows[2 * b + k]), np.sum(want), "row sum")
 
     def test_sum_of_a_2x2_adds_in_row_major_order(self, rng):
         m = rng.uniform(-1.0, 1.0, (200_000, 2, 2)) * 10.0 ** rng.integers(-8, 9, (200_000, 2, 2))

@@ -194,6 +194,33 @@ class TestBlocks:
         with pytest.raises(ChainInvariantError, match="after sweep 6 failed recheck"):
             hl.run_chain(2, 1.05, 0.1, params, observer)
 
+    @pytest.mark.parametrize("N, scan_order", [(3, "raster"), (4, "random"), (9, "raster")])
+    def test_nan_row_in_a_block_fails_the_recheck_at_its_sweep(self, monkeypatch, N, scan_order):
+        # One sweep leaves a NaN at a site and the next puts the site back,
+        # so exactly one snapshot of the block holds the NaN.  Its recheck
+        # reads the extremes the block pre-filled, and must fail there.
+        real_sweep = kernels.sweep
+        burn_in, bad_sweep = 4, 4 + 7
+        calls, saved = [], {}
+
+        def sweep(pos, *args):
+            acc = real_sweep(pos, *args)
+            calls.append(None)
+            if len(calls) == bad_sweep:
+                saved["xy"] = pos[N + 1].copy()
+                pos[N + 1, 1] = math.nan
+            elif len(calls) == bad_sweep + 1:
+                pos[N + 1] = saved["xy"]
+            return acc
+
+        def observer(block):
+            raise AssertionError("observer reached before the failing recheck")
+
+        monkeypatch.setattr(kernels, "sweep", sweep)
+        params = SamplerParams(sweeps=40, burn_in=burn_in, thin=1, seed=8, scan_order=scan_order)
+        with pytest.raises(ChainInvariantError, match=f"after sweep {bad_sweep} failed recheck"):
+            hl.run_chain(N, 1.05, 0.1, params, observer)
+
     def test_block_size_is_bounded_in_sites(self):
         for N in (2, 3, 4, 8, 12, 31, 32, 33, 64):
             b = sampler.block_size(N)
