@@ -341,14 +341,32 @@ def cmd_verify(args) -> int:
         _report("estimate-chain", False, "skipped: window not certified")
         return EXIT_CHECK
 
-    # Step 6 is the one place the exact oracle runs on these samples.
+    # Step 7's working constant does not depend on the chain.
+    est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
+
+    # Steps 5-7 check each block of samples as the chain emits it and keep
+    # only the per-sample reports, so the samples of a block are dropped
+    # before the next one is built.  Step 6 is the one place the exact
+    # oracle runs on these samples; as an all() would, it stops at the
+    # first failure, which is then the last entry of ``oracle``.
+    every = max(1, params.omega2_oracle_every)
+    identities, estimates, oracle = [], [], []
+
+    def check_block(samples):
+        for snap in samples.snapshots:
+            ident = analysis.identity_suite(snap)
+            if len(identities) % every == 0 and (not oracle or oracle[-1]):
+                oracle.append(cfgmod.check_omega2_oracle(snap).ok)
+            identities.append(ident)
+            estimates.append(analysis.check_estimate_chain(snap, est.c_hat, ident))
+
     chain = Chain.from_standard(
         block["N"], block["l"], eps, replace(params, omega2_oracle_every=0)
     )
-    snapshots = chain.run().records
+    chain.run(check_block)
+    n_samples = len(identities)
 
     # 5. Exact identities on every sample.
-    identities = [analysis.identity_suite(snap) for snap in snapshots]
     # ndarray.max keeps a NaN error, which a Python max fold would drop.
     worst_err = np.array(
         [
@@ -359,15 +377,14 @@ def cmd_verify(args) -> int:
     all_ok &= _report(
         "identity-suite",
         all(rep.ok for rep in identities),
-        f"n={len(snapshots)} mean_grad={worst_err[0]:.2e} area={worst_err[1]:.2e} "
+        f"n={n_samples} mean_grad={worst_err[0]:.2e} area={worst_err[1]:.2e} "
         f"pythagoras={worst_err[2]:.2e}",
     )
 
     # 6. Injectivity read off exact omega3, as is_admissible reports
     # omega2, vs the exact oracle.  The chain's recheck passed
     # is_admissible on every sample, or it raised.
-    checked = snapshots[:: max(1, params.omega2_oracle_every)]
-    agree = all(cfgmod.check_omega2_oracle(snap).ok for snap in checked)
+    agree = all(oracle)
     n_counter = 0
     # the constructions are about the checks, not the verify window;
     # fixed parameters keep them valid for any configured epsilon
@@ -379,21 +396,16 @@ def cmd_verify(args) -> int:
     all_ok &= _report(
         "injectivity-fast-vs-oracle",
         agree,
-        f"samples={len(snapshots)} oracle_checked={len(checked)} counterexamples={n_counter}",
+        f"samples={n_samples} oracle_checked={len(range(0, n_samples, every))} "
+        f"counterexamples={n_counter}",
     )
 
     # 7. Estimate chain on every sample.
-    est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
-    estimates = [
-        analysis.check_estimate_chain(snap, est.c_hat, ident)
-        for snap, ident in zip(snapshots, identities)
-    ]
-    chain_ok = all(rep.ok for rep in estimates)
     # np.min keeps a NaN margin, as step 5's ndarray.max keeps a NaN error.
     worst_margin = float(np.min([rep.triangle_bound_margin for rep in estimates]))
     all_ok &= _report(
         "estimate-chain",
-        chain_ok,
+        all(rep.ok for rep in estimates),
         f"c_hat={est.c_hat:.4f} worst_triangle_margin={worst_margin:.3e}",
     )
 

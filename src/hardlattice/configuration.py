@@ -31,8 +31,9 @@ rounding of zero can get another verdict than the exact periodic one.
 ``check_omega2_oracle`` is the independent cross-check, based on
 pairwise interior overlap of image triangles; a cell list over the 3x3
 periodic tiling hands it only the pairs whose bounding boxes overlap, in
-``O(N^2)`` time and memory.  Its agreement with :func:`is_admissible`'s
-omega2 is a tested invariant of this package.
+``O(N^2)`` time, one fixed-size chunk of centre triangles at a time.
+Its agreement with :func:`is_admissible`'s omega2 is a tested invariant
+of this package.
 
 Each snapshot computes its geometry once: ``cfg.corners``,
 ``cfg.gradients``, ``cfg.crosses`` and ``cfg.bond_squares`` are cached
@@ -97,6 +98,13 @@ _BOND_SQUARE_CAP = 2.0**1000
 
 # The 3x3 tiling shifts of the exact oracle; index 4 is the centre copy.
 _SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
+_SHIFT_WRAPS = np.array(_SHIFTS)
+# The shifts after (0, 0): a triangle meets its own translates under these.
+_HALF_SHIFTS = np.array([y > (0, 0) for y in _SHIFTS])
+
+# Centre triangles per chunk of the exact oracle; each chunk's candidate
+# pairs are gathered, tested and dropped before the next chunk is built.
+_ORACLE_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,18 +577,20 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
     and degenerate image triangles as ``omega3_degenerate``; no pair is
     tested then.  Meant for validation, not for the sampling hot path.
 
-    :func:`_oracle_candidates` hands over the pairs whose bounding boxes
-    overlap strictly, in ``(i, j, shift)`` order, from a cell list in
-    ``O(N^2)`` time and memory.  One :func:`geometry.triangles_overlap_block`
-    call settles every pair the float filter can settle.  The rest go to
-    the scalar :func:`geometry.triangles_overlap`, in that order: pairs
-    whose answer hinges on an orientation the filter leaves open (a
-    corner triple within rounding of collinear, as in some folded
-    states), and pairs with a tiled copy that rounds to degenerate, for
-    which the scalar raises :class:`geometry.DegenerateTriangleError`.  The
-    degenerate pre-pass takes its exact signs from
-    :func:`geometry.orient_signs_exact`.  The answer is the exact
-    predicate's on every pair either way.
+    :func:`_oracle_pairs` hands over the pairs whose bounding boxes
+    overlap strictly, in ``(i, j, shift)`` order, one chunk of centre
+    triangles at a time.  Per chunk, one
+    :func:`geometry.triangles_overlap_block` call settles every pair the
+    float filter can settle.  The rest go to the scalar
+    :func:`geometry.triangles_overlap`, in that order: pairs whose answer
+    hinges on an orientation the filter leaves open (a corner triple
+    within rounding of collinear, as in some folded states), and pairs
+    with a tiled copy that rounds to degenerate, for which the scalar
+    raises :class:`geometry.DegenerateTriangleError`.  The chunks follow
+    the centre triangle, so the scalar calls and the violations come in
+    the order of the pairs.  The degenerate pre-pass takes its exact
+    signs from :func:`geometry.orient_signs_exact`.  The answer is the
+    exact predicate's on every pair either way.
 
     The pre-pass checks the centre copies only, and a tiled copy can
     round to collinear where its centre copy does not: two reflected-apex
@@ -601,87 +611,123 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
         tris = lattice.triangles(cfg.N)
         return CheckResult(False, [("omega3_degenerate", tris[t]) for t in degenerate])
 
-    ii, jj, kk, tiled = _oracle_candidates(cfg)
-    overlap, decided = geometry.triangles_overlap_block(corners[ii], tiled[kk, jj])
-    for n in np.flatnonzero(~decided).tolist():
-        overlap[n] = geometry.triangles_overlap(corners[ii[n]], tiled[kk[n], jj[n]])
-    hits = np.flatnonzero(overlap).tolist()
+    hits = []
+    for ii, jj, kk, P, Q in _oracle_pairs(cfg):
+        overlap, decided = geometry.triangles_overlap_block(P, Q)
+        for n in np.flatnonzero(~decided).tolist():
+            overlap[n] = geometry.triangles_overlap(P[n], Q[n])
+        hits += zip(ii[overlap].tolist(), jj[overlap].tolist(), kk[overlap].tolist())
     if not hits:
         return CheckResult(True)
     tris = lattice.triangles(cfg.N)
-    return CheckResult(
-        False,
-        [("omega2_overlap", tris[ii[n]], tris[jj[n]], _SHIFTS[kk[n]]) for n in hits],
-    )
+    return CheckResult(False, [("omega2_overlap", tris[i], tris[j], _SHIFTS[k]) for i, j, k in hits])
 
 
-def _oracle_candidates(cfg: Configuration):
-    """Pairs for the exact oracle: ``(ii, jj, kk, tiled)``.
+def _tiled_corners(cfg: Configuration, j, k) -> np.ndarray:
+    """Corners of triangles ``j`` under tiling shifts ``_SHIFTS[k]``, shape ``(..., 3, 2)``.
 
-    ``tiled[k, j]`` holds the corners of triangle ``j`` under tiling shift
-    ``_SHIFTS[k]``, shape ``(9, T, 3, 2)``.  Centre triangle ``ii[n]`` is
-    to be tested against ``tiled[kk[n], jj[n]]``; the pairs are those
-    whose bounding boxes overlap strictly, with ``i < j``, or ``i == j``
-    under the four shifts after ``(0, 0)`` (opposite translates of one
-    representative give the same test), sorted by ``(i, j, k)``.
+    ``j`` and ``k`` broadcast against each other.  The shift is folded
+    into the integer wrap before the one float multiply: corner
+    instances that coincide in exact arithmetic then coincide bitwise, so
+    shared seam edges stay exactly shared and the exact predicate sees no
+    sliver overlaps.  The total wraps lie in ``[-2, 2]``, so every entry
+    of ``wrap @ EMBED_BASIS`` is exact, in any order of evaluation, and a
+    corner's bits do not depend on which triangles are gathered with it.
+    """
+    sites, wrap, _ = lattice.triangle_tables(cfg.N)
+    total_wrap = wrap[j] + _SHIFT_WRAPS[k][..., None, :]
+    offset = (total_wrap.reshape(-1, 2) @ EMBED_BASIS).reshape(total_wrap.shape)
+    return cfg.positions[sites[j]] + cfg.l * cfg.N * offset
 
-    A cell list finds them in ``O(N^2)`` time and memory.  Each of the
-    ``9T`` tiled image triangles is binned by the lower corner of its
-    bounding box into square cells of edge ``h``, a sixteenth larger than
-    the largest box extent ``E``.  Two boxes that overlap strictly have
-    lower corners less than ``E`` apart on each axis, so their cells
-    differ by at most one per axis: the 3x3 cell neighbourhood of a
-    centre triangle holds every image whose box can overlap its own.
-    The sixteenth is far above the rounding of the corner-to-cell
-    division.  The strict box test then runs on those candidates only.
+
+def _oracle_pairs(cfg: Configuration):
+    """Yield the exact oracle's pairs, chunk by chunk: ``(ii, jj, kk, P, Q)``.
+
+    Centre triangle ``ii[n]``, with corners ``P[n]``, is to be tested
+    against triangle ``jj[n]`` under tiling shift ``_SHIFTS[kk[n]]``, with
+    corners ``Q[n]`` (:func:`_tiled_corners`).  The pairs are those whose
+    bounding boxes overlap strictly, with ``i < j``, or ``i == j`` under
+    the four shifts after ``(0, 0)`` (opposite translates of one
+    representative give the same test), sorted by ``(i, j, k)``.  Each
+    chunk holds the pairs of the next ``_ORACLE_CHUNK`` centre
+    triangles, so the chunks come in that order too.  A chunk is built
+    only when the previous one has been taken, and besides it only the
+    cell list, ``O(N^2)`` integers and boxes, is kept.
+
+    A cell list finds the pairs in ``O(N^2)`` time.  Each of the ``9T``
+    tiled image triangles is binned by the lower corner ``lo_j`` of its
+    bounding box into square cells of edge ``h = r / 2``, where
+    ``r = fl(1.0625 D)`` and ``D`` is the largest float box extent
+    ``fl(hi - lo)``.  Centre triangle ``i`` with box ``[lo_i, hi_i]``
+    scans, per axis, the cells from ``floor(fl(fl(lo_i - r) / h))`` to
+    ``floor(fl(hi_i / h))``, one contiguous key range per row of cells.
+    The ``i < j`` rule and then the strict box test run on those
+    candidates only.
+
+    The scan finds every box that overlaps strictly.  Rounding to
+    nearest is monotone, so ``x <= y`` gives ``fl(x) <= fl(y)``, and
+    ``fl(y) = y`` for a float ``y``.  Take any image ``j`` with
+    ``lo_j < hi_i`` and ``lo_i < hi_j`` on an axis, all floats compared
+    exactly.  Then ``fl(lo_j / h) <= fl(hi_i / h)`` bounds its cell from
+    above.  Its real extent is ``hi_j - lo_j <= D / (1 - u)``, with
+    ``u = 2**-53``, and ``r >= 1.0625 D (1 - u) > D / (1 - u)``; so
+    ``lo_j > lo_i - D / (1 - u) > lo_i - r`` in real arithmetic, hence
+    ``fl(lo_i - r) <= lo_j`` and ``fl(fl(lo_i - r) / h) <= fl(lo_j / h)``
+    bounds it from below.  The cell indices stay small: the oriented
+    areas of a state sum to ``2N^2`` reference areas, so ``D`` is at
+    least about one, and every corner lies within ``O(N D)`` of the
+    origin.
+
     The cost per triangle is bounded while the image triangles tile the
     plane, as on admissible states; a state that piles many triangles
     into one cell pays more, up to the all-pairs count.
     """
     corners = cfg.corners
     T = corners.shape[0]
-    half = np.array([y > (0, 0) for y in _SHIFTS])
-
-    # Fold the tiling shift into the integer wrap before the one float
-    # multiply: corner instances that coincide in exact arithmetic then
-    # coincide bitwise, so shared seam edges stay exactly shared and the
-    # exact predicate sees no sliver overlaps.
-    sites, wrap, _ = lattice.triangle_tables(cfg.N)
-    tiled = np.empty((len(_SHIFTS), T, 3, 2))
-    for k, y in enumerate(_SHIFTS):
-        total_wrap = wrap + np.array(y)
-        tiled[k] = cfg.positions[sites] + cfg.l * cfg.N * (total_wrap @ EMBED_BASIS)
-
+    every = np.arange(T)
     lo, hi = geometry.corner_box(corners)
-    lo_s, hi_s = (a.reshape(-1, 2) for a in geometry.corner_box(tiled))  # image k*T + j
+    lo_s, hi_s = np.empty((2, len(_SHIFTS), T, 2))  # image k*T + j
+    for k in range(len(_SHIFTS)):
+        lo_s[k], hi_s[k] = geometry.corner_box(_tiled_corners(cfg, every, k))
+    lo_s, hi_s = lo_s.reshape(-1, 2), hi_s.reshape(-1, 2)
 
-    h = 1.0625 * float((hi_s - lo_s).max())
+    reach = 1.0625 * float((hi_s - lo_s).max())
+    h = reach / 2
     cell = np.floor(lo_s / h).astype(np.int64)
-    cell -= cell.min(axis=0) - 1  # neighbour cells stay nonnegative
-    stride = int(cell[:, 1].max()) + 2  # one key per cell, neighbours included
+    first = np.floor((lo - reach) / h).astype(np.int64)
+    last = np.floor(hi / h).astype(np.int64)
+    base = np.minimum(cell.min(axis=0), first.min(axis=0))
+    cell -= base
+    first -= base
+    last -= base
+    stride = int(max(cell[:, 1].max(), last[:, 1].max())) + 1  # rows of keys never overlap
     key = cell[:, 0] * stride + cell[:, 1]
     order = np.argsort(key)
     sorted_key = key[order]
+    del cell, key  # the generator's frame would hold them while it is paused
 
-    # Keys of the 3x3 cell neighbourhood of every centre triangle i, whose
-    # own image is center*T + i; then every image binned in those cells.
-    center = _SHIFTS.index((0, 0))
-    step = np.arange(-1, 2)
-    nbr = key[center * T : (center + 1) * T, None] + (stride * step[:, None] + step).ravel()
-    start = np.searchsorted(sorted_key, nbr.ravel(), side="left")
-    count = np.searchsorted(sorted_key, nbr.ravel(), side="right") - start
-    ii = np.repeat(np.arange(T).repeat(nbr.shape[1]), count)
-    first = np.repeat(start - (np.cumsum(count) - count), count)
-    img = order[first + np.arange(ii.size)]
-    kk, jj = np.divmod(img, T)
+    def pairs(tri):
+        # A function, so that its candidate arrays are freed before the
+        # chunk is tested.  One key range per centre triangle and row of cells.
+        rows = last[tri, 0] - first[tri, 0] + 1
+        row_tri = np.repeat(tri, rows)
+        row_x = first[row_tri, 0] + np.arange(row_tri.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        start = np.searchsorted(sorted_key, row_x * stride + first[row_tri, 1], side="left")
+        count = np.searchsorted(sorted_key, row_x * stride + last[row_tri, 1], side="right") - start
+        ii = np.repeat(row_tri, count)
+        img = order[np.repeat(start - (np.cumsum(count) - count), count) + np.arange(ii.size)]
+        kk, jj = np.divmod(img, T)
+        keep = (ii < jj) | ((ii == jj) & _HALF_SHIFTS[kk])
+        ii, jj, kk, img = ii[keep], jj[keep], kk[keep], img[keep]
+        box = (lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii])
+        keep = box[:, 0] & box[:, 1]
+        ii, jj, kk = ii[keep], jj[keep], kk[keep]
+        sort = np.lexsort((kk, jj, ii))
+        return ii[sort], jj[sort], kk[sort]
 
-    # Strict bounding-box prefilter: (i) vs (j, shift k).
-    box = (lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii])
-    box = box[:, 0] & box[:, 1]
-    keep = box & ((ii < jj) | ((ii == jj) & half[kk]))
-    ii, jj, kk = ii[keep], jj[keep], kk[keep]
-    sort = np.lexsort((kk, jj, ii))
-    return ii[sort], jj[sort], kk[sort], tiled
+    for c0 in range(0, T, _ORACLE_CHUNK):
+        ii, jj, kk = pairs(every[c0 : c0 + _ORACLE_CHUNK])
+        yield ii, jj, kk, corners[ii], _tiled_corners(cfg, jj, kk)
 
 
 def is_admissible(cfg: Configuration) -> AdmissibilityReport:

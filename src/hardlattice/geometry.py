@@ -120,7 +120,8 @@ def dist_so2_batch(Ms: np.ndarray) -> np.ndarray:
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if np.any(det < 0.0):
         raise ValueError("dist_so2_batch requires det >= 0 for every matrix")
-    nsq = np.sum(m * m, axis=(-2, -1))
+    sq = m * m
+    nsq = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]  # as dist_so2 adds
     inner = np.clip(nsq + 2.0 * det, 0.0, None)
     rad = np.clip(nsq + 2.0 - 2.0 * np.sqrt(inner), 0.0, None)
     return np.sqrt(rad)

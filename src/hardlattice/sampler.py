@@ -145,12 +145,15 @@ class Chain:
         nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
         self._hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
         nbr_shift = cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
-        self._nbrs = kernels.neighbour_triples(nbr_idx, nbr_shift)
         self._raster = np.arange(1, cfg.N * cfg.N, dtype=np.int64)
-        # Raster sweeps at or above the crossover run vectorised.
-        self._visits = self._raster
+        # Raster sweeps at or above the crossover run vectorised and never
+        # read the neighbour triples; every other chain runs the scalar loop.
         if params.scan_order == "raster" and cfg.N * cfg.N >= kernels.PLAN_MIN_SITES:
             self._visits = kernels.plan(nbr_idx, nbr_shift, self._raster)
+            self._nbrs = None
+        else:
+            self._visits = self._raster
+            self._nbrs = kernels.neighbour_triples(nbr_idx, nbr_shift)
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
         self.accepted = 0
         self.proposed = 0

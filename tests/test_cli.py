@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import json
 import math
 import sys
+import weakref
 
 import pytest
 
-from hardlattice import analysis, cli, counterexamples, geometry, kernels, observables
+from hardlattice import analysis, cli, counterexamples, geometry, kernels, observables, sampler
 from hardlattice import configuration as cfgmod
 from hardlattice.sampler import InadmissibleStateError
 
@@ -298,6 +300,27 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--config", path]) == 0
         block = FAST_VERIFY["verify"]
         assert len(checked) == block["sweeps"] // block["thin"]
+
+    def test_samples_are_dropped_block_by_block(self, tmp_path, monkeypatch):
+        """Steps 5-7 check each block as it is emitted: when the chain
+        builds a block, at most one earlier block of samples is alive."""
+        build = cfgmod.snapshot_block
+        refs, alive = [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            block = build(*args)
+            refs.extend(weakref.ref(snap) for snap in block.snapshots)
+            return block
+
+        monkeypatch.setattr(cfgmod, "snapshot_block", tracked)
+        config = {"verify": dict(FAST_VERIFY["verify"], N=9)}  # 80 samples, blocks of 12
+        path = _write(tmp_path / "c.json", config)
+        assert cli.main(["verify", "--config", path]) == 0
+        size = sampler.block_size(9)
+        assert len(alive) == math.ceil(80 / size) >= 3
+        assert max(alive) <= size
 
     def test_nan_identity_error_fails_the_step(self, tmp_path, capsys, monkeypatch):
         suite = analysis.identity_suite

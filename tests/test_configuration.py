@@ -456,26 +456,59 @@ def _reference_states():
 REFERENCE_STATES = list(_reference_states())
 
 
+def _oracle_pairs(cfg):
+    """The oracle's pairs as corner tuples, all chunks in order, and the number of chunks."""
+    pairs, chunks = [], 0
+    for ii, jj, kk, P, Q in C._oracle_pairs(cfg):
+        assert np.array_equal(P, cfg.corners[ii])
+        assert np.array_equal(Q, C._tiled_corners(cfg, jj, kk))
+        pairs += [(tuple(map(tuple, a)), tuple(map(tuple, b))) for a, b in zip(P.tolist(), Q.tolist())]
+        chunks += 1
+    return pairs, chunks
+
+
+# Centre triangles per oracle chunk in the chunked tests: every reference
+# state, T = 8 ... 72 triangles, spans at least two chunks.
+SMALL_CHUNK = 5
+
+
 class TestOracleCellList:
     @pytest.mark.parametrize("cfg", REFERENCE_STATES)
     def test_matches_scalar_all_pairs_reference(self, cfg):
+        self._assert_matches_reference(cfg)
+
+    @pytest.mark.parametrize("cfg", REFERENCE_STATES)
+    def test_chunks_match_scalar_all_pairs_reference(self, monkeypatch, cfg):
+        monkeypatch.setattr(C, "_ORACLE_CHUNK", SMALL_CHUNK)
+        chunks = self._assert_matches_reference(cfg)
+        assert chunks is None or chunks == -(-cfg.corners.shape[0] // SMALL_CHUNK) >= 2
+
+    @staticmethod
+    def _assert_matches_reference(cfg):
+        """The reference's violations, and its pairs in its order; returns the chunk count."""
         want_tested, want_violations = _oracle_reference(cfg)
         got = check_omega2_oracle(cfg)
         assert got.violations == want_violations
         assert got.ok == (not want_violations)
         if any(tag == "omega3_degenerate" for tag, *_ in want_violations):
-            return  # the reference tests no pair then, and neither does the oracle
-        ii, jj, kk, tiled = C._oracle_candidates(cfg)
-        pairs = [
-            (tuple(map(tuple, cfg.corners[i].tolist())), tuple(map(tuple, tiled[k, j].tolist())))
-            for i, j, k in zip(ii.tolist(), jj.tolist(), kk.tolist())
-        ]
+            return None  # the reference tests no pair then, and neither does the oracle
+        pairs, chunks = _oracle_pairs(cfg)
         assert pairs == want_tested
+        return chunks
 
     @pytest.mark.parametrize("cfg", REFERENCE_STATES)
     def test_forced_fallback_tests_every_pair_with_the_scalar(self, monkeypatch, cfg):
         """With the float filter deciding nothing, the oracle calls the
         scalar predicate on exactly the reference's pairs, in order."""
+        self._assert_forced_fallback_follows_the_reference(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("cfg", REFERENCE_STATES)
+    def test_chunks_force_fallback_in_the_reference_order(self, monkeypatch, cfg):
+        monkeypatch.setattr(C, "_ORACLE_CHUNK", SMALL_CHUNK)
+        self._assert_forced_fallback_follows_the_reference(monkeypatch, cfg)
+
+    @staticmethod
+    def _assert_forced_fallback_follows_the_reference(monkeypatch, cfg):
         tested = []
         exact = geometry.triangles_overlap
         filtered = geometry.orient_signs
@@ -496,17 +529,33 @@ class TestOracleCellList:
         assert got.ok == (not want_violations)
         assert tested == want_tested
 
-    def test_peak_memory_at_n32_stays_below_16_mb(self):
+    def test_chunks_do_not_change_the_pairs_of_a_large_state(self, monkeypatch):
         params = SamplerParams(sweeps=30, burn_in=0, thin=30, seed=1)
-        cfg = run_chain(32, 1.05, 0.1, params).records[-1]
+        cfg = run_chain(16, 1.05, 0.1, params).records[-1]
+        monkeypatch.setattr(C, "_ORACLE_CHUNK", cfg.corners.shape[0])
+        whole, chunks = _oracle_pairs(cfg)
+        assert chunks == 1
+        monkeypatch.setattr(C, "_ORACLE_CHUNK", 97)
+        assert _oracle_pairs(cfg) == (whole, 6)
+
+    @staticmethod
+    def _oracle_peak(N):
+        params = SamplerParams(sweeps=30, burn_in=0, thin=30, seed=1)
+        cfg = run_chain(N, 1.05, 0.1, params).records[-1]
         tracemalloc.start()
         try:
             assert check_omega2_oracle(cfg).ok
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_at_n32_stays_below_16_mb(self):
         # the dense all-pairs box mask needed ~130 MB here
-        assert peak < 16e6
+        assert self._oracle_peak(32) < 16e6
+
+    def test_peak_memory_at_n64_stays_below_16_mb(self):
+        # one unchunked candidate list needed 27 MB here
+        assert self._oracle_peak(64) < 16e6
 
 
 class TestIsAdmissible:
@@ -803,7 +852,8 @@ class TestOracleDegenerateTiledCopies:
     @pytest.mark.parametrize("n", [6, 8])
     def test_degenerate_tiled_copies_never_reach_the_scalar_predicate(self, monkeypatch, n):
         cfg = counterexamples.folded_counterexamples(4, 1.05, 0.1)[n]
-        ii, jj, kk, tiled = C._oracle_candidates(cfg)
+        T = cfg.corners.shape[0]
+        tiled = C._tiled_corners(cfg, np.arange(T), np.arange(len(SHIFTS))[:, None])
         sign = np.array([[geometry.orient_sign(*tri) for tri in copies] for copies in tiled])
         centre = SHIFTS.index((0, 0))
         # Tiled copies that round to sign 0 exist, while every centre copy passes the pre-pass.
@@ -811,7 +861,7 @@ class TestOracleDegenerateTiledCopies:
         assert degenerate and all(k != centre for k, _ in degenerate)
         assert np.all(sign[centre] != 0)
         # No candidate pair involves one.
-        pairs = set(zip(kk.tolist(), jj.tolist()))
+        pairs = {(k, j) for _, jj, kk, _, _ in C._oracle_pairs(cfg) for k, j in zip(kk.tolist(), jj.tolist())}
         assert not pairs & degenerate
         # The oracle reports a violation without raising; every pair it
         # hands to the scalar predicate has two nondegenerate triangles.

@@ -383,6 +383,30 @@ class TestSweepPaths:
             == self._state(scalar_resumed)
         )
 
+    @pytest.mark.parametrize(
+        "N, order, scalar",
+        [(9, "raster", False), (12, "raster", False), (9, "random", True), (12, "random", True),
+         (8, "raster", True)],
+    )
+    def test_neighbour_triples_are_built_only_for_the_scalar_loop(self, monkeypatch, N, order, scalar):
+        """A raster chain at or above the plan crossover never builds the
+        triples, which only the scalar loop reads; every other chain does."""
+        built = []
+        triples = kernels.neighbour_triples
+
+        def counted(*args):
+            built.append(None)
+            return triples(*args)
+
+        monkeypatch.setattr(kernels, "neighbour_triples", counted)
+        params = SamplerParams(sweeps=3, seed=N, scan_order=order)
+        chain = Chain.from_standard(N, 1.05, 0.1, params)
+        assert isinstance(chain._visits, kernels.SweepPlan) == (not scalar)
+        assert len(built) == int(scalar)
+        chain.run()
+        assert len(built) == int(scalar)
+        assert (Chain.from_checkpoint(chain.checkpoint())._nbrs is None) == (not scalar)
+
 
 # ---------------------------------------------------------------------------
 # Uniform-law sanity at miniature scale: freeze all sites but one, run the
