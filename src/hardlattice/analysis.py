@@ -538,8 +538,9 @@ def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int =
     det-positive matrices (standard normal entries, rejected to det > 0).
 
     Candidates are drawn in blocks, which consumes the same stream as one
-    draw per matrix; the grid search runs on each block's stack, the
-    closed form under test on each matrix."""
+    draw per matrix; the grid search and the closed form under test,
+    :func:`geometry.dist_so2_batch`, run on each block's stack.  A NaN
+    difference is kept."""
     check_sample_count(n_matrices, "n_matrices")
     geometry.check_grid_size(n_grid)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -548,9 +549,9 @@ def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int =
     while done < n_matrices:
         M = rng.standard_normal((_AGREEMENT_DRAW, 2, 2))
         M = M[M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0.0][: n_matrices - done]
-        brute = geometry.dist_so2_bruteforce(M, n_grid)
-        for m, b in zip(M, brute.tolist()):
-            worst = _fold_max(worst, abs(geometry.dist_so2(m) - b))
+        if len(M):
+            diff = np.abs(geometry.dist_so2_batch(M) - geometry.dist_so2_bruteforce(M, n_grid))
+            worst = _fold_max(worst, float(diff.max()))
         done += len(M)
     return worst
 
@@ -631,7 +632,7 @@ def check_estimate_chain(
 
     sds = observables.side_deviation_sum(cfg)
     l2_margin = c_hat * LAMBDA0 * sds - LAMBDA0 * float(np.sum(dist2))
-    area_margin = FOUR_SQRT3 * cfg.epsilon * cfg.area_difference - sds
+    area_margin = FOUR_SQRT3 * cfg.epsilon * cfg.reductions.area_difference - sds
     pyth = identities.pythagoras_relative_error
     return EstimateChainReport(
         triangle_bound_margin=float(per_tri[worst]),
@@ -753,15 +754,15 @@ def run_grid_point(
     """One chain at one grid point, with the identity suite on every sample.
 
     The observer takes the chain's snapshot blocks.  Each snapshot goes
-    through :func:`identity_suite` on its own, reading the reductions the
-    block pre-filled.  The order parameters are bitwise the per-snapshot
-    means of :func:`observables.per_triangle_order_parameters`: ``op_id``
-    is evaluated on the stacked arrays, and ``op_lid`` is the cached
-    deviation sum from ``l * Id`` that the identity suite reads, over the
-    triangle count.
+    through :func:`identity_suite` on its own, reading the reductions
+    record the block pre-filled.  The order parameters come from the same
+    record: ``op_id`` and ``op_lid`` are its deviation sums from ``Id``
+    and from ``l * Id`` over the triangle count, bitwise the per-snapshot
+    means of :func:`observables.per_triangle_order_parameters`.
     """
     chain = Chain.from_standard(N, l, epsilon, replace(params, seed=seed))
     op_id, op_lid, bdx, bdy = [], [], [], []
+    T = 2 * N * N  # triangles per snapshot
 
     def observer(block):
         for snap in block.snapshots:
@@ -773,16 +774,15 @@ def run_grid_point(
                     f"area={ident.area_relative_error:.3e}, "
                     f"pythagoras={ident.pythagoras_relative_error:.3e}"
                 )
-        op_id.extend(observables.block_order_parameters(block, np.eye(2)).tolist())
-        T = block.gradients.shape[1]
-        op_lid.extend(snap.deviation_sums[1] / T for snap in block.snapshots)
+            r = snap.reductions
+            op_id.append(r.id_deviation / T)
+            op_lid.append(r.lid_deviation / T)
         # Site-averaging would telescope to l exactly; a fixed site keeps
         # this a genuine statistic of the sampled law: the bond from site
         # (0, 0) to its (1, 0) neighbour, canonical index N.
         bv = block.positions[:, N] - block.positions[:, 0]
         bdx.extend(bv[:, 0].tolist())
         bdy.extend(bv[:, 1].tolist())
-        return None
 
     result = chain.run(observer)
     n_samples = len(op_id)

@@ -496,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--omega2-oracle-every",
         type=int,
-        help="run the exact injectivity oracle on every K-th sample (1 = all)",
+        help="run the exact injectivity oracle on every K-th sample "
+        "(0 and 1 both mean every sample; scan's 0 disables it)",
     )
     p_verify.set_defaults(func=cmd_verify)
 

@@ -37,29 +37,31 @@ of this package.
 
 Each snapshot computes its geometry once: ``cfg.corners``,
 ``cfg.gradients``, ``cfg.crosses`` and ``cfg.bond_squares`` are cached
-on first use, and so are the scalar reductions the checks and the
-identity suite read:
+on first use, and so is ``cfg.reductions``, the :class:`Reductions`
+record of the scalars the checks, the identity suite and ``scan``'s
+order parameters read:
 
-* ``cfg.bond_square_range``, the min and max of ``bond_squares``;
-* ``cfg.cross_min``, the min of ``crosses``;
-* ``cfg.gradient_mean``, the mean gradient (the gradient sum over the
+* ``bond_square_min`` and ``bond_square_max``, the extremes of
+  ``bond_squares``;
+* ``cross_min``, the min of ``crosses``;
+* ``gradient_mean``, the mean gradient (the gradient sum over the
   triangles divided by their number), as a row-major 4-tuple;
-* ``cfg.area_difference``, the sum of image minus reference areas;
-* ``cfg.nearest_rotation``, ``(cos, sin)`` of the rotation nearest to
-  the mean gradient, or None where every rotation is equally near;
-* ``cfg.deviation_sums``, the sums over the triangles of the squared
-  Frobenius deviations of the gradients from that rotation and from
-  ``l * Id``.
+* ``area_difference``, the sum of image minus reference areas;
+* ``rotation``, ``(cos, sin)`` of the rotation ``R`` nearest to the mean
+  gradient, or None where every rotation is equally near;
+* ``rotation_deviation``, ``lid_deviation`` and ``id_deviation``, the
+  sums over the triangles of the squared Frobenius deviations of the
+  gradients from ``R``, from ``l * Id`` and from ``Id``.
 
 A NaN coordinate makes every reduction it reaches NaN, and a NaN passes
 no comparison.  Caching is safe because a configuration never changes:
 the dataclass is frozen, ``positions`` is read-only, and so is every
-cached array; the reductions are Python floats and tuples.  The builders
+cached array; the record holds Python floats and tuples.  The builders
 take positions with leading batch axes, and :func:`snapshot_block` runs
 them once on a stack of snapshots, pre-filling each snapshot's cache
-with views of the stacked arrays and with its row of the stacked
-reductions.  A lone snapshot computes the reductions on first use with
-the same functions, on a stack of one.
+with views of the stacked arrays and with its record from one
+:func:`_reductions` pass over the stack.  A lone snapshot builds its
+record on first use with the same function, on a stack of one.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,41 +166,24 @@ class Configuration:
         return _read_only(bond_length_squares(self.N, self.l, self.positions))
 
     @cached_property
-    def bond_square_range(self) -> tuple[float, float]:
-        """``(min, max)`` of :attr:`bond_squares`."""
-        return _extremes(self.bond_squares[None])[0]
+    def reductions(self) -> Reductions:
+        """The :class:`Reductions` of this snapshot, from :func:`_reductions` on a stack of one."""
+        stacked = self.bond_squares[None], self.crosses[None], self.gradients[None]
+        return _reductions(self.l, *stacked)[0]
 
-    @cached_property
-    def cross_min(self) -> float:
-        """Smallest of :attr:`crosses`."""
-        return _minima(self.crosses[None])[0]
 
-    @cached_property
-    def gradient_mean(self) -> tuple[float, float, float, float]:
-        """Mean of :attr:`gradients` over the triangles, ``(m00, m01, m10, m11)``."""
-        return _gradient_means(self.gradients[None])[0]
+class Reductions(NamedTuple):
+    """Scalar reductions of one snapshot's cached geometry; see the module docstring."""
 
-    @cached_property
-    def area_difference(self) -> float:
-        """Sum over the triangles of image area minus reference area."""
-        return _area_differences(self.crosses[None])[0]
-
-    @cached_property
-    def nearest_rotation(self) -> tuple[float, float] | None:
-        """``(cos, sin)`` of the rotation nearest to :attr:`gradient_mean`, or None.
-
-        None where every rotation is equally near; see :func:`_nearest_rotation`.
-        """
-        return _nearest_rotation(self.gradient_mean)
-
-    @cached_property
-    def deviation_sums(self) -> tuple[float, float]:
-        """Squared deviations of :attr:`gradients` from the nearest rotation and from ``l * Id``.
-
-        Each is a sum over the triangles of squared Frobenius distances,
-        not yet weighted by the cell area; see :func:`_deviation_sums`.
-        """
-        return _deviation_sums(self.l, self.gradients[None], [self.nearest_rotation])[0]
+    bond_square_min: float
+    bond_square_max: float
+    cross_min: float
+    gradient_mean: tuple[float, float, float, float]
+    area_difference: float
+    rotation: tuple[float, float] | None
+    rotation_deviation: float
+    lid_deviation: float
+    id_deviation: float
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -205,39 +191,61 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The reductions below take stacks with a leading snapshot axis and return
-# one Python value per snapshot.  A lone snapshot calls them on a stack of
-# one, so its values are those snapshot_block fills in.  A minimum or
-# maximum is exact in any order and keeps a NaN; a sum over the triangles
-# is each row's own 1-D np.add.reduce, which a reduction over an axis of
-# the stack need not reproduce (numpy picks its order from the layout).
+def _reductions(l: float, bond_squares, crosses, gradients) -> list[Reductions]:
+    """The :class:`Reductions` of each snapshot of a stack, in one pass.
 
-
-def _row_sums(a: np.ndarray) -> list[float]:
-    """Sum of each row of a 2-D stack, each row reduced on its own as a 1-D array."""
-    return [float(np.add.reduce(row)) for row in a]
-
-
-def _minima(a: np.ndarray) -> list[float]:
-    return np.minimum.reduce(a, axis=1).tolist()
-
-
-def _extremes(a: np.ndarray) -> list[tuple[float, float]]:
-    return list(zip(_minima(a), np.maximum.reduce(a, axis=1).tolist()))
-
-
-def _gradient_means(gradients: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """Mean over the triangles of each ``(T, 2, 2)`` row of ``gradients``.
-
-    The gradients are summed one triangle after another, bitwise
-    ``ndarray.mean(axis=0)`` of the row (pinned by the tests).
+    ``bond_squares``, ``crosses`` and ``gradients`` have a leading
+    snapshot axis.  A lone snapshot calls this on a stack of one, so its
+    record is the one :func:`snapshot_block` fills in.  A minimum or
+    maximum is exact in any order and keeps a NaN.  The mean gradient is
+    one reduction over the triangle axis, bitwise ``ndarray.mean(axis=0)``
+    of each snapshot (pinned by the tests).  The three deviations of the
+    whole stack come from one ``(B, 3, T, 2, 2)`` pass through
+    :func:`_squared_deviations`, with NaN for ``R`` where it is None.
+    Every sum over the triangles is one :func:`_triangle_sums` call.
     """
-    B, T = gradients.shape[:2]
-    return list(map(tuple, (np.add.reduce(gradients, axis=1) / T).reshape(B, 4).tolist()))
+    B, T = crosses.shape
+    lo = np.minimum.reduce(bond_squares, axis=1).tolist()
+    hi = np.maximum.reduce(bond_squares, axis=1).tolist()
+    cross_min = np.minimum.reduce(crosses, axis=1).tolist()
+    means = (np.add.reduce(gradients, axis=1) / T).reshape(B, 4).tolist()
+    areas = _triangle_sums(0.5 * crosses - LAMBDA0).tolist()
+    rotations = [_nearest_rotation(m) for m in means]
+    targets = []
+    for r in rotations:
+        c, s = (math.nan, math.nan) if r is None else r
+        targets.append((c, -s, s, c, l, 0.0, 0.0, l, 1.0, 0.0, 0.0, 1.0))
+    per_triangle = _squared_deviations(gradients[:, None], np.array(targets).reshape(B, 3, 1, 2, 2))
+    deviations = _triangle_sums(per_triangle).tolist()
+    return [
+        Reductions(a, b, c, tuple(m), area, r, *devs)
+        for a, b, c, m, area, r, devs in zip(lo, hi, cross_min, means, areas, rotations, deviations)
+    ]
 
 
-def _area_differences(crosses: np.ndarray) -> list[float]:
-    return _row_sums(0.5 * crosses - LAMBDA0)
+def _triangle_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``a``, each bitwise the 1-D ``np.add.reduce`` of its row.
+
+    numpy picks its summation order from the memory layout, and a
+    reduction over the last axis adds each row as a 1-D sum only when
+    the rows are C-contiguous.  They need not be: :func:`corner_crosses`
+    of a stacked block is column-major (strides ``(8, 512)`` at N = 4),
+    and summing its rows in place changed the last bit of some area
+    sums.  So the rows are copied to C order first (pinned by the tests).
+    """
+    return np.add.reduce(np.ascontiguousarray(a), axis=-1)
+
+
+def _squared_deviations(gradients: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distance of each 2x2 matrix of a stack from ``target``.
+
+    ``target`` broadcasts against ``gradients``.  The four squares are
+    added in row-major order, bitwise ``np.sum`` of the 2x2 (pinned by
+    the tests) at about half its cost.
+    """
+    diff = gradients - target
+    sq = diff * diff
+    return ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
 
 
 def _nearest_rotation(mean) -> tuple[float, float] | None:
@@ -255,26 +263,6 @@ def _nearest_rotation(mean) -> tuple[float, float] | None:
     return math.cos(theta), math.sin(theta)
 
 
-def _deviation_sums(l: float, gradients: np.ndarray, rotations) -> list[tuple[float, float]]:
-    """Per snapshot, the sums over its triangles of ``|G - R|^2`` and ``|G - l Id|^2``.
-
-    ``R`` is the snapshot's entry of ``rotations`` (NaN where it is
-    None).  Both deviations of the whole stack come from one
-    ``(B, 2, T, 2, 2)`` pass; each 2x2 sum of squares adds its four terms
-    in row-major order, as ``np.sum`` of a 2x2 does (pinned by the
-    tests), and each per-triangle row is then summed on its own.
-    """
-    rows = []
-    for r in rotations:
-        c, s = (math.nan, math.nan) if r is None else r
-        rows.append((c, -s, s, c, l, 0.0, 0.0, l))
-    diff = gradients[:, None] - np.array(rows).reshape(-1, 2, 1, 2, 2)
-    sq = diff * diff
-    per_triangle = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
-    sums = _row_sums(per_triangle.reshape(-1, gradients.shape[1]))
-    return list(zip(sums[0::2], sums[1::2]))
-
-
 def _check_parameters(N: int, l, epsilon) -> None:
     check_lattice_size(N)
     if not 0.0 < epsilon <= 1.0:
@@ -290,56 +278,39 @@ def _check_gauge(positions: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SnapshotBlock:
-    """Snapshots of one chain with their geometry stacked on a leading axis.
+    """Snapshots of one chain with their positions stacked on a leading axis.
 
-    Row ``b`` of each array belongs to ``snapshots[b]``, a normal
+    Row ``b`` of ``positions`` belongs to ``snapshots[b]``, a normal
     :class:`Configuration` whose cached ``corners``, ``gradients``,
     ``crosses`` and ``bond_squares`` are read-only views of rows of the
-    stacked geometry, and whose cached reductions are pre-filled.  Every
-    array is read-only.  Blocks compare as configurations do: equal
-    snapshots and elementwise equal arrays.
+    stacked geometry, and whose ``reductions`` record is pre-filled.
+    Every array is read-only.  Blocks compare as configurations do: equal
+    snapshots and elementwise equal positions.
     """
 
     snapshots: tuple
     positions: np.ndarray  # (B, N^2, 2)
-    gradients: np.ndarray  # (B, 2N^2, 2, 2)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.snapshots == other.snapshots
-            and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.gradients, other.gradients)
-        )
+        return self.snapshots == other.snapshots and np.array_equal(self.positions, other.positions)
 
     __hash__ = None
 
 
 # What snapshot_block sets on each snapshot besides N, l and epsilon: the
 # positions field and the cached properties, in the order of its rows.
-_SNAPSHOT_FIELDS = (
-    "positions",
-    "corners",
-    "gradients",
-    "crosses",
-    "bond_squares",
-    "bond_square_range",
-    "cross_min",
-    "gradient_mean",
-    "area_difference",
-    "nearest_rotation",
-    "deviation_sums",
-)
+_SNAPSHOT_FIELDS = ("positions", "corners", "gradients", "crosses", "bond_squares", "reductions")
 
 
 def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> SnapshotBlock:
     """Build the geometry of ``B`` snapshots, ``positions`` of shape ``(B, N^2, 2)``, at once.
 
-    The arrays and the scalar reductions come from the same functions a
-    single snapshot's cached properties call, so every snapshot's cache
-    equals a fresh ``Configuration(N, l, epsilon, positions[b])``'s
-    bitwise.  ``positions`` is made read-only and owned by the block.
+    The arrays and the reductions come from the same functions a single
+    snapshot's cached properties call, so every snapshot's cache equals a
+    fresh ``Configuration(N, l, epsilon, positions[b])``'s bitwise.
+    ``positions`` is made read-only and owned by the block.
 
     The block is validated once, as ``Configuration`` validates one
     snapshot: ``N``, ``l`` and ``epsilon``, the row shape, and the gauge
@@ -356,26 +327,13 @@ def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> S
     gradients = _read_only(triangle_gradients(N, corners))
     crosses = _read_only(corner_crosses(corners))
     bond_squares = _read_only(bond_length_squares(N, l, positions))
-    means = _gradient_means(gradients)
-    rotations = [_nearest_rotation(m) for m in means]
+    reductions = _reductions(l, bond_squares, crosses, gradients)
     snapshots = []
-    for rows in zip(
-        positions,
-        corners,
-        gradients,
-        crosses,
-        bond_squares,
-        _extremes(bond_squares),
-        _minima(crosses),
-        means,
-        _area_differences(crosses),
-        rotations,
-        _deviation_sums(l, gradients, rotations),
-    ):
+    for rows in zip(positions, corners, gradients, crosses, bond_squares, reductions):
         snap = object.__new__(Configuration)
         vars(snap).update(zip(_SNAPSHOT_FIELDS, rows), N=N, l=l, epsilon=epsilon)
         snapshots.append(snap)
-    return SnapshotBlock(tuple(snapshots), positions, gradients)
+    return SnapshotBlock(tuple(snapshots), positions)
 
 
 def check_side_length(l, epsilon: float) -> None:
@@ -494,12 +452,13 @@ def check_omega1(cfg: Configuration) -> CheckResult:
     By periodicity, checking the 3N^2 bond classes covers the full
     infinite bond set.  Comparisons are plain strict float comparisons,
     so a NaN length is outside the window.  A passing state is settled by
-    the cached ``cfg.bond_square_range`` alone (a NaN extreme fails the
-    comparison); only a failing one pays for the violation list.
+    the extremes ``bond_square_min`` and ``bond_square_max`` of
+    ``cfg.reductions`` alone (a NaN extreme fails the comparison); only a
+    failing one pays for the violation list.
     """
-    lo, hi = cfg.bond_square_range
+    r = cfg.reductions
     hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
-    if 1.0 < lo and hi < hi2:
+    if 1.0 < r.bond_square_min and r.bond_square_max < hi2:
         return CheckResult(True)
     d2 = cfg.bond_squares
     bad = np.flatnonzero(~((d2 > 1.0) & (d2 < hi2)))
@@ -517,9 +476,9 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     ``D = (c1 - c0) x (c2 - c0)`` over the corners of
     :func:`image_triangle_corners`; a triangle with a non-finite corner
     fails.  Violations report ``cfg.crosses`` scaled to a determinant.
-    With ``M`` the largest squared bond length (the cached
-    ``cfg.bond_square_range[1]``), a state with ``M < _BOND_SQUARE_CAP``
-    and ``cfg.cross_min > 2 * _ORIENT_ERRBOUND * M`` passes in floats; any
+    With ``M`` the largest squared bond length (``bond_square_max`` of
+    ``cfg.reductions``), a state with ``M < _BOND_SQUARE_CAP`` and a
+    ``cross_min > 2 * _ORIENT_ERRBOUND * M`` passes in floats; any
     other (a non-finite coordinate makes ``M`` NaN or infinite) pays for
     :func:`geometry.orient_signs_exact` over its finite triangles.
 
@@ -542,8 +501,9 @@ def check_omega3(cfg: Configuration) -> CheckResult:
     ``M > 0.9`` (``r >= fl(l*N) / N > 1 - u``).  The cap keeps every step
     finite.
     """
-    m = cfg.bond_square_range[1]
-    if m < _BOND_SQUARE_CAP and cfg.cross_min > _OMEGA3_SLACK * m:
+    r = cfg.reductions
+    m = r.bond_square_max
+    if m < _BOND_SQUARE_CAP and r.cross_min > _OMEGA3_SLACK * m:
         return CheckResult(True)
     # Exact signs of the finite triangles; the float filter of
     # orient_signs_exact(c1, c2, c0) evaluates corner_crosses' expression.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,26 +25,18 @@ _EPS_HALF = sys.float_info.epsilon / 2.0  # 2**-53
 _ORIENT_ERRBOUND = (3.0 + 16.0 * _EPS_HALF) * _EPS_HALF
 _MIN_NORMAL = sys.float_info.min
 
-# Radicands of the closed-form SO(2) distance may round slightly negative
-# when the matrix is (numerically) a rotation.
-_RADICAND_CLAMP = -1e-14
-
 
 class DegenerateTriangleError(ValueError):
     """A triangle with collinear corners or non-realizable side lengths."""
-
-
-class NegativeDeterminantWarning(UserWarning):
-    """Closed-form SO(2) distance requested outside the det > 0 regime."""
 
 
 def rotation(theta: float) -> np.ndarray:
     """Counterclockwise rotation matrix for angle ``theta``.
 
     No run calls :func:`rotation`, :func:`frobenius` or
-    :func:`polar_rotation`: the identity suite and the cached
-    ``Configuration.nearest_rotation`` inline them on Python floats, and
-    they are the reference those are tested against.
+    :func:`polar_rotation`: the identity suite and the ``rotation`` of
+    ``Configuration.reductions`` inline them on Python floats, and they
+    are the reference those are tested against.
     """
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -77,51 +68,25 @@ def _check_2x2(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} needs 2x2 matrices, got shape {m.shape}")
 
 
-def dist_so2(M) -> float:
-    """Frobenius distance from the 2x2 matrix ``M`` to the rotation group.
-
-    For ``det M >= 0`` this is the closed form
-    ``sqrt(|M|^2 + 2 - 2*sqrt(|M|^2 + 2*det M))`` (the singular values
-    appear as ``(s1-1)^2 + (s2-1)^2``).  A negative determinant falls
-    back to a fine grid search and emits :class:`NegativeDeterminantWarning`.
-
-    The closed form runs on Python floats.  ``|M|^2`` adds the four
-    squares left to right, as numpy's ``np.sum`` of a 2x2 array does, so
-    the result is bitwise that of the same formula on numpy scalars.
-    """
-    m = np.asarray(M, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"dist_so2 needs one 2x2 matrix, got shape {m.shape}")
-    (a, b), (c, d) = m.tolist()
-    det = a * d - b * c
-    if det < 0.0:
-        warnings.warn(
-            "dist_so2 called with det < 0; using grid search",
-            NegativeDeterminantWarning,
-            stacklevel=2,
-        )
-        return dist_so2_bruteforce(m, 36000)
-    nsq = a * a + b * b + c * c + d * d
-    inner = nsq + 2.0 * det
-    if inner < 0.0:
-        inner = 0.0
-    rad = nsq + 2.0 - 2.0 * math.sqrt(inner)
-    if rad < 0.0:
-        if rad < _RADICAND_CLAMP:
-            raise ArithmeticError(f"dist_so2 radicand {rad} below rounding clamp")
-        rad = 0.0
-    return math.sqrt(rad)
-
-
 def dist_so2_batch(Ms: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`dist_so2` for a stack of det-positive matrices."""
+    """Frobenius distance from each 2x2 matrix of a stack to the rotation group.
+
+    Every matrix must have ``det >= 0`` (``ValueError`` otherwise).  Then
+    the distance is the closed form
+    ``sqrt(|M|^2 + 2 - 2*sqrt(|M|^2 + 2*det M))`` (the singular values
+    appear as ``(s1-1)^2 + (s2-1)^2``), with both radicands clamped at
+    zero against rounding.  ``|M|^2`` adds the four squares in row-major
+    order, as numpy's ``np.sum`` of a 2x2 array does, so each entry is
+    bitwise the formula on that matrix's numpy scalars (pinned by the
+    tests).
+    """
     m = np.asarray(Ms, dtype=float)
     _check_2x2(m, "dist_so2_batch")
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if np.any(det < 0.0):
         raise ValueError("dist_so2_batch requires det >= 0 for every matrix")
     sq = m * m
-    nsq = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]  # as dist_so2 adds
+    nsq = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
     inner = np.clip(nsq + 2.0 * det, 0.0, None)
     rad = np.clip(nsq + 2.0 - 2.0 * np.sqrt(inner), 0.0, None)
     return np.sqrt(rad)

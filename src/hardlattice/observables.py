@@ -13,41 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import (
-    LAMBDA0,
-    Configuration,
-    SnapshotBlock,
-    _row_sums,
-    bond_lengths,
-    position,
-)
+from .configuration import LAMBDA0, Configuration, _squared_deviations, bond_lengths, position
 from .lattice import NEIGHBOR_OFFSETS
 
 
 def per_triangle_order_parameters(cfg: Configuration, target) -> np.ndarray:
-    """Squared Frobenius deviation of every triangle gradient from ``target``."""
+    """Squared Frobenius deviation of every triangle gradient from ``target``.
+
+    No run calls it: ``cfg.reductions`` holds the sums over the triangles
+    of this for ``target`` the nearest rotation, ``l * Id`` and ``Id``,
+    from the same row-major 2x2 helper, and this is their reference.
+    """
     return _squared_deviations(cfg.gradients, np.asarray(target, dtype=float))
-
-
-def _squared_deviations(gradients: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Squared Frobenius distance of each 2x2 matrix of a stack from ``target``.
-
-    The four squares are added in row-major order, bitwise ``np.sum`` of
-    the 2x2 (pinned by the tests) at about half its cost.
-    """
-    diff = gradients - target
-    sq = diff * diff
-    return ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
-
-
-def block_order_parameters(block: SnapshotBlock, target) -> np.ndarray:
-    """Triangle mean of :func:`per_triangle_order_parameters` for each snapshot of ``block``.
-
-    Bitwise ``np.mean(per_triangle_order_parameters(snap, target))``:
-    each snapshot's row is summed on its own, as a 1-D reduction.
-    """
-    op = _squared_deviations(block.gradients, np.asarray(target, dtype=float))
-    return np.array(_row_sums(op)) / op.shape[-1]
 
 
 def bond_vector(cfg: Configuration, x, z) -> np.ndarray:
@@ -69,9 +46,10 @@ def l2_gradient_deviation(cfg: Configuration, target) -> float:
     """Squared L2 distance of the gradient field from the constant ``target``.
 
     Exact as the area-weighted sum of per-triangle deviations.  No run
-    calls it: ``Configuration.deviation_sums`` evaluates both deviations
-    of :func:`identity_suite` in one stacked pass, and this is the
-    reference that pass is tested against.
+    calls it: :func:`identity_suite` reads both of its deviations from
+    ``rotation_deviation`` and ``lid_deviation`` of ``cfg.reductions``,
+    one stacked pass per block, and this is the reference that pass is
+    tested against.
     """
     return LAMBDA0 * float(np.sum(per_triangle_order_parameters(cfg, target)))
 
@@ -136,34 +114,34 @@ def identity_suite(cfg: Configuration) -> IdentityReport:
     :func:`mean_gradient`, :func:`geometry.frobenius`,
     :func:`area_difference_sum`, :func:`geometry.polar_rotation`,
     :func:`geometry.rotation` and two :func:`l2_gradient_deviation`
-    calls.  It reads the snapshot's cached reductions
-    (``gradient_mean``, ``area_difference``, ``nearest_rotation`` and
-    ``deviation_sums``, which :func:`configuration.snapshot_block` fills
-    in for a whole block at once) and does the rest on Python floats:
+    calls.  It reads the snapshot's ``cfg.reductions`` record
+    (``gradient_mean``, ``area_difference``, ``rotation``,
+    ``rotation_deviation`` and ``lid_deviation``, which
+    :func:`configuration.snapshot_block` fills in for a whole block at
+    once) and does the rest on Python floats:
 
     * the 2x2 sums of squares (the mean's error and the rotation shift
       ``|l Id - R|^2``) add their four terms in row-major order, as
       numpy sums fewer than eight contiguous terms;
-    * the two L2 deviations are the cached sums times the cell area.
+    * the two L2 deviations are the record's sums times the cell area.
 
     The tests pin the numpy equalities the reductions rely on, on the
     CPU that runs them.
     """
     N, l = cfg.N, cfg.l
-    m00, m01, m10, m11 = cfg.gradient_mean
+    r = cfg.reductions
+    m00, m01, m10, m11 = r.gradient_mean
     d00, d11 = m00 - l, m11 - l
     mg_err = math.sqrt(d00 * d00 + m01 * m01 + m10 * m10 + d11 * d11)
 
     closed = area_difference_closed_form(N, l)
-    area_err = abs(cfg.area_difference - closed) / abs(closed)
+    area_err = abs(r.area_difference - closed) / abs(closed)
 
-    rotation = cfg.nearest_rotation
-    if rotation is None:
+    if r.rotation is None:
         raise ValueError("polar rotation undefined: all rotations are equidistant")
-    cos, sin = rotation
-    rotation_sum, lid_sum = cfg.deviation_sums
-    lhs = LAMBDA0 * rotation_sum
-    a = LAMBDA0 * lid_sum
+    cos, sin = r.rotation
+    lhs = LAMBDA0 * r.rotation_deviation
+    a = LAMBDA0 * r.lid_deviation
     dc, s2 = l - cos, sin * sin
     b = 2.0 * N * N * LAMBDA0 * (dc * dc + s2 + s2 + dc * dc)
     pyth_err = abs(lhs - a - b) / max(lhs, 1e-300)

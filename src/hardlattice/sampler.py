@@ -200,10 +200,10 @@ class Chain:
         on every ``omega2_oracle_every``-th emitted snapshot; a failure
         names the sweep after which its snapshot was taken.  Last, the
         block goes to ``observer``, which should do at most O(block)
-        work and return one record per snapshot (anything else raises
-        ``ValueError``), or None, which adds no records.  The records
-        are collected, or the snapshots themselves when no observer is
-        given.  The sweeps after the last emission still run.
+        work; what it returns is ignored.  Without an observer the
+        snapshots themselves are collected as the result's ``records``;
+        with one, ``records`` stays empty.  The sweeps after the last
+        emission still run.
 
         Checks run when a block is complete, so a snapshot that fails
         one is reported after up to ``(block_size - 1) * thin`` further
@@ -228,14 +228,11 @@ class Chain:
             block[len(swept)] = self._pos
             swept.append(self.sweeps_done)
             if len(swept) == len(block):
-                out = self._emit(block, swept, emitted, observer)
-                if out is not None:
-                    if len(out) != len(swept):
-                        raise ValueError(
-                            f"observer returned {len(out)} records for a block of "
-                            f"{len(swept)} snapshots"
-                        )
-                    records.extend(out)
+                checked = self._check(block, swept, emitted)
+                if observer is None:
+                    records.extend(checked.snapshots)
+                else:
+                    observer(checked)
                 emitted += len(swept)
                 block, swept = None, []
         return ChainResult(
@@ -246,8 +243,8 @@ class Chain:
             sweeps_run=self.sweeps_done,
         )
 
-    def _emit(self, positions, swept, emitted, observer):
-        """Recheck one block of snapshots, then observe it; see :meth:`run`."""
+    def _check(self, positions, swept, emitted):
+        """Build one block of snapshots and recheck it; see :meth:`run`."""
         block = cfgmod.snapshot_block(self.N, self.l, self.epsilon, positions)
         every = self.params.omega2_oracle_every
         for k, (snap, sweep) in enumerate(zip(block.snapshots, swept)):
@@ -263,7 +260,7 @@ class Chain:
                         f"snapshot after sweep {sweep} failed the exact "
                         f"injectivity oracle: {oracle.violations[:3]}"
                     )
-        return block.snapshots if observer is None else observer(block)
+        return block
 
     def checkpoint(self) -> dict:
         """JSON-ready state: positions, rng state, counters.

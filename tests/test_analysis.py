@@ -130,7 +130,7 @@ class TestRigidityConstant:
         # squared distance 2(l-1)^2, so the supremum is at least 2
         l = 1.04
         A_mat = geometry.rotation(0.7) @ (l * np.eye(2))
-        dist2 = geometry.dist_so2(A_mat) ** 2
+        dist2 = float(geometry.dist_so2_batch(A_mat)) ** 2
         dev = abs(l - 1.0)
         assert abs(dist2 / dev**2 - 2.0) < 1e-9
 
@@ -221,7 +221,7 @@ def _reference_dist_so2_agreement(n_matrices, n_grid, seed):
         M = rng.standard_normal((2, 2))
         if M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] <= 0.0:
             continue
-        diff = abs(geometry.dist_so2(M) - geometry.dist_so2_bruteforce(M, n_grid))
+        diff = abs(float(geometry.dist_so2_batch(M)) - geometry.dist_so2_bruteforce(M, n_grid))
         worst = max(worst, diff)
         done += 1
     return worst
@@ -261,6 +261,11 @@ class TestSampledChecksMatchReference:
         assert A.dist_so2_agreement(500, 3600, seed=seed) == _reference_dist_so2_agreement(
             500, 3600, seed
         )
+
+    def test_dist_so2_agreement_skips_empty_draws(self, monkeypatch):
+        # one candidate per draw: about half of the draws keep no matrix
+        monkeypatch.setattr(A, "_AGREEMENT_DRAW", 1)
+        assert A.dist_so2_agreement(50, 97, seed=3) == _reference_dist_so2_agreement(50, 97, 3)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_heron_cross_agreement_bitwise(self, seed):
@@ -515,6 +520,21 @@ class TestFoldsKeepNaN:
         est = A.estimate_rigidity_constant(30_000, 0.1, seed=0)
         assert len(calls) > 1 and math.isnan(est.c_hat)
 
+    def test_so2_agreement(self, monkeypatch):
+        real = geometry.dist_so2_bruteforce
+        calls = []
+
+        def nan_in_second(Ms, n_grid):
+            out = real(Ms, n_grid)
+            if len(calls) == 1:
+                out[3] = math.nan
+            calls.append(len(Ms))
+            return out
+
+        monkeypatch.setattr(geometry, "dist_so2_bruteforce", nan_in_second)
+        assert math.isnan(A.dist_so2_agreement(1000, 97, seed=0))
+        assert len(calls) > 2
+
     def test_squared_bound_margin(self, monkeypatch):
         monkeypatch.setattr(A, "certify_epsilon", lambda *args: SimpleNamespace(certified=True))
         monkeypatch.setattr(A, "FOUR_SQRT3", math.nan)
@@ -631,15 +651,10 @@ class TestScan:
         rec = A.run_grid_point(2, 1.05, 0.1, params, seed=3)
         assert rec.n_samples == 100 and block_size(2) == 64
         assert [len(b.snapshots) for b in blocks] == [64, 36]
-        # The chain-start admissibility check reads the corners, crosses
-        # and bond lengths but not the gradients; each block builds all
-        # four once, for all of its snapshots.
-        assert calls == {
-            "image_triangle_corners": len(blocks) + 1,
-            "triangle_gradients": len(blocks),
-            "corner_crosses": len(blocks) + 1,
-            "bond_length_squares": len(blocks) + 1,
-        }
+        # The chain-start admissibility check builds all four once for the
+        # lone start state, whose reductions record reads the gradients
+        # too; each block builds all four once, for all of its snapshots.
+        assert calls == dict.fromkeys(builders, len(blocks) + 1)
         for block in blocks:
             for snap in block.snapshots:
                 fresh = C.Configuration(snap.N, snap.l, snap.epsilon, snap.positions)

@@ -347,7 +347,8 @@ class TestVerifyCommand:
         "name, line",
         [
             ("heron_area", ["FAIL", "heron-vs-cross", "max_rel_diff=nan"]),
-            ("dist_so2", ["FAIL", "so2-distance-oracle", "max_abs_diff=nan"]),
+            # step 4's grid search, since step 7 calls the closed form too
+            ("dist_so2_bruteforce", ["FAIL", "so2-distance-oracle", "max_abs_diff=nan"]),
         ],
     )
     def test_one_nan_value_fails_its_step(self, tmp_path, capsys, monkeypatch, name, line):

@@ -88,8 +88,10 @@ class TestCachedGeometry:
 
     def test_reductions_equal_their_references_on_lone_snapshots(self):
         folded = counterexamples.folded_counterexamples(4, 1.05, 0.1)
-        for cfg in (standard_config(4, 1.05, 0.1), *folded):
+        nan_site = _with_moved_site(standard_config(4, 1.05, 0.1), (1, 2), (math.nan, 0.5))
+        for cfg in (standard_config(4, 1.05, 0.1), *folded, nan_site):
             _assert_reductions_equal_references(cfg)
+        assert math.isnan(nan_site.reductions.lid_deviation)
 
     def test_cached_arrays_are_read_only(self):
         cfg = standard_config(4, 1.05, 0.1)
@@ -98,33 +100,34 @@ class TestCachedGeometry:
                 getattr(cfg, name).flat[0] = 1.0
 
 
-# The scalar reductions a snapshot caches; snapshot_block pre-fills them.
-REDUCTIONS = (
-    "bond_square_range",
-    "cross_min",
-    "gradient_mean",
-    "area_difference",
-    "nearest_rotation",
-    "deviation_sums",
-)
-
-
 def _assert_reductions_equal_references(cfg):
-    """Every cached reduction of ``cfg`` against plain numpy on its arrays."""
+    """Every field of ``cfg.reductions`` against plain numpy on its arrays.
+
+    Compared by ``repr``, which tells -0.0 from 0.0, round-trips floats
+    and shows NaN, so NaN states are compared too.
+    """
+    r = cfg.reductions
+    assert type(r) is C.Reductions
     d2, cross, G = cfg.bond_squares, cfg.crosses, cfg.gradients
-    assert cfg.bond_square_range == (float(d2.min()), float(d2.max()))
-    assert cfg.cross_min == float(cross.min())
     mean = G.mean(axis=0)
-    assert cfg.gradient_mean == tuple(mean.ravel().tolist())
-    assert cfg.area_difference == float(np.sum(0.5 * cross - C.LAMBDA0))
     R = geometry.rotation(geometry.polar_rotation(mean))
-    assert cfg.nearest_rotation == (R[0, 0], R[1, 0])
-    want = [float(np.sum(observables.per_triangle_order_parameters(cfg, target)))
-            for target in (R, cfg.l * np.eye(2))]
-    assert list(cfg.deviation_sums) == want
-    values = [*cfg.bond_square_range, cfg.cross_min, *cfg.gradient_mean, cfg.area_difference,
-              *cfg.nearest_rotation, *cfg.deviation_sums]
-    assert all(type(v) is float for v in values)
+    deviations = [float(np.sum(observables.per_triangle_order_parameters(cfg, target)))
+                  for target in (R, cfg.l * np.eye(2), np.eye(2))]
+    want = C.Reductions(
+        bond_square_min=float(d2.min()),
+        bond_square_max=float(d2.max()),
+        cross_min=float(cross.min()),
+        gradient_mean=tuple(mean.ravel().tolist()),
+        area_difference=float(np.sum(0.5 * cross - C.LAMBDA0)),
+        rotation=(float(R[0, 0]), float(R[1, 0])),
+        rotation_deviation=deviations[0],
+        lid_deviation=deviations[1],
+        id_deviation=deviations[2],
+    )
+    for name, got, expected in zip(r._fields, r, want):
+        assert repr(got) == repr(expected), name
+    values = [*r[:3], *r.gradient_mean, r.area_difference, *r.rotation, *r[6:]]
+    assert len(values) == 13 and all(type(v) is float for v in values)
 
 
 class TestSnapshotBlock:
@@ -148,17 +151,20 @@ class TestSnapshotBlock:
 
     @pytest.mark.parametrize("N", [2, 3, 4, 12, 32])
     def test_prefilled_reductions_equal_lazy_ones_and_their_references(self, N):
-        # a block pre-fills every reduction; a fresh snapshot computes them
-        # on first use.  repr tells -0.0 from 0.0 and round-trips floats.
+        # a block pre-fills the record; a fresh snapshot builds it on first
+        # use.  The chain's own blocks, and one with a NaN row in the middle.
         params = SamplerParams(sweeps=3 if N == 32 else 20, burn_in=5, thin=1, seed=N,
                                scan_order="random")
         snaps = run_chain(N, 1.05, 0.1, params).records
-        for snap in snaps:
-            assert set(REDUCTIONS) <= set(vars(snap))
+        pos = np.stack([snap.positions for snap in snaps])
+        pos[len(pos) // 2, N * N - 1, 1] = math.nan
+        nan_block = C.snapshot_block(N, 1.05, 0.1, pos)
+        for snap in (*snaps, *nan_block.snapshots):
+            assert "reductions" in vars(snap)
             fresh = Configuration(N, snap.l, snap.epsilon, snap.positions)
-            for name in REDUCTIONS:
-                assert repr(getattr(snap, name)) == repr(getattr(fresh, name)), name
+            assert repr(snap.reductions) == repr(fresh.reductions)
             _assert_reductions_equal_references(fresh)
+        assert math.isnan(nan_block.snapshots[len(pos) // 2].reductions.area_difference)
 
     def test_snapshot_positions_are_read_only_views_of_the_block(self):
         block = C.snapshot_block(3, 1.05, 0.1, self._rows())
@@ -777,7 +783,8 @@ class TestNonFiniteSites:
                     if b != 2:
                         assert report.ok
                         continue
-                    assert all(map(math.isnan, (*snap.bond_square_range, snap.cross_min)))
+                    r = snap.reductions
+                    assert all(map(math.isnan, (r.bond_square_min, r.bond_square_max, r.cross_min)))
                     assert not report.omega1_ok and not report.omega3_ok
                     assert not report.omega2_ok and not report.ok
                     assert not check_omega1(snap).ok and not check_omega3(snap).ok

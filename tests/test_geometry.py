@@ -9,8 +9,7 @@ from hypothesis import assume, given, strategies as st
 from hardlattice import geometry, lattice
 from hardlattice.geometry import (
     DegenerateTriangleError,
-    NegativeDeterminantWarning,
-    dist_so2,
+    dist_so2_batch,
     dist_so2_bruteforce,
     heron_area,
     orient_sign,
@@ -95,64 +94,52 @@ class TestPolarRotation:
             polar_rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def _det_positive(rng, n):
+    """``n`` standard normal 2x2 matrices with positive determinant."""
+    Ms = rng.standard_normal((4 * n + 16, 2, 2))
+    return Ms[np.linalg.det(Ms) > 0.0][:n]
+
+
 class TestDistSo2:
     def test_member_of_group(self):
-        assert dist_so2(np.eye(2)) == 0.0
-        assert dist_so2(rotation(1.2)) < 1e-7
+        d = dist_so2_batch(np.array([np.eye(2), rotation(1.2)]))
+        assert d[0] == 0.0
+        assert d[1] < 1e-7
 
     def test_conformal_scaling(self):
         # grid oracle confirms sqrt(2)*(l-1) for l*Id
         l = 1.05
-        closed = dist_so2(l * np.eye(2))
+        closed = float(dist_so2_batch(l * np.eye(2)))
         assert abs(closed - math.sqrt(2.0) * 0.05) < 1e-14
         assert abs(closed - dist_so2_bruteforce(l * np.eye(2), 3600)) < 2e-3
 
     def test_diagonal_against_grid_oracle(self):
         M = np.diag([1.1, 0.9])
-        assert abs(dist_so2(M) - dist_so2_bruteforce(M, 200_000)) < 1e-6
+        assert abs(float(dist_so2_batch(M)) - dist_so2_bruteforce(M, 200_000)) < 1e-6
 
     def test_random_matrices_against_grid_oracle(self, rng):
-        for _ in range(300):
-            M = rng.standard_normal((2, 2))
-            if np.linalg.det(M) <= 0:
-                continue
-            assert abs(dist_so2(M) - dist_so2_bruteforce(M, 3600)) < 2e-3
+        Ms = _det_positive(rng, 150)
+        assert len(Ms) == 150
+        diff = np.abs(dist_so2_batch(Ms) - dist_so2_bruteforce(Ms, 3600))
+        assert diff.max() < 2e-3
 
     def test_definitional_lower_bound(self, rng):
-        for _ in range(50):
-            M = rng.standard_normal((2, 2))
-            if np.linalg.det(M) <= 0:
-                continue
-            d = dist_so2(M)
+        Ms = _det_positive(rng, 25)
+        for M, d in zip(Ms, dist_so2_batch(Ms).tolist()):
             for theta in rng.uniform(0.0, 2.0 * math.pi, size=32):
                 assert d <= geometry.frobenius(M - rotation(theta)) + 1e-12
 
     def test_bi_invariance(self, rng):
-        for _ in range(50):
-            M = rng.standard_normal((2, 2))
-            if np.linalg.det(M) <= 0:
-                continue
-            R = rotation(rng.uniform(0.0, 2.0 * math.pi))
-            d = dist_so2(M)
-            assert abs(dist_so2(R @ M) - d) < 1e-12
-            assert abs(dist_so2(M @ R) - d) < 1e-12
+        Ms = _det_positive(rng, 25)
+        R = np.array([rotation(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=len(Ms))])
+        d = dist_so2_batch(Ms)
+        assert np.abs(dist_so2_batch(R @ Ms) - d).max() < 1e-12
+        assert np.abs(dist_so2_batch(Ms @ R) - d).max() < 1e-12
 
-    def test_negative_determinant_falls_back_with_warning(self):
-        M = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.warns(NegativeDeterminantWarning):
-            d = dist_so2(M)
-        assert abs(d - dist_so2_bruteforce(M, 36000)) < 1e-12
-
-    def test_batch_matches_scalar(self, rng):
-        Ms = []
-        while len(Ms) < 64:
-            M = rng.standard_normal((2, 2))
-            if np.linalg.det(M) > 0:
-                Ms.append(M)
-        Ms = np.array(Ms)
-        batch = geometry.dist_so2_batch(Ms)
-        for i, M in enumerate(Ms):
-            assert abs(batch[i] - dist_so2(M)) < 1e-14
+    def test_negative_determinant_raises(self):
+        Ms = np.array([np.eye(2), [[1.0, 0.0], [0.0, -1.0]]])
+        with pytest.raises(ValueError, match="det >= 0"):
+            dist_so2_batch(Ms)
 
     def test_bruteforce_near_zero_on_rotations(self):
         assert dist_so2_bruteforce(np.eye(2), 3600) <= 1e-3
@@ -219,8 +206,10 @@ class TestDistSo2MatchesReference:
         Ms = rng.standard_normal((40_000, 2, 2))
         Ms = list(Ms[np.linalg.det(Ms) > 0.0])
         Ms += [np.eye(2), 1.05 * np.eye(2), rotation(0.3), np.diag([1e-9, 3.0]), np.zeros((2, 2))]
-        for M in Ms:
-            assert dist_so2(M) == _reference_dist_so2(M)
+        got = dist_so2_batch(np.array(Ms)).tolist()
+        want = [_reference_dist_so2(M) for M in Ms]
+        bad = [i for i, (g, w) in enumerate(zip(got, want)) if g.hex() != w.hex()]
+        assert not bad, f"{len(bad)} of {len(Ms)} differ, first at {bad[0]}"
 
     @pytest.mark.parametrize(
         "shape",
@@ -245,13 +234,10 @@ class TestDistSo2MatchesReference:
 
 
 class TestSo2HelpersRequire2x2:
-    # (3, 3): np.eye(3) gave 0.7265 from dist_so2 and 0.0 from the grid search
-    @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 3), (3, 2), (1, 2, 2), (4, 3, 3), ()])
-    def test_dist_so2_rejects(self, shape):
-        with pytest.raises(ValueError, match="2x2"):
-            dist_so2(np.ones(shape))
-
-    @pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2, 3), (4, 3, 2), (5, 3, 3), ()])
+    # (3, 3): np.eye(3) once gave 0.7265 from the closed form and 0.0 from the grid search
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (2,), (2, 3), (3, 2), (4, 2, 3), (4, 3, 2), (5, 3, 3), ()]
+    )
     def test_stack_helpers_reject(self, shape):
         M = np.ones(shape)
         with pytest.raises(ValueError, match="2x2"):

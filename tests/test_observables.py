@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import hardlattice as hl
-from hardlattice import geometry, lattice, observables as O
+from hardlattice import configuration as C, geometry, lattice, observables as O
 from hardlattice.configuration import LAMBDA0, Configuration, standard_config
 from hardlattice.lattice import NEIGHBOR_OFFSETS, TriangleRef, embed
+from hardlattice.sampler import block_size
 
 SQRT2 = math.sqrt(2.0)
 
@@ -153,24 +154,26 @@ class TestBlockObservables:
                 assert rep == O.identity_suite(fresh)
                 assert rep.ok
 
-    @pytest.mark.parametrize("N", [2, 3, 4, 12])
-    def test_block_order_parameters_equal_per_snapshot_means(self, N):
-        for block in _blocks(N, seed=N + 1):
-            for target in (np.eye(2), 1.05 * np.eye(2)):
-                got = O.block_order_parameters(block, target)
-                want = [float(np.mean(O.per_triangle_order_parameters(s, target)))
-                        for s in block.snapshots]
-                assert got.tolist() == want
+    @staticmethod
+    def _assert_order_parameter(N, seed, field, target):
+        # scan's order parameter: the record's deviation sum over the
+        # triangle count, on block snapshots and on fresh lone ones
+        T = 2 * N * N
+        for block in _blocks(N, seed=seed):
+            for snap in block.snapshots:
+                fresh = Configuration(N, snap.l, snap.epsilon, snap.positions)
+                want = float(np.mean(O.per_triangle_order_parameters(snap, target))).hex()
+                assert (getattr(snap.reductions, field) / T).hex() == want
+                assert (getattr(fresh.reductions, field) / T).hex() == want
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 12])
+    def test_record_op_id_is_the_per_snapshot_mean(self, N):
+        self._assert_order_parameter(N, N + 1, "id_deviation", np.eye(2))
 
     @pytest.mark.parametrize("N", [2, 3, 4, 12])
-    def test_cached_lid_deviation_sum_over_t_is_the_lid_order_parameter(self, N):
-        # the scan's op_lid reads the sum the identity suite reads
-        for block in _blocks(N, seed=N + 2):
-            T = block.gradients.shape[1]
-            got = [snap.deviation_sums[1] / T for snap in block.snapshots]
-            want = O.block_order_parameters(block, 1.05 * np.eye(2)).tolist()
-            assert [x.hex() for x in got] == [x.hex() for x in want]
+    def test_record_op_lid_is_the_per_snapshot_mean(self, N):
+        # the same sum the identity suite reads for its Pythagoras split
+        self._assert_order_parameter(N, N + 2, "lid_deviation", 1.05 * np.eye(2))
 
 
 def _reference_identity_suite(cfg):
@@ -223,15 +226,18 @@ class TestLeanIdentitySuite:
     def test_undefined_polar_rotation_raises_as_the_reference_does(self):
         # The boundary rule pins the mean gradient at l * Id, so only a
         # snapshot whose cached gradients are replaced by a stand-in
-        # reaches the equidistant case; its reductions are computed from
-        # the stand-in on first use.
+        # reaches the equidistant case; its reductions record is built
+        # from the stand-in on first use.
         G = np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (8, 1, 1))
         for suite in (O.identity_suite, _reference_identity_suite):
             cfg = standard_config(2, 1.05, 0.1)
             vars(cfg)["gradients"] = G
             with pytest.raises(ValueError, match="equidistant"):
                 suite(cfg)
-            assert cfg.nearest_rotation is None
+            r = cfg.reductions
+            assert r.rotation is None and math.isnan(r.rotation_deviation)
+            assert r.lid_deviation == pytest.approx(8 * (0.05**2 + 2.05**2))
+            assert r.id_deviation == 32.0
 
 
 class TestLeanSuiteNumpyEqualities:
@@ -281,8 +287,9 @@ class TestLeanSuiteNumpyEqualities:
     @pytest.mark.parametrize("B", [1, 7, 64])
     @pytest.mark.parametrize("T", SIZES)
     def test_sum_over_axis_1_of_a_block_is_each_snapshots_mean(self, rng, B, T):
-        # configuration._gradient_means: one reduction over the triangle
-        # axis of (B, T, 2, 2) against axis 0 of each (T, 2, 2) snapshot
+        # configuration._reductions' mean gradient: one reduction over the
+        # triangle axis of (B, T, 2, 2) against axis 0 of each (T, 2, 2)
+        # snapshot
         for _ in range(3):
             G = self._gradient_block(rng, B, T)
             means = np.add.reduce(G, axis=1) / T
@@ -293,25 +300,44 @@ class TestLeanSuiteNumpyEqualities:
     @pytest.mark.parametrize("B", [1, 7, 64])
     @pytest.mark.parametrize("T", SIZES)
     def test_block_deviations_are_each_snapshots(self, rng, B, T):
-        # configuration._deviation_sums: one (B, 2, T, 2, 2) pass against
-        # each snapshot's two targets, its 2x2 sums added in row-major
-        # order, then each per-triangle row summed on its own, against
-        # np.sum of each snapshot's deviations
+        # configuration._reductions' deviation pass: one (B, 3, T, 2, 2)
+        # pass against each snapshot's three targets, its 2x2 sums added
+        # in row-major order, then summed over the triangles in one
+        # reduction, against np.sum of each snapshot's deviations
         G = self._gradient_block(rng, B, T)
         targets = np.stack([
-            np.array([geometry.rotation(rng.uniform(-0.1, 0.1)), 1.05 * np.eye(2)])
+            np.array([geometry.rotation(rng.uniform(-0.1, 0.1)), 1.05 * np.eye(2), np.eye(2)])
             for _ in range(B)
         ])[:, :, None]
-        diff = G[:, None] - targets
-        sq = diff * diff
-        per_triangle = ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
-        rows = per_triangle.reshape(-1, T)
+        per_triangle = C._squared_deviations(G[:, None], targets)
+        sums = C._triangle_sums(per_triangle)
         for b in range(B):
-            for k in range(2):
+            for k in range(3):
                 half = G[b] - targets[b, k, 0]
                 want = np.sum(half * half, axis=(-2, -1))
                 self._assert_bitwise(per_triangle[b, k], want, "block deviations")
-                self._assert_bitwise(np.add.reduce(rows[2 * b + k]), np.sum(want), "row sum")
+                self._assert_bitwise(sums[b, k], np.sum(want), "row sum")
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 8, 12, 16, 23, 32, 48, 64, 96])
+    def test_triangle_sums_are_each_rows_own_sum(self, rng, N):
+        # configuration._triangle_sums: one reduction per block of (B, T)
+        # and (B, 3, T) rows, C-ordered or column-major as corner_crosses
+        # of a block is, against each row's own 1-D np.add.reduce
+        T = 2 * N * N
+        for B in sorted({1, 2, 7, block_size(N), 64}):
+            for shape in ((B, T), (B, 3, T)):
+                x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+                for a in (x, np.asfortranarray(x)):
+                    want = [np.add.reduce(a[i]) for i in np.ndindex(shape[:-1])]
+                    self._assert_bitwise(C._triangle_sums(a).ravel(), want, f"{a.strides} sums")
+
+    @pytest.mark.parametrize("N", [2, 4, 12])
+    def test_area_sums_of_a_sampled_block_are_each_snapshots(self, N):
+        block = _blocks(N, seed=N + 3)[0]
+        corners = C.image_triangle_corners(N, 1.05, block.positions)
+        areas = 0.5 * C.corner_crosses(corners) - LAMBDA0
+        want = [np.add.reduce(0.5 * s.crosses - LAMBDA0) for s in block.snapshots]
+        self._assert_bitwise(C._triangle_sums(areas), want, "area sums")
 
     def test_sum_of_a_2x2_adds_in_row_major_order(self, rng):
         m = rng.uniform(-1.0, 1.0, (200_000, 2, 2)) * 10.0 ** rng.integers(-8, 9, (200_000, 2, 2))

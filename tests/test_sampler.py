@@ -113,10 +113,10 @@ class TestChainInvariant:
 
         def observer(block):
             seen.extend(block.snapshots)
-            return [cfg.positions[1, 0] for cfg in block.snapshots]
+            return block.snapshots  # ignored
 
         res = hl.run_chain(2, 1.05, 0.1, SamplerParams(sweeps=20, thin=5, seed=2), observer)
-        assert len(res.records) == 4
+        assert len(seen) == 4 and res.records == []
         with pytest.raises(ValueError):
             seen[0].positions[0, 0] = 1.0
 
@@ -167,11 +167,6 @@ class TestBlocks:
         res = hl.run_chain(2, 1.05, 0.1, params)
         assert [s.positions.tobytes() for s in res.records] == [
             s.positions.tobytes() for s in ref_snaps]
-
-    def test_observer_records_must_match_the_block(self):
-        params = SamplerParams(sweeps=100, thin=1, seed=4)
-        with pytest.raises(ValueError, match="records for a block of"):
-            hl.run_chain(2, 1.05, 0.1, params, lambda block: block.snapshots[1:])
 
     def test_recheck_failure_in_a_block_precedes_its_observer(self, monkeypatch):
         # Checks are per block: a recheck failure at the block's sixth
