@@ -1,8 +1,8 @@
 """Certified inequalities, empirical constants, and the experiment grid.
 
 Two kinds of result live here.  The oracle side certifies the
-first-order area bound on the bond window (grid scan plus a rigorous
-Lipschitz argument), probes the squared variant on random side-length
+first-order area bound on the bond window (the exact sign of one cubic
+in epsilon), probes the squared variant on random side-length
 triples, and estimates the triangle rigidity constant by rejection
 sampling.  The experiment side runs one chain per ``(N, l)`` grid point,
 evaluates the exact identity suite on every emitted sample, and
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from fractions import Fraction
 from numbers import Real
 
 import numpy as np
@@ -30,7 +30,7 @@ FOUR_SQRT3 = 4.0 * SQRT3
 
 
 class CertificationError(RuntimeError):
-    """The grid scan cannot support the requested certificate."""
+    """The requested window is not certified."""
 
 
 class IdentityFailureError(RuntimeError):
@@ -40,216 +40,81 @@ class IdentityFailureError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Area bound certification
 #
-# The inequality under test: for side lengths a_i in (1, 1+eps),
+# The inequality under test: for side lengths a_i in [1, 1+eps],
 #     (a1-1 + a2-1 + a3-1) / (4*sqrt(3))  <=  area(a) - area(1,1,1).
-# The normalized margin q(a) = [area(a) - area0 - dev/(4*sqrt(3))] / dev
-# tends to 1/(4*sqrt(3)) at the unit corner, so a positive grid minimum
-# of q plus a Lipschitz bound on q certifies the inequality on the whole
-# open box.  The Lipschitz constant comes from an interval-arithmetic
-# bound M2 on the Hessian of the area function: the Taylor remainder
-# gives |dq/da_i| <= 1.5 * M2 everywhere on the punctured box.
+# It holds on the whole box exactly when one cubic in eps is positive;
+# the proof is in certify_epsilon's docstring.
 # ---------------------------------------------------------------------------
-
-
-def _iv_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _iv_sub(x, y):
-    return (x[0] - y[1], x[1] - y[0])
-
-
-def _iv_mul(x, y):
-    p = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return (min(p), max(p))
-
-
-def _iv_div(x, y):
-    if y[0] <= 0.0 <= y[1]:
-        raise ZeroDivisionError("interval division by an interval containing zero")
-    p = (x[0] / y[0], x[0] / y[1], x[1] / y[0], x[1] / y[1])
-    return (min(p), max(p))
-
-
-def _iv_sqrt(x):
-    if x[0] < 0.0:
-        raise ValueError("interval sqrt of a partially negative interval")
-    return (math.sqrt(x[0]), math.sqrt(x[1]))
-
-
-def _iv_absmax(x) -> float:
-    return max(abs(x[0]), abs(x[1]))
-
-
-# Signs of the derivatives of the four Heron factors with respect to the
-# three side lengths: factors are (a1+a2+a3, -a1+a2+a3, a1-a2+a3, a1+a2-a3).
-_FACTOR_SIGNS = (
-    (1, 1, 1),
-    (-1, 1, 1),
-    (1, -1, 1),
-    (1, 1, -1),
-)
-
-
-def _hessian_bound(epsilon: float) -> float:
-    """Interval bound on the Frobenius norm of the Hessian of the area
-    function on the closed box [1, 1+epsilon]^3.
-
-    Requires epsilon < 1 so the Heron radicand stays away from zero.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise CertificationError(
-            f"Hessian bound unavailable for epsilon = {epsilon}: the side-length "
-            "box touches degenerate triangles"
-        )
-    s = [
-        (3.0, 3.0 + 3.0 * epsilon),
-        (1.0 - epsilon, 1.0 + 2.0 * epsilon),
-        (1.0 - epsilon, 1.0 + 2.0 * epsilon),
-        (1.0 - epsilon, 1.0 + 2.0 * epsilon),
-    ]
-    p = _iv_mul(_iv_mul(s[0], s[1]), _iv_mul(s[2], s[3]))
-
-    def triple(skip):
-        out = (1.0, 1.0)
-        for n in range(4):
-            if n != skip:
-                out = _iv_mul(out, s[n])
-        return out
-
-    def pair(skip_a, skip_b):
-        out = (1.0, 1.0)
-        for n in range(4):
-            if n not in (skip_a, skip_b):
-                out = _iv_mul(out, s[n])
-        return out
-
-    def scale(x, c):
-        return (c * x[0], c * x[1]) if c >= 0 else (c * x[1], c * x[0])
-
-    p_i = []
-    for i in range(3):
-        total = (0.0, 0.0)
-        for k in range(4):
-            total = _iv_add(total, scale(triple(k), _FACTOR_SIGNS[k][i]))
-        p_i.append(total)
-
-    sqrt_p = _iv_sqrt(p)
-    p32 = _iv_mul(p, sqrt_p)
-
-    fro_sq = 0.0
-    for i in range(3):
-        for j in range(3):
-            p_ij = (0.0, 0.0)
-            for k in range(4):
-                for m in range(4):
-                    if k == m:
-                        continue
-                    sgn = _FACTOR_SIGNS[k][i] * _FACTOR_SIGNS[m][j]
-                    p_ij = _iv_add(p_ij, scale(pair(k, m), sgn))
-            term1 = _iv_div(p_ij, scale(sqrt_p, 8.0))
-            term2 = _iv_div(_iv_mul(p_i[i], p_i[j]), scale(p32, 16.0))
-            fro_sq += _iv_absmax(_iv_sub(term1, term2)) ** 2
-    return math.sqrt(fro_sq)
-
-
-def _normalized_margin_scan(epsilon: float, g: int):
-    """Minimum of the normalized margin q over the grid, excluding the
-    unit corner where q is a removable 0/0."""
-    axis = np.linspace(1.0, 1.0 + epsilon, g)
-    a2, a3 = np.meshgrid(axis, axis, indexing="ij")
-    best = math.inf
-    best_point = None
-    lam0 = 0.25 * math.sqrt(3.0)
-    for a1 in axis:
-        s0 = a1 + a2 + a3
-        s1 = -a1 + a2 + a3
-        s2 = a1 - a2 + a3
-        s3 = a1 + a2 - a3
-        lam = 0.25 * np.sqrt(np.clip(s0 * s1 * s2 * s3, 0.0, None))
-        dev = (a1 - 1.0) + (a2 - 1.0) + (a3 - 1.0)
-        f = lam - lam0 - dev / FOUR_SQRT3
-        mask = dev > 0.0
-        if not np.any(mask):
-            continue
-        q = np.where(mask, f / np.where(mask, dev, 1.0), math.inf)
-        k = int(np.argmin(q))
-        if q.flat[k] < best:
-            best = float(q.flat[k])
-            best_point = (float(a1), float(a2.flat[k]), float(a3.flat[k]))
-    return best, best_point
 
 
 @dataclass(frozen=True)
 class EpsilonCertificate:
     epsilon: float
-    grid_points_per_axis: int
-    grid_margin: float          # minimum of q over the grid
-    grid_argmin: tuple
-    hessian_bound: float | None
-    lipschitz_slack: float | None
-    margin: float               # certified lower bound on q (grid_margin when uncertified)
+    margin: float  # lower bound on q when certified, q at the witness corner otherwise
     certified: bool
 
 
-def certify_epsilon(epsilon: float, grid_points_per_axis: int = 64) -> EpsilonCertificate:
-    """Grid scan plus Lipschitz certificate for the area bound at ``epsilon``.
+def certify_epsilon(epsilon: float, certification_grid=None) -> EpsilonCertificate:
+    """Exact certificate for the area bound on the ``epsilon`` window.
 
-    ``certified`` means the first-order bound holds on the whole open
-    side-length box, with ``margin`` a rigorous lower bound on the
-    normalized slack.  A nonpositive ``grid_margin`` is direct evidence
-    that the bound fails at this window size.
+    ``certified`` means the first-order bound holds on the whole
+    side-length box ``[1, 1 + epsilon]^3``.  It is the sign of the cubic
+
+        k(eps) = 2 - 7 eps/3 - 4 eps^2 - eps^3 = (eps + 3)(2 - 3 eps - 3 eps^2) / 3,
+
+    evaluated in rational arithmetic on the exact value of ``epsilon``.
+    ``margin`` bounds the normalized slack q = f/S, where S = sum (a_i - 1)
+    and f = area(a) - area(1,1,1) - S/(4 sqrt 3).  When certified it is
+    a lower bound on q over the box minus the unit corner.  Otherwise it
+    is q at the witness corner (1 + eps, 1, 1): nonpositive, and direct
+    evidence that the bound fails there.
+
+    Proof.  Write a_i = 1 + d_i with d_i in [0, eps], S = sum d_i, and
+    Q, C, F = sum d_i^2, sum d_i^3, sum d_i^4.  Let
+    B = sqrt(3)/4 + S/(4 sqrt 3) > 0, so that the bound reads area >= B.
+
+    * By Heron, 16 area^2 = P(a) = (a1+a2+a3)(-a1+a2+a3)(a1-a2+a3)(a1+a2-a3),
+      and 16 B^2 = 3 + 2S + S^2/3.  So the bound holds iff
+      G = P(1 + d) - 3 - 2S - S^2/3 >= 0.
+    * Expanding,
+
+          G = sum_i d_i k(d_i) + (11/3)(S^2 - Q) + 4(SQ - C) + (Q^2 - F).
+
+      The brackets are 2 sum_{i<j} d_i d_j, sum_{i!=j} d_i d_j^2 and
+      2 sum_{i<j} d_i^2 d_j^2: sums of products of nonnegative d_i.
+    * k decreases on [0, inf), so G >= sum_i d_i k(eps) = S k(eps).  At
+      the corner (1 + eps, 1, 1), G = eps k(eps).  So the bound holds on
+      the whole box iff k(eps) >= 0.
+    * The positive root of k is eps* = (sqrt(33) - 3)/6 = 0.4574271077563381...,
+      the corner crossing of the bound.  It is irrational, so k(eps) is
+      never 0 at a rational epsilon, every float included, and
+      ``certified`` is k(eps) > 0.  The float 0.4574271077563381
+      certifies; the next float up, 0.45742710775633816, does not.
+
+    Margin.  f = area - B = G / (16 (area + B)), so q = G / (16 S (area + B)).
+
+    * Certified: q >= k(eps) / (16 (area + B)).  Every side is at most
+      1 + eps, so area <= (sqrt(3)/4)(1 + eps)^2, and S <= 3 eps gives
+      B <= (sqrt(3)/4)(1 + eps).  Hence
+      q >= k(eps) / (4 sqrt(3) ((1 + eps)^2 + 1 + eps)), the reported margin.
+    * Not certified: at the witness corner S = eps, so
+      q = k(eps) / (16 (area + B)), whose sign is that of k(eps).
+
+    ``certification_grid`` is accepted and ignored: the benchmark's set-up
+    probe still passes the config key of that name.
     """
     if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be a real number in (0, 1], got {epsilon!r}")
-    g = grid_points_per_axis
-    if not isinstance(g, (int, np.integer)) or g < 64:
-        raise ValueError(f"need an integer of at least 64 grid points per axis, got {g!r}")
-    return _certify_epsilon(epsilon, g)
-
-
-@lru_cache(maxsize=None)
-def _certify_epsilon(epsilon: float, grid_points_per_axis: int) -> EpsilonCertificate:
-    grid_margin, argmin = _normalized_margin_scan(epsilon, grid_points_per_axis)
-    if grid_margin <= 0.0:
-        return EpsilonCertificate(
-            epsilon, grid_points_per_axis, grid_margin, argmin, None, None, grid_margin, False
-        )
-    try:
-        m2 = _hessian_bound(epsilon)
-    except CertificationError:
-        return EpsilonCertificate(
-            epsilon, grid_points_per_axis, grid_margin, argmin, None, None, grid_margin, False
-        )
-    h = epsilon / (grid_points_per_axis - 1)
-    # Every point of the punctured box has a non-corner grid point within
-    # h*(1 + sqrt(3)/2); |grad q| <= 1.5*M2 per component.
-    lipschitz = 1.5 * SQRT3 * m2
-    slack = lipschitz * h * (1.0 + SQRT3 / 2.0)
-    margin = grid_margin - slack
-    return EpsilonCertificate(
-        epsilon, grid_points_per_axis, grid_margin, argmin, m2, slack, margin, margin > 0.0
-    )
-
-
-def epsilon_margin(epsilon: float, grid_points_per_axis: int = 64) -> float:
-    """Certified normalized margin of the area bound on the ``epsilon`` box.
-
-    Positive return value: the bound holds on the whole open box with at
-    least this relative slack.  Nonpositive return value: the grid scan
-    itself found a violation.  Raises :class:`CertificationError` when
-    the grid margin is positive but too small for the Lipschitz slack of
-    the requested grid (refine the grid).
-    """
-    cert = certify_epsilon(epsilon, grid_points_per_axis)
-    if cert.grid_margin <= 0.0:
-        return cert.grid_margin
-    if not cert.certified:
-        raise CertificationError(
-            f"grid too coarse: margin {cert.grid_margin:.3e} does not clear the "
-            f"Lipschitz slack {cert.lipschitz_slack} at {grid_points_per_axis} points per axis"
-        )
-    return cert.margin
+    e = Fraction(epsilon)
+    k = 2 - Fraction(7, 3) * e - 4 * e**2 - e**3
+    eps = float(epsilon)
+    if k > 0:
+        margin = float(k) / (FOUR_SQRT3 * ((1.0 + eps) ** 2 + 1.0 + eps))
+    else:
+        a = 1.0 + eps  # the corner (a, 1, 1) is isosceles: area (a/4) sqrt(4 - a^2)
+        corner_area = 0.25 * a * math.sqrt(4.0 - a * a)
+        margin = float(k) / (16.0 * (corner_area + LAMBDA0 + eps / FOUR_SQRT3))
+    return EpsilonCertificate(epsilon, margin, k > 0)
 
 
 # Side-length triples drawn per block by the squared-bound check; any
@@ -274,7 +139,6 @@ def verify_squared_bound(
     epsilon: float,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    grid_points_per_axis: int = 64,
 ) -> SquaredBoundReport:
     """Check the squared side-deviation bound on random triples.
 
@@ -285,8 +149,7 @@ def verify_squared_bound(
     the same stream as one draw.
     """
     check_sample_count(n_samples)
-    cert = certify_epsilon(epsilon, grid_points_per_axis)
-    if not cert.certified:
+    if not certify_epsilon(epsilon).certified:
         raise CertificationError(
             f"epsilon = {epsilon} is not certified; the squared bound presupposes it"
         )
@@ -660,9 +523,12 @@ def batch_means(x, n_batches: int = 20) -> tuple[float, float]:
 
 
 def integrated_autocorrelation_time(x) -> float:
-    """Initial-positive-sequence estimate of the autocorrelation time.
+    """Integrated autocorrelation time, 1 + 2 * sum of rho(lag), truncated
+    before the first lag whose single-lag autocorrelation rho is <= 0.
 
-    Reported as a diagnostic only; no mixing guarantee is implied.
+    This is not Geyer's initial positive sequence, which truncates on
+    sums of adjacent pairs of lags.  Reported as a diagnostic only; no
+    mixing guarantee is implied.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -830,7 +696,6 @@ def scan(
     params: SamplerParams,
     master_seed: int = 0,
     threads: int = 1,
-    certification_grid: int = 64,
 ) -> list[ScanRecord]:
     """Run one chain per (N, l) grid point and aggregate the estimates.
 
@@ -841,15 +706,15 @@ def scan(
     the output does not depend on the thread count.  At most one worker
     process runs per grid point; a single one runs in this process.
     """
-    margin = epsilon_margin(epsilon, certification_grid)
-    if margin <= 0.0:
+    cert = certify_epsilon(epsilon)
+    if not cert.certified:
         raise CertificationError(
-            f"epsilon = {epsilon} failed certification (margin {margin:.3e})"
+            f"epsilon = {epsilon} failed certification (margin {cert.margin:.3e})"
         )
     if not isinstance(N_list, (list, tuple)) or not N_list:
         raise ValueError(f"scan needs a nonempty list of lattice sizes N, got {N_list!r}")
-    if not isinstance(l_list, (list, tuple)):
-        raise ValueError(f"scan needs a list of side lengths l, got {l_list!r}")
+    if not isinstance(l_list, (list, tuple)) or not l_list:
+        raise ValueError(f"scan needs a nonempty list of side lengths l, got {l_list!r}")
     for N in N_list:
         check_lattice_size(N)
     for l in l_list:

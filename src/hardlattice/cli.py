@@ -10,6 +10,9 @@ Three subcommands driven by a JSON config file:
   rigidity constant, and the closed-form-vs-grid distance agreement,
   written as JSON.
 
+Each block accepts a ``certification_grid`` key and ignores it; the
+window certificate is exact and has no grid.
+
 Exit codes: 0 success; 1 invalid config; 2 inadmissible initial state;
 3 failed identity or verification check.  Outputs embed the resolved
 config and master seed and are written atomically, so identical inputs
@@ -52,6 +55,8 @@ class ConfigError(ValueError):
 
 
 # Allowed keys and validators per config block.  Unknown keys are rejected.
+# ``certification_grid`` is accepted and ignored; the benchmark's set-up
+# probe reads it and passes it to analysis.certify_epsilon.
 _TOP_KEYS = {"seed", "rng", "threads", "out_dir", "scan", "verify", "oracle"}
 
 _SCAN_DEFAULTS = {
@@ -226,16 +231,12 @@ def cmd_scan(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     params = _sampler_params(block)
-    cert = analysis.certify_epsilon(block["epsilon"], block["certification_grid"])
+    cert = analysis.certify_epsilon(block["epsilon"])
     if args.certify_epsilon or not cert.certified:
-        print(
-            f"epsilon={cert.epsilon} grid={cert.grid_points_per_axis} "
-            f"margin={cert.margin!r} certified={cert.certified}"
-        )
+        print(f"epsilon={cert.epsilon} margin={cert.margin!r} certified={cert.certified}")
     if not cert.certified:
         raise ConfigError(
-            f"epsilon = {block['epsilon']} failed certification at grid "
-            f"{block['certification_grid']} (margin {cert.margin!r})"
+            f"epsilon = {block['epsilon']} failed certification (margin {cert.margin!r})"
         )
 
     records = analysis.scan(
@@ -245,7 +246,6 @@ def cmd_scan(args) -> int:
         params,
         master_seed=seed,
         threads=threads,
-        certification_grid=block["certification_grid"],
     )
 
     meta = {
@@ -257,7 +257,6 @@ def cmd_scan(args) -> int:
         "config": block,
         "certificate": {
             "epsilon": cert.epsilon,
-            "grid_points_per_axis": cert.grid_points_per_axis,
             "margin": cert.margin,
             "certified": cert.certified,
         },
@@ -292,31 +291,25 @@ def cmd_verify(args) -> int:
     all_ok = True
 
     # Validate the whole block, in the order scan does, before any check
-    # prints: the chain's sample count, epsilon (inside the margin), then
+    # prints: the chain's sample count, epsilon (in certify_epsilon), then
     # the chain's N, l and proposal radius, then the Monte Carlo sizes of
     # steps 2-4 and 7.
     if params.sweeps // params.thin < 1:
         raise ConfigError("verify requires at least one emitted sample (sweeps // thin >= 1)")
-    try:
-        margin = analysis.epsilon_margin(eps, block["certification_grid"])
-        ok = margin > 0.0
-        detail = f"margin={margin:.6e}"
-    except analysis.CertificationError as exc:
-        ok, detail = False, str(exc)
-        margin = None
+    cert = analysis.certify_epsilon(eps)
     cfgmod.check_lattice_size(block["N"])
     cfgmod.check_side_length(block["l"], eps)
-    if ok:
+    if cert.certified:
         # an uncertified window skips the chain, so only a certified one
         # needs the chain's regime
         check_lean_regime(eps, params.proposal_radius)
     _check_monte_carlo_sizes(block, "verify")
 
     # 1. Certified window.
-    all_ok &= _report("epsilon-certificate", ok, detail)
+    all_ok &= _report("epsilon-certificate", cert.certified, f"margin={cert.margin:.6e}")
 
     # 2. Squared side-deviation bound on random triples.
-    if margin is not None and margin > 0.0:
+    if cert.certified:
         sq = analysis.verify_squared_bound(eps, block["squared_bound_samples"], seed=seed)
         all_ok &= _report(
             "squared-side-bound",
@@ -335,7 +328,7 @@ def cmd_verify(args) -> int:
     all_ok &= _report("so2-distance-oracle", worst <= 2e-3, f"max_abs_diff={worst:.3e}")
 
     # 5-7 need chain samples; skip them when the window itself failed.
-    if margin is None or margin <= 0.0:
+    if not cert.certified:
         _report("identity-suite", False, "skipped: window not certified")
         _report("injectivity-fast-vs-oracle", False, "skipped: window not certified")
         _report("estimate-chain", False, "skipped: window not certified")
@@ -421,22 +414,13 @@ def cmd_oracle(args) -> int:
     ladder_eps = block["epsilon_ladder"]
     if not isinstance(ladder_eps, list) or not ladder_eps:
         raise ConfigError(f"oracle.epsilon_ladder must be a nonempty list, got {ladder_eps!r}")
-    certs = [analysis.certify_epsilon(eps, block["certification_grid"]) for eps in ladder_eps]
+    certs = [analysis.certify_epsilon(eps) for eps in ladder_eps]
     os.makedirs(out_dir, exist_ok=True)
 
-    ladder = []
-    for cert in certs:
-        ladder.append(
-            {
-                "epsilon": cert.epsilon,
-                "grid_points_per_axis": cert.grid_points_per_axis,
-                "grid_margin": cert.grid_margin,
-                "hessian_bound": cert.hessian_bound,
-                "lipschitz_slack": cert.lipschitz_slack,
-                "margin": cert.margin,
-                "certified": cert.certified,
-            }
-        )
+    ladder = [
+        {"epsilon": cert.epsilon, "margin": cert.margin, "certified": cert.certified}
+        for cert in certs
+    ]
     est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
     dist_worst = analysis.dist_so2_agreement(block["dist_matrices"], block["dist_grid"], seed=seed)
 
@@ -485,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--certify-epsilon",
         action="store_true",
-        help="print the window certificate (certification always runs)",
+        help="print the exact window certificate: epsilon, margin and whether "
+        "it is certified (certification always runs)",
     )
     p_scan.add_argument(
         "--emit-gnuplot", action="store_true", help="also write plain-text data blocks"

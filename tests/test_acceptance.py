@@ -140,8 +140,8 @@ def test_criterion_05_geometry_oracles():
 
 def test_criterion_06_window_certification():
     t0 = time.time()
-    margin = A.epsilon_margin(0.1, 64)
-    cert = A.certify_epsilon(0.1, 64)
+    cert = A.certify_epsilon(0.1)
+    margin = cert.margin
     sq = A.verify_squared_bound(0.1, n_samples=1_000_000, seed=616)
     elapsed = time.time() - t0
     ok = margin > 0.0 and cert.certified and sq.n_violations == 0 and sq.scalar_ok and elapsed <= 60.0
@@ -204,9 +204,9 @@ def test_criterion_08_injectivity_oracle_equivalence(grid_snapshots):
 def test_criterion_09_order_parameter_trend():
     t0 = time.time()
     eps = 0.2  # the upper grid point l = 1.1 needs a window reaching past it
-    assert A.epsilon_margin(eps, 512) > 0.0
+    assert A.certify_epsilon(eps).certified
     params = hl.SamplerParams(sweeps=8000, burn_in=2000, thin=4, seed=909)
-    records = A.scan(list(GRID_N), [1.01, 1.1], eps, params, master_seed=909, certification_grid=512)
+    records = A.scan(list(GRID_N), [1.01, 1.1], eps, params, master_seed=909)
     by_point = {(r.N, r.l): r for r in records}
 
     separated = True

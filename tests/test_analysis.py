@@ -1,9 +1,11 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,22 +29,74 @@ def _margin_objective(a1, a2, a3):
     return lam - SQRT3 / 4.0 - dev / (4.0 * SQRT3)
 
 
+def _k(e):
+    """The cubic whose sign decides the certificate, in exact arithmetic."""
+    return 2 - Fraction(7, 3) * e - 4 * e**2 - e**3
+
+
+def _heron_p(a1, a2, a3):
+    """16 * area^2 of the triangle with sides a1, a2, a3 (Heron's product)."""
+    return (a1 + a2 + a3) * (-a1 + a2 + a3) * (a1 - a2 + a3) * (a1 + a2 - a3)
+
+
 class TestEpsilonCertification:
+    # the positive root of k, (sqrt(33) - 3)/6, and the next float up
+    ROOT_BELOW = 0.4574271077563381
+    ROOT_ABOVE = 0.45742710775633816
+
     def test_objective_vanishes_at_unit_corner(self):
         assert _margin_objective(1.0, 1.0, 1.0) == 0.0
 
     def test_default_window_certifies(self):
-        margin = A.epsilon_margin(0.1, 64)
-        assert margin > 0.0
-        cert = A.certify_epsilon(0.1, 64)
+        cert = A.certify_epsilon(0.1)
         assert cert.certified
-        assert cert.lipschitz_slack > 0.0
-        assert cert.grid_margin > cert.margin
+        assert cert.margin == pytest.approx(1.078262e-01, rel=1e-6)
+        # the second argument is the ignored certification_grid
+        assert A.certify_epsilon(0.1, 64) == cert
 
-    def test_wide_window_fails_with_negative_grid_margin(self):
-        margin = A.epsilon_margin(1.0, 64)
-        assert margin <= 0.0
-        assert not A.certify_epsilon(1.0, 64).certified
+    def test_wide_window_fails_with_negative_margin(self):
+        cert = A.certify_epsilon(1.0, 64)
+        assert not cert.certified
+        assert cert.margin <= 0.0
+
+    def test_proof_identities_hold_in_fractions(self):
+        # G = P(1 + d) - 3 - 2S - S^2/3 equals the expansion whose brackets
+        # are nonnegative, and G = eps k(eps) at the corner (1 + eps, 1, 1)
+        rng = random.Random(2024)
+        for _ in range(200):
+            d = [Fraction(rng.randrange(0, 701), 1000) for _ in range(3)]
+            S = sum(d)
+            Q, C, F = (sum(x**n for x in d) for n in (2, 3, 4))
+            G = _heron_p(*(1 + x for x in d)) - 3 - 2 * S - S * S / 3
+            expansion = (
+                sum(x * _k(x) for x in d)
+                + Fraction(11, 3) * (S * S - Q)
+                + 4 * (S * Q - C)
+                + (Q * Q - F)
+            )
+            assert G == expansion
+            e = d[0]
+            assert _heron_p(1 + e, 1, 1) - 3 - 2 * e - e * e / 3 == e * _k(e)
+
+    def test_boundary_floats_around_the_root(self):
+        assert math.nextafter(self.ROOT_BELOW, 1.0) == self.ROOT_ABOVE
+        assert A.certify_epsilon(self.ROOT_BELOW).certified
+        assert not A.certify_epsilon(self.ROOT_ABOVE).certified
+        assert _k(Fraction(self.ROOT_BELOW)) > 0 > _k(Fraction(self.ROOT_ABOVE))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.45, 0.457])
+    def test_certifies_below_the_root(self, eps):
+        cert = A.certify_epsilon(eps)
+        assert cert.certified and cert.margin > 0.0
+
+    @pytest.mark.parametrize("eps", [0.46, 1.0])
+    def test_refuses_above_the_root_with_the_corner_witness(self, eps):
+        cert = A.certify_epsilon(eps)
+        assert not cert.certified and cert.margin <= 0.0
+        corner = (1.0 + eps, 1.0, 1.0)
+        if eps < 1.0:  # the corner of the eps = 1 box is degenerate
+            assert cert.margin == pytest.approx(_margin_objective(*corner) / eps, rel=1e-9)
+            assert _margin_objective(*corner) < 0.0
 
     def test_certified_margin_is_a_true_lower_bound_on_random_triples(self, rng):
         cert = A.certify_epsilon(0.1, 64)
@@ -54,48 +108,29 @@ class TestEpsilonCertification:
             q = _margin_objective(*a) / dev
             assert q >= cert.margin - 1e-12
 
+    def test_margin_is_below_the_grid_minimum_on_a_ladder(self):
+        # q = f/S on a 41^3 Heron grid, unit corner excluded
+        g = 41
+        u = np.linspace(0.0, 1.0, g)
+        u1, u2, u3 = np.meshgrid(u, u, u, indexing="ij")
+        for eps in np.linspace(0.01, 0.45, 45).tolist():
+            a1, a2, a3 = 1.0 + eps * u1, 1.0 + eps * u2, 1.0 + eps * u3
+            dev = (a1 - 1.0) + (a2 - 1.0) + (a3 - 1.0)
+            lam = 0.25 * np.sqrt(_heron_p(a1, a2, a3))
+            f = lam - SQRT3 / 4.0 - dev / (4.0 * SQRT3)
+            q = f[dev > 0.0] / dev[dev > 0.0]
+            cert = A.certify_epsilon(eps)
+            assert cert.certified
+            assert cert.margin <= q.min()
+
     def test_margin_ladder_monotone_nonincreasing(self):
-        margins = [A.certify_epsilon(e, 64).grid_margin for e in (0.05, 0.1, 0.2)]
+        margins = [A.certify_epsilon(e, 64).margin for e in (0.05, 0.1, 0.2)]
         assert margins[0] >= margins[1] >= margins[2]
 
-    def test_grid_too_coarse_raises(self):
-        with pytest.raises(A.CertificationError):
-            A.epsilon_margin(0.2, 64)
-
-    def test_finer_grid_certifies_wider_window(self):
-        assert A.epsilon_margin(0.2, 512) > 0.0
-
-    def test_rejects_tiny_grid(self):
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, math.nan, True, "0.1"])
+    def test_rejects_epsilon_outside_the_unit_interval(self, eps):
         with pytest.raises(ValueError):
-            A.epsilon_margin(0.1, 32)
-
-    def test_hessian_bound_unavailable_at_degenerate_window(self):
-        with pytest.raises(A.CertificationError):
-            A._hessian_bound(1.0)
-
-    def test_hessian_bound_dominates_sampled_hessians(self, rng):
-        # central finite differences of the area function stay below the
-        # interval bound everywhere in the box
-        eps = 0.1
-        bound = A._hessian_bound(eps)
-        h = 1e-5
-        for _ in range(200):
-            a = 1.0 + eps * rng.random(3)
-            H = np.empty((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    aij = a.copy()
-
-                    def f(da_i, da_j, aij=aij, i=i, j=j):
-                        b = aij.copy()
-                        b[i] += da_i
-                        b[j] += da_j
-                        return geometry.heron_area(*b)
-
-                    H[i, j] = (
-                        f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)
-                    ) / (4 * h * h)
-            assert np.sqrt(np.sum(H * H)) <= bound + 1e-3
+            A.certify_epsilon(eps)
 
 
 class TestSquaredBound:
@@ -119,9 +154,16 @@ class TestSquaredBound:
         rhs = 4.0 * SQRT3 * 0.1 * (geometry.heron_area(*a) - SQRT3 / 4.0)
         assert lhs < 1e-20 and abs(rhs) < 1e-10
 
+    @pytest.mark.parametrize("eps", [0.3, 0.45])
+    def test_zero_violations_on_the_wider_certified_windows(self, eps):
+        rep = A.verify_squared_bound(eps, n_samples=100_000, seed=0)
+        assert rep.ok and rep.n_violations == 0 and rep.scalar_ok
+
     def test_requires_certified_window(self):
         with pytest.raises(A.CertificationError):
             A.verify_squared_bound(1.0, n_samples=10)
+        with pytest.raises(A.CertificationError):
+            A.verify_squared_bound(0.46, n_samples=10)
 
 
 class TestRigidityConstant:
@@ -622,7 +664,7 @@ class TestScan:
     def test_rejects_uncertified_window(self):
         params = SamplerParams(sweeps=600, burn_in=0, thin=5, seed=0)
         with pytest.raises(A.CertificationError):
-            A.scan([2], [1.05], 0.2, params, certification_grid=64)
+            A.scan([2], [1.05], 0.46, params)
 
     def test_requires_enough_samples(self):
         params = SamplerParams(sweeps=100, burn_in=0, thin=5, seed=0)

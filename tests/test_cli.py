@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import weakref
 
@@ -70,7 +73,7 @@ class TestConfigValidation:
         assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
     def test_uncertifiable_epsilon(self, tmp_path):
-        cfg = {"scan": dict(SMALL_SCAN["scan"], epsilon=0.2, l=[1.05])}
+        cfg = {"scan": dict(SMALL_SCAN["scan"], epsilon=0.46, l=[1.05])}
         path = _write(tmp_path / "c.json", cfg)
         assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
@@ -81,6 +84,7 @@ class TestConfigValidation:
             ("scan", {"scan": {"sweeps": "600"}}, []),
             ("scan", {"scan": {"epsilon": "0.1"}}, []),
             ("scan", {"scan": {"N": []}}, []),
+            ("scan", {"scan": {"l": []}}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], N=[4])}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], l="1.05")}, []),
             ("verify", FAST_VERIFY, ["--omega2-oracle-every", "-1"]),
@@ -119,7 +123,7 @@ class TestConfigValidation:
             ("oracle", {}, ["--out", ""]),
         ],
         ids=[
-            "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "verify-N-list", "verify-l-str",
+            "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "scan-l-empty", "verify-N-list", "verify-l-str",
             "oracle-every-neg", "verify-rigidity-str", "verify-rigidity-0", "verify-heron-float",
             "verify-heron-0", "verify-dist-0", "verify-squared-0", "verify-dist-grid-4",
             "verify-cap-0", "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
@@ -141,6 +145,30 @@ class TestConfigValidation:
         # the block is rejected before any check runs or any file is written
         assert "PASS" not in captured.out
         assert not (tmp_path / "o" / "oracle.json").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_benchmark_setup_probe_runs_on_the_default_config(self, tmp_path, command):
+        # The benchmark times its set-up with this probe, which passes the
+        # block's certification_grid to certify_epsilon: the key and the
+        # ignored parameter must both keep working.
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+        with open(os.path.join(root, "perfbench", "run.py")) as fh:
+            module = ast.parse(fh.read())
+        probe = next(
+            ast.literal_eval(node.value)
+            for node in module.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "SETUP_CHILD" for t in node.targets)
+        )
+        path = _write(tmp_path / "c.json", {})
+        env = dict(os.environ)
+        src = os.path.join(root, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, path, command], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        float(proc.stdout)
 
 
 class TestScanCommand:
@@ -188,7 +216,7 @@ class TestScanCommand:
         # a different visit order consumes the stream differently
         assert (tmp_path / "a/scan.csv").read_bytes() != (tmp_path / "b/scan.csv").read_bytes()
 
-    def test_gnuplot_emission(self, tmp_path):
+    def test_gnuplot_emission(self, tmp_path, capsys):
         path = _write(tmp_path / "c.json", SMALL_SCAN)
         out = tmp_path / "out"
         assert cli.main(
@@ -197,6 +225,19 @@ class TestScanCommand:
         dat = (out / "scan.dat").read_text()
         assert dat.startswith("# hardlattice scan data")
         assert "identities_ok" in dat
+        cert = analysis.certify_epsilon(0.1)
+        line = f"epsilon=0.1 margin={cert.margin!r} certified=True"
+        assert capsys.readouterr().out.splitlines()[0] == line
+
+    def test_wide_certified_window_scans(self, tmp_path):
+        cfg = {"seed": 11, "scan": dict(SMALL_SCAN["scan"], epsilon=0.3, l=[1.2])}
+        path = _write(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["scan", "--config", path, "--out", str(out)]) == 0
+        meta = json.loads((out / "scan.meta.json").read_text())
+        assert set(meta["certificate"]) == {"epsilon", "margin", "certified"}
+        assert meta["certificate"]["certified"] is True
+        assert meta["config"]["certification_grid"] == 64  # accepted and ignored
 
     def test_no_partial_output_on_failure(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -401,7 +442,10 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--config", path, "--out", str(out)]) == 0
         payload = json.loads((out / "oracle.json").read_text())
         assert payload["schema"] == cli.ORACLE_SCHEMA
-        margins = [r["grid_margin"] for r in payload["epsilon_ladder"]]
+        ladder = payload["epsilon_ladder"]
+        assert all(set(r) == {"epsilon", "margin", "certified"} for r in ladder)
+        assert all(r["certified"] for r in ladder)
+        margins = [r["margin"] for r in ladder]
         assert margins == sorted(margins, reverse=True)
         assert payload["rigidity_constant"]["c_hat"] >= 2.0
         assert payload["dist_so2_agreement"]["max_abs_diff"] <= 2e-3
