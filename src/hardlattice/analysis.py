@@ -117,9 +117,9 @@ def certify_epsilon(epsilon: float, certification_grid=None) -> EpsilonCertifica
     return EpsilonCertificate(epsilon, margin, k > 0)
 
 
-# Side-length triples drawn per block by the squared-bound check; any
-# block size consumes the same stream, and 25k keeps the work in cache.
-_SQUARED_DRAW = 25_000
+# Side-length triples (or scalar-step draws) per block of the squared-bound
+# check, drawn into one buffer; any size keeps the stream, 8k the work ~1 MB.
+_SQUARED_DRAW = 8192
 
 
 @dataclass
@@ -145,8 +145,9 @@ def verify_squared_bound(
     Tests ``sum (a_i-1)^2 <= 4*sqrt(3)*eps*(area(a) - area0)`` on uniform
     side-length triples in the window, together with the scalar step
     ``(a-1)^2 <= eps*(a-1)`` it rests on.  Requires a certified window.
-    Triples are drawn in blocks of :data:`_SQUARED_DRAW`, which consumes
-    the same stream as one draw.
+    Triples, then the 100k scalar draws, are drawn in blocks of
+    :data:`_SQUARED_DRAW` into one buffer; that consumes the same stream
+    as one draw each, and no result depends on the blocks.
     """
     check_sample_count(n_samples)
     if not certify_epsilon(epsilon).certified:
@@ -154,53 +155,34 @@ def verify_squared_bound(
             f"epsilon = {epsilon} is not certified; the squared bound presupposes it"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
+    buf = np.empty(3 * _SQUARED_DRAW)
     violations = 0
     min_margin = math.inf
-    done = 0
-    while done < n_samples:
-        n = min(_SQUARED_DRAW, n_samples - done)
-        margin = _squared_bound_margins(rng.random((n, 3)), epsilon)
+    for start in range(0, n_samples, _SQUARED_DRAW):
+        u = rng.random(out=buf[: 3 * min(_SQUARED_DRAW, n_samples - start)]).reshape(-1, 3)
+        margin = _squared_bound_margins(u, epsilon)
         violations += int(np.count_nonzero(~(margin >= 0.0)))  # a NaN margin violates
         min_margin = _fold_min(min_margin, float(margin.min()))
-        done += n
-    x = 1.0 + epsilon * rng.random(100_000)
-    d = x - 1.0
-    scalar_ok = bool(np.all(d * d <= epsilon * d))
+    scalar_ok = True
+    for start in range(0, 100_000, _SQUARED_DRAW):
+        d = 1.0 + epsilon * rng.random(out=buf[: min(_SQUARED_DRAW, 100_000 - start)]) - 1.0
+        scalar_ok &= bool(np.all(d * d <= epsilon * d))
     return SquaredBoundReport(epsilon, n_samples, violations, min_margin, scalar_ok)
 
 
 def _squared_bound_margins(u: np.ndarray, epsilon: float) -> np.ndarray:
     """``rhs - lhs`` of the squared bound for the sides ``1 + epsilon*u``, ``u`` of shape ``(n, 3)``.
 
-    The sides are laid out as three contiguous rows.  Sums run left to
-    right, as ``np.sum(axis=1)`` adds three columns, and Heron's product
-    ``s0*s1*s2*s3`` and the margin in the order the formula reads, so
-    every margin is bitwise that of the formula on numpy's row sums.
+    Sums and Heron's product ``s0*s1*s2*s3`` run left to right, as the
+    formula reads and as ``np.sum(axis=1)`` adds three columns, so every
+    margin is bitwise that of the formula on numpy's row sums.
     """
-    a = np.ascontiguousarray(u.T)
-    a *= epsilon
-    a += 1.0
-    a0, a1, a2 = a
+    a0, a1, a2 = a = 1.0 + epsilon * u.T
     dev = a - 1.0
-    dev *= dev
-    lhs = dev[0] + dev[1]
-    lhs += dev[2]
-    # s0 = (a0 + a1) + a2, s1 = (-a0 + a1) + a2 = a2 - w,
-    # s2 = (a0 - a1) + a2 = w + a2, s3 = (a0 + a1) - a2, w = a0 - a1
-    pair = a0 + a1
-    w = a0 - a1
-    prod = pair + a2
-    prod *= a2 - w
-    prod *= w + a2
-    pair -= a2
-    prod *= pair
-    np.clip(prod, 0.0, None, out=prod)
-    margin = np.sqrt(prod, out=prod)
-    margin *= 0.25  # the area lam
-    margin -= 0.25 * math.sqrt(3.0)  # lam0
-    margin *= FOUR_SQRT3 * epsilon  # rhs
-    margin -= lhs
-    return margin
+    lhs = dev[0] * dev[0] + dev[1] * dev[1] + dev[2] * dev[2]
+    prod = (a0 + a1 + a2) * (-a0 + a1 + a2) * (a0 - a1 + a2) * (a0 + a1 - a2)
+    lam = 0.25 * np.sqrt(np.clip(prod, 0.0, None))
+    return FOUR_SQRT3 * epsilon * (lam - 0.25 * math.sqrt(3.0)) - lhs
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +194,10 @@ _V_DIRECTIONS = np.array([[1.0, 0.0], [0.5, SQRT3 / 2.0], [0.5, -SQRT3 / 2.0]])
 
 # Candidates per batch; the batch size fixes the random stream, so
 # changing it changes c_hat.  Each batch's E is drawn and tested in
-# sub-blocks, which consumes the same stream as one draw per batch and
-# keeps the work arrays small.
+# sub-blocks, which consumes the same stream as one draw per batch for
+# any divisor of the batch; 10k keeps the reused work arrays near 1 MB.
 _RIGIDITY_DRAW = 200_000
-_RIGIDITY_BLOCK = 25_000
+_RIGIDITY_BLOCK = 10_000
 
 # Relative slack of the estimator's squared-length prefilter, and the
 # largest cap for which its lower bound is proved; the derivation is in
@@ -227,9 +209,9 @@ _RIGIDITY_LOWER_CAP = 0.5
 # half survive the det > 0 rejection.
 _AGREEMENT_DRAW = 256
 
-# Triangles drawn per block by the Heron check.  Blocked draws consume
-# the same stream as one draw per triangle.
-_HERON_DRAW = 4096
+# Triangles drawn per block by the Heron check, into one buffer: the same
+# stream as one draw per triangle, and 2k keeps a block's pass near 0.5 MB.
+_HERON_DRAW = 2048
 
 
 def _fold_max(worst: float, x: float) -> float:
@@ -335,16 +317,21 @@ def estimate_rigidity_constant(
     rng = np.random.Generator(np.random.PCG64(seed))
     h = _V_DIRECTIONS[1, 1]
     q_lo, q_hi = _rigidity_q_bounds(cap)
+    low, high = -2.0 * cap, 2.0 * cap
     # work arrays, reused by every sub-block: the entries of A as rows
-    # (a00, a01, a10, a11), four image components, q and its partner
+    # (a00, a01, a10, a11), four image components, q and its partner; the
+    # raw draw, rows of (e00, e01, e10, e11), fills the image components
     a = np.empty((4, _RIGIDITY_BLOCK))
-    x_half, y_half, x_h, y_h, q, w = np.empty((6, _RIGIDITY_BLOCK))
+    x_half, y_half, x_h, y_h, q, w = work = np.empty((6, _RIGIDITY_BLOCK))
+    draw = work[:4].reshape(_RIGIDITY_BLOCK, 4)
     keep, test = np.empty((2, _RIGIDITY_BLOCK), dtype=bool)
     c_hat = 0.0
     kept = 0
     while kept < n_samples:
         for _ in range(_RIGIDITY_DRAW // _RIGIDITY_BLOCK):
-            a[...] = rng.uniform(-2.0 * cap, 2.0 * cap, size=(_RIGIDITY_BLOCK, 4)).T
+            # bitwise rng.uniform(low, high), which is low + (high - low) * u
+            np.multiply(rng.random(out=draw).T, high - low, out=a)
+            a += low
             # Id + E: off the diagonal 0.0 + e is e, as the draw
             # low + (high - low) * u never yields -0.0
             a[0] += 1.0
@@ -423,22 +410,33 @@ def heron_cross_agreement(n_triangles: int = 10_000, seed: int = 0, jitter: floa
     """Max relative difference between the side-length area formula and the
     cross-product area on random perturbations of the unit triangle.
 
-    The corners are drawn in blocks and each triangle is checked in
-    Python floats."""
+    The corners are drawn in blocks into one buffer, and each block is
+    checked in one array pass: the sides by ``math.hypot``, then the
+    expressions of :func:`geometry.heron_area` and
+    :func:`geometry.signed_area` in their order, so every ratio is
+    bitwise theirs.  A NaN ratio is kept.  The first triangle, in draw
+    order, on which those scalars raise makes this raise the same error."""
     check_sample_count(n_triangles, "n_triangles")
     rng = np.random.Generator(np.random.PCG64(seed))
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
+    buf = np.empty((min(_HERON_DRAW, n_triangles), 3, 2))
     worst = 0.0
     for start in range(0, n_triangles, _HERON_DRAW):
-        k = min(_HERON_DRAW, n_triangles - start)
-        pts = base + jitter * (2.0 * rng.random((k, 3, 2)) - 1.0)
-        for p0, p1, p2 in pts.tolist():
-            a1 = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-            a2 = math.hypot(p2[0] - p1[0], p2[1] - p1[1])
-            a3 = math.hypot(p0[0] - p2[0], p0[1] - p2[1])
-            h = geometry.heron_area(a1, a2, a3)
-            c = abs(geometry.signed_area(p0, p1, p2))
-            worst = _fold_max(worst, abs(h - c) / c)
+        u = rng.random(out=buf[: min(_HERON_DRAW, n_triangles - start)])
+        p0x, p0y, p1x, p1y, p2x, p2y = (base + jitter * (2.0 * u - 1.0)).reshape(-1, 6).T
+        with np.errstate(all="ignore"):  # as on Python floats, which warn of nothing
+            a1, a2, a3 = (
+                np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+                for x, y in ((p1x - p0x, p1y - p0y), (p2x - p1x, p2y - p1y), (p0x - p2x, p0y - p2y))
+            )
+            rad = (a1 + a2 + a3) * (-a1 + a2 + a3) * (a1 - a2 + a3) * (a1 + a2 - a3)
+            c = np.abs(0.5 * ((p1x - p0x) * (p2y - p0y) - (p1y - p0y) * (p2x - p0x)))
+            bad = (a1 <= 0.0) | (a2 <= 0.0) | (a3 <= 0.0) | (rad <= 0.0) | (c == 0.0)
+            if bad.any():  # rerun the first bad triangle through the scalars, which raise
+                i = int(np.argmax(bad))
+                geometry.heron_area(float(a1[i]), float(a2[i]), float(a3[i]))
+                raise ZeroDivisionError("float division by zero")
+            worst = _fold_max(worst, float((np.abs(0.25 * np.sqrt(rad) - c) / c).max()))
     return worst
 
 

@@ -577,6 +577,7 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
         for n in np.flatnonzero(~decided).tolist():
             overlap[n] = geometry.triangles_overlap(P[n], Q[n])
         hits += zip(ii[overlap].tolist(), jj[overlap].tolist(), kk[overlap].tolist())
+        del ii, jj, kk, P, Q  # not held while the next chunk is built
     if not hits:
         return CheckResult(True)
     tris = lattice.triangles(cfg.N)
@@ -653,7 +654,9 @@ def _oracle_pairs(cfg: Configuration):
 
     reach = 1.0625 * float((hi_s - lo_s).max())
     h = reach / 2
-    cell = np.floor(lo_s / h).astype(np.int64)
+    cell = np.empty(lo_s.shape, np.int64)
+    for axis in range(2):  # one float column at a time
+        np.floor(lo_s[:, axis] / h, out=cell[:, axis], casting="unsafe")
     first = np.floor((lo - reach) / h).astype(np.int64)
     last = np.floor(hi / h).astype(np.int64)
     base = np.minimum(cell.min(axis=0), first.min(axis=0))
@@ -661,10 +664,11 @@ def _oracle_pairs(cfg: Configuration):
     first -= base
     last -= base
     stride = int(max(cell[:, 1].max(), last[:, 1].max())) + 1  # rows of keys never overlap
-    key = cell[:, 0] * stride + cell[:, 1]
-    order = np.argsort(key)
-    sorted_key = key[order]
-    del cell, key  # the generator's frame would hold them while it is paused
+    sorted_key = cell[:, 0] * stride
+    sorted_key += cell[:, 1]
+    del cell  # the generator's frame would hold it while it is paused
+    order = np.argsort(sorted_key)
+    sorted_key.sort()  # in place: the values of sorted_key[order]
 
     def pairs(tri):
         # A function, so that its candidate arrays are freed before the
@@ -676,18 +680,19 @@ def _oracle_pairs(cfg: Configuration):
         count = np.searchsorted(sorted_key, row_x * stride + last[row_tri, 1], side="right") - start
         ii = np.repeat(row_tri, count)
         img = order[np.repeat(start - (np.cumsum(count) - count), count) + np.arange(ii.size)]
-        kk, jj = np.divmod(img, T)
-        keep = (ii < jj) | ((ii == jj) & _HALF_SHIFTS[kk])
-        ii, jj, kk, img = ii[keep], jj[keep], kk[keep], img[keep]
+        keep = (ii < img % T) | ((ii == img % T) & _HALF_SHIFTS[img // T])
+        ii, img = ii[keep], img[keep]  # kk and jj follow from img once it is filtered
         box = (lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii])
         keep = box[:, 0] & box[:, 1]
-        ii, jj, kk = ii[keep], jj[keep], kk[keep]
+        ii, img = ii[keep], img[keep]
+        kk, jj = np.divmod(img, T)
         sort = np.lexsort((kk, jj, ii))
         return ii[sort], jj[sort], kk[sort]
 
     for c0 in range(0, T, _ORACLE_CHUNK):
         ii, jj, kk = pairs(every[c0 : c0 + _ORACLE_CHUNK])
         yield ii, jj, kk, corners[ii], _tiled_corners(cfg, jj, kk)
+        del ii, jj, kk  # not held while the next chunk is built
 
 
 def is_admissible(cfg: Configuration) -> AdmissibilityReport:

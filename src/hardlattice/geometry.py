@@ -99,8 +99,8 @@ def check_grid_size(n_grid, name: str = "n_grid") -> None:
 
 
 # Matrices per grid-search chunk: two (chunk, n_grid) work arrays of
-# 460 kB at the default grid stay in cache; 16 ran fastest of 4 ... 64.
-_BRUTEFORCE_CHUNK = 16
+# 230 kB at the default grid stay in cache; 8 ran as fast as 16.
+_BRUTEFORCE_CHUNK = 8
 
 
 def dist_so2_bruteforce(M, n_grid: int = 3600):
@@ -241,26 +241,27 @@ def orient_signs(a, b, c):
     ``sign`` is the exact sign; elsewhere it is meaningless.
     """
     a, b, c = np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
+    # Four work arrays; each step overwrites one only when no later step reads it.
+    work = np.empty((4, *np.broadcast_shapes(a.shape[:-1], b.shape[:-1], c.shape[:-1])))
+    ax, ay, bx, by = (work[i, ...] for i in range(4))
     with np.errstate(over="ignore", invalid="ignore"):
-        ax = a[..., 0] - c[..., 0]
-        ay = a[..., 1] - c[..., 1]
-        bx = b[..., 0] - c[..., 0]
-        by = b[..., 1] - c[..., 1]
-        detleft = ax * by
-        detright = ay * bx
-        det = detleft - detright
-        detsum = np.abs(detleft + detright)
-        sign = np.sign(det).astype(np.int8)
-    underflow = ((np.abs(detleft) < _MIN_NORMAL) & (ax != 0.0) & (by != 0.0)) | (
-        (np.abs(detright) < _MIN_NORMAL) & (ay != 0.0) & (bx != 0.0)
-    )
-    # Where the products share a strict sign, |detleft + detright| is the
-    # scalar's detsum.  Where they do not, the scalar skips the bound, and
-    # the test below passes anyway: rounding is monotone, so then
-    # |detleft + detright| <= |det| in floats.  A non-finite det (an
-    # overflow, or a non-finite corner) is left undecided, as the scalar
-    # leaves it to rational arithmetic.
-    decided = ~underflow & np.isfinite(det) & (np.abs(det) >= _ORIENT_ERRBOUND * detsum)
+        for out, p, k in ((ax, a, 0), (ay, a, 1), (bx, b, 0), (by, b, 1)):
+            np.subtract(p[..., k], c[..., k], out=out)
+        underflow, underflow_right = (ax != 0.0) & (by != 0.0), (ay != 0.0) & (bx != 0.0)
+        detleft, detright = np.multiply(ax, by, out=ax), np.multiply(ay, bx, out=ay)
+        underflow &= np.abs(detleft, out=by) < _MIN_NORMAL
+        underflow |= underflow_right & (np.abs(detright, out=bx) < _MIN_NORMAL)
+        det = np.subtract(detleft, detright, out=bx)
+        detsum = np.abs(np.add(detleft, detright, out=by), out=by)
+        sign = np.sign(det, out=ay).astype(np.int8)
+        # Where the products share a strict sign, |detleft + detright| is
+        # the scalar's detsum.  Where they do not, the scalar skips the
+        # bound, and the test below passes anyway: rounding is monotone,
+        # so then |detleft + detright| <= |det| in floats.  A non-finite
+        # det (an overflow, or a non-finite corner) is left undecided, as
+        # the scalar leaves it to rational arithmetic.
+        decided = np.abs(det, out=ax) >= np.multiply(detsum, _ORIENT_ERRBOUND, out=detsum)
+        decided &= np.isfinite(det) & ~underflow
     return sign, decided
 
 
@@ -295,27 +296,31 @@ def triangles_overlap_block(P, Q):
     (lo_p, hi_p), (lo_q, hi_q) = corner_box(P), corner_box(Q)
     apart = (hi_p <= lo_q) | (hi_q <= lo_p)
     apart = apart[:, 0] | apart[:, 1]
+    del lo_p, hi_p, lo_q, hi_q  # the edge tests below set the peak
 
-    # Three-valued separating-edge test: an edge separates for certain if
-    # the other triangle's three corners are all decided on or right of
-    # it, and certainly not if any is decided strictly left of it.
+    # Three-valued separating-edge test, edge by edge: an edge separates
+    # for certain if the other triangle's three corners are all decided on
+    # or right of it, and certainly not if any is decided strictly left of it.
     separated = np.zeros_like(apart)
     joined = np.ones_like(apart)
     for S, V in ((P, Q), (Q, P)):
-        sign, decided = orient_signs(S[:, :, None], S[:, [1, 2, 0], None], V[:, None, :])
-        separated |= _any3(_all3(decided & (sign <= 0)))
-        joined &= _all3(_any3(decided & (sign > 0)))
+        for i in range(3):
+            sign, decided = orient_signs(S[:, i, None], S[:, (i + 1) % 3, None], V)
+            separated |= (decided & (sign <= 0)).all(axis=1)
+            joined &= (decided & (sign > 0)).any(axis=1)
     decided = ok_p & ok_q & (apart | separated | joined)
     return decided & ~apart & ~separated, decided
 
 
 def _ccw_stack(T):
-    """Counterclockwise copies of a stack of triangles, and where the
-    orientation that decides the swap is settled and nonzero."""
-    T = np.array(T, float)
+    """A stack of triangles made counterclockwise (in a copy, if any is not),
+    and where the orientation that decides the swap is settled and nonzero."""
+    T = np.asarray(T, float)
     sign, decided = orient_signs(T[:, 0], T[:, 1], T[:, 2])
     cw = sign < 0
-    T[cw] = T[cw][:, [0, 2, 1]]
+    if cw.any():  # copy only then: image triangles are counterclockwise
+        T = T.copy()
+        T[cw] = T[cw][:, [0, 2, 1]]
     return T, decided & (sign != 0)
 
 
@@ -323,14 +328,6 @@ def corner_box(T):
     """Bounding boxes ``(lo, hi)`` of a stack of triangles ``(..., 3, 2)``."""
     a, b, c = T[..., 0, :], T[..., 1, :], T[..., 2, :]
     return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-
-
-def _all3(x):
-    return x[..., 0] & x[..., 1] & x[..., 2]
-
-
-def _any3(x):
-    return x[..., 0] | x[..., 1] | x[..., 2]
 
 
 def _ccw_corners(tri):

@@ -56,3 +56,57 @@ def fraction_winding():
     The test reference for the lemma in ``hardlattice.configuration``:
     where exact omega3 holds, every vertex star winds once."""
     return _fraction_winding
+
+
+def _allocating_orient_signs(a, b, c):
+    """``geometry.orient_signs`` as it was before its work arrays were
+    reused: every step allocates, and the nine edge-vertex signs of a
+    pair come from one broadcast call."""
+    a, b, c = np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax = a[..., 0] - c[..., 0]
+        ay = a[..., 1] - c[..., 1]
+        bx = b[..., 0] - c[..., 0]
+        by = b[..., 1] - c[..., 1]
+        detleft = ax * by
+        detright = ay * bx
+        det = detleft - detright
+        detsum = np.abs(detleft + detright)
+        sign = np.sign(det).astype(np.int8)
+    underflow = ((np.abs(detleft) < hl.geometry._MIN_NORMAL) & (ax != 0.0) & (by != 0.0)) | (
+        (np.abs(detright) < hl.geometry._MIN_NORMAL) & (ay != 0.0) & (bx != 0.0)
+    )
+    bound = hl.geometry._ORIENT_ERRBOUND * detsum
+    return sign, ~underflow & np.isfinite(det) & (np.abs(det) >= bound)
+
+
+def _broadcast_overlap_block(P, Q):
+    """``geometry.triangles_overlap_block`` as it was before it tested one
+    edge at a time: all nine signs of a direction in one ``(M, 3, 3)``
+    broadcast of :func:`_allocating_orient_signs`."""
+    (P, ok_p), (Q, ok_q) = hl.geometry._ccw_stack(P), hl.geometry._ccw_stack(Q)
+    (lo_p, hi_p), (lo_q, hi_q) = hl.geometry.corner_box(P), hl.geometry.corner_box(Q)
+    apart = (hi_p <= lo_q) | (hi_q <= lo_p)
+    apart = apart[:, 0] | apart[:, 1]
+    separated = np.zeros_like(apart)
+    joined = np.ones_like(apart)
+    for S, V in ((P, Q), (Q, P)):
+        sign, decided = _allocating_orient_signs(S[:, :, None], S[:, [1, 2, 0], None], V[:, None, :])
+        separated |= (decided & (sign <= 0)).all(axis=2).any(axis=1)
+        joined &= (decided & (sign > 0)).any(axis=2).all(axis=1)
+    decided = ok_p & ok_q & (apart | separated | joined)
+    return decided & ~apart & ~separated, decided
+
+
+@pytest.fixture(scope="session")
+def allocating_orient_signs():
+    """The allocating form of ``geometry.orient_signs``, the reference
+    its in-place form is pinned to bitwise."""
+    return _allocating_orient_signs
+
+
+@pytest.fixture(scope="session")
+def broadcast_overlap_block():
+    """The broadcast form of ``geometry.triangles_overlap_block``, the
+    reference its one-edge-at-a-time form is pinned to."""
+    return _broadcast_overlap_block

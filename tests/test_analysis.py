@@ -208,15 +208,37 @@ class TestRigidityConstant:
             A.check_deviation_cap(cap)
 
     def test_peak_memory_stays_small(self):
-        # the verify default: one 200k-candidate draw, processed in
-        # sub-blocks; the whole-batch temporaries peaked near 55 MB
-        tracemalloc.start()
-        try:
-            A.estimate_rigidity_constant(n_samples=200_000, deviation_cap=0.1, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24e6
+        # the verify default: each 200k-candidate batch drawn into reused
+        # 10k-row buffers; 25k-row sub-blocks with a fresh draw each
+        # peaked at 3.4 MB
+        assert _peak_bytes(lambda: A.estimate_rigidity_constant(200_000, 0.1, seed=1)) < 2e6
+
+
+def _peak_bytes(call):
+    """tracemalloc peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSampledChecksPeakMemory:
+    """Steps 2-4 of ``verify`` at its default sizes; each bound failed at
+    the sizes and whole-block temporaries these checks had before."""
+
+    def test_squared_bound(self):
+        # 25k-triple draws peaked at 3.5 MB
+        assert _peak_bytes(lambda: A.verify_squared_bound(0.1, 200_000, seed=1)) < 1.5e6
+
+    def test_heron_cross_agreement(self):
+        # the scalar loop over 4,096-triangle blocks peaked at 2.0 MB
+        assert _peak_bytes(lambda: A.heron_cross_agreement(10_000, seed=1)) < 1.5e6
+
+    def test_dist_so2_agreement(self):
+        # 16-matrix grid-search chunks peaked at 1.0 MB
+        assert _peak_bytes(lambda: A.dist_so2_agreement(2000, 3600, seed=1)) < 0.8e6
 
 
 def _reference_rigidity_constant(n_samples, deviation_cap, seed):
@@ -270,19 +292,54 @@ def _reference_dist_so2_agreement(n_matrices, n_grid, seed):
 
 
 def _reference_heron_cross_agreement(n_triangles, seed, jitter=0.05):
-    """One draw and numpy-scalar arithmetic per triangle."""
+    """The scalar loop: one draw per triangle, then the scalar formulas on
+    Python floats, which raise where the array pass must raise."""
     rng = np.random.Generator(np.random.PCG64(seed))
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
     worst = 0.0
     for _ in range(n_triangles):
-        pts = base + jitter * (2.0 * rng.random((3, 2)) - 1.0)
-        a1 = math.hypot(*(pts[1] - pts[0]))
-        a2 = math.hypot(*(pts[2] - pts[1]))
-        a3 = math.hypot(*(pts[0] - pts[2]))
+        p0, p1, p2 = (base + jitter * (2.0 * rng.random((3, 2)) - 1.0)).tolist()
+        a1 = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
+        a2 = math.hypot(p2[0] - p1[0], p2[1] - p1[1])
+        a3 = math.hypot(p0[0] - p2[0], p0[1] - p2[1])
         h = geometry.heron_area(a1, a2, a3)
-        c = abs(geometry.signed_area(pts[0], pts[1], pts[2]))
-        worst = max(worst, abs(h - c) / c)
+        c = abs(geometry.signed_area(p0, p1, p2))
+        worst = A._fold_max(worst, abs(h - c) / c)
     return worst
+
+
+# The six doubles of one triangle's draw that, at jitter 1, fold it so
+# that the scalar loop raises: corners (0, 0), (1, 0), (0.5, 0) are
+# collinear with Heron's product 0; (0, 0), (1, 0), (0, 0) repeat a
+# corner; the third triangle lies on the line y = x, so its cross
+# product is exactly 0 while its rounded sides keep Heron's product > 0.
+_HALF_ROOT3 = SQRT3 / 2.0
+_FOLDED_DRAWS = {
+    "collinear": [0.5, 0.5, 0.5, 0.5, 0.5, (1.0 - _HALF_ROOT3) / 2.0],
+    "repeated": [0.5, 0.5, 0.5, 0.5, 0.25, (1.0 - _HALF_ROOT3) / 2.0],
+    "flat": [0.5, 0.5, 0.4569256484551104, 0.9569256484551104, 0.5364393954584128, 0.3534266935661935],
+}
+
+
+class _PlantedStream:
+    """``np.random.Generator`` on the given bit generator, except that the
+    six doubles of each planted triangle index ``k`` (doubles ``6k`` to
+    ``6k + 5`` of the stream) are replaced."""
+
+    def __init__(self, generator, bit_generator, planted):
+        self._rng = generator(bit_generator)
+        self._planted = planted
+        self._drawn = 0
+
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        flat = u.reshape(-1)
+        for k, six in self._planted.items():
+            at = 6 * k - self._drawn
+            if 0 <= at < flat.size:
+                flat[at : at + 6] = six
+        self._drawn += flat.size
+        return u
 
 
 class TestSampledChecksMatchReference:
@@ -314,6 +371,71 @@ class TestSampledChecksMatchReference:
         # more triangles than one draw block
         n = A._HERON_DRAW + 900
         assert A.heron_cross_agreement(n, seed=seed) == _reference_heron_cross_agreement(n, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("jitter", [1e-3, 0.2, 0.5])
+    def test_heron_cross_agreement_bitwise_at_other_jitters(self, seed, jitter):
+        n = A._HERON_DRAW + 900
+        got = A.heron_cross_agreement(n, seed=seed, jitter=jitter)
+        assert got == _reference_heron_cross_agreement(n, seed, jitter)
+
+    @pytest.mark.parametrize(
+        "planted, want",
+        [
+            ({5: "flat"}, ZeroDivisionError),
+            ({0: "collinear"}, geometry.DegenerateTriangleError),
+            ({A._HERON_DRAW + 3: "repeated"}, ValueError),
+            ({9: "flat", 4: "collinear", 7: "repeated"}, geometry.DegenerateTriangleError),
+            ({3: "flat", 8: "collinear"}, ZeroDivisionError),
+            ({A._HERON_DRAW - 1: "repeated", A._HERON_DRAW: "collinear"}, ValueError),
+        ],
+    )
+    def test_heron_cross_agreement_raises_as_the_scalar_loop(self, monkeypatch, planted, want):
+        # the first folded triangle in draw order raises, with the error
+        # and message of the scalar loop, and no numpy warning
+        real = np.random.Generator
+        draws = {k: _FOLDED_DRAWS[name] for k, name in planted.items()}
+        monkeypatch.setattr(np.random, "Generator", lambda bg: _PlantedStream(real, bg, draws))
+        raised = []
+        for check in (A.heron_cross_agreement, _reference_heron_cross_agreement):
+            with pytest.raises((ValueError, ZeroDivisionError)) as info:
+                check(A._HERON_DRAW + 900, seed=3, jitter=1.0)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("block", [7, 8192, 25_000])
+    def test_squared_bound_does_not_depend_on_the_block(self, monkeypatch, seed, block):
+        monkeypatch.setattr(A, "_SQUARED_DRAW", block)
+        got = A.verify_squared_bound(0.1, 30_001, seed=seed)
+        assert got == _reference_squared_bound(0.1, 30_001, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("block", [5_000, 8_000, 10_000, 20_000, 25_000, 40_000])
+    def test_rigidity_constant_does_not_depend_on_the_block(self, monkeypatch, seed, block):
+        # every block size tried divides the batch; 50_001 samples reach
+        # into the second batch
+        assert A._RIGIDITY_DRAW % block == 0
+        monkeypatch.setattr(A, "_RIGIDITY_BLOCK", block)
+        est = A.estimate_rigidity_constant(50_001, 0.1, seed=seed)
+        c_hat, kept, _ = _reference_rigidity_batch(50_001, 0.1, seed)
+        assert (est.c_hat, est.n_samples) == (c_hat, kept)
+
+    @pytest.mark.parametrize("cap", [1e-3, 0.05, 0.1, 1.0 / 3.0, 0.999, 1.0])
+    def test_random_out_with_the_affine_step_is_uniform(self, cap):
+        # the estimator's draw: Generator.uniform(low, high) computes
+        # low + (high - low) * u, so random(out=) then * span, + low in
+        # place gives its bits, sub-block after sub-block
+        low, high = -2.0 * cap, 2.0 * cap
+        drawn = np.random.Generator(np.random.PCG64(5))
+        filled = np.random.Generator(np.random.PCG64(5))
+        draw, a = np.empty((1000, 4)), np.empty((4, 1000))
+        for _ in range(51):
+            want = drawn.uniform(low, high, size=(1000, 4)).T
+            np.multiply(filled.random(out=draw).T, high - low, out=a)
+            a += low
+            assert a.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def _reference_rigidity_batch(n_samples, deviation_cap, seed):
@@ -576,6 +698,18 @@ class TestFoldsKeepNaN:
         monkeypatch.setattr(geometry, "dist_so2_bruteforce", nan_in_second)
         assert math.isnan(A.dist_so2_agreement(1000, 97, seed=0))
         assert len(calls) > 2
+
+    def test_heron_cross_agreement(self, monkeypatch):
+        # a NaN side in the second block
+        real = math.hypot
+        calls = []
+
+        def nan_in_second_block(x, y):
+            calls.append(None)
+            return math.nan if len(calls) == 3 * A._HERON_DRAW + 5 else real(x, y)
+
+        monkeypatch.setattr(math, "hypot", nan_in_second_block)
+        assert math.isnan(A.heron_cross_agreement(2 * A._HERON_DRAW + 10, seed=0))
 
     def test_squared_bound_margin(self, monkeypatch):
         monkeypatch.setattr(A, "certify_epsilon", lambda *args: SimpleNamespace(certified=True))

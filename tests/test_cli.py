@@ -21,6 +21,48 @@ def _write(path, payload):
     return str(path)
 
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def _perfbench_constant(name):
+    """The literal value of a top-level constant of ``perfbench/run.py``."""
+    with open(os.path.join(ROOT, "perfbench", "run.py")) as fh:
+        module = ast.parse(fh.read())
+    return next(
+        ast.literal_eval(node.value)
+        for node in module.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
+    )
+
+
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+# Runs argv[1:] and prints its exit code and wait4 peak RSS in KiB.  A
+# child's peak counts the memory of the process it was forked from, so
+# the child is started from this small interpreter, not from pytest.
+_MAXRSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _child_maxrss_mb(argv, cwd):
+    """Exit code and peak RSS in MiB of a child process, from wait4."""
+    out = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_LAUNCHER, *argv], capture_output=True, text=True, env=_src_env(), cwd=cwd
+    )
+    assert out.returncode == 0, out.stderr
+    code, kib = out.stdout.split()
+    return int(code), int(kib) / 1024.0
+
+
 SMALL_SCAN = {
     "seed": 11,
     "scan": {"N": [2], "l": [1.05], "sweeps": 600, "burn_in": 100, "thin": 5},
@@ -151,24 +193,32 @@ class TestConfigValidation:
         # The benchmark times its set-up with this probe, which passes the
         # block's certification_grid to certify_epsilon: the key and the
         # ignored parameter must both keep working.
-        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-        with open(os.path.join(root, "perfbench", "run.py")) as fh:
-            module = ast.parse(fh.read())
-        probe = next(
-            ast.literal_eval(node.value)
-            for node in module.body
-            if isinstance(node, ast.Assign)
-            and any(getattr(t, "id", None) == "SETUP_CHILD" for t in node.targets)
-        )
+        probe = _perfbench_constant("SETUP_CHILD")
         path = _write(tmp_path / "c.json", {})
-        env = dict(os.environ)
-        src = os.path.join(root, "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", probe, path, command], capture_output=True, text=True, env=env
+            [sys.executable, "-c", probe, path, command], capture_output=True, text=True, env=_src_env()
         )
         assert proc.returncode == 0, proc.stderr
         float(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_benchmark_verify_block_stays_within_7_mb_of_import(tmp_path):
+    # End-to-end guard on the benchmark's verify-oracle workload: the
+    # child's peak RSS over an import-only child is the memory of the
+    # checks themselves, heap growth included, which tracemalloc does
+    # not see.  It was 9 MB when steps 2, 3 and 7 drew whole 25k blocks
+    # and the oracle tested all nine signs of a pair at once.
+    block = _perfbench_constant("WORKLOADS")["verify-oracle"]["block"]
+    path = _write(tmp_path / "c.json", {"seed": 1, "threads": 1, "verify": block})
+    code, base = _child_maxrss_mb([sys.executable, "-c", "import numpy.random, hardlattice.cli"], tmp_path)
+    assert code == 0
+    code, peak = _child_maxrss_mb(
+        [sys.executable, "-m", "hardlattice", "verify", "--config", path, "--out", "o", "--threads", "1"],
+        tmp_path,
+    )
+    assert code == 0
+    assert peak - base < 7.0, (peak, base)
 
 
 class TestScanCommand:
@@ -385,15 +435,18 @@ class TestVerifyCommand:
         return patched
 
     @pytest.mark.parametrize(
-        "name, line",
+        "module, name, line",
         [
-            ("heron_area", ["FAIL", "heron-vs-cross", "max_rel_diff=nan"]),
+            # step 3 takes each side from math.hypot, in its array pass;
+            # no step before it calls math.hypot
+            (math, "hypot", ["FAIL", "heron-vs-cross", "max_rel_diff=nan"]),
             # step 4's grid search, since step 7 calls the closed form too
-            ("dist_so2_bruteforce", ["FAIL", "so2-distance-oracle", "max_abs_diff=nan"]),
+            (geometry, "dist_so2_bruteforce", ["FAIL", "so2-distance-oracle", "max_abs_diff=nan"]),
         ],
+        ids=["hypot-line0", "dist_so2_bruteforce-line1"],
     )
-    def test_one_nan_value_fails_its_step(self, tmp_path, capsys, monkeypatch, name, line):
-        monkeypatch.setattr(geometry, name, self._nan_once(getattr(geometry, name)))
+    def test_one_nan_value_fails_its_step(self, tmp_path, capsys, monkeypatch, module, name, line):
+        monkeypatch.setattr(module, name, self._nan_once(getattr(module, name)))
         path = _write(tmp_path / "c.json", FAST_VERIFY)
         assert cli.main(["verify", "--config", path]) == 3
         out = capsys.readouterr().out.splitlines()

@@ -555,13 +555,25 @@ class TestOracleCellList:
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_at_n32_stays_below_16_mb(self):
-        # the dense all-pairs box mask needed ~130 MB here
-        assert self._oracle_peak(32) < 16e6
+    def test_peak_memory_at_n32_stays_below_3_mb(self):
+        # the dense all-pairs box mask needed ~130 MB here, and the
+        # nine-sign broadcast of each chunk's pairs 4.3 MB
+        assert self._oracle_peak(32) < 3e6
 
-    def test_peak_memory_at_n64_stays_below_16_mb(self):
-        # one unchunked candidate list needed 27 MB here
-        assert self._oracle_peak(64) < 16e6
+    def test_peak_memory_at_n64_stays_below_6_mb(self):
+        # one unchunked candidate list needed 27 MB here, and the
+        # nine-sign broadcast 7.5 MB; the cell list alone keeps about
+        # 4 MB (boxes, keys and order of the 18 N^2 tiled triangles)
+        assert self._oracle_peak(64) < 6e6
+
+    @pytest.mark.parametrize("cfg", REFERENCE_STATES + [pytest.param(16, id="sampled-N16"),
+                                                         pytest.param(32, id="sampled-N32")])
+    def test_block_test_equals_the_broadcast_form_on_every_chunk(self, cfg, broadcast_overlap_block):
+        if isinstance(cfg, int):
+            cfg = run_chain(cfg, 1.05, 0.1, SamplerParams(sweeps=30, burn_in=0, thin=30, seed=1)).records[-1]
+        for _, _, _, P, Q in C._oracle_pairs(cfg):
+            got, want = geometry.triangles_overlap_block(P, Q), broadcast_overlap_block(P, Q)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestIsAdmissible:

@@ -502,6 +502,29 @@ class TestOrientSigns:
         sign, decided = geometry.orient_signs(pts[:, None, None], pts[None, :, None], pts[None, None, :5])
         assert sign.shape == decided.shape == (30, 30, 5)
 
+    def test_in_place_form_equals_the_allocating_form(self, rng, allocating_orient_signs):
+        # reused work arrays keep every sign and verdict bitwise, on
+        # generic, collinear, underflowing, overflowing and non-finite
+        # triples and on broadcast shapes
+        pts = rng.uniform(-1.0, 1.0, size=(30, 2))
+        tiny = 1.8425344645050547e-273
+        bad = np.array([(math.inf, 0.0), (-math.inf, 1.0), (math.nan, 0.0), (0.0, 0.0)])
+        cases = [
+            rng.uniform(-4.0, 4.0, size=(3, 20_000, 2)),
+            0.1 * rng.integers(-3, 4, size=(3, 5000, 2)),
+            np.array([[(0.0, 0.0), (tiny, 0.0)], [(tiny, 0.0), (0.0, tiny)], [(0.0, tiny), (0.0, 0.0)]]),
+            np.array(list(zip(*_overflow_cases()))),
+            np.array([bad, np.roll(bad, 1, axis=0), np.roll(bad, 2, axis=0)]),
+            (pts[:, None, None], pts[None, :, None], pts[None, None, :5]),
+            (pts[:, None], pts[:, None], pts[None, :3]),
+        ]
+        for a, b, c in cases:
+            got = geometry.orient_signs(a, b, c)
+            want = allocating_orient_signs(a, b, c)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
 
 FIXED_PAIRS = [
     (EQUILATERAL, EQUILATERAL),
@@ -565,6 +588,17 @@ class TestTrianglesOverlapBlock:
     def test_empty_stack(self):
         overlap, decided = geometry.triangles_overlap_block(np.empty((0, 3, 2)), np.empty((0, 3, 2)))
         assert overlap.shape == decided.shape == (0,)
+
+    def test_one_edge_at_a_time_equals_the_broadcast_form(self, rng, broadcast_overlap_block):
+        P = np.array([p for p, _ in FIXED_PAIRS], float)
+        Q = np.array([q for _, q in FIXED_PAIRS], float)
+        flip = [0, 2, 1]
+        cases = [(P, Q), (Q, P), (P[:, flip], Q), (P, Q[:, flip])]
+        cases += [tuple(rng.integers(-3, 4, size=(2, 5000, 3, 2)).astype(float))]
+        cases += [tuple(rng.uniform(-1.0, 1.0, size=(2, 5000, 3, 2))), (P[:0], Q[:0])]
+        for A, B in cases:
+            got, want = geometry.triangles_overlap_block(A, B), broadcast_overlap_block(A, B)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestOrientSignsExact:
