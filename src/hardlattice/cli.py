@@ -228,7 +228,6 @@ def cmd_scan(args) -> int:
     block = cfg["scan"]
     seed, threads = _seed_and_threads(args, cfg)
     out_dir = cfg["out_dir"] if args.out is None else _check_out_dir(args.out, "--out")
-    os.makedirs(out_dir, exist_ok=True)
 
     params = _sampler_params(block)
     cert = analysis.certify_epsilon(block["epsilon"])
@@ -266,6 +265,7 @@ def cmd_scan(args) -> int:
             for r in records
         ],
     }
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "scan.csv")
     analysis.write_scan_csv(records, csv_path)
     _write_json(os.path.join(out_dir, "scan.meta.json"), meta)
@@ -415,7 +415,6 @@ def cmd_oracle(args) -> int:
     if not isinstance(ladder_eps, list) or not ladder_eps:
         raise ConfigError(f"oracle.epsilon_ladder must be a nonempty list, got {ladder_eps!r}")
     certs = [analysis.certify_epsilon(eps) for eps in ladder_eps]
-    os.makedirs(out_dir, exist_ok=True)
 
     ladder = [
         {"epsilon": cert.epsilon, "margin": cert.margin, "certified": cert.certified}
@@ -442,6 +441,7 @@ def cmd_oracle(args) -> int:
         },
         "versions": _versions(),
     }
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "oracle.json")
     _write_json(path, payload)
     print(f"wrote {path}")

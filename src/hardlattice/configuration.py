@@ -101,7 +101,7 @@ _BOND_SQUARE_CAP = 2.0**1000
 
 # The 3x3 tiling shifts of the exact oracle; index 4 is the centre copy.
 _SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
-_SHIFT_WRAPS = np.array(_SHIFTS)
+_SHIFT_OFFSETS = np.array(_SHIFTS) @ EMBED_BASIS
 # The shifts after (0, 0): a triangle meets its own translates under these.
 _HALF_SHIFTS = np.array([y > (0, 0) for y in _SHIFTS])
 
@@ -371,7 +371,7 @@ def standard_config(N: int, l: float, epsilon: float) -> Configuration:
     ``(N, l, epsilon)``.
     """
     check_lattice_size(N)
-    uv = np.array([lattice.site_of_index(i, N) for i in range(N * N)], dtype=float)
+    uv = np.stack(lattice._grid(N), axis=-1).astype(float)
     return Configuration(N, float(l), float(epsilon), float(l) * (uv @ EMBED_BASIS))
 
 
@@ -393,8 +393,8 @@ def image_triangle_corners(N: int, l: float, positions: np.ndarray) -> np.ndarra
     ``positions`` has shape ``(..., N^2, 2)``; the result has shape
     ``(..., 2N^2, 3, 2)``.  Leading axes stack snapshots.
     """
-    sites, wrap, _ = lattice.triangle_tables(N)
-    return positions[..., sites, :] + l * N * (wrap @ EMBED_BASIS)
+    sites, offset, _ = lattice.triangle_tables(N)
+    return positions[..., sites, :] + l * N * offset
 
 
 def triangle_gradients(N: int, corners: np.ndarray) -> np.ndarray:
@@ -429,9 +429,9 @@ def triangle_gradient(cfg: Configuration, tri: lattice.TriangleRef) -> np.ndarra
 
 def _bond_vectors(N: int, l: float, positions: np.ndarray):
     """Components ``(dx, dy)`` of all 3N^2 bond classes, shape ``(..., 3N^2)`` each."""
-    sites, wrap = lattice.bond_tables(N)
+    sites, offset = lattice.bond_tables(N)
     pa = positions[..., sites[:, 0], :]
-    pb = positions[..., sites[:, 1], :] + l * N * (wrap @ EMBED_BASIS)
+    pb = positions[..., sites[:, 1], :] + l * N * offset
     return pb[..., 0] - pa[..., 0], pb[..., 1] - pa[..., 1]
 
 
@@ -587,18 +587,18 @@ def check_omega2_oracle(cfg: Configuration) -> CheckResult:
 def _tiled_corners(cfg: Configuration, j, k) -> np.ndarray:
     """Corners of triangles ``j`` under tiling shifts ``_SHIFTS[k]``, shape ``(..., 3, 2)``.
 
-    ``j`` and ``k`` broadcast against each other.  The shift is folded
-    into the integer wrap before the one float multiply: corner
-    instances that coincide in exact arithmetic then coincide bitwise, so
-    shared seam edges stay exactly shared and the exact predicate sees no
-    sliver overlaps.  The total wraps lie in ``[-2, 2]``, so every entry
-    of ``wrap @ EMBED_BASIS`` is exact, in any order of evaluation, and a
-    corner's bits do not depend on which triangles are gathered with it.
+    ``j`` and ``k`` broadcast against each other.  The shift's offset is
+    added to the seam offset before the one float multiply by ``l*N``:
+    corner instances that coincide in exact arithmetic then coincide
+    bitwise, so shared seam edges stay exactly shared and the exact
+    predicate sees no sliver overlaps.  Both offsets are exact, with x
+    entries multiples of 1/2 and y entries ``m*fl(sqrt(3)/2)``, and the
+    sum has x in ``[-3, 3]`` and ``|m| <= 2``, so it is exact too: bitwise
+    the embedding of the folded integer wrap, and a corner's bits do not
+    depend on which triangles are gathered with it.
     """
-    sites, wrap, _ = lattice.triangle_tables(cfg.N)
-    total_wrap = wrap[j] + _SHIFT_WRAPS[k][..., None, :]
-    offset = (total_wrap.reshape(-1, 2) @ EMBED_BASIS).reshape(total_wrap.shape)
-    return cfg.positions[sites[j]] + cfg.l * cfg.N * offset
+    sites, offset, _ = lattice.triangle_tables(cfg.N)
+    return cfg.positions[sites[j]] + cfg.l * cfg.N * (offset[j] + _SHIFT_OFFSETS[k][..., None, :])
 
 
 def _oracle_pairs(cfg: Configuration):
@@ -715,12 +715,9 @@ def is_admissible(cfg: Configuration) -> AdmissibilityReport:
 
 def _positions_at(cfg: Configuration, sign: int, b=(0, 0)) -> np.ndarray:
     """Positions of the sites ``sign * x + b`` for the canonical sites ``x``, in their order."""
-    N = cfg.N
-    flat = np.arange(N * N)
-    u, v = sign * (flat // N) + b[0], sign * (flat % N) + b[1]
-    cu, cv = u % N, v % N
-    wrap = np.stack(((u - cu) // N, (v - cv) // N), axis=-1)
-    return cfg.positions[cu * N + cv] + cfg.l * N * (wrap @ EMBED_BASIS)
+    u, v = lattice._grid(cfg.N)
+    flat, offset = lattice._wrapped(sign * u + b[0], sign * v + b[1], cfg.N)
+    return cfg.positions[flat] + cfg.l * cfg.N * offset
 
 
 def translate(cfg: Configuration, b) -> Configuration:
@@ -767,6 +764,7 @@ def from_json(text: str) -> Configuration:
     record = json.loads(text)
     if record.get("schema") != CONFIG_SCHEMA:
         raise ValueError(f"unexpected configuration schema {record.get('schema')!r}")
-    N = int(record["N"])
+    N = record["N"]
+    check_lattice_size(N)
     pos = np.array(record["positions"], dtype=float).reshape(N * N, 2)
     return Configuration(N, float(record["l"]), float(record["epsilon"]), pos)

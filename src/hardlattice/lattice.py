@@ -6,7 +6,10 @@ Euclidean distance.  The period-``N`` quotient is represented by the
 canonical grid ``{0..N-1}^2`` and a flat site index ``u*N + v``.
 
 Everything here is exact integer arithmetic; floating point enters only
-through :func:`embed`.
+through :func:`embed` and the tables' seam offsets ``wrap @ EMBED_BASIS``,
+which are exact (x entries multiples of 1/2, y entries small integer
+multiples of ``fl(sqrt(3)/2)``).  Only this module turns an integer wrap
+into an offset; a wrapped copy elsewhere is ``positions[site] + l*N*offset``.
 """
 
 from __future__ import annotations
@@ -87,11 +90,6 @@ def site_index(idx, N: int) -> int:
     return u * N + v
 
 
-def site_of_index(i: int, N: int) -> tuple[int, int]:
-    """Inverse of :func:`site_index` on the canonical grid."""
-    return (i // N, i % N)
-
-
 def bonds(N: int) -> list[Bond]:
     """All ``3*N**2`` undirected bond classes, site-major then offset-major."""
     check_lattice_size(N)
@@ -151,15 +149,17 @@ def vertex_star(x, N: int) -> list[tuple[TriangleRef, int]]:
 
 
 def _wrapped(u: np.ndarray, v: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat canonical indices and integer wrap vectors of integer arrays ``u``, ``v``.
+    """Flat canonical indices and seam offsets of integer arrays ``u``, ``v``.
 
-    Returns ``(flat, wrap)``: ``flat`` has the shape of ``u``, and
-    ``wrap`` one more trailing axis of two, with
-    ``(u, v) == canonical((u, v), N) + N * wrap`` entrywise.
+    Returns ``(flat, offset)``: ``flat`` has the shape of ``u``, and
+    ``offset`` one more trailing axis of two, with
+    ``(u, v) == canonical((u, v), N) + N * wrap`` entrywise and
+    ``offset == wrap @ EMBED_BASIS``, so that site ``(u, v)`` sits at
+    ``positions[flat] + l*N*offset``.
     """
     wu, cu = np.divmod(u, N)
     wv, cv = np.divmod(v, N)
-    return cu * N + cv, np.stack((wu, wv), axis=-1)
+    return cu * N + cv, np.stack((wu, wv), axis=-1) @ EMBED_BASIS
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -175,11 +175,11 @@ def _grid(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def neighbor_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site neighbor lookup: canonical flat indices and integer wrap vectors.
+    """Per-site neighbor lookup: canonical flat indices and seam offsets.
 
-    Returns ``(idx, wrap)`` with ``idx`` of shape ``(N*N, 6)`` and ``wrap``
-    of shape ``(N*N, 6, 2)``; the true neighbor position is
-    ``positions[idx] + l*N*(wrap @ EMBED_BASIS)``.
+    Returns ``(idx, offset)`` with ``idx`` of shape ``(N*N, 6)`` and
+    ``offset`` of shape ``(N*N, 6, 2)``; the true neighbor position is
+    ``positions[idx] + l*N*offset``.
     """
     check_lattice_size(N)
     u, v = _grid(N)
@@ -191,29 +191,29 @@ def neighbor_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
 def triangle_tables(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner lookup for all triangle classes in enumeration order.
 
-    Returns ``(sites, wrap, orient)`` with shapes ``(2N^2, 3)``,
+    Returns ``(sites, offset, orient)`` with shapes ``(2N^2, 3)``,
     ``(2N^2, 3, 2)`` and ``(2N^2,)``: triangle ``2*s + o`` has base site
     ``s`` and orientation ``o``, and its corners are those of
-    :func:`triangle_corners`.
+    :func:`triangle_corners`, at ``positions[sites] + l*N*offset``.
     """
     check_lattice_size(N)
     u, v = _grid(N)
     off = np.array(TRIANGLE_CORNER_OFFSETS, dtype=np.int64)  # (orientation, corner, 2)
-    sites, wrap = _wrapped(u[:, None, None] + off[..., 0], v[:, None, None] + off[..., 1], N)
+    sites, offset = _wrapped(u[:, None, None] + off[..., 0], v[:, None, None] + off[..., 1], N)
     orient = np.tile(np.array([UP, DOWN], dtype=np.int64), N * N)
-    return _read_only(sites.reshape(-1, 3), wrap.reshape(-1, 3, 2), orient)
+    return _read_only(sites.reshape(-1, 3), offset.reshape(-1, 3, 2), orient)
 
 
 @lru_cache(maxsize=None)
 def bond_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint lookup for all bond classes in enumeration order.
 
-    Returns ``(sites, wrap)`` with shapes ``(3N^2, 2)`` and ``(3N^2, 2)``;
-    the second endpoint position is ``positions[sites[:, 1]] + l*N*(wrap @ EMBED_BASIS)``.
+    Returns ``(sites, offset)`` with shapes ``(3N^2, 2)`` and ``(3N^2, 2)``;
+    the second endpoint position is ``positions[sites[:, 1]] + l*N*offset``.
     """
     check_lattice_size(N)
     u, v = _grid(N)
     off = np.array(BOND_OFFSETS, dtype=np.int64)
-    far, wrap = _wrapped(u[:, None] + off[:, 0], v[:, None] + off[:, 1], N)
+    far, offset = _wrapped(u[:, None] + off[:, 0], v[:, None] + off[:, 1], N)
     near = np.repeat(u * N + v, len(BOND_OFFSETS))
-    return _read_only(np.stack((near, far.ravel()), axis=1), wrap.reshape(-1, 2))
+    return _read_only(np.stack((near, far.ravel()), axis=1), offset.reshape(-1, 2))

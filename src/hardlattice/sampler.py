@@ -31,7 +31,6 @@ from . import configuration as cfgmod
 from . import kernels, lattice
 from .configuration import Configuration
 from .fileio import atomic_write_text
-from .lattice import EMBED_BASIS
 
 RNG_ALGORITHM = "pcg64"
 
@@ -142,9 +141,9 @@ class Chain:
         self.params = params
         self.radius = check_lean_regime(cfg.epsilon, params.proposal_radius)
         self._pos = np.array(cfg.positions, dtype=float)
-        nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
+        nbr_idx, nbr_offset = lattice.neighbor_tables(cfg.N)
         self._hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
-        nbr_shift = cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
+        nbr_shift = cfg.l * cfg.N * nbr_offset
         self._raster = np.arange(1, cfg.N * cfg.N, dtype=np.int64)
         # Raster sweeps at or above the crossover run vectorised and never
         # read the neighbour triples; every other chain runs the scalar loop.

@@ -98,12 +98,12 @@ class TestConfigValidation:
     def test_side_length_below_window(self, tmp_path):
         cfg = {"scan": dict(SMALL_SCAN["scan"], l=[0.9])}
         path = _write(tmp_path / "c.json", cfg)
-        assert cli.main(["scan", "--config", path]) == 1
+        assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
     def test_side_length_above_window(self, tmp_path):
         cfg = {"scan": dict(SMALL_SCAN["scan"], l=[1.2])}
         path = _write(tmp_path / "c.json", cfg)
-        assert cli.main(["scan", "--config", path]) == 1
+        assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
     def test_bad_rng_identifier(self, tmp_path):
         path = _write(tmp_path / "c.json", {"rng": "mt19937"})
@@ -184,9 +184,10 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
-        # the block is rejected before any check runs or any file is written
+        # the block is rejected before any check runs or any file or
+        # directory is written
         assert "PASS" not in captured.out
-        assert not (tmp_path / "o" / "oracle.json").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["scan", "verify"])
     def test_benchmark_setup_probe_runs_on_the_default_config(self, tmp_path, command):

@@ -389,8 +389,8 @@ ANGLE_SUM_TOL = 1e-9
 
 def _stars(cfg):
     """Every site's image and its six neighbour images, in counterclockwise order."""
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
-    return cfg.positions, cfg.positions[nbr_idx] + cfg.l * cfg.N * (nbr_wrap @ lattice.EMBED_BASIS)
+    nbr_idx, nbr_offset = lattice.neighbor_tables(cfg.N)
+    return cfg.positions, cfg.positions[nbr_idx] + cfg.l * cfg.N * nbr_offset
 
 
 def _angle_sums(p, star):
@@ -897,6 +897,38 @@ class TestOracleDegenerateTiledCopies:
         assert all(sa != 0 and sb != 0 for sa, sb in scalar)
 
 
+def _integer_wraps(N):
+    """Integer wrap of every triangle corner, from the scalar enumerations, ``(2N^2, 3, 2)``."""
+    def wrap(x):
+        cu, cv = lattice.canonical(x, N)
+        return ((x[0] - cu) // N, (x[1] - cv) // N)
+
+    tris = lattice.triangles(N)
+    return np.array([[wrap(x) for x in lattice.triangle_corners(t)] for t in tris], dtype=np.int64)
+
+
+class TestTiledCorners:
+    """``_tiled_corners`` adds the exact shift offset to the exact seam
+    offset before scaling by ``l*N``; that is bitwise the integer-folded
+    form ``positions + l*N*((wrap + shift) @ EMBED_BASIS)``, whose copies
+    of one corner coincide exactly."""
+
+    @pytest.mark.parametrize("N", range(2, 34))
+    def test_equals_the_integer_folded_wrap_bitwise(self, N):
+        sites, _, _ = lattice.triangle_tables(N)
+        wrap = _integer_wraps(N)
+        shifts = np.array(SHIFTS)
+        T = 2 * N * N
+        rng = np.random.Generator(np.random.PCG64(N))
+        jj, kk = rng.integers(0, T, 200), rng.integers(0, len(SHIFTS), 200)
+        params = SamplerParams(sweeps=2, thin=2, seed=N)
+        for cfg in (standard_config(N, 1.05, 0.1), run_chain(N, 1.05, 0.1, params).records[-1]):
+            for j, k in ((np.arange(T), np.arange(len(SHIFTS))[:, None]), (jj, kk)):
+                folded = (wrap[j] + shifts[k][..., None, :]) @ lattice.EMBED_BASIS
+                want = cfg.positions[sites[j]] + cfg.l * N * folded
+                assert np.array_equal(C._tiled_corners(cfg, j, k), want)
+
+
 class TestSymmetryMaps:
     def test_translate_by_zero_is_identity(self, sample_snapshots):
         cfg = sample_snapshots[0]
@@ -937,6 +969,13 @@ class TestSerialization:
     def test_rejects_wrong_schema(self):
         record = json.loads(to_json(standard_config(2, 1.05, 0.1)))
         record["schema"] = "something.else"
+        with pytest.raises(ValueError):
+            from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("bad_N", [2.7, "2", True])
+    def test_rejects_a_non_integer_lattice_size(self, bad_N):
+        record = json.loads(to_json(standard_config(2, 1.05, 0.1)))
+        record["N"] = bad_N
         with pytest.raises(ValueError):
             from_json(json.dumps(record))
 

@@ -7,12 +7,11 @@ import hardlattice as hl
 from hardlattice import configuration as C
 from hardlattice import counterexamples, kernels, lattice
 from hardlattice.configuration import Configuration
-from hardlattice.lattice import EMBED_BASIS
 
 
 def _tables(cfg):
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(cfg.N)
-    shift = cfg.l * cfg.N * (nbr_wrap @ EMBED_BASIS)
+    nbr_idx, nbr_offset = lattice.neighbor_tables(cfg.N)
+    shift = cfg.l * cfg.N * nbr_offset
     hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
     return nbr_idx, shift, hi2
 

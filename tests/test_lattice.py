@@ -203,21 +203,25 @@ class TestVertexStar:
 class TestTables:
     @pytest.mark.parametrize("N", [2, 4, 5])
     def test_neighbor_tables_match_direct_arithmetic(self, N):
-        idx, wrap = lattice.neighbor_tables(N)
+        idx, offset = lattice.neighbor_tables(N)
         for u in range(N):
             for v in range(N):
                 s = u * N + v
                 for k, (du, dv) in enumerate(NEIGHBOR_OFFSETS):
                     cu, cv = canonical((u + du, v + dv), N)
                     assert idx[s, k] == cu * N + cv
+                    # the seam offset is the exact embedding of the wrap
+                    wrap = ((u + du - cu) // N, (v + dv - cv) // N)
+                    assert np.array_equal(offset[s, k], embed(wrap))
                     lhs = embed((u + du, v + dv))
-                    rhs = embed((cu, cv)) + N * embed(tuple(wrap[s, k]))
+                    rhs = embed((cu, cv)) + N * offset[s, k]
                     assert np.allclose(lhs, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 32, 33])
     def test_tables_equal_the_scalar_enumerations(self, N):
         # the whole-array tables against loops over bonds(), triangles()
-        # and triangle_corners(): same dtype, shape and values
+        # and triangle_corners(): same dtype, shape and values; the seam
+        # offsets are bitwise the embeddings of the scalar wraps
         def split(x):
             c = canonical(x, N)
             return site_index(c, N), ((x[0] - c[0]) // N, (x[1] - c[1]) // N)
@@ -225,22 +229,26 @@ class TestTables:
         def table(rows):
             return np.array(rows, dtype=np.int64)
 
+        def offsets(want_wrap):
+            return want_wrap @ lattice.EMBED_BASIS
+
         nbr = [split((u + du, v + dv)) for u in range(N) for v in range(N)
                for du, dv in NEIGHBOR_OFFSETS]
         want_nbr = (table([i for i, _ in nbr]).reshape(N * N, 6),
-                    table([w for _, w in nbr]).reshape(N * N, 6, 2))
+                    offsets(table([w for _, w in nbr]).reshape(N * N, 6, 2)))
         corners = [split(c) for t in triangles(N) for c in triangle_corners(t)]
         want_tri = (table([i for i, _ in corners]).reshape(-1, 3),
-                    table([w for _, w in corners]).reshape(-1, 3, 2),
+                    offsets(table([w for _, w in corners]).reshape(-1, 3, 2)),
                     table([t.orientation for t in triangles(N)]))
         ends = [(b, split((b.a[0] + b.offset[0], b.a[1] + b.offset[1]))) for b in bonds(N)]
         assert all(site_index(b.b, N) == far for b, (far, _) in ends)
         want_bond = (table([(site_index(b.a, N), far) for b, (far, _) in ends]),
-                     table([w for _, (_, w) in ends]))
+                     offsets(table([w for _, (_, w) in ends])))
         for got, want in ((lattice.neighbor_tables(N), want_nbr),
                           (lattice.triangle_tables(N), want_tri),
                           (lattice.bond_tables(N), want_bond)):
             assert len(got) == len(want)
+            assert got[1].dtype == np.float64
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert np.array_equal(g, w)

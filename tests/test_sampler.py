@@ -8,7 +8,6 @@ import pytest
 import hardlattice as hl
 from hardlattice import configuration as C
 from hardlattice import kernels, lattice, sampler
-from hardlattice.lattice import EMBED_BASIS
 from hardlattice.sampler import Chain, ChainInvariantError, InadmissibleStateError, SamplerParams
 
 TWO_PI = 2.0 * math.pi
@@ -422,22 +421,22 @@ def _batched_admissible(points, cfg, movable_idx):
     pos = np.broadcast_to(cfg.positions, (n, N * N, 2)).copy()
     pos[:, movable_idx] = points
 
-    bond_sites, bond_wrap = lattice.bond_tables(N)
+    bond_sites, bond_offset = lattice.bond_tables(N)
     pa = pos[:, bond_sites[:, 0]]
-    pb = pos[:, bond_sites[:, 1]] + l * N * (bond_wrap @ EMBED_BASIS)
+    pb = pos[:, bond_sites[:, 1]] + l * N * bond_offset
     d2 = np.sum((pb - pa) ** 2, axis=2)
     hi2 = (1.0 + eps) * (1.0 + eps)
     ok = np.all((d2 > 1.0) & (d2 < hi2), axis=1)
 
-    tri_sites, tri_wrap, _ = lattice.triangle_tables(N)
-    corners = pos[:, tri_sites] + l * N * (tri_wrap @ EMBED_BASIS)
+    tri_sites, tri_offset, _ = lattice.triangle_tables(N)
+    corners = pos[:, tri_sites] + l * N * tri_offset
     d1 = corners[:, :, 1] - corners[:, :, 0]
     d2t = corners[:, :, 2] - corners[:, :, 0]
     cross = d1[..., 0] * d2t[..., 1] - d1[..., 1] * d2t[..., 0]
     ok &= np.all(cross > 0.0, axis=1)
 
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(N)
-    w = pos[:, nbr_idx] + l * N * (nbr_wrap @ EMBED_BASIS)
+    nbr_idx, nbr_offset = lattice.neighbor_tables(N)
+    w = pos[:, nbr_idx] + l * N * nbr_offset
     e = w - pos[:, :, None, :]
     e2 = np.roll(e, -1, axis=2)
     cr = e[..., 0] * e2[..., 1] - e[..., 1] * e2[..., 0]
@@ -478,8 +477,8 @@ def test_single_site_occupancy_matches_cell_areas():
     expected /= expected.sum()
 
     # chain occupancy: the kernel proposes only the chosen site
-    nbr_idx, nbr_wrap = lattice.neighbor_tables(N)
-    nbrs = kernels.neighbour_triples(nbr_idx, l * N * (nbr_wrap @ EMBED_BASIS))
+    nbr_idx, nbr_offset = lattice.neighbor_tables(N)
+    nbrs = kernels.neighbour_triples(nbr_idx, l * N * nbr_offset)
     hi2 = (1.0 + eps) * (1.0 + eps)
     order = np.array([idx], dtype=np.int64)
     M = 300_000
