@@ -20,7 +20,7 @@ from numbers import Real
 import numpy as np
 
 from . import geometry, observables
-from .configuration import LAMBDA0, Configuration, check_side_length
+from .configuration import LAMBDA0, Configuration, check_epsilon, check_side_length
 from .fileio import atomic_write_text
 from .lattice import SQRT3, check_lattice_size
 from .observables import identity_suite
@@ -103,8 +103,7 @@ def certify_epsilon(epsilon: float, certification_grid=None) -> EpsilonCertifica
     ``certification_grid`` is accepted and ignored: the benchmark's set-up
     probe still passes the config key of that name.
     """
-    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be a real number in (0, 1], got {epsilon!r}")
+    check_epsilon(epsilon)
     e = Fraction(epsilon)
     k = 2 - Fraction(7, 3) * e - 4 * e**2 - e**3
     eps = float(epsilon)

@@ -200,9 +200,9 @@ def _reductions(l: float, bond_squares, crosses, gradients) -> list[Reductions]:
     maximum is exact in any order and keeps a NaN.  The mean gradient is
     one reduction over the triangle axis, bitwise ``ndarray.mean(axis=0)``
     of each snapshot (pinned by the tests).  The three deviations of the
-    whole stack come from one ``(B, 3, T, 2, 2)`` pass through
-    :func:`_squared_deviations`, with NaN for ``R`` where it is None.
-    Every sum over the triangles is one :func:`_triangle_sums` call.
+    whole stack come from one :func:`_deviation_planes` pass, with NaN
+    for ``R`` where it is None.  Every sum over the triangles is one
+    :func:`_triangle_sums` call.
     """
     B, T = crosses.shape
     lo = np.minimum.reduce(bond_squares, axis=1).tolist()
@@ -215,8 +215,8 @@ def _reductions(l: float, bond_squares, crosses, gradients) -> list[Reductions]:
     for r in rotations:
         c, s = (math.nan, math.nan) if r is None else r
         targets.append((c, -s, s, c, l, 0.0, 0.0, l, 1.0, 0.0, 0.0, 1.0))
-    per_triangle = _squared_deviations(gradients[:, None], np.array(targets).reshape(B, 3, 1, 2, 2))
-    deviations = _triangle_sums(per_triangle).tolist()
+    per_triangle = _deviation_planes(gradients, np.array(targets).reshape(B, 3, 2, 2))
+    deviations = _triangle_sums(per_triangle).T.tolist()
     return [
         Reductions(a, b, c, tuple(m), area, r, *devs)
         for a, b, c, m, area, r, devs in zip(lo, hi, cross_min, means, areas, rotations, deviations)
@@ -248,6 +248,23 @@ def _squared_deviations(gradients: np.ndarray, target: np.ndarray) -> np.ndarray
     return ((sq[..., 0, 0] + sq[..., 0, 1]) + sq[..., 1, 0]) + sq[..., 1, 1]
 
 
+def _deviation_planes(gradients: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """:func:`_squared_deviations` of a ``(B, T, 2, 2)`` stack from each snapshot's targets.
+
+    ``targets`` has shape ``(B, K, 2, 2)``; the result has shape
+    ``(K, B, T)`` with C-contiguous rows, bitwise
+    ``_squared_deviations(gradients[b], targets[b, k])`` in row ``(k, b)``
+    (pinned by the tests).  The gradients are copied once into four
+    contiguous ``(B, T)`` component planes, so every step runs over whole
+    planes rather than over trailing axes of length two.
+    """
+    B, T = gradients.shape[:2]
+    planes = np.ascontiguousarray(gradients.reshape(B, T, 4).transpose(2, 0, 1))
+    diff = planes - targets.reshape(B, -1, 4).transpose(1, 2, 0)[..., None]
+    np.multiply(diff, diff, out=diff)
+    return ((diff[:, 0] + diff[:, 1]) + diff[:, 2]) + diff[:, 3]
+
+
 def _nearest_rotation(mean) -> tuple[float, float] | None:
     """``(cos, sin)`` of :func:`geometry.polar_rotation` of the 2x2 ``mean``, row-major.
 
@@ -265,8 +282,7 @@ def _nearest_rotation(mean) -> tuple[float, float] | None:
 
 def _check_parameters(N: int, l, epsilon) -> None:
     check_lattice_size(N)
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    check_epsilon(epsilon)
     check_side_length(l, epsilon)
 
 
@@ -336,9 +352,15 @@ def snapshot_block(N: int, l: float, epsilon: float, positions: np.ndarray) -> S
     return SnapshotBlock(tuple(snapshots), positions)
 
 
+def check_epsilon(epsilon) -> None:
+    """Raise ``ValueError`` unless ``epsilon`` is a real number, not a bool, in ``(0, 1]``."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be a real number in (0, 1], got {epsilon!r}")
+
+
 def check_side_length(l, epsilon: float) -> None:
-    """Raise ``ValueError`` unless ``l`` is a real number in ``(1, 1 + epsilon)``."""
-    if not isinstance(l, Real) or not 1.0 < l < 1.0 + epsilon:
+    """Raise ``ValueError`` unless ``l`` is a real number, not a bool, in ``(1, 1 + epsilon)``."""
+    if isinstance(l, bool) or not isinstance(l, Real) or not 1.0 < l < 1.0 + epsilon:
         raise ValueError(
             f"l must be a real number in the open window (1, {1.0 + epsilon}), got {l!r}"
         )
@@ -402,6 +424,13 @@ def triangle_gradients(N: int, corners: np.ndarray) -> np.ndarray:
 
     ``corners`` is :func:`image_triangle_corners`' output, shape
     ``(..., 2N^2, 3, 2)``; the result has shape ``(..., 2N^2, 2, 2)``.
+
+    The product stays a matmul with the gathered ``_BINV[orient]``.
+    numpy's bundled OpenBLAS computes each entry with one fused
+    multiply-add, ``fl(a*b + fl(c*d))``, which numpy has no ufunc for;
+    the explicit two-term sums ``a*b + c*d`` differ from it in the last
+    bit in about a third of the entries (checked at N = 4, 12, 32 and
+    96), so writing the products out would change ``scan.csv``.
     """
     _, _, orient = lattice.triangle_tables(N)
     c0 = corners[..., 0, :]
@@ -764,7 +793,7 @@ def from_json(text: str) -> Configuration:
     record = json.loads(text)
     if record.get("schema") != CONFIG_SCHEMA:
         raise ValueError(f"unexpected configuration schema {record.get('schema')!r}")
-    N = record["N"]
-    check_lattice_size(N)
+    N, l, epsilon = record["N"], record["l"], record["epsilon"]
+    _check_parameters(N, l, epsilon)
     pos = np.array(record["positions"], dtype=float).reshape(N * N, 2)
-    return Configuration(N, float(record["l"]), float(record["epsilon"]), pos)
+    return Configuration(N, float(l), float(epsilon), pos)

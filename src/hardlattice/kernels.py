@@ -55,6 +55,22 @@ rounds, and it is the scalar loop's sequence of decisions.  Proposals
 and bond tests use the scalar loop's expressions in the same order;
 numpy's ``sqrt``, ``cos`` and ``sin`` must equal ``math``'s bitwise,
 which the tests pin on the running CPU.
+
+Plan layout.  A plan sweep reads and writes ``pos`` through a complex128
+view ``x + iy`` of the same memory, so ``pos`` must be a C-contiguous
+``(n, 2)`` float64 array; anything else raises ``ValueError``, because
+moves written to a copy would be lost.  Complex addition and subtraction
+act on each component alone, so with the shifts stored as complex the
+edge vectors are the scalar loop's bitwise, from one gather per outcome
+out of ``concat`` (the start positions, then the proposals), and the
+accepted proposals go back in one masked write.  The edges are laid out
+slot-major, ``(2, 6, M)``, so the shift and the proposal broadcast along
+whole contiguous rows.  The bond verdicts go into ``(2, M, 8)`` rows
+whose two pad columns are always True: each attempt's eight verdict
+bytes, read as one ``uint64``, equal :data:`ALL_PASS` exactly when its
+six bonds pass, in the sweep and in every fixed-point round.  The plan
+holds ``concat`` and the verdicts, and every sweep overwrites them, so
+one plan serves one chain at a time.
 """
 
 from __future__ import annotations
@@ -74,9 +90,9 @@ LEAN_HI2 = 3.0
 BACKEND = "numpy"
 
 # Chains with at least this many sites run raster sweeps through a
-# SweepPlan.  The measured crossover lies between N = 8 (a tie) and N = 9
-# (the plan 8-15 % faster); see README, "Kernel".
-PLAN_MIN_SITES = 81
+# SweepPlan.  The measured crossover lies between N = 6 (a tie) and N = 7
+# (the plan 12-22 % faster); see README, "Kernel".
+PLAN_MIN_SITES = 49
 
 
 def local_ok(pos, nbr_idx, nbr_shift, s, hi2):
@@ -104,21 +120,27 @@ def local_ok(pos, nbr_idx, nbr_shift, s, hi2):
 
 
 class SweepPlan(NamedTuple):
-    """Precomputed gathers of a repeat-free visit order; see :func:`plan`.
+    """Precomputed gathers and work buffers of a repeat-free visit order; see :func:`plan`.
 
-    Row ``t`` belongs to the attempt at ``order[t]``; column ``k`` to its
-    ``k``-th neighbour.  ``gather[g]`` indexes ``concat(start positions,
-    proposals)``: ``g = 0`` is the neighbour's start position, ``g = 1``
-    its proposal when it was visited earlier (else its start position
-    again).  ``pred`` is that earlier attempt's row, 0 where there is
-    none (both outcomes then read the same position).
+    Attempt ``t`` is the visit of ``order[t]``; slot ``k`` is its
+    ``k``-th neighbour.  ``gather[g, k, t]`` indexes ``concat``: ``g = 0``
+    is the neighbour's start position, ``g = 1`` its proposal when it
+    was visited earlier (else its start position again).  ``pred[t, k]``
+    is that earlier attempt, 0 where there is none (both outcomes then
+    read the same position) and in the two pad columns.
     """
 
     order: np.ndarray  # (M,) sites in visit order
-    gather: np.ndarray  # (2, M, 6)
-    shift_x: np.ndarray  # (M, 6)
-    shift_y: np.ndarray  # (M, 6)
-    pred: np.ndarray  # (M, 6)
+    gather: np.ndarray  # (2, 6, M) indices into concat
+    shift: np.ndarray  # (6, M) complex128 image shifts
+    pred: np.ndarray  # (M, 8) predecessor attempts
+    concat: np.ndarray  # (n + M,) complex128: start positions, then proposals
+    verdicts: np.ndarray  # (2, M, 8) bool, True in the pad columns
+    rows: np.ndarray  # (2, M) the verdicts as one uint64 per attempt
+
+
+# An attempt's verdict row read as one uint64 when all eight bytes are True.
+ALL_PASS = np.ones(8, dtype=bool).view(np.uint64)[0]
 
 
 def plan(nbr_idx, nbr_shift, order) -> SweepPlan:
@@ -136,17 +158,21 @@ def plan(nbr_idx, nbr_shift, order) -> SweepPlan:
         raise ValueError("a sweep plan needs a visit order in which no site repeats")
     rank = np.full(n, m, dtype=np.int64)
     rank[order] = np.arange(m)
-    nbr = nbr_idx[order]
+    nbr = nbr_idx[order].T
     nbr_rank = rank[nbr]
-    earlier = nbr_rank < np.arange(m)[:, None]
-    gather = np.stack([nbr, np.where(earlier, n + nbr_rank, nbr)])
-    shift = nbr_shift[order]
+    earlier = nbr_rank < np.arange(m)
+    shift = np.ascontiguousarray(nbr_shift[order], dtype=np.float64).view(np.complex128)
+    pred = np.zeros((m, 8), dtype=np.int64)
+    pred[:, :6] = np.where(earlier, nbr_rank, 0).T
+    verdicts = np.ones((2, m, 8), dtype=bool)
     return SweepPlan(
         order=order,
-        gather=gather,
-        shift_x=np.ascontiguousarray(shift[..., 0]),
-        shift_y=np.ascontiguousarray(shift[..., 1]),
-        pred=np.where(earlier, nbr_rank, 0),
+        gather=np.stack([nbr, np.where(earlier, n + nbr_rank, nbr)]),
+        shift=np.ascontiguousarray(shift[..., 0].T),
+        pred=pred,
+        concat=np.empty(n + m, dtype=np.complex128),
+        verdicts=verdicts,
+        rows=verdicts.view(np.uint64)[..., 0],
     )
 
 
@@ -203,40 +229,72 @@ def _scalar_sweep(pos, nbrs, order, uniforms, radius, hi2):
 
 
 def _plan_sweep(pos, plan, uniforms, radius, hi2):
+    z = _complex_view(pos)
+    n = z.size
+    concat = plan.concat
+    prop = concat[n:]
     rho = radius * np.sqrt(uniforms[:, 0])
     phi = TWO_PI * uniforms[:, 1]
-    start = pos[plan.order]
-    px = start[:, 0] + rho * np.cos(phi)
-    py = start[:, 1] + rho * np.sin(phi)
-    xs = np.concatenate((pos[:, 0], px))
-    ys = np.concatenate((pos[:, 1], py))
-    ex = xs[plan.gather] + plan.shift_x - px[:, None]
-    ey = ys[plan.gather] + plan.shift_y - py[:, None]
-    d2 = ex * ex + ey * ey
-    ok_old, ok_new = (d2 > 1.0) & (d2 < hi2)
-    acc = (ok_old & ok_new).all(axis=1)
-    amb = ~acc & (ok_old | ok_new).all(axis=1)
-    if amb.any():
-        _fixed_point(acc, amb, ok_old, ok_new, plan.pred)
+    step = np.empty((2, rho.size))
+    np.cos(phi, out=step[0])
+    np.sin(phi, out=step[1])
+    step *= rho
+    concat[:n] = z
+    np.take(z, plan.order, out=prop, mode="clip")
+    xy = prop[:, None].view(np.float64)
+    xy += step.T
+    e = np.take(concat, plan.gather, mode="clip")
+    e += plan.shift
+    e -= prop
+    sq = e[..., None].view(np.float64)
+    np.multiply(sq, sq, out=sq)
+    d2 = sq[..., 0] + sq[..., 1]
+    ok = plan.verdicts[..., :6].transpose(0, 2, 1)
+    np.greater(d2, 1.0, out=ok)
+    ok &= d2 < hi2
+    old, new = plan.rows
+    acc = (old & new) == ALL_PASS
+    amb = np.flatnonzero(((old | new) == ALL_PASS) != acc)
+    if amb.size:
+        _fixed_point(acc, amb, old, new, plan.pred)
     moved = plan.order[acc]
-    pos[moved, 0] = px[acc]
-    pos[moved, 1] = py[acc]
-    return int(np.count_nonzero(acc))
+    z[moved] = prop[acc]
+    return moved.size
 
 
-def _fixed_point(acc, amb, ok_old, ok_new, pred):
-    """Resolve the ambiguous rows of ``acc`` in place; returns the rounds.
+def _complex_view(pos):
+    """``pos`` as ``(n,)`` complex128 ``x + iy`` sharing its memory; ``ValueError`` unless it can."""
+    if pos.dtype != np.float64 or pos.ndim != 2 or pos.shape[1] != 2 or not pos.flags.c_contiguous:
+        raise ValueError(
+            "a plan sweep needs positions as a C-contiguous (n, 2) float64 array, got "
+            f"{pos.dtype} of shape {pos.shape}"
+        )
+    return pos.view(np.complex128)[:, 0]
+
+
+def _fixed_point(acc, amb, old, new, pred):
+    """Resolve the ambiguous rows ``amb`` of ``acc`` in place; returns the rounds.
 
     Each round re-decides every ambiguous row from the current flags of
     its predecessors.  It stops when a round changes nothing, so ``acc``
     is a fixed point, the unique one.  Over a DAG that takes at most one
     round more than there are ambiguous rows; any more means ``pred``
     holds a cycle, and raises ``RuntimeError`` instead of looping.
+
+    ``old`` and ``new`` are the packed verdict rows.  A slot whose two
+    verdicts differ (a byte of ``flip``) reads the new one exactly when
+    its predecessor's flag is set; the pad slots never differ.  Rounds
+    compare the rows' flags as bytes; the ambiguous rows start rejected.
     """
-    ok_old, ok_new, pred = ok_old[amb], ok_new[amb], pred[amb]
-    for rounds in range(1, len(pred) + 2):
-        new = np.where(acc[pred], ok_new, ok_old).all(axis=1)
-        if np.array_equal(new, acc[amb]):
+    old = old[amb]
+    flip = old ^ new[amb]
+    pred = pred[amb]
+    now = bytes(amb.size)
+    for rounds in range(1, amb.size + 2):
+        nxt = (old ^ (flip & acc[pred].view(np.uint64)[:, 0])) == ALL_PASS
+        key = nxt.tobytes()
+        if key == now:
             return rounds
-        acc[amb] = new
+        acc[amb] = nxt
+        now = key
     raise RuntimeError("sweep plan fixed point did not settle: its predecessors hold a cycle")

@@ -641,6 +641,49 @@ class TestBatchMeans:
         assert 0.5 < tau < 2.0
 
 
+def _fresh_interpreter(code, blas_threads):
+    """Run ``code`` in a new interpreter with ``OPENBLAS_NUM_THREADS`` unset
+    (``blas_threads=None``) or set; returns its stripped stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.strip()
+
+
+class TestBlasThreads:
+    """Importing the package before numpy asks OpenBLAS for one thread
+    unless the user set ``OPENBLAS_NUM_THREADS``: long dot products give
+    different last bits with one and with several threads."""
+
+    READ = "import os, hardlattice\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+
+    def test_one_thread_when_unset(self):
+        assert _fresh_interpreter(self.READ, None) == "1"
+
+    @pytest.mark.parametrize("chosen", ["2", "1", "4"])
+    def test_a_chosen_value_is_kept(self, chosen):
+        assert _fresh_interpreter(self.READ, chosen) == chosen
+
+    def test_tau_of_a_long_series_is_the_one_thread_value(self):
+        # an AR(1) series of 60k values: its dot products are long enough
+        # for OpenBLAS to split them over threads
+        code = (
+            "import hardlattice.analysis as A\n"
+            "import numpy as np\n"
+            "noise = np.random.default_rng(11).standard_normal(60_000).tolist()\n"
+            "x, v = [], 0.0\n"
+            "for e in noise:\n"
+            "    v = 0.9 * v + e\n"
+            "    x.append(v)\n"
+            "print(repr(A.integrated_autocorrelation_time(np.array(x))))\n"
+        )
+        tau = _fresh_interpreter(code, None)
+        assert tau == _fresh_interpreter(code, "1")
+        assert 5.0 < float(tau) < 40.0
+
+
 class TestAgreementOracles:
     def test_dist_so2_agreement_small(self):
         assert A.dist_so2_agreement(500, 3600, seed=1) <= 2e-3

@@ -192,7 +192,8 @@ class TestSnapshotBlock:
     @pytest.mark.parametrize(
         "N, l, epsilon",
         [(1, 1.05, 0.1), (2.0, 1.05, 0.1), (3, 1.0, 0.1), (3, 1.1, 0.1), (3, "1.05", 0.1),
-         (3, 1.05, 0.0), (3, 1.05, 1.5)],
+         (3, 1.05, 0.0), (3, 1.05, 1.5), (3, 1.05, True), (3, 1.05, "0.1"), (3, 1.05, None),
+         (3, True, 1.0)],
     )
     def test_parameter_errors_raise_as_the_constructor_does(self, N, l, epsilon):
         pos = self._rows()
@@ -978,6 +979,22 @@ class TestSerialization:
         record["N"] = bad_N
         with pytest.raises(ValueError):
             from_json(json.dumps(record))
+
+    @pytest.mark.parametrize(
+        "field, bad", [("l", "1.05"), ("l", True), ("epsilon", True), ("epsilon", "0.1"), ("epsilon", None)]
+    )
+    def test_rejects_a_non_real_window_parameter(self, field, bad):
+        # "1.05" and true loaded through float() as l = 1.05 and epsilon = 1.0
+        record = json.loads(to_json(standard_config(2, 1.05, 0.1)))
+        record[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            from_json(json.dumps(record))
+
+    def test_loads_integer_window_parameters_as_floats(self):
+        record = json.loads(to_json(standard_config(2, 1.5, 1.0)))
+        record["epsilon"] = 1
+        cfg = from_json(json.dumps(record))
+        assert type(cfg.epsilon) is float and cfg.epsilon == 1.0
 
     def test_rejects_gauge_violation(self):
         record = json.loads(to_json(standard_config(2, 1.05, 0.1)))

@@ -189,7 +189,8 @@ def _visit_order(kind, rng, N):
 
 
 @pytest.mark.parametrize(
-    "N, sweeps", [(2, 40), (3, 20), (4, 20), (5, 10), (6, 8), (8, 5), (12, 3), (16, 2), (32, 1)]
+    "N, sweeps",
+    [(2, 40), (3, 20), (4, 20), (5, 10), (6, 8), (8, 5), (12, 3), (16, 2), (32, 1), (48, 1), (96, 1)],
 )
 @pytest.mark.parametrize("scan_order", ["raster", "permutation", "random"])
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.5, 0.7])
@@ -212,7 +213,7 @@ def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps, monke
 
     def counting(acc, amb, *rest):
         rounds = fixed_point(acc, amb, *rest)
-        resolved.append((int(amb.sum()), rounds))
+        resolved.append((amb.size, rounds))
         return rounds
 
     monkeypatch.setattr(kernels, "_fixed_point", counting)
@@ -236,6 +237,89 @@ def test_sweep_matches_local_ok_reference_loop(N, sweeps, scan_order, eps, monke
         # so were ambiguous rows, and fixed points that took a second round
         assert sum(amb for amb, _ in resolved) > 0
         assert max(rounds for _, rounds in resolved) >= 2
+
+
+def test_fixed_point_raises_on_a_cyclic_predecessor_table():
+    """Two ambiguous attempts, each reading the other in slot 0: attempt 0
+    passes only if attempt 1 moved, attempt 1 only if attempt 0 stayed, so
+    no assignment is a fixed point."""
+    verdicts = np.ones((2, 2, 8), dtype=bool)
+    verdicts[0, 0, 0] = False  # attempt 0, slot 0: fails against attempt 1's old position
+    verdicts[1, 1, 0] = False  # attempt 1, slot 0: fails against attempt 0's proposal
+    old, new = verdicts.view(np.uint64)[..., 0]
+    pred = np.zeros((2, 8), dtype=np.int64)
+    pred[0, 0], pred[1, 0] = 1, 0
+    acc = (old & new) == kernels.ALL_PASS
+    amb = np.flatnonzero(((old | new) == kernels.ALL_PASS) != acc)
+    assert amb.tolist() == [0, 1]
+    with pytest.raises(RuntimeError, match="cycle"):
+        kernels._fixed_point(acc, amb, old, new, pred)
+
+
+def test_fixed_point_settles_a_chain_of_ambiguous_rows():
+    """Attempt 0 passes under both outcomes; attempt 1 passes only if 0
+    moved, attempt 2 only if 1 moved.  Round 1 decides 1, round 2 decides
+    2, and round 3 changes nothing."""
+    verdicts = np.ones((2, 3, 8), dtype=bool)
+    verdicts[0, 1, 4] = False  # attempt 1, slot 4: fails against attempt 0's old position
+    verdicts[0, 2, 3] = False  # attempt 2, slot 3: fails against attempt 1's old position
+    old, new = verdicts.view(np.uint64)[..., 0]
+    pred = np.zeros((3, 8), dtype=np.int64)
+    pred[1, 4], pred[2, 3] = 0, 1
+    acc = (old & new) == kernels.ALL_PASS
+    amb = np.flatnonzero(((old | new) == kernels.ALL_PASS) != acc)
+    assert acc.tolist() == [True, False, False] and amb.tolist() == [1, 2]
+    assert kernels._fixed_point(acc, amb, old, new, pred) == 3
+    assert acc.tolist() == [True, True, True]
+
+
+def test_plan_verdict_rows_keep_their_pads():
+    """After sweeps the verdicts' two pad columns are still True, so a row
+    is ALL_PASS exactly when its six verdicts are True; the work buffers
+    are the plan's own, reused by every sweep."""
+    cfg = C.standard_config(6, 1.05, 0.1)
+    nbr_idx, shift, hi2 = _tables(cfg)
+    order = np.arange(1, 36, dtype=np.int64)
+    plan = kernels.plan(nbr_idx, shift, order)
+    buffers = plan.concat, plan.verdicts
+    pos = np.array(cfg.positions)
+    rng = np.random.Generator(np.random.PCG64(4))
+    for _ in range(5):
+        kernels.sweep(pos, None, plan, rng.random((order.size, 2)), 0.05, hi2)
+        assert plan.verdicts[..., 6:].all()
+        assert np.array_equal(plan.rows == kernels.ALL_PASS, plan.verdicts[..., :6].all(axis=-1))
+        assert np.shares_memory(plan.rows, plan.verdicts)
+        assert 0 < (plan.rows == kernels.ALL_PASS).sum() < plan.rows.size
+    assert buffers[0] is plan.concat and buffers[1] is plan.verdicts
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: np.asfortranarray(p),
+        lambda p: p.astype(np.float32),
+        lambda p: np.concatenate((p, p), axis=1)[:, ::2],
+        lambda p: np.concatenate((p, p[:, :1]), axis=1),
+        lambda p: p.ravel(),
+    ],
+    ids=["fortran", "float32", "strided", "three-columns", "flat"],
+)
+def test_plan_sweep_rejects_positions_it_cannot_view(make):
+    """A plan sweep writes through a complex view of ``pos``; a copy would
+    take the moves with it, so it refuses, before writing anything."""
+    cfg = C.standard_config(4, 1.05, 0.1)
+    nbr_idx, shift, hi2 = _tables(cfg)
+    order = np.arange(1, 16, dtype=np.int64)
+    plan = kernels.plan(nbr_idx, shift, order)
+    pos = make(np.array(cfg.positions))
+    before = pos.copy()
+    uniforms = np.random.Generator(np.random.PCG64(2)).random((order.size, 2))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.sweep(pos, None, plan, uniforms, 0.05, hi2)
+    assert pos.tobytes() == before.tobytes()
+    good = np.array(cfg.positions)
+    assert kernels.sweep(good, None, plan, uniforms, 0.05, hi2) > 0
+    assert np.shares_memory(kernels._complex_view(good), good)
 
 
 def test_plan_rejects_a_repeated_site():

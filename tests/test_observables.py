@@ -300,23 +300,84 @@ class TestLeanSuiteNumpyEqualities:
     @pytest.mark.parametrize("B", [1, 7, 64])
     @pytest.mark.parametrize("T", SIZES)
     def test_block_deviations_are_each_snapshots(self, rng, B, T):
-        # configuration._reductions' deviation pass: one (B, 3, T, 2, 2)
-        # pass against each snapshot's three targets, its 2x2 sums added
-        # in row-major order, then summed over the triangles in one
-        # reduction, against np.sum of each snapshot's deviations
+        # configuration._reductions' deviation pass: one pass over (4, B, T)
+        # component planes against each snapshot's three targets, the
+        # 2x2 sums added in row-major order, then summed over the
+        # triangles in one reduction, against np.sum of each snapshot's
+        # deviations
         G = self._gradient_block(rng, B, T)
         targets = np.stack([
             np.array([geometry.rotation(rng.uniform(-0.1, 0.1)), 1.05 * np.eye(2), np.eye(2)])
             for _ in range(B)
-        ])[:, :, None]
-        per_triangle = C._squared_deviations(G[:, None], targets)
+        ])
+        per_triangle = C._deviation_planes(G, targets)
+        assert per_triangle.shape == (3, B, T) and per_triangle.flags.c_contiguous
         sums = C._triangle_sums(per_triangle)
         for b in range(B):
             for k in range(3):
-                half = G[b] - targets[b, k, 0]
+                half = G[b] - targets[b, k]
                 want = np.sum(half * half, axis=(-2, -1))
-                self._assert_bitwise(per_triangle[b, k], want, "block deviations")
-                self._assert_bitwise(sums[b, k], np.sum(want), "row sum")
+                self._assert_bitwise(per_triangle[k, b], want, "block deviations")
+                self._assert_bitwise(sums[k, b], np.sum(want), "row sum")
+
+    @pytest.mark.parametrize("N", [2, 4, 12, 32, 48, 96])
+    def test_deviation_planes_are_the_2x2_helper_at_every_size(self, rng, N):
+        # against configuration._squared_deviations, the row-major 2x2
+        # helper, on sampled-like gradients of a block whose row 1 has a
+        # NaN corner and whose row 2 has no nearest rotation (NaN target,
+        # as configuration._reductions passes it)
+        B = 3
+        base = standard_config(N, 1.05, 0.1).positions
+        pos = base + rng.uniform(-0.02, 0.02, (B,) + base.shape)
+        pos[:, 0] = 0.0
+        pos[1, N * N - 1, 0] = math.nan
+        G = C.triangle_gradients(N, C.image_triangle_corners(N, 1.05, pos))
+        targets = np.array([
+            [geometry.rotation(0.01), 1.05 * np.eye(2), np.eye(2)],
+            [geometry.rotation(-0.02), 1.05 * np.eye(2), np.eye(2)],
+            [np.full((2, 2), math.nan), 1.05 * np.eye(2), np.eye(2)],
+        ])
+        planes = C._deviation_planes(G, targets)
+        sums = C._triangle_sums(planes)
+        for b in range(B):
+            for k in range(3):
+                want = C._squared_deviations(G[b], targets[b, k])
+                self._assert_bitwise(planes[k, b], want, f"plane {k} of row {b}")
+                self._assert_bitwise(sums[k, b], np.add.reduce(want), f"sum {k} of row {b}")
+        assert np.isnan(planes[:, 1]).any() and not np.isnan(planes[:, 0]).any()
+        assert np.isnan(planes[0, 2]).all() and not np.isnan(planes[1:, 2]).any()
+
+    @pytest.mark.parametrize("N", [48, 96])
+    def test_reductions_of_a_block_with_nan_and_equidistant_rows(self, N):
+        # the whole record at the sizes of the N-curve: a sampled row, a
+        # row with a NaN site, and a stand-in row whose mean gradient has
+        # no nearest rotation, each against its own lone-snapshot pass
+        T = 2 * N * N
+        base = standard_config(N, 1.05, 0.1)
+        rng = np.random.default_rng(N)
+        pos = base.positions + rng.uniform(-0.02, 0.02, (2,) + base.positions.shape)
+        pos[:, 0] = 0.0
+        pos[1, 5, 1] = math.nan
+        block = C.snapshot_block(N, 1.05, 0.1, pos)
+        G = np.concatenate([np.stack([s.gradients for s in block.snapshots]),
+                            np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (1, T, 1, 1))])
+        d2 = np.concatenate([np.stack([s.bond_squares for s in block.snapshots]), np.ones((1, 3 * N * N))])
+        crosses = np.concatenate([np.stack([s.crosses for s in block.snapshots]), np.ones((1, T))])
+        records = C._reductions(1.05, d2, crosses, G)
+        assert records[2].rotation is None and math.isnan(records[2].rotation_deviation)
+        assert math.isnan(records[1].lid_deviation) and not math.isnan(records[0].lid_deviation)
+        for b, record in enumerate(records):
+            alone = C._reductions(1.05, d2[b:b + 1], crosses[b:b + 1], G[b:b + 1])[0]
+            assert repr(record) == repr(alone)
+            targets = [1.05 * np.eye(2), np.eye(2)]
+            if record.rotation is not None:
+                c, s = record.rotation
+                targets.insert(0, np.array([[c, -s], [s, c]]))
+            got = [record.lid_deviation, record.id_deviation]
+            if record.rotation is not None:
+                got.insert(0, record.rotation_deviation)
+            want = [float(np.add.reduce(C._squared_deviations(G[b], t))) for t in targets]
+            assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 8, 12, 16, 23, 32, 48, 64, 96])
     def test_triangle_sums_are_each_rows_own_sum(self, rng, N):

@@ -292,6 +292,13 @@ class TestCheckpoint:
         again.sweep()
         assert np.array_equal(again.snapshot().positions, chain.snapshot().positions)
 
+    @pytest.mark.parametrize("field, bad", [("l", "1.05"), ("epsilon", True)])
+    def test_rejects_checkpoint_with_a_non_real_window_parameter(self, field, bad):
+        data = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5)).checkpoint()
+        data["configuration"][field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            Chain.from_checkpoint(data)
+
     def test_rejects_checkpoint_with_nan_position(self, tmp_path):
         chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
         chain.sweep()
@@ -379,8 +386,8 @@ class TestSweepPaths:
 
     @pytest.mark.parametrize(
         "N, order, scalar",
-        [(9, "raster", False), (12, "raster", False), (9, "random", True), (12, "random", True),
-         (8, "raster", True)],
+        [(7, "raster", False), (12, "raster", False), (9, "random", True), (12, "random", True),
+         (6, "raster", True)],
     )
     def test_neighbour_triples_are_built_only_for_the_scalar_loop(self, monkeypatch, N, order, scalar):
         """A raster chain at or above the plan crossover never builds the
