@@ -1,13 +1,13 @@
-"""Certified inequalities, empirical constants, and the experiment grid.
+"""Certified inequalities, a proved constant, and the experiment grid.
 
 Two kinds of result live here.  The oracle side certifies the
 first-order area bound on the bond window (the exact sign of one cubic
-in epsilon), probes the squared variant on random side-length
-triples, and estimates the triangle rigidity constant by rejection
-sampling.  The experiment side runs one chain per ``(N, l)`` grid point,
-evaluates the exact identity suite on every emitted sample, and
-aggregates order-parameter and bond statistics with batch-means error
-bars.
+in epsilon), probes the squared variant on random side-length triples,
+and proves the triangle rigidity constant, with a Monte Carlo estimate
+on the same domain as its independent check.  The experiment side runs
+one chain per ``(N, l)`` grid point, evaluates the exact identity suite
+on every emitted sample, and aggregates order-parameter and bond
+statistics with batch-means error bars.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Real
 
 import numpy as np
 
 from . import geometry, observables
-from .configuration import LAMBDA0, Configuration, check_epsilon, check_side_length
+from .configuration import _BINV, LAMBDA0, Configuration, check_epsilon, check_side_length
 from .fileio import atomic_write_text
-from .lattice import SQRT3, check_lattice_size
+from .lattice import SQRT3, UP, check_lattice_size
 from .observables import identity_suite
 from .sampler import Chain, SamplerParams, check_lean_regime
 
@@ -185,24 +184,73 @@ def _squared_bound_margins(u: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Empirical rigidity constant of the per-triangle bound
+# Rigidity constant of the per-triangle bound
 # ---------------------------------------------------------------------------
 
-# Edge directions of the unit reference triangle.
-_V_DIRECTIONS = np.array([[1.0, 0.0], [0.5, SQRT3 / 2.0], [0.5, -SQRT3 / 2.0]])
+RIGIDITY_CONSTANT = 2
+"""Proved constant of the per-triangle rigidity bound on the bond window.
 
-# Candidates per batch; the batch size fixes the random stream, so
-# changing it changes c_hat.  Each batch's E is drawn and tested in
-# sub-blocks, which consumes the same stream as one draw per batch for
-# any divisor of the batch; 10k keeps the reused work arrays near 1 MB.
-_RIGIDITY_DRAW = 200_000
-_RIGIDITY_BLOCK = 10_000
+Let a triangle have sides ``a_k = 1 + d_k`` with ``0 <= d_k <= m <= 1``,
+and let ``A`` be its gradient over the unit reference triangle
+(``det A > 0``).  Then
 
-# Relative slack of the estimator's squared-length prefilter, and the
-# largest cap for which its lower bound is proved; the derivation is in
-# estimate_rigidity_constant's docstring.
-_RIGIDITY_SLACK = 1e-9
-_RIGIDITY_LOWER_CAP = 0.5
+    dist(A, SO(2))^2 <= 2 m^2,    m = max_k d_k,
+
+with equality on the dilations ``d = (t, t, t)``, where ``A = (1 + t) R``
+and ``dist^2 = 2 t^2``.  Every side of a state of Omega lies in
+``(1, 1 + eps)`` with ``eps <= 1``, which covers the certified window
+``eps < eps* ~ 0.4574``.  The deviations are one-sided: with sides below
+one the supremum is larger (about 4.1 at sides ``(0.9, 0.9, 1.1)``).
+
+Proof.  Let ``v_k`` be the reference edge directions, at 0, 60 and 120
+degrees, ``s_k = |A v_k|^2 = a_k^2``, which lie in ``[1, M]`` with
+``M = (1 + m)^2``, and ``sigma_1 >= sigma_2 > 0`` the singular values of
+``A``.
+
+1. ``dist^2 = f(sigma_1^2) + f(sigma_2^2)`` with ``f(z) = (sqrt(z) - 1)^2``,
+   which is convex on ``[0, inf)``, decreasing on ``[0, 1]`` and
+   increasing on ``[1, inf)``.
+2. ``A^T A`` has eigenvalues ``sigma^2 = a +- R``, and ``|A v|^2`` at angle
+   ``theta`` is ``a + R cos(2 theta - psi)``.  The three angles
+   ``2 theta_k`` are 0, 120 and 240 degrees, so
+   ``s_k = a + R cos(phi + 2 pi k/3)``, ``a`` is the mean of the ``s_k``
+   and ``R^2 = (2/3) sum_k (s_k - a)^2``.  Write
+   ``D(a, R) = f(a + R) + f(a - R)``, which is convex where ``a >= R``.
+3. Fix ``phi``.  The three cosines ``c_k`` sum to zero, so
+   ``c_min < 0 < c_max``, and ``s`` lies in ``[1, M]^3`` exactly when
+   ``R >= 0``, ``a + R c_max <= M`` and ``a + R c_min >= 1`` (the middle
+   ``s_k`` lies between the other two).  These ``(a, R)`` form a triangle
+   with vertices ``(1, 0)``, ``(M, 0)`` and an apex where
+   ``s = (M, 1, sigma)`` in some order, ``sigma`` in ``[1, M]``.  The
+   affine ``a - R`` is ``1`` and ``M`` at the first two and, by step 5,
+   nonnegative at the apex, so ``D`` is convex on the triangle and peaks at
+   a vertex: ``D(1, 0) = 0``, ``D(M, 0) = 2 f(M) = 2 m^2``, or the apex.
+4. Along the apexes ``s = (M, 1, sigma)``, ``a`` is affine in ``sigma``
+   and ``R``, the norm of an affine map, is convex.  Since
+   ``a + R >= max s = M >= 1`` and ``a - R <= min s = 1``, and ``f`` is
+   convex and monotone on each side of 1, ``D`` is convex in ``sigma``
+   and peaks at ``s = (M, 1, 1)`` or ``s = (M, M, 1)``.
+5. At ``(M, 1, 1)``: ``a + R = M`` and ``a - R = (4 - M)/3 >= 0``, so
+   ``D = m^2 + (1 - sqrt((4 - M)/3))^2``, and ``D <= 2 m^2`` iff
+   ``3 (1 - m)^2 <= 4 - M`` iff ``4 m (1 - m) >= 0``.
+   At ``(M, M, 1)``: ``a + R = (4M - 1)/3`` and ``a - R = 1``, so
+   ``D = (sqrt((4M - 1)/3) - 1)^2``, and ``D <= 2 m^2`` iff
+   ``(4M - 1)/3 <= (1 + sqrt(2) m)^2`` iff ``(6 sqrt(2) - 8) m + 2 m^2 >= 0``.
+   Both hold for ``0 <= m <= 1``.  ``a - R`` is concave in ``sigma``, so
+   along the apexes it is at least ``min((4 - M)/3, 1) >= 0``.
+
+:func:`estimate_rigidity_constant` samples the same domain as an
+independent check.
+"""
+
+# Absolute allowance of the per-triangle check for the rounding of its two
+# sides; the derivation is in check_estimate_chain's docstring.
+_RIGIDITY_ALLOWANCE = 2.0**-46
+
+# Triangles per block of the rigidity estimate, drawn into one buffer: the
+# same stream as one draw per triangle; 4k ran as fast as 8k at half the
+# 1.4 MB peak.
+_RIGIDITY_BLOCK = 4096
 
 # Candidate matrices drawn per block by the SO(2) agreement check; about
 # half survive the det > 0 rejection.
@@ -233,153 +281,73 @@ def check_sample_count(n, name: str = "n_samples") -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
-def check_deviation_cap(cap, name: str = "deviation_cap") -> None:
-    """Raise ``ValueError`` unless the rigidity deviation cap is a real number in (0, 1]."""
-    if isinstance(cap, bool) or not isinstance(cap, Real) or not 0.0 < cap <= 1.0:
-        raise ValueError(f"{name} must be a real number in (0, 1], got {cap!r}")
-
-
 @dataclass
 class RigidityConstantEstimate:
     c_hat: float
-    deviation_cap: float
+    epsilon: float
     n_samples: int
     seed: int
 
+    @property
+    def ok(self) -> bool:
+        """``c_hat`` is within the rounding allowance of :data:`RIGIDITY_CONSTANT`.
 
-def _rigidity_q_bounds(cap: float) -> tuple[float, float]:
-    """The prefilter's bounds ``(q_lo, q_hi)`` on a squared image length;
-    see :func:`estimate_rigidity_constant`."""
-    q_hi = (1.0 + cap) * (1.0 + _RIGIDITY_SLACK)
-    if cap > _RIGIDITY_LOWER_CAP:
-        return 0.0, q_hi * q_hi
-    q_lo = (1.0 - cap) * (1.0 - _RIGIDITY_SLACK)
-    return q_lo * q_lo, q_hi * q_hi
+        A NaN fails.  A ratio carries a rounding error of about
+        ``1e-14 / t^2``, ``t`` its largest deviation, so it can pass
+        ``2 + 2**-46`` only for a draw that nearly lies on the diagonal
+        ``(t, t, t)``, where the bound is an equality: a uniform draw in
+        ``(0, epsilon]^3`` lands there with probability about
+        ``3e-21 / epsilon^3``.
+        """
+        return self.c_hat <= RIGIDITY_CONSTANT + _RIGIDITY_ALLOWANCE
+
+
+def _one_sided_gradients(d: np.ndarray) -> np.ndarray:
+    """Gradients of the triangles with sides ``1 + d``, ``d`` of shape ``(n, 3)``.
+
+    Side ``k`` is the image of the reference edge ``v_k``: ``c0 = 0``,
+    ``c1 = (a1, 0)``, and ``c2 = (x, y)`` from the law of cosines, with
+    the height ``y`` from Heron's product, whose factors are nonnegative
+    for sides in ``[1, 2]``.  The gradient is ``[c1 c2] @ B_UP^-1``, the
+    matrix :func:`configuration.triangle_gradients` uses for an UP
+    triangle.
+    """
+    a1, a2, a3 = (1.0 + d).T
+    x = (a1 * a1 + a2 * a2 - a3 * a3) / (2.0 * a1)
+    y = np.sqrt((a1 + a2 + a3) * (-a1 + a2 + a3) * (a1 - a2 + a3) * (a1 + a2 - a3)) / (2.0 * a1)
+    edges = np.zeros((len(d), 2, 2))
+    edges[:, 0, 0] = a1
+    edges[:, 0, 1] = x
+    edges[:, 1, 1] = y
+    return edges @ _BINV[UP]
 
 
 def estimate_rigidity_constant(
     n_samples: int = 1_000_000,
-    deviation_cap: float = 0.1,
+    epsilon: float = 0.1,
     seed: int = 0,
 ) -> RigidityConstantEstimate:
-    """Empirical supremum of dist(A, SO(2))^2 / max_i (|A v_i| - 1)^2.
+    """Empirical supremum of ``dist(A, SO(2))^2 / max_k d_k^2`` on the bond window.
 
-    Candidates are drawn as ``A = Id + E`` with ``E`` uniform in
-    ``[-2*cap, 2*cap]`` entrywise, then rejected to ``det A > 0`` and
-    ``0 < max_i ||A v_i| - 1| <= cap``.  The supremum over accepted
-    samples is the package's working constant for the per-triangle
-    rigidity bound.
-
-    Rotating the ensemble would not change that supremum: for every
-    rotation ``R``, ``|R A v| = |A v|`` and ``dist(R A, SO(2)) =
-    dist(A, SO(2))``, so ``R A`` passes the same rejection with the same
-    ratio.  A uniform angle per candidate is still skipped after each
-    batch of ``E`` (``bit_generator.advance``, the state drawing it would
-    leave); it only keeps the random stream, so every batch's ``E`` is
-    the one drawn when the candidates were rotated.
-
-    Most candidates fail the cap, and a ``hypot`` costs several times a
-    square, so each sub-block first drops the rows whose squared image
-    lengths ``q = x*x + y*y`` cannot pass; ``x``, ``y`` are bitwise the
-    image components the acceptance test takes ``hypot`` of.  Only the
-    surviving rows run the test, in the order written above.  A row is
-    dropped when one of its three ``q`` exceeds ``((1 + cap)(1 + d))^2``
-    or, for ``cap <= _RIGIDITY_LOWER_CAP = 1/2``, falls below
-    ``((1 - cap)(1 - d))^2``, with ``d = _RIGIDITY_SLACK = 1e-9``.  Such
-    a row would fail the test:
-
-    Let ``r`` be the exact length of ``(x, y)`` and ``H = hypot(x, y)``
-    as computed.  Entries of ``A`` are at most 3 in size, so nothing
-    overflows; ``q`` carries three roundings, each threshold four, and
-    ``hypot`` is within an ulp.  That is a relative error below ``2e-15``
-    in all, far below ``d/4`` (an underflow in ``q`` moves it by less
-    than ``1e-300``, far below either threshold's resolution).
-
-    * Above: ``r > (1 + cap)(1 + d/2)``, so ``H > (1 + cap)(1 + d/4)``
-      and ``H - 1 > cap + d/4``.  Rounding is monotone and ``cap + d/4``
-      exceeds the next float after ``cap <= 1``, so ``fl(H - 1) > cap``
-      and ``maxdev <= cap`` fails.
-    * Below: ``r < (1 - cap)(1 - d/2)``, so ``H < (1 - cap)(1 - d/4)``
-      and ``1 - H > cap + (1 - cap) d/4 >= cap + d/8``.  By the same
-      argument ``|fl(H - 1)| = fl(1 - H) > cap``, and ``maxdev <= cap``
-      fails.  The margin ``(1 - cap) d/4``
-      vanishes as ``cap -> 1``, which is why the lower bound stops at
-      ``cap = 1/2``; above it only the upper bound drops rows.
-
-    So the accepted samples, their order and every ratio are those of
-    the test run on every row: ``c_hat`` and ``n_samples`` are bitwise
-    unchanged by the prefilter.
+    Draws the side deviations ``d`` uniform in ``(0, epsilon]^3``, the
+    domain of :data:`RIGIDITY_CONSTANT`, builds each triangle's gradient
+    with :func:`_one_sided_gradients` and takes its distance from
+    :func:`geometry.dist_so2_batch`.  Every draw is kept, so
+    ``n_samples`` is exact.  The draws come in blocks of
+    :data:`_RIGIDITY_BLOCK` into one buffer, which consumes the same
+    stream as one draw per triangle.  A NaN ratio is kept.
     """
     check_sample_count(n_samples)
-    check_deviation_cap(deviation_cap)
-    cap = deviation_cap
+    check_epsilon(epsilon)
     rng = np.random.Generator(np.random.PCG64(seed))
-    h = _V_DIRECTIONS[1, 1]
-    q_lo, q_hi = _rigidity_q_bounds(cap)
-    low, high = -2.0 * cap, 2.0 * cap
-    # work arrays, reused by every sub-block: the entries of A as rows
-    # (a00, a01, a10, a11), four image components, q and its partner; the
-    # raw draw, rows of (e00, e01, e10, e11), fills the image components
-    a = np.empty((4, _RIGIDITY_BLOCK))
-    x_half, y_half, x_h, y_h, q, w = work = np.empty((6, _RIGIDITY_BLOCK))
-    draw = work[:4].reshape(_RIGIDITY_BLOCK, 4)
-    keep, test = np.empty((2, _RIGIDITY_BLOCK), dtype=bool)
+    buf = np.empty(3 * min(_RIGIDITY_BLOCK, n_samples))
     c_hat = 0.0
-    kept = 0
-    while kept < n_samples:
-        for _ in range(_RIGIDITY_DRAW // _RIGIDITY_BLOCK):
-            # bitwise rng.uniform(low, high), which is low + (high - low) * u
-            np.multiply(rng.random(out=draw).T, high - low, out=a)
-            a += low
-            # Id + E: off the diagonal 0.0 + e is e, as the draw
-            # low + (high - low) * u never yields -0.0
-            a[0] += 1.0
-            a[3] += 1.0
-            a00, a01, a10, a11 = a
-            # v1 = (1, 0), v2/v3 = (1/2, +-h): images (x, y) per direction
-            np.multiply(0.5, a00, out=x_half)
-            np.multiply(0.5, a10, out=y_half)
-            np.multiply(h, a01, out=x_h)
-            np.multiply(h, a11, out=y_h)
-            np.multiply(a00, a00, out=q)
-            np.multiply(a10, a10, out=w)
-            q += w
-            np.less_equal(q, q_hi, out=keep)
-            np.greater_equal(q, q_lo, out=test)
-            keep &= test
-            for op in (np.add, np.subtract):
-                op(x_half, x_h, out=q)
-                q *= q
-                op(y_half, y_h, out=w)
-                w *= w
-                q += w
-                np.less_equal(q, q_hi, out=test)
-                keep &= test
-                np.greater_equal(q, q_lo, out=test)
-                keep &= test
-            b = a[:, np.flatnonzero(keep)]
-            b00, b01, b10, b11 = b
-            det = b00 * b11 - b01 * b10
-            bx_half, by_half = 0.5 * b00, 0.5 * b10
-            bx_h, by_h = h * b01, h * b11
-            maxdev = np.maximum(
-                np.abs(np.hypot(b00, b10) - 1.0),
-                np.maximum(
-                    np.abs(np.hypot(bx_half + bx_h, by_half + by_h) - 1.0),
-                    np.abs(np.hypot(bx_half - bx_h, by_half - by_h) - 1.0),
-                ),
-            )
-            idx = np.flatnonzero((det > 0.0) & (maxdev <= cap) & (maxdev > 0.0))
-            idx = idx[: n_samples - kept]
-            if idx.size:
-                A = b[:, idx].T.reshape(-1, 2, 2)
-                ratios = geometry.dist_so2_batch(A) ** 2 / maxdev[idx] ** 2
-                c_hat = _fold_max(c_hat, float(ratios.max()))
-                kept += idx.size
-            if kept == n_samples:
-                break
-        rng.bit_generator.advance(_RIGIDITY_DRAW)  # the unused angles
-    return RigidityConstantEstimate(c_hat, deviation_cap, kept, seed)
+    for start in range(0, n_samples, _RIGIDITY_BLOCK):
+        u = rng.random(out=buf[: 3 * min(_RIGIDITY_BLOCK, n_samples - start)]).reshape(-1, 3)
+        d = epsilon * (1.0 - u)  # 1 - u in (0, 1]
+        ratios = geometry.dist_so2_batch(_one_sided_gradients(d)) ** 2 / d.max(axis=1) ** 2
+        c_hat = _fold_max(c_hat, float(ratios.max()))
+    return RigidityConstantEstimate(c_hat, epsilon, n_samples, seed)
 
 
 def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int = 0) -> float:
@@ -457,7 +425,7 @@ class EstimateChainReport:
     @property
     def ok(self) -> bool:
         return (
-            self.triangle_bound_margin >= 0.0
+            self.triangle_bound_margin >= -_RIGIDITY_ALLOWANCE
             and self.l2_vs_side_sum_margin >= 0.0
             and self.side_sum_vs_area_margin >= 0.0
             and self.pythagoras_margin >= 0.0
@@ -465,15 +433,45 @@ class EstimateChainReport:
 
 
 def check_estimate_chain(
-    cfg: Configuration, c_hat: float, identities: observables.IdentityReport
+    cfg: Configuration, identities: observables.IdentityReport
 ) -> EstimateChainReport:
     """Verify the estimate chain on one admissible configuration.
 
-    (i) per-triangle rigidity bound with the working constant, (ii) its
-    L2 aggregate against the side-deviation sum, (iii) the side sum
-    against the area-difference sum, (iv) the exact Pythagoras split,
-    read from ``identities``, the :func:`identity_suite` report of
-    ``cfg``.
+    (i) The per-triangle rigidity bound ``dist^2 <= 2 max_k d_k^2`` of
+    :data:`RIGIDITY_CONSTANT`, within ``_RIGIDITY_ALLOWANCE``.  (ii) Its
+    L2 aggregate against the side-deviation sum with the constant
+    ``2 * 2``: each bond lies in exactly two triangles, so
+    ``sum_T max_k d_k^2 <= 2 sum_bonds d^2``.  (iii) The side sum against
+    the area-difference sum.  (iv) The exact Pythagoras split, read from
+    ``identities``, the :func:`identity_suite` report of ``cfg``.
+
+    The allowance ``2**-46 = 128 u`` (``u = 2**-53``) bounds the rounding
+    of check (i)'s computed margin ``2 fl(max d^2) - fl(dist^2)`` for a
+    triangle whose float corners span exact sides ``a_k`` in ``[1, 3/2]``
+    (so ``m <= 1/2``):
+
+    * Sides.  Each edge ``fl(c_i - c_j)`` is within ``u`` of the exact
+      edge, relatively, and ``hypot`` within an ulp, so the computed side
+      is within ``3.01 u a_k <= 4.6 u`` of ``a_k``; subtracting 1 is
+      exact (Sterbenz), and ``2 fl(m^2) >= 2 m^2 - 10 u``.
+    * Gradient.  Each entry of ``fl(E @ _BINV)`` carries the edge
+      rounding, that of ``1/sqrt(3)`` in ``_BINV`` (``2.01 u``) and at most
+      two of the product, so ``|G' - G|_F <= 5.1 u |E|_F |B|_F
+      <= 5.1 u * 2.13 * 1.64 < 18 u``.  ``dist`` is 1-Lipschitz in the
+      Frobenius norm and ``dist(G) <= sqrt(2) m <= 0.71``, so
+      ``dist(G')^2 <= dist(G)^2 + 26 u``.
+    * Closed form.  In :func:`geometry.dist_so2_batch` on ``G'``,
+      ``|G'|^2 <= 4.6`` carries ``19 u``, ``2 det`` ``9.3 u`` and their sum
+      ``inner = (sigma_1 + sigma_2)^2`` in ``[1, 9.2]`` ``37.5 u``; the
+      square root halves that and adds ``3.1 u``; with ``|G'|^2 + 2`` and
+      the last subtraction the radicand is within ``70 u`` of
+      ``dist(G')^2``, and squaring its rounded square root adds ``1.5 u``.
+
+    So a triangle that satisfies the bound reads a margin of at least
+    ``-(10 + 26 + 72) u > -128 u``; the final subtraction rounds
+    monotonically.  The float corners of a state whose bond window is
+    decided on rounded squares can put a side a few ulps below 1, outside
+    the bound's domain; this allowance does not cover that band.
     """
     dist2 = geometry.dist_so2_batch(cfg.gradients) ** 2
 
@@ -487,11 +485,11 @@ def check_estimate_chain(
         axis=1,
     )
     maxdev2 = ((lengths - 1.0) ** 2).max(axis=1)
-    per_tri = c_hat * maxdev2 - dist2
+    per_tri = RIGIDITY_CONSTANT * maxdev2 - dist2
     worst = int(np.argmin(per_tri))
 
     sds = observables.side_deviation_sum(cfg)
-    l2_margin = c_hat * LAMBDA0 * sds - LAMBDA0 * float(np.sum(dist2))
+    l2_margin = 2 * RIGIDITY_CONSTANT * LAMBDA0 * sds - LAMBDA0 * float(np.sum(dist2))
     area_margin = FOUR_SQRT3 * cfg.epsilon * cfg.reductions.area_difference - sds
     pyth = identities.pythagoras_relative_error
     return EstimateChainReport(

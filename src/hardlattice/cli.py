@@ -6,9 +6,9 @@ Three subcommands driven by a JSON config file:
   plus a JSON metadata sidecar;
 * ``verify`` -- run the identity and oracle suites, print one PASS/FAIL
   line per check;
-* ``oracle`` -- compute the certified window margins, the working
-  rigidity constant, and the closed-form-vs-grid distance agreement,
-  written as JSON.
+* ``oracle`` -- compute the certified window margins, the Monte Carlo
+  estimate of the proved rigidity constant, and the closed-form-vs-grid
+  distance agreement, written as JSON.
 
 Each block accepts a ``certification_grid`` key and ignores it; the
 window certificate is exact and has no grid.
@@ -47,7 +47,7 @@ EXIT_INADMISSIBLE = 2
 EXIT_CHECK = 3
 
 RUN_SCHEMA = "hardlattice.run.v1"
-ORACLE_SCHEMA = "hardlattice.oracle.v1"
+ORACLE_SCHEMA = "hardlattice.oracle.v2"
 
 
 class ConfigError(ValueError):
@@ -84,7 +84,6 @@ _VERIFY_DEFAULTS = {
     "omega2_oracle_every": 10,
     "squared_bound_samples": 200_000,
     "rigidity_samples": 200_000,
-    "deviation_cap": 0.1,
     "heron_samples": 10_000,
     "dist_matrices": 2_000,
     "dist_grid": 3600,
@@ -94,7 +93,6 @@ _ORACLE_DEFAULTS = {
     "epsilon_ladder": [0.05, 0.1, 0.2],
     "certification_grid": 64,
     "rigidity_samples": 1_000_000,
-    "deviation_cap": 0.1,
     "dist_matrices": 10_000,
     "dist_grid": 3600,
 }
@@ -171,13 +169,12 @@ def _sampler_params(block: dict, seed=0) -> SamplerParams:
 
 
 def _check_monte_carlo_sizes(block: dict, where: str) -> None:
-    """Reject the block's sample counts, SO(2) grid and deviation cap
-    through the checks of the functions that use them."""
+    """Reject the block's sample counts and SO(2) grid through the checks
+    of the functions that use them."""
     for key in ("squared_bound_samples", "heron_samples", "dist_matrices", "rigidity_samples"):
         if key in block:
             analysis.check_sample_count(block[key], f"{where}.{key}")
     geometry.check_grid_size(block["dist_grid"], f"{where}.dist_grid")
-    analysis.check_deviation_cap(block["deviation_cap"], f"{where}.deviation_cap")
 
 
 def _versions() -> dict:
@@ -334,8 +331,8 @@ def cmd_verify(args) -> int:
         _report("estimate-chain", False, "skipped: window not certified")
         return EXIT_CHECK
 
-    # Step 7's working constant does not depend on the chain.
-    est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
+    # Step 7's independent estimate of the constant does not depend on the chain.
+    est = analysis.estimate_rigidity_constant(block["rigidity_samples"], eps, seed=seed)
 
     # Steps 5-7 check each block of samples as the chain emits it and keep
     # only the per-sample reports, so the samples of a block are dropped
@@ -351,7 +348,7 @@ def cmd_verify(args) -> int:
             if len(identities) % every == 0 and (not oracle or oracle[-1]):
                 oracle.append(cfgmod.check_omega2_oracle(snap).ok)
             identities.append(ident)
-            estimates.append(analysis.check_estimate_chain(snap, est.c_hat, ident))
+            estimates.append(analysis.check_estimate_chain(snap, ident))
 
     chain = Chain.from_standard(
         block["N"], block["l"], eps, replace(params, omega2_oracle_every=0)
@@ -389,17 +386,19 @@ def cmd_verify(args) -> int:
     all_ok &= _report(
         "injectivity-fast-vs-oracle",
         agree,
-        f"samples={n_samples} oracle_checked={len(range(0, n_samples, every))} "
+        f"samples={n_samples} oracle_checked={len(oracle)} "
         f"counterexamples={n_counter}",
     )
 
-    # 7. Estimate chain on every sample.
+    # 7. Estimate chain on every sample, with the proved constant, and
+    # the Monte Carlo estimate of that constant.
     # np.min keeps a NaN margin, as step 5's ndarray.max keeps a NaN error.
     worst_margin = float(np.min([rep.triangle_bound_margin for rep in estimates]))
     all_ok &= _report(
         "estimate-chain",
-        all(rep.ok for rep in estimates),
-        f"c_hat={est.c_hat:.4f} worst_triangle_margin={worst_margin:.3e}",
+        est.ok and all(rep.ok for rep in estimates),
+        f"constant={analysis.RIGIDITY_CONSTANT} c_hat={est.c_hat:.4f} "
+        f"worst_triangle_margin={worst_margin:.3e}",
     )
 
     return EXIT_OK if all_ok else EXIT_CHECK
@@ -420,7 +419,7 @@ def cmd_oracle(args) -> int:
         {"epsilon": cert.epsilon, "margin": cert.margin, "certified": cert.certified}
         for cert in certs
     ]
-    est = analysis.estimate_rigidity_constant(block["rigidity_samples"], block["deviation_cap"], seed=seed)
+    est = analysis.estimate_rigidity_constant(block["rigidity_samples"], max(ladder_eps), seed=seed)
     dist_worst = analysis.dist_so2_agreement(block["dist_matrices"], block["dist_grid"], seed=seed)
 
     payload = {
@@ -430,8 +429,9 @@ def cmd_oracle(args) -> int:
         "config": block,
         "epsilon_ladder": ladder,
         "rigidity_constant": {
+            "constant": analysis.RIGIDITY_CONSTANT,
             "c_hat": est.c_hat,
-            "deviation_cap": est.deviation_cap,
+            "epsilon": est.epsilon,
             "n_samples": est.n_samples,
         },
         "dist_so2_agreement": {

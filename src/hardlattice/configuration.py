@@ -464,11 +464,6 @@ def _bond_vectors(N: int, l: float, positions: np.ndarray):
     return pb[..., 0] - pa[..., 0], pb[..., 1] - pa[..., 1]
 
 
-def bond_lengths(cfg: Configuration) -> np.ndarray:
-    """Lengths of all 3N^2 bond classes in enumeration order."""
-    return np.hypot(*_bond_vectors(cfg.N, cfg.l, cfg.positions))
-
-
 def bond_length_squares(N: int, l: float, positions: np.ndarray) -> np.ndarray:
     """Squared lengths of all 3N^2 bond classes, shape ``(..., 3N^2)``."""
     dx, dy = _bond_vectors(N, l, positions)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import LAMBDA0, Configuration, _squared_deviations, bond_lengths, position
+from .configuration import LAMBDA0, Configuration, _squared_deviations, position
 from .lattice import NEIGHBOR_OFFSETS
 
 
@@ -37,8 +37,12 @@ def bond_vector(cfg: Configuration, x, z) -> np.ndarray:
 
 
 def side_deviation_sum(cfg: Configuration) -> float:
-    """Sum of squared bond-length deviations from one over the 3N^2 bond classes."""
-    d = bond_lengths(cfg) - 1.0
+    """Sum of squared bond-length deviations from one over the 3N^2 bond classes.
+
+    Reads the snapshot's cached ``bond_squares``, so each length is the
+    square root of its rounded square rather than a ``hypot``.
+    """
+    d = np.sqrt(cfg.bond_squares) - 1.0
     return float(np.sum(d * d))
 
 

@@ -49,8 +49,8 @@ def grid_snapshots():
 
 
 @pytest.fixture(scope="module")
-def working_constant():
-    return A.estimate_rigidity_constant(n_samples=1_000_000, deviation_cap=0.1, seed=2718)
+def rigidity_estimate():
+    return A.estimate_rigidity_constant(n_samples=1_000_000, epsilon=EPSILON, seed=2718)
 
 
 def test_criterion_01_area_identity(grid_snapshots):
@@ -153,23 +153,23 @@ def test_criterion_06_window_certification():
     )
 
 
-def test_criterion_07_estimate_chain(grid_snapshots, working_constant):
+def test_criterion_07_estimate_chain(grid_snapshots, rigidity_estimate):
     t0 = time.time()
-    c_hat = working_constant.c_hat
+    c_hat = rigidity_estimate.c_hat
     n_checked = 0
     failures = 0
     worst = math.inf
     for snaps in grid_snapshots.values():
         for snap in snaps:
-            rep = A.check_estimate_chain(snap, c_hat, O.identity_suite(snap))
+            rep = A.check_estimate_chain(snap, O.identity_suite(snap))
             failures += not rep.ok
             worst = min(worst, rep.triangle_bound_margin)
             n_checked += 1
-    ok = failures == 0
+    ok = failures == 0 and rigidity_estimate.ok
     assert _report(
         "07-estimate-chain",
         ok,
-        f"c_hat={c_hat:.4f} failures={failures}/{n_checked} worst_margin={worst:.3e}",
+        f"constant={A.RIGIDITY_CONSTANT} c_hat={c_hat:.4f} failures={failures}/{n_checked} worst_margin={worst:.3e}",
         time.time() - t0,
     )
 

@@ -166,6 +166,18 @@ class TestSquaredBound:
             A.verify_squared_bound(0.46, n_samples=10)
 
 
+# Edge directions of the unit reference triangle, at 0, 60 and 120 degrees.
+_V_EDGES = np.array([[1.0, 0.0], [0.5, SQRT3 / 2.0], [-0.5, SQRT3 / 2.0]])
+
+
+def _reference_rigidity_constant(n_samples, epsilon, seed):
+    """The estimate from one whole draw of ``(n_samples, 3)`` deviations."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = epsilon * (1.0 - rng.random((n_samples, 3)))
+    ratios = geometry.dist_so2_batch(A._one_sided_gradients(d)) ** 2 / d.max(axis=1) ** 2
+    return float(ratios.max())
+
+
 class TestRigidityConstant:
     def test_conformal_scaling_pins_ratio_two(self):
         # rotations of l*Id deviate by l-1 on every direction and sit at
@@ -176,41 +188,79 @@ class TestRigidityConstant:
         dev = abs(l - 1.0)
         assert abs(dist2 / dev**2 - 2.0) < 1e-9
 
-    def test_estimate_exceeds_two_and_is_finite(self):
-        est = A.estimate_rigidity_constant(n_samples=100_000, deviation_cap=0.1, seed=0)
-        assert est.n_samples == 100_000
-        assert 2.0 <= est.c_hat < 50.0
+    @pytest.mark.parametrize("m", [Fraction(k, 97) for k in range(1, 97)] + [Fraction(1, 10**9)])
+    def test_proof_corner_inequalities_are_exact(self, m):
+        # step 5 of RIGIDITY_CONSTANT's proof in rational arithmetic
+        M = (1 + m) ** 2
+        for s, (hi, lo) in [((M, 1, 1), (M, (4 - M) / 3)), ((M, M, 1), ((4 * M - 1) / 3, 1))]:
+            # the stated singular values squared are a +- R of step 2
+            a = sum(s) / 3
+            r2 = Fraction(2, 3) * sum((x - a) ** 2 for x in s)
+            assert hi + lo == 2 * a and (hi - lo) ** 2 == 4 * r2 and lo > 0
+        # (M, 1, 1): D <= 2 m^2 iff 3 (1 - m)^2 <= 4 - M, and the gap is 4 m (1 - m)
+        assert (4 - M) - 3 * (1 - m) ** 2 == 4 * m * (1 - m) > 0
+        # (M, M, 1): D <= 2 m^2 iff (4M - 1)/3 <= (1 + sqrt(2) m)^2; a
+        # rational r below sqrt(2) makes the right side smaller
+        r = Fraction(1414, 1000)
+        assert r * r < 2 and 6 * r - 8 > 0
+        assert (4 * M - 1) / 3 < (1 + r * m) ** 2
 
-    def test_stable_across_seeds(self):
-        vals = [
-            A.estimate_rigidity_constant(n_samples=200_000, deviation_cap=0.1, seed=s).c_hat
-            for s in (0, 1, 2)
-        ]
-        assert (max(vals) - min(vals)) / min(vals) < 0.05
+    @pytest.mark.parametrize("epsilon", [0.1, 0.4574, 0.99])
+    def test_bound_holds_on_a_grid_of_the_cube(self, epsilon):
+        t = np.linspace(0.0, epsilon, 41)
+        d = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)[1:]
+        dist2 = geometry.dist_so2_batch(A._one_sided_gradients(d)) ** 2
+        margin = A.RIGIDITY_CONSTANT * d.max(axis=1) ** 2 - dist2
+        assert margin.min() >= -A._RIGIDITY_ALLOWANCE
+        # equality on the diagonal, the dilations
+        diag = (d[:, 0] == d[:, 1]) & (d[:, 1] == d[:, 2])
+        assert np.abs(margin[diag]).max() <= A._RIGIDITY_ALLOWANCE
 
-    def test_monotone_in_cap(self):
-        small = A.estimate_rigidity_constant(n_samples=100_000, deviation_cap=0.05, seed=0).c_hat
-        large = A.estimate_rigidity_constant(n_samples=100_000, deviation_cap=0.2, seed=0).c_hat
-        assert small <= large
+    @pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.1, 1), (0.4574, 2)])
+    def test_estimate_approaches_two_from_below(self, epsilon, seed):
+        # near the diagonal 2 - g ~ (4/3)(2 - a - b) for d = t(1, a, b), so
+        # a draw lands within x of 2 with probability about 0.28 x^2, and
+        # 1e6 draws all stay below 1.99 with probability about exp(-28)
+        est = A.estimate_rigidity_constant(1_000_000, epsilon, seed=seed)
+        assert (est.n_samples, est.epsilon, est.seed) == (1_000_000, epsilon, seed)
+        assert 1.99 < est.c_hat <= 2.0
+        assert est.ok
 
-    def test_rejects_bad_cap(self):
-        with pytest.raises(ValueError):
-            A.estimate_rigidity_constant(n_samples=10, deviation_cap=0.0)
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.4574])
+    def test_gradients_carry_the_drawn_sides(self, rng, epsilon):
+        d = epsilon * (1.0 - rng.random((50_000, 3)))
+        d[:3] = [[epsilon] * 3, [epsilon, 1e-12, 1e-12], [1e-12, 1e-12, epsilon]]
+        G = A._one_sided_gradients(d)
+        sides = np.linalg.norm(np.einsum("nij,kj->nki", G, _V_EDGES), axis=2)
+        assert np.abs(sides - (1.0 + d)).max() < 1e-14
+        assert np.all(G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0] > 0.0)
+
+    @pytest.mark.parametrize("n_samples", [1, A._RIGIDITY_BLOCK, A._RIGIDITY_BLOCK + 1, 30_001])
+    @pytest.mark.parametrize("block", [7, 1000, 4096, 40_000])
+    def test_does_not_depend_on_the_block(self, monkeypatch, n_samples, block):
+        monkeypatch.setattr(A, "_RIGIDITY_BLOCK", block)
+        est = A.estimate_rigidity_constant(n_samples, 0.1, seed=5)
+        assert est.n_samples == n_samples
+        assert est.c_hat == _reference_rigidity_constant(n_samples, 0.1, 5)
+
+    @pytest.mark.parametrize(
+        "c_hat, ok", [(2.0, True), (2.0 + 2.0**-47, True), (2.0 + 2.0**-45, False), (math.nan, False)]
+    )
+    def test_ok_allows_rounding_of_two_only(self, c_hat, ok):
+        assert A.RigidityConstantEstimate(c_hat, 0.1, 1, 0).ok is ok
 
     @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "1000", True])
     def test_rejects_bad_sample_count(self, n_samples):
         with pytest.raises(ValueError):
-            A.estimate_rigidity_constant(n_samples=n_samples, deviation_cap=0.1)
+            A.estimate_rigidity_constant(n_samples=n_samples, epsilon=0.1)
 
-    @pytest.mark.parametrize("cap", [0.0, -0.1, 1.5, "0.1", math.nan])
-    def test_rejects_cap_outside_unit_interval(self, cap):
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, "0.1", True, math.nan])
+    def test_rejects_epsilon_outside_the_window_range(self, epsilon):
         with pytest.raises(ValueError):
-            A.check_deviation_cap(cap)
+            A.estimate_rigidity_constant(n_samples=10, epsilon=epsilon)
 
     def test_peak_memory_stays_small(self):
-        # the verify default: each 200k-candidate batch drawn into reused
-        # 10k-row buffers; 25k-row sub-blocks with a fresh draw each
-        # peaked at 3.4 MB
+        # the verify default, drawn into one reused 4k-row buffer
         assert _peak_bytes(lambda: A.estimate_rigidity_constant(200_000, 0.1, seed=1)) < 2e6
 
 
@@ -239,41 +289,6 @@ class TestSampledChecksPeakMemory:
     def test_dist_so2_agreement(self):
         # 16-matrix grid-search chunks peaked at 1.0 MB
         assert _peak_bytes(lambda: A.dist_so2_agreement(2000, 3600, seed=1)) < 0.8e6
-
-
-def _reference_rigidity_constant(n_samples, deviation_cap, seed):
-    """The whole-batch einsum estimator on rotated candidates ``R(theta) (Id + E)``.
-
-    The rotation cancels in exact arithmetic, so this independent oracle
-    keeps the same samples as the estimator and differs from it only in
-    rounding."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    eye = np.eye(2)
-    c_hat = 0.0
-    kept = 0
-    while kept < n_samples:
-        n = 200_000
-        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(n, 2, 2))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        c, s = np.cos(theta), np.sin(theta)
-        R = np.empty((n, 2, 2))
-        R[:, 0, 0] = c
-        R[:, 0, 1] = -s
-        R[:, 1, 0] = s
-        R[:, 1, 1] = c
-        A_ = R @ (eye + E)
-        det = A_[:, 0, 0] * A_[:, 1, 1] - A_[:, 0, 1] * A_[:, 1, 0]
-        Av = np.einsum("nij,kj->nki", A_, A._V_DIRECTIONS)
-        dev = np.abs(np.hypot(Av[..., 0], Av[..., 1]) - 1.0)
-        maxdev = dev.max(axis=1)
-        idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
-        if kept + idx.size > n_samples:
-            idx = idx[: n_samples - kept]
-        if idx.size:
-            ratios = geometry.dist_so2_batch(A_[idx]) ** 2 / maxdev[idx] ** 2
-            c_hat = max(c_hat, float(ratios.max()))
-            kept += idx.size
-    return c_hat, kept
 
 
 def _reference_dist_so2_agreement(n_matrices, n_grid, seed):
@@ -344,18 +359,6 @@ class _PlantedStream:
 
 class TestSampledChecksMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("cap", [0.05, 0.1, 0.2])
-    @pytest.mark.parametrize("n_samples", [30_001, 50_000])
-    def test_rigidity_constant_matches_rotated_reference(self, n_samples, cap, seed):
-        # 30_001 stops in the middle of a sub-block.  Rounding of the
-        # rotation moves c_hat by at most 6.4e-14 relative over these
-        # cases; a wrong edge direction or acceptance rule moves it ~1e-3.
-        est = A.estimate_rigidity_constant(n_samples, cap, seed=seed)
-        c_hat, kept = _reference_rigidity_constant(n_samples, cap, seed)
-        assert est.n_samples == kept == n_samples
-        assert est.c_hat == pytest.approx(c_hat, rel=1e-12)
-
-    @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_dist_so2_agreement_bitwise(self, seed):
         assert A.dist_so2_agreement(500, 3600, seed=seed) == _reference_dist_so2_agreement(
             500, 3600, seed
@@ -411,74 +414,6 @@ class TestSampledChecksMatchReference:
         got = A.verify_squared_bound(0.1, 30_001, seed=seed)
         assert got == _reference_squared_bound(0.1, 30_001, seed)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("block", [5_000, 8_000, 10_000, 20_000, 25_000, 40_000])
-    def test_rigidity_constant_does_not_depend_on_the_block(self, monkeypatch, seed, block):
-        # every block size tried divides the batch; 50_001 samples reach
-        # into the second batch
-        assert A._RIGIDITY_DRAW % block == 0
-        monkeypatch.setattr(A, "_RIGIDITY_BLOCK", block)
-        est = A.estimate_rigidity_constant(50_001, 0.1, seed=seed)
-        c_hat, kept, _ = _reference_rigidity_batch(50_001, 0.1, seed)
-        assert (est.c_hat, est.n_samples) == (c_hat, kept)
-
-    @pytest.mark.parametrize("cap", [1e-3, 0.05, 0.1, 1.0 / 3.0, 0.999, 1.0])
-    def test_random_out_with_the_affine_step_is_uniform(self, cap):
-        # the estimator's draw: Generator.uniform(low, high) computes
-        # low + (high - low) * u, so random(out=) then * span, + low in
-        # place gives its bits, sub-block after sub-block
-        low, high = -2.0 * cap, 2.0 * cap
-        drawn = np.random.Generator(np.random.PCG64(5))
-        filled = np.random.Generator(np.random.PCG64(5))
-        draw, a = np.empty((1000, 4)), np.empty((4, 1000))
-        for _ in range(51):
-            want = drawn.uniform(low, high, size=(1000, 4)).T
-            np.multiply(filled.random(out=draw).T, high - low, out=a)
-            a += low
-            assert a.tobytes() == np.ascontiguousarray(want).tobytes()
-
-
-def _reference_rigidity_batch(n_samples, deviation_cap, seed):
-    """The estimator without its prefilter: one ``(200k, 2, 2)`` draw per
-    batch, the unused angles drawn, ``hypot`` on every candidate.
-
-    Returns ``(c_hat, kept, stop)``, ``stop`` the number of candidates
-    read up to and including the last accepted one."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    eye = np.eye(2)
-    h = A._V_DIRECTIONS[1, 1]
-    c_hat = 0.0
-    kept = 0
-    batch = 0
-    while kept < n_samples:
-        E = rng.uniform(-2.0 * deviation_cap, 2.0 * deviation_cap, size=(A._RIGIDITY_DRAW, 2, 2))
-        rng.uniform(0.0, 2.0 * math.pi, size=A._RIGIDITY_DRAW)
-        for start in range(0, A._RIGIDITY_DRAW, A._RIGIDITY_BLOCK):
-            A_ = eye + E[start : start + A._RIGIDITY_BLOCK]
-            a00, a01, a10, a11 = np.ascontiguousarray(A_.reshape(-1, 4).T)
-            det = a00 * a11 - a01 * a10
-            x_half, y_half = 0.5 * a00, 0.5 * a10
-            x_h, y_h = h * a01, h * a11
-            maxdev = np.maximum(
-                np.abs(np.hypot(a00, a10) - 1.0),
-                np.maximum(
-                    np.abs(np.hypot(x_half + x_h, y_half + y_h) - 1.0),
-                    np.abs(np.hypot(x_half - x_h, y_half - y_h) - 1.0),
-                ),
-            )
-            idx = np.flatnonzero((det > 0.0) & (maxdev <= deviation_cap) & (maxdev > 0.0))
-            idx = idx[: n_samples - kept]
-            if idx.size:
-                ratios = geometry.dist_so2_batch(A_[idx]) ** 2 / maxdev[idx] ** 2
-                c_hat = A._fold_max(c_hat, float(ratios.max()))
-                kept += idx.size
-                stop = batch * A._RIGIDITY_DRAW + start + int(idx[-1]) + 1
-            if kept == n_samples:
-                break
-        batch += 1
-    return c_hat, kept, stop
-
-
 def _reference_squared_margins(u, epsilon):
     """The squared bound's margins on ``(n, 3)`` rows, with ``np.sum``."""
     lam0 = 0.25 * math.sqrt(3.0)
@@ -512,68 +447,7 @@ def _reference_squared_bound(epsilon, n_samples, seed):
     return A.SquaredBoundReport(epsilon, n_samples, violations, min_margin, scalar_ok)
 
 
-def _recorded_batches(monkeypatch, fn):
-    """Run ``fn`` and return every stack it passed to ``geometry.dist_so2_batch``, joined."""
-    real = geometry.dist_so2_batch
-    seen = []
-
-    def record(Ms):
-        seen.append(np.array(Ms))
-        return real(Ms)
-
-    monkeypatch.setattr(geometry, "dist_so2_batch", record)
-    out = fn()
-    monkeypatch.setattr(geometry, "dist_so2_batch", real)
-    return out, np.concatenate(seen)
-
-
 class TestFastSampledChecksAreBitwise:
-    @pytest.mark.parametrize("cap", [1e-3, 0.05, 0.1, 0.5, 0.999, 1.0])
-    @pytest.mark.parametrize("n_samples", [1, 10_001, 50_001])
-    def test_rigidity_constant_keeps_every_sample(self, monkeypatch, cap, n_samples):
-        # 31k-41k of a 200k batch pass, so 10_001 stops inside a
-        # sub-block of the first batch and 50_001 inside the second batch
-        seed = 7 if cap < 0.5 else 0
-        est, got = _recorded_batches(
-            monkeypatch, lambda: A.estimate_rigidity_constant(n_samples, cap, seed=seed)
-        )
-        (c_hat, kept, stop), want = _recorded_batches(
-            monkeypatch, lambda: _reference_rigidity_batch(n_samples, cap, seed)
-        )
-        assert got.tobytes() == want.tobytes()
-        assert (est.c_hat, est.n_samples) == (c_hat, kept) == (c_hat, n_samples)
-        if n_samples > 1:
-            assert stop % A._RIGIDITY_BLOCK != 0
-            assert (stop > A._RIGIDITY_DRAW) == (n_samples == 50_001)
-
-    def test_advance_leaves_the_state_of_drawing_the_angles(self):
-        drawn = np.random.Generator(np.random.PCG64(11))
-        skipped = np.random.Generator(np.random.PCG64(11))
-        for rng in (drawn, skipped):
-            rng.uniform(-0.2, 0.2, size=(A._RIGIDITY_DRAW, 2, 2))
-        drawn.uniform(0.0, 2.0 * math.pi, size=A._RIGIDITY_DRAW)
-        skipped.bit_generator.advance(A._RIGIDITY_DRAW)
-        assert drawn.bit_generator.state == skipped.bit_generator.state
-        assert drawn.random(5).tolist() == skipped.random(5).tolist()
-
-    @pytest.mark.parametrize("cap", [1e-3, 0.05, 0.1, 0.3, 0.5, 0.75, 0.999, 1.0])
-    def test_prefilter_bounds_keep_every_passing_length(self, rng, cap):
-        # image vectors whose hypot lands within a few ulps of 1 +- cap,
-        # where the test's own rounding decides: every one that passes
-        # |hypot - 1| <= cap has its q = x*x + y*y inside the bounds
-        q_lo, q_hi = A._rigidity_q_bounds(cap)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=20_000)
-        for edge in (1.0 + cap, 1.0 - cap):
-            r = edge + np.spacing(edge) * rng.integers(-8, 9, size=phi.size)
-            x, y = r * np.cos(phi), r * np.sin(phi)
-            passes = np.abs(np.hypot(x, y) - 1.0) <= cap
-            q = x * x + y * y
-            assert passes.any()
-            assert np.all((q[passes] >= q_lo) & (q[passes] <= q_hi))
-        # and the bounds do drop lengths off by more than the slack
-        assert (1.0 + cap + 4e-9) ** 2 > q_hi
-        assert cap > A._RIGIDITY_LOWER_CAP or (1.0 - cap - 4e-9) ** 2 < q_lo
-
     @pytest.mark.parametrize("epsilon", [0.02, 0.05, 0.1])
     @pytest.mark.parametrize("n_samples", [1, A._SQUARED_DRAW + 1, 200_001])
     def test_squared_bound_matches_row_sum_reference(self, epsilon, n_samples):
@@ -596,33 +470,54 @@ class TestFastSampledChecksAreBitwise:
         assert x.sum(axis=1).tobytes() == ((x[:, 0] + x[:, 1]) + x[:, 2]).tobytes()
 
 
-@pytest.fixture(scope="module")
-def c_hat():
-    return A.estimate_rigidity_constant(n_samples=300_000, deviation_cap=0.1, seed=0).c_hat
-
-
 class TestEstimateChain:
-    def test_standard_config_closed_forms(self, c_hat):
+    def test_standard_config_closed_forms(self):
         N, l, eps = 4, 1.05, 0.1
         cfg = standard_config(N, l, eps)
-        rep = A.check_estimate_chain(cfg, c_hat, A.identity_suite(cfg))
+        rep = A.check_estimate_chain(cfg, A.identity_suite(cfg))
         assert rep.ok
         # the side-sum vs area check reduces to 3N^2(l-1)^2 <= 6N^2 eps (l^2-1)
         expected = 4.0 * SQRT3 * eps * (2 * N * N * (SQRT3 / 4) * (l * l - 1)) - 3 * N * N * (
             l - 1
         ) ** 2
         assert abs(rep.side_sum_vs_area_margin - expected) < 1e-9
+        # the L2 check: 2N^2 dilated triangles at dist^2 = 2(l-1)^2 against
+        # 2 * 2 times the 3N^2 bonds' (l-1)^2
+        l2 = C.LAMBDA0 * (4 * 3 * N * N - 2 * N * N * 2) * (l - 1) ** 2
+        assert rep.l2_vs_side_sum_margin == pytest.approx(l2, rel=1e-9)
 
-    def test_passes_on_samples(self, sample_snapshots, c_hat):
+    @pytest.mark.parametrize("N", [4, 32])
+    @pytest.mark.parametrize("l", [1.0005, 1.05])
+    def test_standard_state_meets_the_bound_within_the_allowance(self, N, l):
+        # every triangle is a dilation by l, where the bound is an
+        # equality; the margins read a few ulps either side of 0
+        cfg = standard_config(N, l, 0.1)
+        rep = A.check_estimate_chain(cfg, A.identity_suite(cfg))
+        assert rep.ok
+        assert abs(rep.triangle_bound_margin) <= A._RIGIDITY_ALLOWANCE
+
+    def test_triangle_pushed_past_the_allowance_fails(self):
+        # moving one site of the standard state by 1e-3 shortens a side
+        # below 1, out of the bound's domain; that triangle then exceeds
+        # 2 max d^2 by far more than the allowance
+        N, l = 4, 1.0005
+        pos = standard_config(N, l, 0.1).positions.copy()
+        pos[5] += [1e-3, 0.0]
+        cfg = C.Configuration(N, l, 0.1, pos)
+        rep = A.check_estimate_chain(cfg, A.identity_suite(cfg))
+        assert rep.triangle_bound_margin < -1e4 * A._RIGIDITY_ALLOWANCE
+        assert not rep.ok
+
+    def test_passes_on_samples(self, sample_snapshots):
         for snap in sample_snapshots[::5]:
-            rep = A.check_estimate_chain(snap, c_hat, A.identity_suite(snap))
+            rep = A.check_estimate_chain(snap, A.identity_suite(snap))
             assert rep.ok, rep
 
-    def test_passes_near_window_edge(self, c_hat):
+    def test_passes_near_window_edge(self):
         # push bonds toward the upper edge of the window
         res = hl.run_chain(2, 1.09, 0.1, SamplerParams(sweeps=400, burn_in=100, thin=2, seed=5))
         for snap in res.records[::10]:
-            assert A.check_estimate_chain(snap, c_hat, A.identity_suite(snap)).ok
+            assert A.check_estimate_chain(snap, A.identity_suite(snap)).ok
 
 
 class TestBatchMeans:

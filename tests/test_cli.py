@@ -137,11 +137,9 @@ class TestConfigValidation:
             ("verify", {"verify": dict(FAST_VERIFY["verify"], dist_matrices=0)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], squared_bound_samples=0)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], dist_grid=4)}, []),
-            ("verify", {"verify": dict(FAST_VERIFY["verify"], deviation_cap=0)}, []),
             ("oracle", {"oracle": {"rigidity_samples": 0}}, []),
             ("oracle", {"oracle": {"dist_matrices": "300"}}, []),
             ("oracle", {"oracle": {"dist_grid": 4}}, []),
-            ("oracle", {"oracle": {"deviation_cap": 1.5}}, []),
             ("scan", {"scan": dict(SMALL_SCAN["scan"], proposal_radius=0.2)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], proposal_radius=0.2)}, []),
             ("oracle", {"oracle": {"epsilon_ladder": ["0.1"]}}, []),
@@ -168,8 +166,8 @@ class TestConfigValidation:
             "thin-0", "sweeps-str", "epsilon-str", "scan-N-empty", "scan-l-empty", "verify-N-list", "verify-l-str",
             "oracle-every-neg", "verify-rigidity-str", "verify-rigidity-0", "verify-heron-float",
             "verify-heron-0", "verify-dist-0", "verify-squared-0", "verify-dist-grid-4",
-            "verify-cap-0", "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
-            "oracle-cap-big", "scan-radius-big", "verify-radius-big", "oracle-ladder-str",
+            "oracle-rigidity-0", "oracle-dist-str", "oracle-dist-grid-4",
+            "scan-radius-big", "verify-radius-big", "oracle-ladder-str",
             "oracle-ladder-scalar", "oracle-ladder-empty", "scan-epsilon-bool",
             "verify-epsilon-bool", "oracle-ladder-bool", "threads-flag-0", "threads-flag-neg",
             "threads-bool", "seed-bool", "seed-flag-neg", "verify-sweeps-0",
@@ -188,6 +186,18 @@ class TestConfigValidation:
         # directory is written
         assert "PASS" not in captured.out
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, block", [("verify", FAST_VERIFY["verify"]), ("oracle", {"rigidity_samples": 1000})]
+    )
+    def test_deviation_cap_is_an_unknown_key(self, tmp_path, capsys, command, block):
+        # the estimate samples the bond window itself, so the cap of the
+        # former two-sided deviations is rejected, even at its old default
+        path = _write(tmp_path / "c.json", {command: dict(block, deviation_cap=0.1)})
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown keys in {command}: ['deviation_cap']\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["scan", "verify"])
     def test_benchmark_setup_probe_runs_on_the_default_config(self, tmp_path, command):
@@ -358,6 +368,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
         assert "FAIL" not in out
+        step7 = out.splitlines()[-1].split()
+        assert step7[:3] == ["PASS", "estimate-chain", "constant=2"]
+        assert 1.9 < float(step7[3].removeprefix("c_hat=")) <= 2.0
 
     def test_oracle_every_flag(self, tmp_path):
         path = _write(tmp_path / "c.json", FAST_VERIFY)
@@ -378,6 +391,24 @@ class TestVerifyCommand:
         n_samples = block["sweeps"] // block["thin"]
         n_counter = len(counterexamples.folded_counterexamples(4, 1.05, 0.1))
         assert len(checked) == math.ceil(n_samples / 3) + n_counter
+
+    def test_oracle_count_stops_at_the_first_failure(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        oracle = cfgmod.check_omega2_oracle
+
+        def fails_second(cfg):
+            calls.append(cfg)
+            return cfgmod.CheckResult(False) if len(calls) == 2 else oracle(cfg)
+
+        monkeypatch.setattr(cfgmod, "check_omega2_oracle", fails_second)
+        path = _write(tmp_path / "c.json", FAST_VERIFY)
+        assert cli.main(["verify", "--config", path]) == 3
+        out = [row.split() for row in capsys.readouterr().out.splitlines()]
+        step6 = [row for row in out if row[1] == "injectivity-fast-vs-oracle"]
+        # 80 samples, 8 scheduled; the oracle stopped after the second
+        assert step6 == [
+            ["FAIL", "injectivity-fast-vs-oracle", "samples=80", "oracle_checked=2", "counterexamples=12"]
+        ]
 
     def test_identity_suite_runs_once_per_sample(self, tmp_path, monkeypatch):
         checked = []
@@ -501,7 +532,11 @@ class TestOracleCommand:
         assert all(r["certified"] for r in ladder)
         margins = [r["margin"] for r in ladder]
         assert margins == sorted(margins, reverse=True)
-        assert payload["rigidity_constant"]["c_hat"] >= 2.0
+        rigidity = payload["rigidity_constant"]
+        assert set(rigidity) == {"constant", "c_hat", "epsilon", "n_samples"}
+        # estimated at the ladder's largest epsilon, below the proved 2
+        assert (rigidity["constant"], rigidity["epsilon"], rigidity["n_samples"]) == (2, 0.2, 50_000)
+        assert 1.9 < rigidity["c_hat"] <= 2.0
         assert payload["dist_so2_agreement"]["max_abs_diff"] <= 2e-3
 
     def test_default_config_runs(self, tmp_path):

@@ -68,6 +68,13 @@ class TestSideDeviationSum:
             s = O.side_deviation_sum(snap)
             assert 0.0 < s < 3 * snap.N**2 * snap.epsilon**2
 
+    def test_square_roots_of_the_cached_squares_match_hypot(self, sample_snapshots):
+        # the sum reads cfg.bond_squares; lengths by hypot of the bond
+        # vectors differ from their square roots only in the last bits
+        for snap in sample_snapshots[::10]:
+            d = np.hypot(*C._bond_vectors(snap.N, snap.l, snap.positions)) - 1.0
+            assert O.side_deviation_sum(snap) == pytest.approx(float(np.sum(d * d)), rel=1e-12)
+
 
 class TestL2GradientDeviation:
     def test_standard_vanishes_at_scaled_target(self):
