@@ -13,15 +13,16 @@ Three subcommands driven by a JSON config file:
 Each block accepts a ``certification_grid`` key and ignores it; the
 window certificate is exact and has no grid.
 
-Exit codes: 0 success; 1 invalid config; 2 inadmissible initial state;
-3 failed identity or verification check.  Outputs embed the resolved
-config and master seed and are written atomically, so identical inputs
-give byte-identical files.
+Exit codes: 0 success; 1 invalid config or command line; 2
+inadmissible initial state; 3 failed identity or verification check.
+Outputs embed the resolved config and master seed and are written
+atomically, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -448,13 +449,23 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit ``EXIT_CONFIG``, as an
+    invalid config does, not argparse's 2, which is ``EXIT_INADMISSIBLE``
+    here.  Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardlattice",
         description="Constrained Monte Carlo and verification suites for the "
         "perturbed triangular hard-disk lattice.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="path to the JSON run config")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
     common.add_argument(
@@ -506,5 +517,20 @@ def main(argv=None) -> int:
         return EXIT_CHECK
 
 
+def entry() -> int:
+    """Run one command as a process: ``python -m hardlattice`` and the
+    ``hardlattice`` script both start here.
+
+    Every module the commands use is imported by now, so ``gc.freeze()``
+    moves the import-time heap (about 22,000 tracked objects with numpy
+    2.4, most of them numpy's) into the permanent generation.  The collections at
+    interpreter exit, any full collection in a long run and the workers
+    forked by ``--threads`` then skip it.  In-process callers of
+    :func:`main` keep the collector as they set it.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -292,6 +292,13 @@ class Chain:
 
     @classmethod
     def from_checkpoint(cls, source) -> "Chain":
+        """Resume a chain from :meth:`checkpoint`'s record or a file of it.
+
+        Raises ``ValueError`` unless the counters are integers (not
+        bools) of at least 0 that one chain could have reached: at most
+        ``proposed`` moves accepted, and one proposal per movable site
+        in each of the ``sweeps_done`` sweeps.
+        """
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             with open(source) as fh:
                 data = json.load(fh)
@@ -311,12 +318,22 @@ class Chain:
             scan_order=p["scan_order"],
             omega2_oracle_every=p["omega2_oracle_every"],
         )
+        c = data["counters"]
+        for name in ("accepted", "proposed", "sweeps_done"):
+            value = c[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"checkpoint counter {name} must be an integer >= 0, got {value!r}")
+        accepted, proposed, sweeps_done = c["accepted"], c["proposed"], c["sweeps_done"]
+        if accepted > proposed:
+            raise ValueError(f"checkpoint accepted {accepted} moves of {proposed} proposed")
+        if proposed != sweeps_done * (cfg.N * cfg.N - 1):
+            raise ValueError(
+                f"checkpoint proposed {proposed} moves in {sweeps_done} sweeps of "
+                f"{cfg.N * cfg.N - 1} movable sites"
+            )
         chain = cls(cfg, params)
         chain.rng.bit_generator.state = data["rng"]["state"]
-        c = data["counters"]
-        chain.accepted = c["accepted"]
-        chain.proposed = c["proposed"]
-        chain.sweeps_done = c["sweeps_done"]
+        chain.accepted, chain.proposed, chain.sweeps_done = accepted, proposed, sweeps_done
         return chain
 
 

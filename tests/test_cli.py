@@ -188,6 +188,43 @@ class TestConfigValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("scan", ["--seed", "1.5"]),
+            ("scan", ["--threads", "x"]),
+            ("verify", ["--omega2-oracle-every", "1.5"]),
+            ("oracle", ["--seed", "x"]),
+            ("scan", ["--bogus"]),
+            ("verify", ["--omega2-oracle-every"]),
+        ],
+        ids=["seed-float", "threads-str", "oracle-every-float", "oracle-seed-str", "unknown-flag",
+             "flag-without-value"],
+    )
+    def test_bad_flag_maps_to_exit_one(self, tmp_path, capsys, command, flags):
+        # argparse's own exit status, 2, is the one for an inadmissible start
+        path = _write(tmp_path / "c.json", SMALL_SCAN)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *flags])
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: hardlattice ")
+        assert "error: " in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_command_maps_to_exit_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "required: command" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hardlattice scan")
+
+    @pytest.mark.parametrize(
         "command, block", [("verify", FAST_VERIFY["verify"]), ("oracle", {"rigidity_samples": 1000})]
     )
     def test_deviation_cap_is_an_unknown_key(self, tmp_path, capsys, command, block):
@@ -230,6 +267,56 @@ def test_benchmark_verify_block_stays_within_7_mb_of_import(tmp_path):
     )
     assert code == 0
     assert peak - base < 7.0, (peak, base)
+
+
+# Runs the process entry named by argv[1] ("-m" for ``python -m
+# hardlattice``, "script" for pyproject's console script) on argv[2:],
+# printing the frozen object count the moment the command starts.
+_ENTRY_PROBE = """
+import gc, importlib, runpy, sys, tomllib
+from hardlattice import cli
+main = cli.main
+cli.main = lambda argv=None: print(gc.get_freeze_count(), flush=True) or main(argv)
+way, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if way == "-m":
+    runpy.run_module("hardlattice", run_name="__main__")  # exits
+else:
+    with open(sys.argv.pop(1), "rb") as fh:
+        module, name = tomllib.load(fh)["project"]["scripts"]["hardlattice"].split(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+
+class TestProcessEntry:
+    """The import-time heap is frozen at the process entry points only."""
+
+    @pytest.mark.parametrize("way", ["-m", "script"])
+    def test_entry_freezes_before_the_command_and_keeps_its_output(self, tmp_path, way):
+        path = _write(tmp_path / "c.json", SMALL_SCAN)
+        argv = ["scan", "--config", path, "--out", str(tmp_path / "child")]
+        if way == "script":
+            argv = [os.path.join(ROOT, "pyproject.toml"), *argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENTRY_PROBE, way, *argv],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        frozen = int(proc.stdout.splitlines()[0])
+        assert frozen > 1000, frozen  # numpy alone leaves thousands of objects
+        assert gc.get_freeze_count() == 0
+        assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "here")]) == 0
+        assert gc.get_freeze_count() == 0
+        for name in ("scan.csv", "scan.meta.json"):
+            assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+    @pytest.mark.parametrize("module", ["hardlattice", "hardlattice.cli"])
+    def test_import_freezes_nothing(self, module):
+        code = f"import gc, {module}; print(gc.get_freeze_count())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestScanCommand:

@@ -158,6 +158,8 @@ class TestBlocks:
         assert chain._pos.tobytes() == ref._pos.tobytes()
         assert (chain.accepted, chain.proposed, chain.sweeps_done) == (
             ref.accepted, ref.proposed, ref.sweeps_done)
+        # run() draws exactly the per-sweep stream, so a resumed run goes on from it
+        assert chain.rng.bit_generator.state == ref.rng.bit_generator.state
         assert res.sweeps_run == 5 + sweeps and res.accepted == ref.accepted
 
     def test_records_default_to_the_snapshots(self):
@@ -312,6 +314,49 @@ class TestCheckpoint:
         with pytest.raises(InadmissibleStateError):
             Chain.from_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "counters, match",
+        [
+            ({"accepted": -3}, "accepted must be an integer >= 0"),
+            ({"accepted": True}, "accepted must be an integer >= 0"),
+            ({"accepted": 1.5}, "accepted must be an integer >= 0"),
+            ({"accepted": "3"}, "accepted must be an integer >= 0"),
+            ({"proposed": 75.0}, "proposed must be an integer >= 0"),
+            ({"sweeps_done": -1}, "sweeps_done must be an integer >= 0"),
+            ({"sweeps_done": False}, "sweeps_done must be an integer >= 0"),
+            ({"accepted": 100}, "accepted 100 moves of 75 proposed"),
+            ({"accepted": 0, "proposed": 74}, "proposed 74 moves in 25 sweeps of 3 movable sites"),
+            ({"sweeps_done": 24}, "proposed 75 moves in 24 sweeps"),
+            ({"accepted": 0, "proposed": 0}, "proposed 0 moves in 25 sweeps"),
+        ],
+        ids=["accepted-neg", "accepted-bool", "accepted-float", "accepted-str", "proposed-float",
+             "sweeps-neg", "sweeps-bool", "accepted-above-proposed", "proposed-off-by-one",
+             "sweeps-off-by-one", "proposed-zero"],
+    )
+    def test_rejects_counters_no_chain_reaches(self, counters, match):
+        chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
+        for _ in range(25):
+            chain.sweep()
+        data = chain.checkpoint()
+        assert data["counters"]["proposed"] == 75 and data["counters"]["accepted"] <= 75
+        data["counters"].update(counters)
+        with pytest.raises(ValueError, match=match):
+            Chain.from_checkpoint(data)
+
+    @pytest.mark.parametrize("order", ["raster", "random"])
+    def test_accepts_the_counters_of_any_chain(self, order):
+        # every move accepted, none accepted, and the fresh chain all resume
+        params = SamplerParams(sweeps=0, seed=5, scan_order=order)
+        for accepted in (0, 75):
+            chain = Chain.from_standard(2, 1.05, 0.1, params)
+            for _ in range(25):
+                chain.sweep()
+            data = chain.checkpoint()
+            data["counters"]["accepted"] = accepted
+            assert Chain.from_checkpoint(data).acceptance_rate == accepted / 75
+        fresh = Chain.from_checkpoint(Chain.from_standard(3, 1.05, 0.1, params).checkpoint())
+        assert (fresh.accepted, fresh.proposed, fresh.sweeps_done) == (0, 0, 0)
+
     def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
         path = tmp_path / "state.json"
@@ -348,7 +393,8 @@ class TestSweepPaths:
 
     @staticmethod
     def _state(chain):
-        return chain._pos.tobytes(), chain.accepted, chain.proposed, chain.sweeps_done
+        return (chain._pos.tobytes(), chain.accepted, chain.proposed, chain.sweeps_done,
+                chain.rng.bit_generator.state)
 
     @staticmethod
     def _advance(chain, sweeps):
