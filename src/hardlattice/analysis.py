@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry, observables
 from .configuration import _BINV, LAMBDA0, Configuration, check_epsilon, check_side_length
 from .fileio import atomic_write_text
-from .lattice import SQRT3, UP, check_lattice_size
+from .lattice import SQRT3, UP, check_int, check_lattice_size
 from .observables import identity_suite
 from .sampler import Chain, SamplerParams, check_lean_regime
 
@@ -147,7 +147,7 @@ def verify_squared_bound(
     :data:`_SQUARED_DRAW` into one buffer; that consumes the same stream
     as one draw each, and no result depends on the blocks.
     """
-    check_sample_count(n_samples)
+    check_int(n_samples, "n_samples", 1)
     if not certify_epsilon(epsilon).certified:
         raise CertificationError(
             f"epsilon = {epsilon} is not certified; the squared bound presupposes it"
@@ -275,12 +275,6 @@ def _fold_min(worst: float, x: float) -> float:
     return x if x != x else min(worst, x)
 
 
-def check_sample_count(n, name: str = "n_samples") -> None:
-    """Raise ``ValueError`` unless the Monte Carlo size ``n`` is an integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-
-
 @dataclass
 class RigidityConstantEstimate:
     c_hat: float
@@ -337,7 +331,7 @@ def estimate_rigidity_constant(
     :data:`_RIGIDITY_BLOCK` into one buffer, which consumes the same
     stream as one draw per triangle.  A NaN ratio is kept.
     """
-    check_sample_count(n_samples)
+    check_int(n_samples, "n_samples", 1)
     check_epsilon(epsilon)
     rng = np.random.Generator(np.random.PCG64(seed))
     buf = np.empty(3 * min(_RIGIDITY_BLOCK, n_samples))
@@ -358,8 +352,8 @@ def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int =
     draw per matrix; the grid search and the closed form under test,
     :func:`geometry.dist_so2_batch`, run on each block's stack.  A NaN
     difference is kept."""
-    check_sample_count(n_matrices, "n_matrices")
-    geometry.check_grid_size(n_grid)
+    check_int(n_matrices, "n_matrices", 1)
+    check_int(n_grid, "n_grid", geometry.MIN_GRID_SIZE)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     done = 0
@@ -383,7 +377,7 @@ def heron_cross_agreement(n_triangles: int = 10_000, seed: int = 0, jitter: floa
     :func:`geometry.signed_area` in their order, so every ratio is
     bitwise theirs.  A NaN ratio is kept.  The first triangle, in draw
     order, on which those scalars raise makes this raise the same error."""
-    check_sample_count(n_triangles, "n_triangles")
+    check_int(n_triangles, "n_triangles", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
     buf = np.empty((min(_HERON_DRAW, n_triangles), 3, 2))
@@ -675,13 +669,10 @@ def run_grid_point(
     )
 
 
-def _grid_seed(master_seed: int, grid_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(master_seed), int(grid_index)])
-
-
 def _scan_worker(args):
     N, l, epsilon, params, master_seed, grid_index = args
-    return grid_index, run_grid_point(N, l, epsilon, params, _grid_seed(master_seed, grid_index))
+    seed = np.random.SeedSequence([master_seed, grid_index])
+    return grid_index, run_grid_point(N, l, epsilon, params, seed)
 
 
 def scan(
@@ -695,8 +686,9 @@ def scan(
     """Run one chain per (N, l) grid point and aggregate the estimates.
 
     The window is certified first; every ``l`` must lie strictly inside
-    it, the proposal radius must pass :func:`check_lean_regime`, and the
-    whole grid is checked before any chain runs.  Chains get
+    it, the proposal radius must pass :func:`check_lean_regime`,
+    ``master_seed`` must be an integer >= 0 and ``threads`` one >= 1,
+    and the whole grid is checked before any chain runs.  Chains get
     independent streams derived from ``(master_seed, grid_index)``, so
     the output does not depend on the thread count.  At most one worker
     process runs per grid point; a single one runs in this process.
@@ -717,9 +709,11 @@ def scan(
     check_lean_regime(epsilon, params.proposal_radius)
     if params.sweeps // params.thin < 100:
         raise ValueError("scan requires at least 100 emitted samples per grid point")
+    master_seed = check_int(master_seed, "master_seed", 0)
+    threads = check_int(threads, "threads", 1)
     tasks = []
     for i, (N, l) in enumerate((N, l) for N in N_list for l in l_list):
-        tasks.append((int(N), float(l), float(epsilon), params, int(master_seed), i))
+        tasks.append((int(N), float(l), float(epsilon), params, master_seed, i))
     records: dict[int, ScanRecord] = {}
     workers = min(threads, len(tasks))  # a pool forks all of them at once
     if workers > 1:

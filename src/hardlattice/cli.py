@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__, analysis, counterexamples, geometry, kernels
 from . import configuration as cfgmod
 from .fileio import atomic_write_text
+from .lattice import check_int
 from .sampler import (
     Chain,
     ChainInvariantError,
@@ -136,18 +137,10 @@ def load_config(path: str | None) -> dict:
     }
     if cfg["rng"] != RNG_ALGORITHM:
         raise ConfigError(f"unsupported rng {cfg['rng']!r}; only {RNG_ALGORITHM!r} is implemented")
-    _check_int(cfg["seed"], "seed", 0)
-    _check_int(cfg["threads"], "threads", 1)
+    check_int(cfg["seed"], "seed", 0)
+    check_int(cfg["threads"], "threads", 1)
     _check_out_dir(cfg["out_dir"], "out_dir")
     return cfg
-
-
-def _check_int(value, name: str, minimum: int):
-    """Return ``value`` if it is an ``int``, not a ``bool``, and at least
-    ``minimum``; raise ``ConfigError`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 def _check_out_dir(value, name: str):
@@ -174,8 +167,8 @@ def _check_monte_carlo_sizes(block: dict, where: str) -> None:
     of the functions that use them."""
     for key in ("squared_bound_samples", "heron_samples", "dist_matrices", "rigidity_samples"):
         if key in block:
-            analysis.check_sample_count(block[key], f"{where}.{key}")
-    geometry.check_grid_size(block["dist_grid"], f"{where}.dist_grid")
+            check_int(block[key], f"{where}.{key}", 1)
+    check_int(block["dist_grid"], f"{where}.dist_grid", geometry.MIN_GRID_SIZE)
 
 
 def _versions() -> dict:
@@ -194,16 +187,16 @@ def _seed_and_threads(args, cfg) -> tuple[int, int]:
     """The master seed (``--seed``, else the config) and the worker count
     (``--threads``, else ``HARDLATTICE_THREADS``, else the config), each
     checked like the config value."""
-    seed = cfg["seed"] if args.seed is None else _check_int(args.seed, "--seed", 0)
+    seed = cfg["seed"] if args.seed is None else check_int(args.seed, "--seed", 0)
     env = os.environ.get("HARDLATTICE_THREADS")
     if args.threads is not None:
-        threads = _check_int(args.threads, "--threads", 1)
+        threads = check_int(args.threads, "--threads", 1)
     elif env:
         try:
             env = int(env)
         except ValueError:
             pass  # the check below rejects the string
-        threads = _check_int(env, "HARDLATTICE_THREADS", 1)
+        threads = check_int(env, "HARDLATTICE_THREADS", 1)
     else:
         threads = cfg["threads"]
     return seed, threads
@@ -285,6 +278,8 @@ def cmd_verify(args) -> int:
         block["omega2_oracle_every"] = args.omega2_oracle_every
     seed, _ = _seed_and_threads(args, cfg)
     params = _sampler_params(block, seed=np.random.SeedSequence([seed, 0]))
+    # The chain runs the exact oracle; 0 and 1 both mean every sample here.
+    params = replace(params, omega2_oracle_every=max(1, params.omega2_oracle_every))
     eps = block["epsilon"]
     all_ok = True
 
@@ -337,24 +332,18 @@ def cmd_verify(args) -> int:
 
     # Steps 5-7 check each block of samples as the chain emits it and keep
     # only the per-sample reports, so the samples of a block are dropped
-    # before the next one is built.  Step 6 is the one place the exact
-    # oracle runs on these samples; as an all() would, it stops at the
-    # first failure, which is then the last entry of ``oracle``.
-    every = max(1, params.omega2_oracle_every)
-    identities, estimates, oracle = [], [], []
+    # before the next one is built.  The chain's own recheck runs the
+    # exact oracle on every K-th sample first; a failure raises
+    # ChainInvariantError, naming the sweep, before any of steps 5-7 print.
+    identities, estimates = [], []
 
     def check_block(samples):
         for snap in samples.snapshots:
             ident = analysis.identity_suite(snap)
-            if len(identities) % every == 0 and (not oracle or oracle[-1]):
-                oracle.append(cfgmod.check_omega2_oracle(snap).ok)
             identities.append(ident)
             estimates.append(analysis.check_estimate_chain(snap, ident))
 
-    chain = Chain.from_standard(
-        block["N"], block["l"], eps, replace(params, omega2_oracle_every=0)
-    )
-    chain.run(check_block)
+    Chain.from_standard(block["N"], block["l"], eps, params).run(check_block)
     n_samples = len(identities)
 
     # 5. Exact identities on every sample.
@@ -374,21 +363,20 @@ def cmd_verify(args) -> int:
 
     # 6. Injectivity read off exact omega3, as is_admissible reports
     # omega2, vs the exact oracle.  The chain's recheck passed
-    # is_admissible on every sample, or it raised.
-    agree = all(oracle)
-    n_counter = 0
-    # the constructions are about the checks, not the verify window;
-    # fixed parameters keep them valid for any configured epsilon
-    for bad in counterexamples.folded_counterexamples(4, 1.05, 0.1):
-        fast_rejects = not cfgmod.check_omega3(bad).ok
-        oracle_rejects = not cfgmod.check_omega2_oracle(bad).ok
-        agree &= fast_rejects and oracle_rejects
-        n_counter += 1
+    # is_admissible on every sample and the oracle on every K-th, or it
+    # raised.  Both checks must reject every folded counterexample; the
+    # constructions are about the checks, not the verify window, so
+    # fixed parameters keep them valid for any configured epsilon.
+    folded = counterexamples.folded_counterexamples(4, 1.05, 0.1)
+    agree = not any(
+        [cfgmod.check_omega3(bad).ok or cfgmod.check_omega2_oracle(bad).ok for bad in folded]
+    )
     all_ok &= _report(
         "injectivity-fast-vs-oracle",
         agree,
-        f"samples={n_samples} oracle_checked={len(oracle)} "
-        f"counterexamples={n_counter}",
+        f"samples={n_samples} "
+        f"oracle_checked={len(range(0, n_samples, params.omega2_oracle_every))} "
+        f"counterexamples={len(folded)}",
     )
 
     # 7. Estimate chain on every sample, with the proved constant, and
@@ -492,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--omega2-oracle-every",
         type=int,
-        help="run the exact injectivity oracle on every K-th sample "
-        "(0 and 1 both mean every sample; scan's 0 disables it)",
+        help="run the exact injectivity oracle inside the chain on every K-th "
+        "emitted sample, from the first (0 and 1 both mean every sample; "
+        "scan's omega2_oracle_every of 0 disables it); a failure exits 3",
     )
     p_verify.set_defaults(func=cmd_verify)
 

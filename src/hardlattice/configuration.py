@@ -358,6 +358,12 @@ def check_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must be a real number in (0, 1], got {epsilon!r}")
 
 
+def window_hi2(epsilon: float) -> float:
+    """``(1 + epsilon)**2``, the open upper bound of omega1 on squared bond
+    lengths, as every bond check reads it."""
+    return (1.0 + epsilon) * (1.0 + epsilon)
+
+
 def check_side_length(l, epsilon: float) -> None:
     """Raise ``ValueError`` unless ``l`` is a real number, not a bool, in ``(1, 1 + epsilon)``."""
     if isinstance(l, bool) or not isinstance(l, Real) or not 1.0 < l < 1.0 + epsilon:
@@ -481,7 +487,7 @@ def check_omega1(cfg: Configuration) -> CheckResult:
     failing one pays for the violation list.
     """
     r = cfg.reductions
-    hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
+    hi2 = window_hi2(cfg.epsilon)
     if 1.0 < r.bond_square_min and r.bond_square_max < hi2:
         return CheckResult(True)
     d2 = cfg.bond_squares

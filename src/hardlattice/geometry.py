@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lattice import check_int
+
 _EPS_HALF = sys.float_info.epsilon / 2.0  # 2**-53
 # Forward error bound for the 2x2 orientation determinant (A-bound).
 _ORIENT_ERRBOUND = (3.0 + 16.0 * _EPS_HALF) * _EPS_HALF
@@ -92,10 +94,8 @@ def dist_so2_batch(Ms: np.ndarray) -> np.ndarray:
     return np.sqrt(rad)
 
 
-def check_grid_size(n_grid, name: str = "n_grid") -> None:
-    """Raise ``ValueError`` unless the angle grid size ``n_grid`` is an integer >= 8."""
-    if isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer)) or n_grid < 8:
-        raise ValueError(f"{name} must be an integer >= 8, got {n_grid!r}")
+# The smallest angle grid of :func:`dist_so2_bruteforce`.
+MIN_GRID_SIZE = 8
 
 
 # Matrices per grid-search chunk: two (chunk, n_grid) work arrays of
@@ -119,7 +119,7 @@ def dist_so2_bruteforce(M, n_grid: int = 3600):
     on :data:`_BRUTEFORCE_CHUNK` matrices at a time, so the work arrays
     do not grow with the stack.
     """
-    check_grid_size(n_grid)
+    check_int(n_grid, "n_grid", MIN_GRID_SIZE)
     m = np.asarray(M, dtype=float)
     _check_2x2(m, "dist_so2_bruteforce")
     theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)

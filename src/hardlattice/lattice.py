@@ -65,10 +65,18 @@ class TriangleRef(NamedTuple):
     orientation: int
 
 
+def check_int(value, name: str, minimum: int) -> int:
+    """Return ``value`` as an ``int`` if it is an ``int`` or numpy integer,
+    not a ``bool``, and at least ``minimum``; raise ``ValueError``
+    otherwise.  Every integer input of the package is checked here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def check_lattice_size(N) -> None:
     """Raise ``ValueError`` unless the period ``N`` is an integer >= 2."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    check_int(N, "N", 2)
 
 
 def embed(idx) -> np.ndarray:

@@ -59,7 +59,7 @@ def check_lean_regime(epsilon: float, proposal_radius: float | None) -> float:
     radius is at most ``epsilon / 2``: the preconditions under which the
     kernel's lean check decides every move exactly.
     """
-    if not (1.0 + epsilon) * (1.0 + epsilon) < kernels.LEAN_HI2:
+    if not cfgmod.window_hi2(epsilon) < kernels.LEAN_HI2:
         raise ValueError(f"a chain needs epsilon < sqrt(3) - 1, got {epsilon!r}")
     radius = proposal_radius if proposal_radius is not None else epsilon / 10.0
     if not radius <= epsilon / 2.0:
@@ -74,9 +74,13 @@ class SamplerParams:
     """Knobs of one chain.
 
     ``proposal_radius`` defaults to ``epsilon / 10`` at chain
-    construction and may not exceed ``epsilon / 2``; ``thin`` is the sweep stride between emitted
-    snapshots; ``omega2_oracle_every`` runs the exact injectivity oracle
-    on every K-th emitted snapshot (0 disables it).
+    construction and may not exceed ``epsilon / 2``; ``thin`` is the
+    sweep stride between emitted snapshots.  ``omega2_oracle_every = K``
+    runs the exact injectivity oracle on the emitted snapshots
+    ``0, K, 2K, ...`` of the chain, counted from its first emission
+    (``K = 0`` disables it).  The chain is the one place that schedules
+    the oracle: ``verify`` runs its chain with ``max(1, K)``.  The
+    integer fields go through :func:`lattice.check_int`.
     """
 
     sweeps: int
@@ -88,23 +92,15 @@ class SamplerParams:
     omega2_oracle_every: int = 0
 
     def __post_init__(self):
-        for name in ("sweeps", "burn_in", "thin", "omega2_oracle_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in (("sweeps", 0), ("burn_in", 0), ("thin", 1), ("omega2_oracle_every", 0)):
+            lattice.check_int(getattr(self, name), name, minimum)
         radius = self.proposal_radius
         if radius is not None and (isinstance(radius, bool) or not isinstance(radius, Real)):
             raise ValueError(f"proposal_radius must be a real number, got {radius!r}")
-        if self.sweeps < 0 or self.burn_in < 0:
-            raise ValueError("sweeps and burn_in must be nonnegative")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
         if self.proposal_radius is not None and not self.proposal_radius > 0.0:
             raise ValueError("proposal_radius must be positive")
         if self.scan_order not in ("raster", "random"):
             raise ValueError(f"scan_order must be 'raster' or 'random', got {self.scan_order!r}")
-        if self.omega2_oracle_every < 0:
-            raise ValueError("omega2_oracle_every must be >= 0")
 
 
 @dataclass
@@ -142,7 +138,7 @@ class Chain:
         self.radius = check_lean_regime(cfg.epsilon, params.proposal_radius)
         self._pos = np.array(cfg.positions, dtype=float)
         nbr_idx, nbr_offset = lattice.neighbor_tables(cfg.N)
-        self._hi2 = (1.0 + cfg.epsilon) * (1.0 + cfg.epsilon)
+        self._hi2 = cfgmod.window_hi2(cfg.epsilon)
         nbr_shift = cfg.l * cfg.N * nbr_offset
         self._raster = np.arange(1, cfg.N * cfg.N, dtype=np.int64)
         # Raster sweeps at or above the crossover run vectorised and never
@@ -318,12 +314,10 @@ class Chain:
             scan_order=p["scan_order"],
             omega2_oracle_every=p["omega2_oracle_every"],
         )
-        c = data["counters"]
-        for name in ("accepted", "proposed", "sweeps_done"):
-            value = c[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"checkpoint counter {name} must be an integer >= 0, got {value!r}")
-        accepted, proposed, sweeps_done = c["accepted"], c["proposed"], c["sweeps_done"]
+        accepted, proposed, sweeps_done = (
+            lattice.check_int(data["counters"][name], f"checkpoint counter {name}", 0)
+            for name in ("accepted", "proposed", "sweeps_done")
+        )
         if accepted > proposed:
             raise ValueError(f"checkpoint accepted {accepted} moves of {proposed} proposed")
         if proposed != sweeps_done * (cfg.N * cfg.N - 1):

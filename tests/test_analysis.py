@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -249,10 +250,14 @@ class TestRigidityConstant:
     def test_ok_allows_rounding_of_two_only(self, c_hat, ok):
         assert A.RigidityConstantEstimate(c_hat, 0.1, 1, 0).ok is ok
 
-    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "1000", True])
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "1000", True, 1.5, "3", np.int64(0)])
     def test_rejects_bad_sample_count(self, n_samples):
         with pytest.raises(ValueError):
             A.estimate_rigidity_constant(n_samples=n_samples, epsilon=0.1)
+
+    def test_accepts_a_numpy_sample_count_at_the_minimum(self):
+        est = A.estimate_rigidity_constant(n_samples=np.int64(1), epsilon=0.1)
+        assert est.n_samples == 1 and 0.0 < est.c_hat <= 2.0
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, "0.1", True, math.nan])
     def test_rejects_epsilon_outside_the_window_range(self, epsilon):
@@ -737,6 +742,37 @@ class TestScan:
         params = SamplerParams(sweeps=600, burn_in=0, thin=5, seed=0)
         with pytest.raises(A.CertificationError):
             A.scan([2], [1.05], 0.46, params)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"master_seed": 1.5}, "master_seed must be an integer >= 0, got 1.5"),
+            ({"master_seed": True}, "master_seed must be an integer >= 0, got True"),
+            ({"master_seed": "3"}, "master_seed must be an integer >= 0, got '3'"),
+            ({"master_seed": np.int64(-1)}, "master_seed must be an integer >= 0"),
+            ({"threads": "x"}, "threads must be an integer >= 1, got 'x'"),
+            ({"threads": 1.5}, "threads must be an integer >= 1, got 1.5"),
+            ({"threads": True}, "threads must be an integer >= 1, got True"),
+            ({"threads": np.int64(0)}, "threads must be an integer >= 1"),
+        ],
+        ids=["seed-float", "seed-bool", "seed-str", "seed-np-below", "threads-str", "threads-float",
+             "threads-bool", "threads-np-below"],
+    )
+    def test_rejects_seed_and_threads_before_any_chain_runs(self, monkeypatch, kwargs, match):
+        # 1.5 and True used to run as seed 1, and "x" failed in min()
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(A, "run_grid_point", no_chain)
+        params = SamplerParams(sweeps=600, burn_in=0, thin=5, seed=0)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            A.scan([2], [1.05], 0.1, params, **kwargs)
+
+    def test_accepts_numpy_seed_and_threads_at_their_minimum(self):
+        params = SamplerParams(sweeps=500, burn_in=0, thin=5, seed=0)
+        plain = A.scan([2], [1.05], 0.1, params, master_seed=0, threads=1)
+        numpy = A.scan([2], [1.05], 0.1, params, master_seed=np.int64(0), threads=np.int64(1))
+        assert A.scan_csv_text(numpy) == A.scan_csv_text(plain)
 
     def test_requires_enough_samples(self):
         params = SamplerParams(sweeps=100, burn_in=0, thin=5, seed=0)

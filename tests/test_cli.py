@@ -1,13 +1,16 @@
 import ast
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from hardlattice import analysis, cli, counterexamples, geometry, kernels, observables, sampler
@@ -152,6 +155,10 @@ class TestConfigValidation:
             ("scan", SMALL_SCAN, ["--threads", "-4"]),
             ("scan", dict(SMALL_SCAN, threads=True), []),
             ("scan", dict(SMALL_SCAN, seed=True), []),
+            ("scan", dict(SMALL_SCAN, seed=1.5), []),
+            ("scan", dict(SMALL_SCAN, seed="3"), []),
+            ("scan", dict(SMALL_SCAN, threads=1.5), []),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], thin=True)}, []),
             ("scan", SMALL_SCAN, ["--seed", "-3"]),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], sweeps=0)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], sweeps=4)}, []),
@@ -170,7 +177,8 @@ class TestConfigValidation:
             "scan-radius-big", "verify-radius-big", "oracle-ladder-str",
             "oracle-ladder-scalar", "oracle-ladder-empty", "scan-epsilon-bool",
             "verify-epsilon-bool", "oracle-ladder-bool", "threads-flag-0", "threads-flag-neg",
-            "threads-bool", "seed-bool", "seed-flag-neg", "verify-sweeps-0",
+            "threads-bool", "seed-bool", "seed-float", "seed-str", "threads-float", "verify-thin-bool",
+            "seed-flag-neg", "verify-sweeps-0",
             "verify-sweeps-below-thin", "out-dir-int", "out-dir-null", "out-dir-empty",
             "verify-out-dir-int", "out-flag-empty", "oracle-out-flag-empty",
         ],
@@ -267,6 +275,37 @@ def test_benchmark_verify_block_stays_within_7_mb_of_import(tmp_path):
     )
     assert code == 0
     assert peak - base < 7.0, (peak, base)
+
+
+# sha256 of each benchmark workload's output at seed 1: scan.csv for the
+# scans, stdout for verify.  Identical inputs give byte-identical outputs,
+# so a change that moves one of these changed what the program computes.
+GOLDEN_DIGESTS = {
+    "scan-kernel": "e82b45ffef82d2aad9438e254eb2a114977bc8d0d8e426c577ec8ca93959938a",
+    "scan-snapshot": "0f5ef6e2429aee5f5308ec3a038a37ac6f4cf960913e9abc04fd36c4e80f6d54",
+    "verify-oracle": "784d5564925327fff44c242d91ce79a52bb678b900b074be736eea95963f696a",
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+    reason="the digests were recorded with numpy 2.4.6 on x86_64; another numpy "
+    "or CPU may round the last bits differently",
+)
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_benchmark_workloads_keep_their_golden_outputs(tmp_path, capsys, name):
+    spec = _perfbench_constant("WORKLOADS")[name]
+    command = spec["command"]
+    path = _write(tmp_path / "c.json", {"seed": 1, "threads": 1, command: spec["block"]})
+    argv = [command, "--config", path, "--out", str(tmp_path / "o"), "--threads", "1", "--seed", "1"]
+    assert cli.main([*argv, *spec["flags"]]) == 0
+    out = capsys.readouterr().out
+    if command == "scan":
+        data = (tmp_path / "o" / "scan.csv").read_bytes()
+    else:
+        assert out.count("PASS") == 7 and "oracle_checked=3 " in out
+        data = out.encode()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_DIGESTS[name]
 
 
 # Runs the process entry named by argv[1] ("-m" for ``python -m
@@ -480,6 +519,8 @@ class TestVerifyCommand:
         assert len(checked) == math.ceil(n_samples / 3) + n_counter
 
     def test_oracle_count_stops_at_the_first_failure(self, tmp_path, capsys, monkeypatch):
+        # the chain runs the oracle on samples 0, 10, ...; the second
+        # call fails, and the chain stops there, as it does in scan
         calls = []
         oracle = cfgmod.check_omega2_oracle
 
@@ -488,14 +529,45 @@ class TestVerifyCommand:
             return cfgmod.CheckResult(False) if len(calls) == 2 else oracle(cfg)
 
         monkeypatch.setattr(cfgmod, "check_omega2_oracle", fails_second)
+        built = _count_calls(monkeypatch, counterexamples.folded_counterexamples)
         path = _write(tmp_path / "c.json", FAST_VERIFY)
         assert cli.main(["verify", "--config", path]) == 3
-        out = [row.split() for row in capsys.readouterr().out.splitlines()]
-        step6 = [row for row in out if row[1] == "injectivity-fast-vs-oracle"]
-        # 80 samples, 8 scheduled; the oracle stopped after the second
-        assert step6 == [
-            ["FAIL", "injectivity-fast-vs-oracle", "samples=80", "oracle_checked=2", "counterexamples=12"]
+        assert len(calls) == 2 and built == []
+        block = FAST_VERIFY["verify"]
+        sweep = block["burn_in"] + 11 * block["thin"]  # sample 10 of 80
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: snapshot after sweep {sweep} failed the exact injectivity oracle: []\n"
+        )
+        out = [row.split()[:2] for row in captured.out.splitlines()]
+        assert out == [
+            ["PASS", "epsilon-certificate"],
+            ["PASS", "squared-side-bound"],
+            ["PASS", "heron-vs-cross"],
+            ["PASS", "so2-distance-oracle"],
         ]
+
+    def test_scan_and_verify_hand_the_oracle_the_same_snapshots(self, tmp_path, monkeypatch):
+        # verify's chain is scan's first grid point: the same standard
+        # start, the stream SeedSequence([seed, 0]) and one schedule
+        seen = []
+        oracle = cfgmod.check_omega2_oracle
+
+        def recorded(cfg):
+            seen.append(cfg.positions.tobytes())
+            return oracle(cfg)
+
+        monkeypatch.setattr(cfgmod, "check_omega2_oracle", recorded)
+        chain = {"sweeps": 500, "burn_in": 50, "thin": 5}  # 100 samples
+        scan = dict(chain, N=[4], l=[1.05], omega2_oracle_every=25)
+        path = _write(tmp_path / "s.json", {"seed": 11, "scan": scan})
+        assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        from_scan, seen[:] = list(seen), []
+        path = _write(tmp_path / "v.json", {"seed": 11, "verify": dict(FAST_VERIFY["verify"], **chain)})
+        assert cli.main(["verify", "--config", path, "--omega2-oracle-every", "25"]) == 0
+        n_counter = len(counterexamples.folded_counterexamples(4, 1.05, 0.1))
+        assert len(from_scan) == 4 and len(seen) == 4 + n_counter
+        assert seen[:4] == from_scan
 
     def test_identity_suite_runs_once_per_sample(self, tmp_path, monkeypatch):
         checked = []

@@ -145,11 +145,15 @@ class TestDistSo2:
         assert dist_so2_bruteforce(np.eye(2), 3600) <= 1e-3
         assert dist_so2_bruteforce(rotation(1.0), 3600) <= 1e-3
 
+    def test_bruteforce_accepts_a_numpy_grid_at_the_minimum(self):
+        M = np.array([[1.1, 0.2], [-0.1, 0.9]])
+        assert dist_so2_bruteforce(M, np.int64(8)) == dist_so2_bruteforce(M, 8)
+
     def test_bruteforce_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             dist_so2_bruteforce(np.eye(2), 4)
 
-    @pytest.mark.parametrize("n_grid", [7, 8.0, 3600.5, "3600", True])
+    @pytest.mark.parametrize("n_grid", [7, 8.0, 3600.5, "3600", True, 1.5, "3", np.int64(7)])
     def test_bruteforce_rejects_non_integer_grid(self, n_grid):
         with pytest.raises(ValueError):
             dist_so2_bruteforce(np.eye(2), n_grid)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ class TestBonds:
     def test_rejects_small_period(self):
         with pytest.raises(ValueError):
             bonds(1)
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "3", np.int64(1)], ids=["bool", "float", "str", "np-below"])
+    def test_rejects_a_period_that_is_not_an_integer_of_at_least_two(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer >= 2, got {bad!r}")):
+            bonds(bad)
+
+    def test_accepts_a_numpy_period_at_the_minimum(self):
+        assert lattice.check_int(np.int64(2), "N", 2) == 2
+        assert type(lattice.check_int(np.int64(2), "N", 2)) is int
+        assert bonds(np.int64(2)) == bonds(2)
 
     def test_unit_length_in_unperturbed_lattice(self):
         for b in bonds(3):

@@ -27,6 +27,21 @@ class TestParams:
         with pytest.raises(ValueError):
             SamplerParams(sweeps=10, scan_order="zigzag")
 
+    @pytest.mark.parametrize(
+        "field, minimum", [("sweeps", 0), ("burn_in", 0), ("thin", 1), ("omega2_oracle_every", 0)]
+    )
+    @pytest.mark.parametrize("kind", ["bool", "float", "str", "np-below"])
+    def test_rejects_a_count_that_is_not_an_integer_at_its_minimum(self, field, minimum, kind):
+        bad = {"bool": True, "float": 1.5, "str": "3", "np-below": np.int64(minimum - 1)}[kind]
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {minimum}, got "):
+            SamplerParams(**dict({"sweeps": 10}, **{field: bad}))
+
+    def test_accepts_numpy_counts_at_their_minimum(self):
+        params = SamplerParams(
+            sweeps=np.int64(0), burn_in=np.int64(0), thin=np.int64(1), omega2_oracle_every=np.int64(0)
+        )
+        assert Chain.from_standard(2, 1.05, 0.1, params).run().sweeps_run == 0
+
     def test_default_radius_tracks_window(self):
         chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0))
         assert chain.radius == 0.01
@@ -324,13 +339,14 @@ class TestCheckpoint:
             ({"proposed": 75.0}, "proposed must be an integer >= 0"),
             ({"sweeps_done": -1}, "sweeps_done must be an integer >= 0"),
             ({"sweeps_done": False}, "sweeps_done must be an integer >= 0"),
+            ({"accepted": np.int64(-1)}, "accepted must be an integer >= 0"),
             ({"accepted": 100}, "accepted 100 moves of 75 proposed"),
             ({"accepted": 0, "proposed": 74}, "proposed 74 moves in 25 sweeps of 3 movable sites"),
             ({"sweeps_done": 24}, "proposed 75 moves in 24 sweeps"),
             ({"accepted": 0, "proposed": 0}, "proposed 0 moves in 25 sweeps"),
         ],
         ids=["accepted-neg", "accepted-bool", "accepted-float", "accepted-str", "proposed-float",
-             "sweeps-neg", "sweeps-bool", "accepted-above-proposed", "proposed-off-by-one",
+             "sweeps-neg", "sweeps-bool", "accepted-np-neg", "accepted-above-proposed", "proposed-off-by-one",
              "sweeps-off-by-one", "proposed-zero"],
     )
     def test_rejects_counters_no_chain_reaches(self, counters, match):
@@ -356,6 +372,11 @@ class TestCheckpoint:
             assert Chain.from_checkpoint(data).acceptance_rate == accepted / 75
         fresh = Chain.from_checkpoint(Chain.from_standard(3, 1.05, 0.1, params).checkpoint())
         assert (fresh.accepted, fresh.proposed, fresh.sweeps_done) == (0, 0, 0)
+        # numpy counters resume as Python ints, so the next checkpoint is JSON
+        data["counters"] = {name: np.int64(value) for name, value in data["counters"].items()}
+        resumed = Chain.from_checkpoint(data)
+        assert {type(resumed.accepted), type(resumed.proposed), type(resumed.sweeps_done)} == {int}
+        json.dumps(resumed.checkpoint())
 
     def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         chain = Chain.from_standard(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=5))
