@@ -603,6 +603,12 @@ class ScanRecord:
         return ",".join(cells)
 
 
+def _check_sample_count(params: SamplerParams) -> None:
+    """A chain emits ``sweeps // thin`` samples; the batch means need 100."""
+    if params.sweeps // params.thin < 100:
+        raise ValueError("scan requires at least 100 emitted samples per grid point")
+
+
 def run_grid_point(
     N: int, l: float, epsilon: float, params: SamplerParams, seed
 ) -> ScanRecord:
@@ -613,8 +619,10 @@ def run_grid_point(
     record the block pre-filled.  The order parameters come from the same
     record: ``op_id`` and ``op_lid`` are its deviation sums from ``Id``
     and from ``l * Id`` over the triangle count, bitwise the per-snapshot
-    means of :func:`observables.per_triangle_order_parameters`.
+    means of :func:`observables.per_triangle_order_parameters`.  A run
+    of fewer than 100 samples is rejected before the chain is built.
     """
+    _check_sample_count(params)
     chain = Chain.from_standard(N, l, epsilon, replace(params, seed=seed))
     op_id, op_lid, bdx, bdy = [], [], [], []
     T = 2 * N * N  # triangles per snapshot
@@ -640,11 +648,6 @@ def run_grid_point(
         bdy.extend(bv[:, 1].tolist())
 
     result = chain.run(observer)
-    n_samples = len(op_id)
-    if n_samples < 100:
-        raise ValueError(
-            f"grid point N={N}, l={l} produced only {n_samples} samples; need >= 100"
-        )
     m_id, se_id = batch_means(op_id)
     m_lid, se_lid = batch_means(op_lid)
     m_dx, se_dx = batch_means(bdx)
@@ -654,7 +657,7 @@ def run_grid_point(
         l=l,
         epsilon=epsilon,
         sweeps=params.sweeps,
-        n_samples=n_samples,
+        n_samples=len(op_id),
         acceptance_rate=result.acceptance_rate,
         mean_op_id=m_id,
         se_op_id=se_id,
@@ -672,7 +675,7 @@ def run_grid_point(
 def _scan_worker(args):
     N, l, epsilon, params, master_seed, grid_index = args
     seed = np.random.SeedSequence([master_seed, grid_index])
-    return grid_index, run_grid_point(N, l, epsilon, params, seed)
+    return run_grid_point(N, l, epsilon, params, seed)
 
 
 def scan(
@@ -707,14 +710,12 @@ def scan(
     for l in l_list:
         check_side_length(l, epsilon)
     check_lean_regime(epsilon, params.proposal_radius)
-    if params.sweeps // params.thin < 100:
-        raise ValueError("scan requires at least 100 emitted samples per grid point")
+    _check_sample_count(params)
     master_seed = check_int(master_seed, "master_seed", 0)
     threads = check_int(threads, "threads", 1)
     tasks = []
     for i, (N, l) in enumerate((N, l) for N in N_list for l in l_list):
         tasks.append((int(N), float(l), float(epsilon), params, master_seed, i))
-    records: dict[int, ScanRecord] = {}
     workers = min(threads, len(tasks))  # a pool forks all of them at once
     if workers > 1:
         # Imported only here, so that a single-threaded run does not pay
@@ -722,13 +723,8 @@ def scan(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rec in pool.map(_scan_worker, tasks):
-                records[idx] = rec
-    else:
-        for task in tasks:
-            idx, rec = _scan_worker(task)
-            records[idx] = rec
-    return [records[i] for i in range(len(tasks))]
+            return list(pool.map(_scan_worker, tasks))  # in task order
+    return [_scan_worker(task) for task in tasks]
 
 
 def scan_csv_text(records) -> str:

@@ -10,8 +10,11 @@ Three subcommands driven by a JSON config file:
   estimate of the proved rigidity constant, and the closed-form-vs-grid
   distance agreement, written as JSON.
 
-Each block accepts a ``certification_grid`` key and ignores it; the
-window certificate is exact and has no grid.
+Every run value is read from the config.  The flags ``--seed``,
+``--threads`` and ``--out`` override its ``seed``, ``threads`` and
+``out_dir``, and no other source does; only ``scan`` uses the thread
+count.  Each block accepts a ``certification_grid`` key and ignores
+it; the window certificate is exact and has no grid.
 
 Exit codes: 0 success; 1 invalid config or command line; 2
 inadmissible initial state; 3 failed identity or verification check.
@@ -26,7 +29,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -184,21 +187,10 @@ def _write_json(path, payload) -> None:
 
 
 def _seed_and_threads(args, cfg) -> tuple[int, int]:
-    """The master seed (``--seed``, else the config) and the worker count
-    (``--threads``, else ``HARDLATTICE_THREADS``, else the config), each
-    checked like the config value."""
+    """The master seed and the worker count: each the flag, else the
+    config, checked like the config value."""
     seed = cfg["seed"] if args.seed is None else check_int(args.seed, "--seed", 0)
-    env = os.environ.get("HARDLATTICE_THREADS")
-    if args.threads is not None:
-        threads = check_int(args.threads, "--threads", 1)
-    elif env:
-        try:
-            env = int(env)
-        except ValueError:
-            pass  # the check below rejects the string
-        threads = check_int(env, "HARDLATTICE_THREADS", 1)
-    else:
-        threads = cfg["threads"]
+    threads = cfg["threads"] if args.threads is None else check_int(args.threads, "--threads", 1)
     return seed, threads
 
 
@@ -220,20 +212,12 @@ def cmd_scan(args) -> int:
     seed, threads = _seed_and_threads(args, cfg)
     out_dir = cfg["out_dir"] if args.out is None else _check_out_dir(args.out, "--out")
 
-    params = _sampler_params(block)
-    cert = analysis.certify_epsilon(block["epsilon"])
-    if args.certify_epsilon or not cert.certified:
-        print(f"epsilon={cert.epsilon} margin={cert.margin!r} certified={cert.certified}")
-    if not cert.certified:
-        raise ConfigError(
-            f"epsilon = {block['epsilon']} failed certification (margin {cert.margin!r})"
-        )
-
+    # analysis.scan certifies the window and rejects an uncertified one.
     records = analysis.scan(
         block["N"],
         block["l"],
         block["epsilon"],
-        params,
+        _sampler_params(block),
         master_seed=seed,
         threads=threads,
     )
@@ -245,11 +229,7 @@ def cmd_scan(args) -> int:
         "rng": RNG_ALGORITHM,
         "kernel_backend": kernels.BACKEND,
         "config": block,
-        "certificate": {
-            "epsilon": cert.epsilon,
-            "margin": cert.margin,
-            "certified": cert.certified,
-        },
+        "certificate": asdict(analysis.certify_epsilon(block["epsilon"])),
         "versions": _versions(),
         "diagnostics": [
             {"N": r.N, "l": r.l, "autocorrelation_time": r.autocorrelation_time}
@@ -273,9 +253,7 @@ def _report(name: str, ok: bool, detail: str) -> bool:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    block = dict(cfg["verify"])
-    if args.omega2_oracle_every is not None:
-        block["omega2_oracle_every"] = args.omega2_oracle_every
+    block = cfg["verify"]
     seed, _ = _seed_and_threads(args, cfg)
     params = _sampler_params(block, seed=np.random.SeedSequence([seed, 0]))
     # The chain runs the exact oracle; 0 and 1 both mean every sample here.
@@ -457,33 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the JSON run config")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
     common.add_argument(
-        "--threads",
-        type=int,
-        help="parallel grid workers (overrides config and HARDLATTICE_THREADS)",
+        "--threads", type=int, help="parallel grid workers, used by scan only (overrides config)"
     )
     common.add_argument("--out", help="output directory (overrides config)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_scan = sub.add_parser("scan", parents=[common], help="run the (N, l) experiment grid")
     p_scan.add_argument(
-        "--certify-epsilon",
-        action="store_true",
-        help="print the exact window certificate: epsilon, margin and whether "
-        "it is certified (certification always runs)",
-    )
-    p_scan.add_argument(
         "--emit-gnuplot", action="store_true", help="also write plain-text data blocks"
     )
     p_scan.set_defaults(func=cmd_scan)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the identity and oracle suites")
-    p_verify.add_argument(
-        "--omega2-oracle-every",
-        type=int,
-        help="run the exact injectivity oracle inside the chain on every K-th "
-        "emitted sample, from the first (0 and 1 both mean every sample; "
-        "scan's omega2_oracle_every of 0 disables it); a failure exits 3",
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", parents=[common], help="compute oracle constants")

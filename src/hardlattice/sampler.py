@@ -163,7 +163,7 @@ class Chain:
         return self.accepted / self.proposed if self.proposed else float("nan")
 
     def snapshot(self) -> Configuration:
-        return Configuration(self.N, self.l, self.epsilon, self._pos.copy())
+        return Configuration(self.N, self.l, self.epsilon, self._pos)  # Configuration copies it
 
     def sweep(self) -> int:
         """One update attempt per movable site; returns the number accepted.

@@ -779,6 +779,15 @@ class TestScan:
         with pytest.raises(ValueError):
             A.scan([2], [1.05], 0.1, params)
 
+    def test_grid_point_rejects_a_short_run_before_the_chain(self, monkeypatch):
+        def no_sweep(self):
+            raise AssertionError("a chain swept")
+
+        monkeypatch.setattr(hl.Chain, "sweep", no_sweep)
+        params = SamplerParams(sweeps=50, burn_in=0, thin=1, seed=0)
+        with pytest.raises(ValueError, match="at least 100 emitted samples"):
+            A.run_grid_point(2, 1.05, 0.1, params, seed=3)
+
     def test_grid_point_builds_geometry_once_per_block(self, monkeypatch):
         builders = ("image_triangle_corners", "triangle_gradients", "corner_crosses",
                     "bond_length_squares")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import gc
@@ -112,15 +113,37 @@ class TestConfigValidation:
         path = _write(tmp_path / "c.json", {"rng": "mt19937"})
         assert cli.main(["verify", "--config", path]) == 1
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDLATTICE_THREADS", "many")
-        path = _write(tmp_path / "c.json", SMALL_SCAN)
-        assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    @pytest.mark.parametrize(
+        "command, config, output",
+        [
+            ("scan", SMALL_SCAN, "scan.csv"),
+            ("verify", FAST_VERIFY, None),
+            ("oracle", {"oracle": {"rigidity_samples": 20_000, "dist_matrices": 100}}, "oracle.json"),
+        ],
+        ids=["scan", "verify", "oracle"],
+    )
+    def test_threads_env_is_not_read(self, tmp_path, capsys, monkeypatch, command, config, output):
+        # the thread count comes from --threads, else the config, only
+        path = _write(tmp_path / "c.json", config)
+        runs = []
+        for name in ("plain", "env"):
+            if name == "env":
+                monkeypatch.setenv("HARDLATTICE_THREADS", "many")
+            out = tmp_path / name
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            runs.append((stdout, None if output is None else (out / output).read_bytes()))
+        assert runs[0] == runs[1]
 
-    def test_uncertifiable_epsilon(self, tmp_path):
+    def test_uncertifiable_epsilon(self, tmp_path, capsys):
+        # analysis.scan is the one certification gate
         cfg = {"scan": dict(SMALL_SCAN["scan"], epsilon=0.46, l=[1.05])}
         path = _write(tmp_path / "c.json", cfg)
         assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon = 0.46 failed certification (margin ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, config, flags",
@@ -132,7 +155,7 @@ class TestConfigValidation:
             ("scan", {"scan": {"l": []}}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], N=[4])}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], l="1.05")}, []),
-            ("verify", FAST_VERIFY, ["--omega2-oracle-every", "-1"]),
+            ("verify", {"verify": dict(FAST_VERIFY["verify"], omega2_oracle_every=-1)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], rigidity_samples="1000")}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], rigidity_samples=0)}, []),
             ("verify", {"verify": dict(FAST_VERIFY["verify"], heron_samples=2.5)}, []),
@@ -200,13 +223,16 @@ class TestConfigValidation:
         [
             ("scan", ["--seed", "1.5"]),
             ("scan", ["--threads", "x"]),
-            ("verify", ["--omega2-oracle-every", "1.5"]),
             ("oracle", ["--seed", "x"]),
             ("scan", ["--bogus"]),
-            ("verify", ["--omega2-oracle-every"]),
+            ("scan", ["--seed"]),
+            # removed: the verify block's omega2_oracle_every key and the
+            # sidecar's certificate record are the one source of each
+            ("verify", ["--omega2-oracle-every", "5"]),
+            ("scan", ["--certify-epsilon"]),
         ],
-        ids=["seed-float", "threads-str", "oracle-every-float", "oracle-seed-str", "unknown-flag",
-             "flag-without-value"],
+        ids=["seed-float", "threads-str", "oracle-seed-str", "unknown-flag", "flag-without-value",
+             "removed-oracle-every-flag", "removed-certify-epsilon-flag"],
     )
     def test_bad_flag_maps_to_exit_one(self, tmp_path, capsys, command, flags):
         # argparse's own exit status, 2, is the one for an inadmissible start
@@ -219,6 +245,18 @@ class TestConfigValidation:
         assert "error: " in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
+
+    def test_option_strings_are_pinned(self):
+        # each flag is a second source for a run value; add one on purpose
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [s for action in sub._actions for s in action.option_strings]
+            for name, sub in subparsers.choices.items()
+        }
+        common = ["-h", "--help", "--config", "--seed", "--threads", "--out"]
+        assert options == {"scan": [*common, "--emit-gnuplot"], "verify": common, "oracle": common}
+        assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
 
     def test_missing_command_maps_to_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -406,15 +444,14 @@ class TestScanCommand:
     def test_gnuplot_emission(self, tmp_path, capsys):
         path = _write(tmp_path / "c.json", SMALL_SCAN)
         out = tmp_path / "out"
-        assert cli.main(
-            ["scan", "--config", path, "--out", str(out), "--emit-gnuplot", "--certify-epsilon"]
-        ) == 0
+        assert cli.main(["scan", "--config", path, "--out", str(out), "--emit-gnuplot"]) == 0
         dat = (out / "scan.dat").read_text()
         assert dat.startswith("# hardlattice scan data")
         assert "identities_ok" in dat
         cert = analysis.certify_epsilon(0.1)
-        line = f"epsilon=0.1 margin={cert.margin!r} certified=True"
-        assert capsys.readouterr().out.splitlines()[0] == line
+        meta = json.loads((out / "scan.meta.json").read_text())
+        assert meta["certificate"] == {"epsilon": 0.1, "margin": cert.margin, "certified": True}
+        assert capsys.readouterr().out == f"wrote {out / 'scan.csv'} (1 grid points)\n"
 
     def test_wide_certified_window_scans(self, tmp_path):
         cfg = {"seed": 11, "scan": dict(SMALL_SCAN["scan"], epsilon=0.3, l=[1.2])}
@@ -498,9 +535,10 @@ class TestVerifyCommand:
         assert step7[:3] == ["PASS", "estimate-chain", "constant=2"]
         assert 1.9 < float(step7[3].removeprefix("c_hat=")) <= 2.0
 
-    def test_oracle_every_flag(self, tmp_path):
-        path = _write(tmp_path / "c.json", FAST_VERIFY)
-        assert cli.main(["verify", "--config", path, "--omega2-oracle-every", "5"]) == 0
+    def test_oracle_every_key(self, tmp_path, capsys):
+        path = _write(tmp_path / "c.json", {"verify": dict(FAST_VERIFY["verify"], omega2_oracle_every=5)})
+        assert cli.main(["verify", "--config", path]) == 0
+        assert " oracle_checked=16 " in capsys.readouterr().out  # 80 samples
 
     def test_oracle_runs_once_per_checked_sample(self, tmp_path, monkeypatch):
         checked = []
@@ -511,9 +549,9 @@ class TestVerifyCommand:
             return oracle(cfg)
 
         monkeypatch.setattr(cfgmod, "check_omega2_oracle", counted)
-        path = _write(tmp_path / "c.json", FAST_VERIFY)
-        assert cli.main(["verify", "--config", path, "--omega2-oracle-every", "3"]) == 0
-        block = FAST_VERIFY["verify"]
+        block = dict(FAST_VERIFY["verify"], omega2_oracle_every=3)
+        path = _write(tmp_path / "c.json", {"verify": block})
+        assert cli.main(["verify", "--config", path]) == 0
         n_samples = block["sweeps"] // block["thin"]
         n_counter = len(counterexamples.folded_counterexamples(4, 1.05, 0.1))
         assert len(checked) == math.ceil(n_samples / 3) + n_counter
@@ -563,8 +601,9 @@ class TestVerifyCommand:
         path = _write(tmp_path / "s.json", {"seed": 11, "scan": scan})
         assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "o")]) == 0
         from_scan, seen[:] = list(seen), []
-        path = _write(tmp_path / "v.json", {"seed": 11, "verify": dict(FAST_VERIFY["verify"], **chain)})
-        assert cli.main(["verify", "--config", path, "--omega2-oracle-every", "25"]) == 0
+        verify = dict(FAST_VERIFY["verify"], **chain, omega2_oracle_every=25)
+        path = _write(tmp_path / "v.json", {"seed": 11, "verify": verify})
+        assert cli.main(["verify", "--config", path]) == 0
         n_counter = len(counterexamples.folded_counterexamples(4, 1.05, 0.1))
         assert len(from_scan) == 4 and len(seen) == 4 + n_counter
         assert seen[:4] == from_scan

@@ -62,11 +62,16 @@ class TestBasics:
         for scan_order in ("raster", "random"):
             params = SamplerParams(sweeps=0, seed=1, scan_order=scan_order)
             chain = Chain.from_standard(4, 1.05, 0.1, params)
-            pinned = chain.snapshot().positions[0].tobytes()
+            first = chain.snapshot()
+            before = first.positions.tobytes()
+            pinned = first.positions[0].tobytes()
             for _ in range(50):
                 chain.sweep()
             assert chain.accepted > 0
             assert chain.snapshot().positions[0].tobytes() == pinned
+            # a snapshot owns its positions: later sweeps leave it alone
+            assert first.positions.tobytes() == before
+            assert not np.shares_memory(first.positions, chain._pos)
 
     def test_zero_sweeps_gives_empty_records(self):
         res = hl.run_chain(2, 1.05, 0.1, SamplerParams(sweeps=0, seed=1))
