@@ -304,7 +304,9 @@ def _one_sided_gradients(d: np.ndarray) -> np.ndarray:
     the height ``y`` from Heron's product, whose factors are nonnegative
     for sides in ``[1, 2]``.  The gradient is ``[c1 c2] @ B_UP^-1``, the
     matrix :func:`configuration.triangle_gradients` uses for an UP
-    triangle.
+    triangle, taken as one GEMM over the edge rows of all triangles: a
+    stacked matmul makes one BLAS call per triangle, and the GEMM's
+    entries are its entries bitwise (pinned by the tests).
     """
     a1, a2, a3 = (1.0 + d).T
     x = (a1 * a1 + a2 * a2 - a3 * a3) / (2.0 * a1)
@@ -313,7 +315,7 @@ def _one_sided_gradients(d: np.ndarray) -> np.ndarray:
     edges[:, 0, 0] = a1
     edges[:, 0, 1] = x
     edges[:, 1, 1] = y
-    return edges @ _BINV[UP]
+    return (edges.reshape(-1, 2) @ _BINV[UP]).reshape(-1, 2, 2)
 
 
 def estimate_rigidity_constant(

@@ -431,17 +431,30 @@ def triangle_gradients(N: int, corners: np.ndarray) -> np.ndarray:
     ``corners`` is :func:`image_triangle_corners`' output, shape
     ``(..., 2N^2, 3, 2)``; the result has shape ``(..., 2N^2, 2, 2)``.
 
-    The product stays a matmul with the gathered ``_BINV[orient]``.
-    numpy's bundled OpenBLAS computes each entry with one fused
-    multiply-add, ``fl(a*b + fl(c*d))``, which numpy has no ufunc for;
-    the explicit two-term sums ``a*b + c*d`` differ from it in the last
-    bit in about a third of the entries (checked at N = 4, 12, 32 and
-    96), so writing the products out would change ``scan.csv``.
+    The gradient is ``d @ _BINV[orient]``, ``d`` the edge matrix
+    ``[c1 - c0, c2 - c0]``.  A stacked matmul makes one BLAS call per
+    triangle, so the edge rows of the triangles ``2s + o`` of each
+    orientation ``o`` go through one GEMM with ``_BINV[o]`` instead.  The
+    result is laid out triangle-major, as the stacked matmul's is, so the
+    sums over the triangle axis in :func:`_reductions` run over
+    contiguous planes.  numpy's bundled OpenBLAS computes each entry with
+    one fused multiply-add, ``fl(a*b + fl(c*d))``, which numpy has no
+    ufunc for; the explicit two-term sums ``a*b + c*d`` differ from it in
+    the last bit in about a third of the entries (checked at N = 4, 12,
+    32 and 96), so writing the products out would change ``scan.csv``.
+    The GEMM's entries are the stacked matmul's bitwise, which the tests
+    pin on the CPU that runs them.
     """
-    _, _, orient = lattice.triangle_tables(N)
-    c0 = corners[..., 0, :]
-    d = np.stack((corners[..., 1, :] - c0, corners[..., 2, :] - c0), axis=-1)
-    return d @ _BINV[orient]
+    lead = corners.shape[:-3]
+    # (o, s, b, corner, xy): triangle 2s + o of snapshot b
+    by_orient = corners.reshape(-1, N * N, 2, 3, 2).transpose(2, 1, 0, 3, 4)
+    d = np.empty((*by_orient.shape[:3], 2, 2))
+    np.subtract(by_orient[..., 1, :], by_orient[..., 0, :], out=d[..., 0])
+    np.subtract(by_orient[..., 2, :], by_orient[..., 0, :], out=d[..., 1])
+    g = np.empty((N * N, 2, *d.shape[2:]))  # (s, o, b, row, column)
+    for o in (0, 1):
+        g[:, o] = (d[o].reshape(-1, 2) @ _BINV[o]).reshape(d.shape[1:])
+    return g.reshape(2 * N * N, -1, 2, 2).swapaxes(0, 1).reshape(*lead, 2 * N * N, 2, 2)
 
 
 def corner_crosses(corners: np.ndarray) -> np.ndarray:
@@ -677,9 +690,17 @@ def _oracle_pairs(cfg: Configuration):
     T = corners.shape[0]
     every = np.arange(T)
     lo, hi = geometry.corner_box(corners)
+    sites, offset, _ = lattice.triangle_tables(cfg.N)
+    gathered = cfg.positions[sites]
+    tiled = np.empty_like(gathered)
     lo_s, hi_s = np.empty((2, len(_SHIFTS), T, 2))  # image k*T + j
     for k in range(len(_SHIFTS)):
-        lo_s[k], hi_s[k] = geometry.corner_box(_tiled_corners(cfg, every, k))
+        # _tiled_corners(cfg, every, k) in one buffer: + and * commute bitwise
+        np.add(offset, _SHIFT_OFFSETS[k], out=tiled)
+        tiled *= cfg.l * cfg.N
+        tiled += gathered
+        lo_s[k], hi_s[k] = geometry.corner_box(tiled)
+    del gathered, tiled  # not held while the chunks are built
     lo_s, hi_s = lo_s.reshape(-1, 2), hi_s.reshape(-1, 2)
 
     reach = 1.0625 * float((hi_s - lo_s).max())

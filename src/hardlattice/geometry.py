@@ -98,51 +98,139 @@ def dist_so2_batch(Ms: np.ndarray) -> np.ndarray:
 MIN_GRID_SIZE = 8
 
 
-# Matrices per grid-search chunk: two (chunk, n_grid) work arrays of
-# 230 kB at the default grid stay in cache; 8 ran as fast as 16.
+# Matrices per chunk of the full grid search: two (chunk, n_grid) work
+# arrays of 230 kB at the default grid stay in cache; 8 ran as fast as 16.
 _BRUTEFORCE_CHUNK = 8
+
+# Matrices per chunk of the windowed grid search, whose work arrays are
+# (chunk, n_grid / S) and (chunk, 2 S + 1): 88 kB each at the default grid,
+# below the 128 KiB from which glibc's malloc maps fresh pages.  With 256,
+# the search raised malloc's thresholds, and a rigidity estimate run after
+# it in the same process took 1,950 page faults a call instead of 145.
+_WINDOW_CHUNK = 128
+
+# Bound on |computed - exact| of one grid point's squared distance, in
+# units of (|M| + 1.5)^2; proved in dist_so2_bruteforce.
+_GRID_ERR = 2.0**-46
 
 
 def dist_so2_bruteforce(M, n_grid: int = 3600):
     """Grid minimum of ``|M - R(theta)|`` over ``n_grid`` equally spaced angles.
 
-    Independent of the closed form; accuracy is ``O(1/n_grid)`` since the
-    objective is sqrt(2)-Lipschitz in the angle.  ``M`` may be a stack of
-    shape ``(..., 2, 2)``: the angle grid is built once and every matrix
-    gets the same elementwise arithmetic, so each result equals the
-    single-matrix call bitwise.  A single matrix returns a ``float``, a
-    stack an array of its leading shape.
+    Independent of the closed form: the result is always a value of the
+    grid expression below, and the closed form's radicands are never
+    evaluated.  Accuracy is ``O(1/n_grid)`` since the objective is
+    sqrt(2)-Lipschitz in the angle.  ``M`` may be a stack of shape
+    ``(..., 2, 2)``; a single matrix returns a ``float``, a stack an
+    array of its leading shape.  Each result is bitwise the minimum over
+    all ``n_grid`` angles, so it equals the single-matrix call.
 
-    The squared distance is
-    ``(m00 - c)^2 + (m01 + s)^2 + (m10 - s)^2 + (m11 - c)^2``, summed left
-    to right with each square taken as ``x*x``; it is evaluated in place
-    on :data:`_BRUTEFORCE_CHUNK` matrices at a time, so the work arrays
-    do not grow with the stack.
+    The squared distance at angle ``theta_j = fl(j * fl(2 pi / n_grid))``
+    is ``(m00 - c)^2 + (m01 + s)^2 + (m10 - s)^2 + (m11 - c)^2`` with
+    ``c, s`` numpy's cosine and sine of ``theta_j``, summed left to right
+    with each square taken as ``x*x``.
+
+    Windowed search.  With ``S = isqrt(n_grid // 2)`` (42 at 3600), the
+    expression is evaluated on every ``S``-th angle, and then on the
+    ``2S + 1`` angles, cyclically, around each matrix's coarse argmin
+    ``j_c``; the minimum of the window is returned.  This is exact, not
+    approximate: every angle outside the window reads strictly more than
+    ``j_c``.  Proof.  In exact arithmetic the objective is the shifted
+    cosine ``F(theta) = |M|^2 + 2 - 2 rho cos(theta - phi)``, with
+    ``(rho cos phi, rho sin phi) = (m00 + m11, m10 - m01)``.  Let
+    ``h = 2 pi / n_grid``, ``psi_j`` the circle distance of the exact
+    angle ``j h`` from ``phi``, ``F_j = F(j h)``, ``d_j`` the computed
+    value, ``B = |M| + 1.5`` with ``|M|`` the Frobenius norm, and
+    ``u = 2**-53``.
+
+    * Rounding.  ``fl(pi)``, the division and the product put
+      ``theta_j`` within ``2.37 u`` relatively, ``15 u`` absolutely, of
+      ``j h``; with cosine and sine within 2 ulps (``4 u``), ``c`` and
+      ``s`` are within ``eta = 32 u`` of ``cos(j h)`` and ``sin(j h)``.
+      The 4-term expression, exact on those ``c, s``, is quadratic with
+      Hessian ``4 Id`` in ``(c, s)`` and gradient at most
+      ``4 sqrt(F_j) <= 4 B``, so it lies within ``4 eta B + 4 eta^2`` of
+      ``F_j``.  Its 11 float operations, four subtractions, four squares
+      and three additions of nonnegative terms, add at most ``6.03 u``
+      of it, which is at most ``(|M| + |R|)^2 <= B^2``, and each
+      underflowed square at most ``2**-1075``.  As ``B >= 1.5``,
+      ``|d_j - F_j| <= E = 92 u B^2 < _GRID_ERR * B^2`` for every ``j``.
+    * Window.  Write ``delta = E / rho`` and suppose
+      ``delta < 2 sin(S h / 2) sin(h / 8)`` and ``n_grid >= 4S + 2``, so
+      that ``(S + 1) h <= pi``.  The coarse angles leave cyclic gaps of
+      at most ``S h``, so one, ``j_0``, has ``psi_{j_0} <= S h / 2``.
+      From ``d_{j_c} <= d_{j_0}`` follows
+      ``cos psi_{j_c} >= cos(S h / 2) - delta``; as
+      ``cos(S h / 2) - cos(S h / 2 + h / 4) >= 2 sin(S h / 2) sin(h / 8)
+      > delta``, that gives ``a = psi_{j_c} < S h / 2 + h / 4``.  An
+      angle ``j`` at least ``S + 1`` steps from ``j_c`` either way has
+      ``psi_j >= H - a`` with ``H = (S + 1) h``, so
+      ``cos a - cos psi_j >= 2 sin(H / 2) sin(H / 2 - a) > 2 sin(S h / 2)
+      sin(h / 4) > delta``; then ``F_j - F_{j_c} > 2 E`` and
+      ``d_j > d_{j_c}``.
+
+    The code tests the condition on ``delta`` as
+    ``rho * 2 sin(S h / 2) sin(h / 8) > 2 * _GRID_ERR * B^2`` in floats,
+    the factor 2 covering the rounding of the test itself.  It fails
+    when ``rho`` is small against ``B^2``, near the anticonformal
+    matrices, where the objective is nearly flat, and for every matrix
+    with ``|M| >= 2**46`` or a non-finite entry; those matrices, and all
+    of them when ``n_grid < 4S + 2``, take the full grid, on
+    :data:`_BRUTEFORCE_CHUNK` matrices at a time.  ``rho`` only selects
+    the path: the closed form's ``sqrt(|M|^2 + 2 det)`` equals it in
+    exact arithmetic but is computed nowhere here.
     """
     check_int(n_grid, "n_grid", MIN_GRID_SIZE)
     m = np.asarray(M, dtype=float)
     _check_2x2(m, "dist_so2_bruteforce")
-    theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
+    step = 2.0 * math.pi / n_grid
+    theta = np.arange(n_grid) * step
     c = np.cos(theta)
     s = np.sin(theta)
     flat = m.reshape(-1, 4)
     d2min = np.empty(len(flat))
-    rows = min(_BRUTEFORCE_CHUNK, len(flat))
-    acc = np.empty((rows, n_grid))
-    term = np.empty((rows, n_grid))
-    for start in range(0, len(flat), _BRUTEFORCE_CHUNK):
-        m00, m01, m10, m11 = flat[start : start + _BRUTEFORCE_CHUNK].T[:, :, None]
-        k = len(m00)
-        a, t = acc[:k], term[:k]
-        np.subtract(m00, c, out=a)
-        a *= a
-        for op, x, y in ((np.add, m01, s), (np.subtract, m10, s), (np.subtract, m11, c)):
-            op(x, y, out=t)
-            t *= t
-            a += t
-        a.min(axis=1, out=d2min[start : start + k])
+    stride = math.isqrt(n_grid // 2)
+    windowed = np.zeros(len(flat), bool)
+    if n_grid >= 4 * stride + 2:
+        m00, m01, m10, m11 = flat.T
+        gap = 2.0 * math.sin(stride * step / 2.0) * math.sin(step / 8.0)
+        with np.errstate(all="ignore"):  # a non-finite or huge entry fails the test
+            rho = np.hypot(m00 + m11, m10 - m01)
+            b = np.sqrt(((m00 * m00 + m01 * m01) + m10 * m10) + m11 * m11) + 1.5
+            windowed = rho * gap > (2.0 * _GRID_ERR) * (b * b)
+
+    rows = np.flatnonzero(windowed)
+    coarse = np.arange(0, n_grid, stride)
+    reach = np.arange(-stride, stride + 1)
+    for start in range(0, len(rows), _WINDOW_CHUNK):
+        r = rows[start : start + _WINDOW_CHUNK]
+        near = coarse[_grid_d2(flat[r], c[coarse], s[coarse]).argmin(axis=1)]
+        window = (near[:, None] + reach) % n_grid
+        d2min[r] = _grid_d2(flat[r], c[window], s[window]).min(axis=1)
+
+    rows = np.flatnonzero(~windowed)
+    k = min(_BRUTEFORCE_CHUNK, len(rows))
+    acc, term = np.empty((2, k, n_grid))
+    for start in range(0, len(rows), _BRUTEFORCE_CHUNK):
+        r = rows[start : start + _BRUTEFORCE_CHUNK]
+        d2min[r] = _grid_d2(flat[r], c, s, acc[: len(r)], term[: len(r)]).min(axis=1)
     dmin = np.sqrt(d2min).reshape(m.shape[:-2])
     return float(dmin) if m.ndim == 2 else dmin
+
+
+def _grid_d2(rows, c, s, acc=None, term=None):
+    """The grid expression of :func:`dist_so2_bruteforce` for matrices
+    ``rows`` of shape ``(k, 4)`` at angles ``(c, s)``, which broadcast
+    against ``(k, 1)``; evaluated in ``acc`` and ``term`` when given."""
+    m00, m01, m10, m11 = rows.T[:, :, None]
+    acc = np.subtract(m00, c, out=acc)
+    acc *= acc
+    term = np.empty_like(acc) if term is None else term
+    for op, x, y in ((np.add, m01, s), (np.subtract, m10, s), (np.subtract, m11, c)):
+        op(x, y, out=term)
+        term *= term
+        acc += term
+    return acc
 
 
 def heron_area(a1: float, a2: float, a3: float) -> float:
@@ -301,15 +389,27 @@ def triangles_overlap_block(P, Q):
     # Three-valued separating-edge test, edge by edge: an edge separates
     # for certain if the other triangle's three corners are all decided on
     # or right of it, and certainly not if any is decided strictly left of it.
+    # A pair apart or separated by one of P's edges is settled: the outcome
+    # is no overlap, decided iff both orientations are.  So Q's edges test
+    # only the other pairs.
     separated = np.zeros_like(apart)
     joined = np.ones_like(apart)
-    for S, V in ((P, Q), (Q, P)):
-        for i in range(3):
-            sign, decided = orient_signs(S[:, i, None], S[:, (i + 1) % 3, None], V)
-            separated |= (decided & (sign <= 0)).all(axis=1)
-            joined &= (decided & (sign > 0)).any(axis=1)
+    _separating_edges(P, Q, separated, joined)
+    rest = np.flatnonzero(~(apart | separated))
+    sep, join = separated[rest], joined[rest]
+    _separating_edges(Q[rest], P[rest], sep, join)
+    separated[rest], joined[rest] = sep, join
     decided = ok_p & ok_q & (apart | separated | joined)
     return decided & ~apart & ~separated, decided
+
+
+def _separating_edges(S, V, separated, joined) -> None:
+    """Fold each edge of triangles ``S`` against the corners of ``V`` into
+    the masks ``separated`` and ``joined`` of :func:`triangles_overlap_block`."""
+    for i in range(3):
+        sign, decided = orient_signs(S[:, i, None], S[:, (i + 1) % 3, None], V)
+        separated |= (decided & (sign <= 0)).all(axis=1)
+        joined &= (decided & (sign > 0)).any(axis=1)
 
 
 def _ccw_stack(T):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -110,3 +111,32 @@ def broadcast_overlap_block():
     """The broadcast form of ``geometry.triangles_overlap_block``, the
     reference its one-edge-at-a-time form is pinned to."""
     return _broadcast_overlap_block
+
+
+def _exhaustive_bruteforce(M, n_grid):
+    """``geometry.dist_so2_bruteforce`` as it was before its windowed
+    search: the grid expression on all ``n_grid`` angles for every
+    matrix, one stacked expression per block of 16 matrices."""
+    m = np.asarray(M, dtype=float)
+    theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
+    c = np.cos(theta)
+    s = np.sin(theta)
+    flat = m.reshape(-1, 2, 2)
+    d2 = np.empty(len(flat))
+    for start in range(0, len(flat), 16):
+        q = flat[start : start + 16]
+        d2[start : start + 16] = (
+            (q[:, 0, 0, None] - c) ** 2
+            + (q[:, 0, 1, None] + s) ** 2
+            + (q[:, 1, 0, None] - s) ** 2
+            + (q[:, 1, 1, None] - c) ** 2
+        ).min(axis=-1)
+    dmin = np.sqrt(d2).reshape(m.shape[:-2])
+    return float(dmin) if m.ndim == 2 else dmin
+
+
+@pytest.fixture(scope="session")
+def exhaustive_bruteforce():
+    """The exhaustive form of ``geometry.dist_so2_bruteforce``, the
+    reference its windowed search is pinned to bitwise."""
+    return _exhaustive_bruteforce

@@ -269,6 +269,31 @@ class TestRigidityConstant:
         assert _peak_bytes(lambda: A.estimate_rigidity_constant(200_000, 0.1, seed=1)) < 2e6
 
 
+class TestFlatGemm:
+    """One flat GEMM over the rows of a stack of 2x2 matrices gives the
+    stacked matmul's entries bitwise, on the CPU that runs the tests."""
+
+    @pytest.mark.parametrize("n", [1, 7, 4096, 100_000])
+    def test_equals_the_stacked_matmul_bitwise(self, rng, n):
+        for B in C._BINV:
+            E = rng.standard_normal((n, 2, 2))
+            flat = (E.reshape(-1, 2) @ B).reshape(-1, 2, 2)
+            assert flat.tobytes() == (E @ B).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 4096, 100_000])
+    def test_one_sided_gradients_equal_the_stacked_matmul_bitwise(self, rng, n):
+        d = 0.1 * (1.0 - rng.random((n, 3)))
+        G = A._one_sided_gradients(d)
+        # the edge matrix [c1 c2] of _one_sided_gradients' docstring
+        edges = np.zeros((n, 2, 2))
+        edges[:, 0, 0] = 1.0 + d[:, 0]
+        a1, a2, a3 = (1.0 + d).T
+        edges[:, 0, 1] = (a1 * a1 + a2 * a2 - a3 * a3) / (2.0 * a1)
+        heron = (a1 + a2 + a3) * (-a1 + a2 + a3) * (a1 - a2 + a3) * (a1 + a2 - a3)
+        edges[:, 1, 1] = np.sqrt(heron) / (2.0 * a1)
+        assert G.tobytes() == (edges @ C._BINV[0]).tobytes()
+
+
 def _peak_bytes(call):
     """tracemalloc peak of ``call()``, in bytes."""
     tracemalloc.start()

@@ -297,6 +297,35 @@ class TestTriangleGradient:
             )
 
 
+def _stacked_gradients(N, corners):
+    """``triangle_gradients`` as it was before its GEMM per orientation:
+    one stacked matmul with the gathered ``_BINV[orient]``."""
+    _, _, orient = lattice.triangle_tables(N)
+    c0 = corners[..., 0, :]
+    d = np.stack((corners[..., 1, :] - c0, corners[..., 2, :] - c0), axis=-1)
+    return d @ C._BINV[orient]
+
+
+class TestTriangleGradientsGemm:
+    """One GEMM per orientation gives the stacked matmul's entries
+    bitwise, on the CPU that runs the tests, and its triangle-major layout."""
+
+    @pytest.mark.parametrize(
+        "N, lead",
+        [(2, ()), (2, (64,)), (3, (5,)), (4, (1,)), (4, (64,)), (4, (2, 3)), (12, (7,)), (32, ()),
+         (96, ())],
+    )
+    def test_equals_the_stacked_matmul_bitwise(self, rng, N, lead):
+        pos = standard_config(N, 1.05, 0.1).positions
+        pos = pos + 0.02 * rng.standard_normal((*lead, N * N, 2))
+        corners = C.image_triangle_corners(N, 1.05, pos)
+        got, want = triangle_gradients(N, corners), _stacked_gradients(N, corners)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if len(lead) == 1 and lead[0] > 1:
+            assert got.strides == want.strides
+
+
 class TestOmega1:
     def test_standard_passes(self):
         assert check_omega1(standard_config(4, 1.05, 0.1)).ok
@@ -928,6 +957,25 @@ class TestTiledCorners:
                 folded = (wrap[j] + shifts[k][..., None, :]) @ lattice.EMBED_BASIS
                 want = cfg.positions[sites[j]] + cfg.l * N * folded
                 assert np.array_equal(C._tiled_corners(cfg, j, k), want)
+
+    @pytest.mark.parametrize("N", [2, 5, 16])
+    def test_the_oracle_boxes_the_tilings_of_tiled_corners_bitwise(self, monkeypatch, N):
+        # the oracle builds the nine tilings in one buffer from one gather
+        cfg = run_chain(N, 1.05, 0.1, SamplerParams(sweeps=2, thin=2, seed=N)).records[-1]
+        boxed = []
+        real = geometry.corner_box
+
+        def recording(T):
+            boxed.append(np.array(T))
+            return real(T)
+
+        monkeypatch.setattr(geometry, "corner_box", recording)
+        next(C._oracle_pairs(cfg))
+        every = np.arange(cfg.corners.shape[0])
+        assert len(boxed) == 1 + len(SHIFTS)  # the centre copies, then one per shift
+        assert boxed[0].tobytes() == cfg.corners.tobytes()
+        for k, tiled in enumerate(boxed[1:]):
+            assert tiled.tobytes() == C._tiled_corners(cfg, every, k).tobytes()
 
 
 class TestSymmetryMaps:

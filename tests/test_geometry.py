@@ -179,22 +179,6 @@ def _reference_dist_so2(M):
     return math.sqrt(max(nsq + 2.0 - 2.0 * math.sqrt(inner), 0.0))
 
 
-def _reference_bruteforce(M, n_grid):
-    """The grid search as one stacked expression with ``(stack, n_grid)`` temporaries."""
-    m = np.asarray(M, dtype=float)
-    theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    d2 = (
-        (m[..., 0, 0, None] - c) ** 2
-        + (m[..., 0, 1, None] + s) ** 2
-        + (m[..., 1, 0, None] - s) ** 2
-        + (m[..., 1, 1, None] - c) ** 2
-    )
-    dmin = np.sqrt(d2.min(axis=-1))
-    return float(dmin) if m.ndim == 2 else dmin
-
-
 class TestDistSo2MatchesReference:
     def test_numpy_sum_of_four_adds_left_to_right(self, rng):
         # the closed form's |M|^2 relies on it; a + ((b + c) + d), which
@@ -228,13 +212,121 @@ class TestDistSo2MatchesReference:
         ],
     )
     @pytest.mark.parametrize("n_grid", [8, 97, 3600])
-    def test_chunked_grid_search_bitwise(self, rng, shape, n_grid):
+    def test_chunked_grid_search_bitwise(self, rng, shape, n_grid, exhaustive_bruteforce):
         M = rng.standard_normal(shape)
         got = dist_so2_bruteforce(M, n_grid)
-        want = _reference_bruteforce(M, n_grid)
+        want = exhaustive_bruteforce(M, n_grid)
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
+
+
+def _scaled_rotations(a, theta):
+    """The matrices ``a[n] * R(theta[n])``, shape ``(n, 2, 2)``."""
+    a, theta = np.broadcast_arrays(np.asarray(a, float), np.asarray(theta, float))
+    c, s = a * np.cos(theta), a * np.sin(theta)
+    return np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
+
+
+class TestWindowedGridSearch:
+    """The windowed grid search returns the exhaustive grid minimum
+    bitwise, on the CPU that runs the tests; the window is proved in
+    ``dist_so2_bruteforce``'s docstring."""
+
+    GRIDS = [8, 37, 720, 3599, 3600]
+
+    @staticmethod
+    def _full_grid_rows(monkeypatch, M, n_grid):
+        """``dist_so2_bruteforce(M, n_grid)`` and how many matrices it ran on the full grid."""
+        full = []
+        real = geometry._grid_d2
+
+        def spy(rows, c, s, *work):
+            if np.shape(c) == (n_grid,):
+                full.append(len(rows))
+            return real(rows, c, s, *work)
+
+        monkeypatch.setattr(geometry, "_grid_d2", spy)
+        got = dist_so2_bruteforce(M, n_grid)
+        monkeypatch.undo()
+        return got, sum(full)
+
+    def _assert_exhaustive(self, monkeypatch, exhaustive, M, n_grid, full_rows=0):
+        got, full = self._full_grid_rows(monkeypatch, M, n_grid)
+        want = exhaustive(M, n_grid)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, f"{bad.size} of {got.size} differ, first at {M[bad[0]]!r}"
+        assert full == full_rows
+
+    def test_standard_normal_matrices(self, monkeypatch, rng, exhaustive_bruteforce):
+        Ms = _det_positive(rng, 100_000)
+        assert len(Ms) == 100_000
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, Ms, 3600)
+
+    @pytest.mark.parametrize("noise", [1e-8, 1e-3])
+    def test_near_rotations(self, monkeypatch, rng, exhaustive_bruteforce, noise):
+        Ms = _scaled_rotations(1.0, rng.uniform(0.0, 2.0 * math.pi, 20_000))
+        Ms += noise * rng.standard_normal(Ms.shape)
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, Ms, 3600)
+
+    @pytest.mark.parametrize("exponent", range(-6, 7))
+    def test_scales(self, monkeypatch, rng, exhaustive_bruteforce, exponent):
+        Ms = 10.0**exponent * _det_positive(rng, 2_000)
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, Ms, 3600)
+
+    @pytest.mark.parametrize("n_grid", GRIDS[1:])
+    def test_argmin_next_to_theta_zero_wraps_around(
+        self, monkeypatch, rng, exhaustive_bruteforce, n_grid
+    ):
+        # diag(a, a) has its argmin at theta = 0, the first coarse angle;
+        # the window reaches back to the last angles of the grid
+        a = np.concatenate((10.0 ** rng.uniform(-3.0, 3.0, 2_000), [1.0, 1e-6, 1e6]))
+        h = 2.0 * math.pi / n_grid
+        theta = np.concatenate([np.zeros_like(a), np.full_like(a, -1e-9), np.full_like(a, -h / 2)])
+        Ms = _scaled_rotations(np.tile(a, 3), theta)
+        assert np.array_equal(Ms[: len(a)], a[:, None, None] * np.eye(2))
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, Ms, n_grid)
+
+    @pytest.mark.parametrize("n_grid", GRIDS[1:])
+    def test_angle_on_a_coarse_midpoint(self, monkeypatch, exhaustive_bruteforce, n_grid):
+        stride = math.isqrt(n_grid // 2)
+        mid = (np.arange(n_grid // stride) + 0.5) * stride * (2.0 * math.pi / n_grid)
+        Ms = np.concatenate([_scaled_rotations(a, mid) for a in (0.5, 1.0, 3.0)])
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, Ms, n_grid)
+
+    @pytest.mark.parametrize("n_grid", GRIDS)
+    def test_grid_sizes(self, monkeypatch, rng, exhaustive_bruteforce, n_grid):
+        # below 4 S + 2 angles, S = isqrt(n_grid // 2), the full grid runs
+        Ms = rng.standard_normal((3_000, 2, 2))
+        full = len(Ms) if n_grid < 4 * math.isqrt(n_grid // 2) + 2 else 0
+        assert (n_grid == 8) == (full > 0)
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, Ms, n_grid, full)
+
+    @pytest.mark.parametrize("n_grid", GRIDS[1:])
+    def test_matrices_below_the_rho_floor_take_the_full_grid(
+        self, monkeypatch, rng, exhaustive_bruteforce, n_grid
+    ):
+        # anticonformal matrices [[a, b], [b, -a]] have rho = 0, and t * Id
+        # adds rho = 2 t, far below the floor; entries of 2**46 and more,
+        # and non-finite ones, fail the floor too
+        a, b = rng.standard_normal((2, 300))
+        anti = np.stack((np.stack((a, b), -1), np.stack((b, -a), -1)), -2)
+        low = [anti + t * np.eye(2) for t in (0.0, 1e-13, 1e-12)]
+        low.append(2.0**47 * rng.standard_normal((50, 2, 2)))
+        low.append(np.array([[[math.inf, 0.0], [0.0, -math.inf]], [[math.nan, 1.0], [0.0, 1.0]]]))
+        low = np.concatenate(low)
+        high = rng.standard_normal((len(low), 2, 2))
+        mixed = np.stack((low, high), axis=1).reshape(-1, 2, 2)  # interleaved rows
+        self._assert_exhaustive(monkeypatch, exhaustive_bruteforce, mixed, n_grid, len(low))
+
+    @pytest.mark.parametrize("n_grid", GRIDS + [200_000])
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_numpy_trig_on_the_grid_is_within_one_ulp_of_math(self, n_grid, name):
+        # the proof allows 2 ulps of error, libm's claims 1
+        theta = np.arange(n_grid) * (2.0 * math.pi / n_grid)
+        want = np.array([getattr(math, name)(x) for x in theta.tolist()])
+        err = np.abs(getattr(np, name)(theta) - want)
+        assert np.all(err <= np.spacing(np.abs(want)))
 
 
 class TestSo2HelpersRequire2x2:
