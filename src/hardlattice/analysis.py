@@ -340,8 +340,9 @@ def estimate_rigidity_constant(
     c_hat = 0.0
     for start in range(0, n_samples, _RIGIDITY_BLOCK):
         u = rng.random(out=buf[: 3 * min(_RIGIDITY_BLOCK, n_samples - start)]).reshape(-1, 3)
-        d = epsilon * (1.0 - u)  # 1 - u in (0, 1]
-        ratios = geometry.dist_so2_batch(_one_sided_gradients(d)) ** 2 / d.max(axis=1) ** 2
+        d = epsilon * (1.0 - u)  # 1 - u in (0, 1], so d holds no -0.0
+        dmax = geometry._fold_columns(np.maximum, d)
+        ratios = geometry.dist_so2_batch(_one_sided_gradients(d)) ** 2 / dmax**2
         c_hat = _fold_max(c_hat, float(ratios.max()))
     return RigidityConstantEstimate(c_hat, epsilon, n_samples, seed)
 
@@ -351,22 +352,22 @@ def dist_so2_agreement(n_matrices: int = 10_000, n_grid: int = 3600, seed: int =
     det-positive matrices (standard normal entries, rejected to det > 0).
 
     Candidates are drawn in blocks, which consumes the same stream as one
-    draw per matrix; the grid search and the closed form under test,
-    :func:`geometry.dist_so2_batch`, run on each block's stack.  A NaN
-    difference is kept."""
+    draw per matrix.  The grid search and the closed form under test,
+    :func:`geometry.dist_so2_batch`, then run once on all survivors: the
+    grid is built once, and the grid search bounds its own memory by
+    chunks.  A NaN difference is kept."""
     check_int(n_matrices, "n_matrices", 1)
     check_int(n_grid, "n_grid", geometry.MIN_GRID_SIZE)
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
+    M = np.empty((n_matrices, 2, 2))
     done = 0
     while done < n_matrices:
-        M = rng.standard_normal((_AGREEMENT_DRAW, 2, 2))
-        M = M[M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0.0][: n_matrices - done]
-        if len(M):
-            diff = np.abs(geometry.dist_so2_batch(M) - geometry.dist_so2_bruteforce(M, n_grid))
-            worst = _fold_max(worst, float(diff.max()))
-        done += len(M)
-    return worst
+        draw = rng.standard_normal((_AGREEMENT_DRAW, 2, 2))
+        draw = draw[draw[:, 0, 0] * draw[:, 1, 1] - draw[:, 0, 1] * draw[:, 1, 0] > 0.0]
+        M[done : done + len(draw)] = draw[: n_matrices - done]
+        done += len(draw)
+    diff = np.abs(geometry.dist_so2_batch(M) - geometry.dist_so2_bruteforce(M, n_grid))
+    return float(diff.max())
 
 
 def heron_cross_agreement(n_triangles: int = 10_000, seed: int = 0, jitter: float = 0.05) -> float:
@@ -471,16 +472,14 @@ def check_estimate_chain(
     """
     dist2 = geometry.dist_so2_batch(cfg.gradients) ** 2
 
+    # The largest squared side deviation, folded over the three sides as
+    # geometry._fold_columns folds; squares hold no -0.0.
     corners = cfg.corners
-    lengths = np.stack(
-        [
-            np.hypot(*(corners[:, 1] - corners[:, 0]).T),
-            np.hypot(*(corners[:, 2] - corners[:, 1]).T),
-            np.hypot(*(corners[:, 0] - corners[:, 2]).T),
-        ],
-        axis=1,
-    )
-    maxdev2 = ((lengths - 1.0) ** 2).max(axis=1)
+    dev2 = [
+        (np.hypot(*(corners[:, b] - corners[:, a]).T) - 1.0) ** 2
+        for a, b in ((0, 1), (1, 2), (2, 0))
+    ]
+    maxdev2 = np.maximum(np.maximum(dev2[0], dev2[1]), dev2[2])
     per_tri = RIGIDITY_CONSTANT * maxdev2 - dist2
     worst = int(np.argmin(per_tri))
 

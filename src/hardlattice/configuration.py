@@ -29,9 +29,11 @@ image.  So only a seam triangle whose doubled area lies within that
 rounding of zero can get another verdict than the exact periodic one.
 
 ``check_omega2_oracle`` is the independent cross-check, based on
-pairwise interior overlap of image triangles; a cell list over the 3x3
-periodic tiling hands it only the pairs whose bounding boxes overlap, in
-``O(N^2)`` time, one fixed-size chunk of centre triangles at a time.
+pairwise interior overlap of image triangles against the 3x3 periodic
+tiling.  A cell list hands it only the pairs whose bounding boxes
+overlap, in ``O(N^2)`` time, one fixed-size chunk of centre triangles at
+a time.  The list holds the centre copies and only those translates near
+the seams whose boxes can reach them, a proved rounding margin included.
 Its agreement with :func:`is_admissible`'s omega2 is a tested invariant
 of this package.
 
@@ -99,11 +101,18 @@ LAMBDA0 = SQRT3 / 4.0  # area of the unit reference triangle
 _OMEGA3_SLACK = 2.0 * geometry._ORIENT_ERRBOUND
 _BOND_SQUARE_CAP = 2.0**1000
 
-# The 3x3 tiling shifts of the exact oracle; index 4 is the centre copy.
+# The 3x3 tiling shifts of the exact oracle; index _CENTRE is the centre copy.
 _SHIFTS = [(yu, yv) for yu in (-1, 0, 1) for yv in (-1, 0, 1)]
 _SHIFT_OFFSETS = np.array(_SHIFTS) @ EMBED_BASIS
+_CENTRE = _SHIFTS.index((0, 0))
 # The shifts after (0, 0): a triangle meets its own translates under these.
 _HALF_SHIFTS = np.array([y > (0, 0) for y in _SHIFTS])
+
+# The oracle's seam filter widens each predicted ghost box by _SEAM_MARGIN
+# times fl(l*N) + M, M the largest centre corner coordinate; its proof in
+# _oracle_pairs covers the states with fl(l*N) + M < _SEAM_CAP.
+_SEAM_MARGIN = 2.0**-49
+_SEAM_CAP = 2.0**1000
 
 # Centre triangles per chunk of the exact oracle; each chunk's candidate
 # pairs are gathered, tested and dropped before the next chunk is built.
@@ -567,7 +576,8 @@ def check_omega3(cfg: Configuration) -> CheckResult:
 
 def _finite_triangles(corners: np.ndarray) -> np.ndarray:
     """Mask of the triangles whose three corners are finite, shape ``(2N^2,)``."""
-    return np.isfinite(corners).all(axis=(-2, -1))
+    finite = np.isfinite(corners)
+    return geometry._fold_columns(np.logical_and, finite.reshape(*finite.shape[:-2], 6))
 
 
 def check_omega2_oracle(cfg: Configuration) -> CheckResult:
@@ -658,19 +668,21 @@ def _oracle_pairs(cfg: Configuration):
     only when the previous one has been taken, and besides it only the
     cell list, ``O(N^2)`` integers and boxes, is kept.
 
-    A cell list finds the pairs in ``O(N^2)`` time.  Each of the ``9T``
-    tiled image triangles is binned by the lower corner ``lo_j`` of its
-    bounding box into square cells of edge ``h = r / 2``, where
+    A cell list finds the pairs in ``O(N^2)`` time.  It holds the images
+    of :func:`_oracle_images`: the ``T`` centre images and the ghost
+    images, translates under the eight other shifts, that the seam filter
+    keeps.  Each is binned by the lower corner ``lo_j`` of its bounding
+    box into square cells of edge ``h = r / 2``, where
     ``r = fl(1.0625 D)`` and ``D`` is the largest float box extent
-    ``fl(hi - lo)``.  Centre triangle ``i`` with box ``[lo_i, hi_i]``
-    scans, per axis, the cells from ``floor(fl(fl(lo_i - r) / h))`` to
-    ``floor(fl(hi_i / h))``, one contiguous key range per row of cells.
-    The ``i < j`` rule and then the strict box test run on those
-    candidates only.
+    ``fl(hi - lo)`` of the images held.  Centre triangle ``i`` with box
+    ``[lo_i, hi_i]`` scans, per axis, the cells from
+    ``floor(fl(fl(lo_i - r) / h))`` to ``floor(fl(hi_i / h))``, one
+    contiguous key range per row of cells.  The ``i < j`` rule and then
+    the strict box test run on those candidates only.
 
-    The scan finds every box that overlaps strictly.  Rounding to
+    The scan finds every held box that overlaps strictly.  Rounding to
     nearest is monotone, so ``x <= y`` gives ``fl(x) <= fl(y)``, and
-    ``fl(y) = y`` for a float ``y``.  Take any image ``j`` with
+    ``fl(y) = y`` for a float ``y``.  Take any held image ``j`` with
     ``lo_j < hi_i`` and ``lo_i < hi_j`` on an axis, all floats compared
     exactly.  Then ``fl(lo_j / h) <= fl(hi_i / h)`` bounds its cell from
     above.  Its real extent is ``hi_j - lo_j <= D / (1 - u)``, with
@@ -680,7 +692,9 @@ def _oracle_pairs(cfg: Configuration):
     bounds it from below.  The cell indices stay small: the oriented
     areas of a state sum to ``2N^2`` reference areas, so ``D`` is at
     least about one, and every corner lies within ``O(N D)`` of the
-    origin.
+    origin.  As the seam filter drops only ghosts that overlap no centre
+    box strictly, the pairs are those of a cell list over all ``9T``
+    images, whatever the cells.
 
     The cost per triangle is bounded while the image triangles tile the
     plane, as on admissible states; a state that piles many triangles
@@ -689,61 +703,129 @@ def _oracle_pairs(cfg: Configuration):
     corners = cfg.corners
     T = corners.shape[0]
     every = np.arange(T)
-    lo, hi = geometry.corner_box(corners)
-    sites, offset, _ = lattice.triangle_tables(cfg.N)
-    gathered = cfg.positions[sites]
-    tiled = np.empty_like(gathered)
-    lo_s, hi_s = np.empty((2, len(_SHIFTS), T, 2))  # image k*T + j
-    for k in range(len(_SHIFTS)):
-        # _tiled_corners(cfg, every, k) in one buffer: + and * commute bitwise
-        np.add(offset, _SHIFT_OFFSETS[k], out=tiled)
-        tiled *= cfg.l * cfg.N
-        tiled += gathered
-        lo_s[k], hi_s[k] = geometry.corner_box(tiled)
-    del gathered, tiled  # not held while the chunks are built
-    lo_s, hi_s = lo_s.reshape(-1, 2), hi_s.reshape(-1, 2)
+    # Boxes as one contiguous row per axis: numpy gathers, compares and
+    # shifts (n, 2) rows of coordinates several times slower than rows.
+    lo, hi = (b.T.copy() for b in geometry.corner_box(corners))
+    ids, lo_s, hi_s = _oracle_images(cfg, lo, hi)
 
     reach = 1.0625 * float((hi_s - lo_s).max())
     h = reach / 2
     cell = np.empty(lo_s.shape, np.int64)
-    for axis in range(2):  # one float column at a time
-        np.floor(lo_s[:, axis] / h, out=cell[:, axis], casting="unsafe")
+    for axis in range(2):  # one float row at a time
+        np.floor(lo_s[axis] / h, out=cell[axis], casting="unsafe")
     first = np.floor((lo - reach) / h).astype(np.int64)
     last = np.floor(hi / h).astype(np.int64)
-    base = np.minimum(cell.min(axis=0), first.min(axis=0))
+    base = np.minimum(cell.min(axis=1), first.min(axis=1))[:, None]
     cell -= base
     first -= base
     last -= base
-    stride = int(max(cell[:, 1].max(), last[:, 1].max())) + 1  # rows of keys never overlap
-    sorted_key = cell[:, 0] * stride
-    sorted_key += cell[:, 1]
+    stride = int(max(cell[1].max(), last[1].max())) + 1  # rows of keys never overlap
+    sorted_key = cell[0] * stride
+    sorted_key += cell[1]
     del cell  # the generator's frame would hold it while it is paused
     order = np.argsort(sorted_key)
     sorted_key.sort()  # in place: the values of sorted_key[order]
+    ids, lo_s, hi_s = ids[order], lo_s[:, order], hi_s[:, order]  # held in key order
+    del order
+    n_key = len(_SHIFTS) * T  # i*n_key + j*9 + k sorts the pairs by (i, j, k)
 
     def pairs(tri):
         # A function, so that its candidate arrays are freed before the
         # chunk is tested.  One key range per centre triangle and row of cells.
-        rows = last[tri, 0] - first[tri, 0] + 1
+        rows = last[0, tri] - first[0, tri] + 1
         row_tri = np.repeat(tri, rows)
-        row_x = first[row_tri, 0] + np.arange(row_tri.size) - np.repeat(np.cumsum(rows) - rows, rows)
-        start = np.searchsorted(sorted_key, row_x * stride + first[row_tri, 1], side="left")
-        count = np.searchsorted(sorted_key, row_x * stride + last[row_tri, 1], side="right") - start
+        row_x = first[0, row_tri] + np.arange(row_tri.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        start = np.searchsorted(sorted_key, row_x * stride + first[1, row_tri], side="left")
+        count = np.searchsorted(sorted_key, row_x * stride + last[1, row_tri], side="right") - start
         ii = np.repeat(row_tri, count)
-        img = order[np.repeat(start - (np.cumsum(count) - count), count) + np.arange(ii.size)]
+        held = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(ii.size)
+        img = ids[held]
         keep = (ii < img % T) | ((ii == img % T) & _HALF_SHIFTS[img // T])
-        ii, img = ii[keep], img[keep]  # kk and jj follow from img once it is filtered
-        box = (lo[ii] < hi_s[img]) & (lo_s[img] < hi[ii])
-        keep = box[:, 0] & box[:, 1]
-        ii, img = ii[keep], img[keep]
-        kk, jj = np.divmod(img, T)
-        sort = np.lexsort((kk, jj, ii))
+        ii, held = ii[keep], held[keep]
+        keep = np.ones(ii.size, bool)
+        for axis in range(2):  # the strict box test
+            keep &= lo[axis, ii] < hi_s[axis, held]
+            keep &= lo_s[axis, held] < hi[axis, ii]
+        ii = ii[keep]
+        kk, jj = np.divmod(ids[held[keep]], T)
+        # the keys are distinct and below _ORACLE_CHUNK * n_key < 2**63
+        sort = np.argsort((ii - tri[0]) * n_key + jj * len(_SHIFTS) + kk)
         return ii[sort], jj[sort], kk[sort]
 
     for c0 in range(0, T, _ORACLE_CHUNK):
         ii, jj, kk = pairs(every[c0 : c0 + _ORACLE_CHUNK])
         yield ii, jj, kk, corners[ii], _tiled_corners(cfg, jj, kk)
         del ii, jj, kk  # not held while the next chunk is built
+
+
+def _oracle_images(cfg: Configuration, lo: np.ndarray, hi: np.ndarray):
+    """The images of the oracle's cell list: ``(ids, lo_s, hi_s)``.
+
+    ``lo`` and ``hi``, shape ``(2, T)``, are the boxes of the ``T`` centre
+    triangles, one row per axis.  Image ``ids[n] = k*T + j`` is triangle
+    ``j`` under shift ``_SHIFTS[k]``, with box ``[lo_s[:, n], hi_s[:, n]]``,
+    bitwise :func:`geometry.corner_box` of its :func:`_tiled_corners`.
+    The centre images come first, then the ghost images of
+    :func:`_seam_ghosts`, in id order; only those are tiled.
+    """
+    T = lo.shape[1]
+    ghosts = _seam_ghosts(cfg.l * cfg.N, lo, hi)
+    lo_g, hi_g = geometry.corner_box(_tiled_corners(cfg, ghosts % T, ghosts // T))
+    ids = np.concatenate((_CENTRE * T + np.arange(T), ghosts))
+    return ids, np.concatenate((lo, lo_g.T), axis=1), np.concatenate((hi, hi_g.T), axis=1)
+
+
+def _seam_ghosts(L: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Ids ``k*T + j`` of the ghost images that can overlap a centre box, ascending.
+
+    ``lo`` and ``hi``, shape ``(2, T)``, are the boxes of the ``T`` centre
+    triangles, one row per axis, and ``L = fl(l*N)``.  Of the ``8T``
+    ghosts, translates of a centre triangle under the shifts
+    ``k != _CENTRE``, only those near the seams can meet the centre
+    copies: 1,291 of 16,384 on a sampled N = 32 state.  A ghost is kept when its predicted box, its centre box plus
+    ``t = fl(L s)`` with ``s = _SHIFT_OFFSETS[k]``, widened by
+    ``mu = fl(_SEAM_MARGIN * fl(L + M))``, meets ``[CLO, CHI]``, the
+    bounding box of all centre boxes, ``M`` the largest ``|CLO|`` or
+    ``|CHI|`` entry.  Per axis the test is ``fl(lo_j + t) <= fl(CHI + mu)``
+    and ``fl(hi_j + t) >= fl(CLO - mu)``.  A state with
+    ``fl(L + M) >= _SEAM_CAP`` keeps every ghost.
+
+    Proof that a dropped ghost overlaps no centre box strictly, with
+    ``u = 2**-53`` and ``|fl(x) - x| <= u |fl(x)|``.  Take one corner
+    coordinate, stored position ``p``, seam offset ``o`` and shift
+    offset ``s``: the centre corner is ``c = fl(p + fl(L o))`` and the
+    ghost's, from :func:`_tiled_corners`, ``g = fl(p + fl(L (o + s)))``,
+    where ``o + s`` is exact.  The offsets have ``|o| <= 1.5``,
+    ``|s| <= 1.5`` and ``|o + s| <= 3``, and ``|c| <= M``; ``L > 2`` and
+    the offsets' nonzero entries are at least 1/2, so no product underflows.
+    (1) ``g - c - L s`` is the product roundings, at most ``3 u L`` and
+    ``1.5 u L``, plus the sum roundings, at most ``u |g|`` and ``u M``.
+    With ``|g| <= M + 1.5 L + |g - c - L s|`` that gives
+    ``|g - c - L s| <= E = u (6 L + 2 M) / (1 - u)``.  (2) The three
+    corners share ``L s``, so the ghost's exact box lies within ``E`` of
+    the centre box plus ``L s``.  (3) A ghost that strictly overlaps
+    centre box ``i`` has, per axis, ``lo_g < hi_i <= CHI``, so
+    ``lo_j + L s < CHI + E``.  With ``|t - L s| <= 1.5 u L`` and the
+    rounding of the sum, ``fl(lo_j + t) < CHI + u (9.02 L + 3.01 M)``.
+    (4) ``mu >= 16 u (L + M) (1 - u)`` (the power of two scales
+    exactly), so ``fl(CHI + mu) >= CHI + mu - u (M + mu) >
+    CHI + u (15.9 L + 14.9 M)``, above the bound of (3); likewise for
+    ``hi``.  The cap keeps every step finite.
+    """
+    T = lo.shape[1]
+    ghosts = [k for k in range(len(_SHIFTS)) if k != _CENTRE]
+    clo, chi = lo.min(axis=1), hi.max(axis=1)
+    bound = L + float(np.abs(np.concatenate((clo, chi))).max())  # keeps a NaN
+    if not bound < _SEAM_CAP:  # outside the proof, or not finite
+        return np.concatenate([k * T + np.arange(T) for k in ghosts])
+    mu = _SEAM_MARGIN * bound
+    t = L * _SHIFT_OFFSETS[ghosts]
+    near = np.ones((len(ghosts), T), bool)
+    for a in range(2):  # whole (8, T) planes, not a trailing axis of length 2
+        near &= lo[a] + t[:, a, None] <= chi[a] + mu
+        near &= hi[a] + t[:, a, None] >= clo[a] - mu
+    k, j = np.nonzero(near)
+    return np.array(ghosts)[k] * T + j
 
 
 def is_admissible(cfg: Configuration) -> AdmissibilityReport:

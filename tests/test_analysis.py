@@ -653,19 +653,20 @@ class TestFoldsKeepNaN:
         assert len(calls) > 1 and math.isnan(est.c_hat)
 
     def test_so2_agreement(self, monkeypatch):
+        # one grid search on all survivors: a NaN between finite
+        # differences reaches the result
         real = geometry.dist_so2_bruteforce
         calls = []
 
-        def nan_in_second(Ms, n_grid):
+        def nan_inside(Ms, n_grid):
             out = real(Ms, n_grid)
-            if len(calls) == 1:
-                out[3] = math.nan
+            out[len(Ms) // 2] = math.nan
             calls.append(len(Ms))
             return out
 
-        monkeypatch.setattr(geometry, "dist_so2_bruteforce", nan_in_second)
+        monkeypatch.setattr(geometry, "dist_so2_bruteforce", nan_inside)
         assert math.isnan(A.dist_so2_agreement(1000, 97, seed=0))
-        assert len(calls) > 2
+        assert calls == [1000]
 
     def test_heron_cross_agreement(self, monkeypatch):
         # a NaN side in the second block
@@ -889,3 +890,30 @@ class TestScan:
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert cells[0] == "2" and cells[-1] in ("true", "false")
+
+
+def _reference_triangle_bound(cfg):
+    """Check (i) of ``check_estimate_chain`` with the largest squared side
+    deviation taken as the ``axis=1`` maximum of the stacked sides."""
+    dist2 = geometry.dist_so2_batch(cfg.gradients) ** 2
+    c = cfg.corners
+    lengths = np.stack([np.hypot(*(c[:, b] - c[:, a]).T) for a, b in ((0, 1), (1, 2), (2, 0))], axis=1)
+    per_tri = A.RIGIDITY_CONSTANT * ((lengths - 1.0) ** 2).max(axis=1) - dist2
+    worst = int(np.argmin(per_tri))
+    return float(per_tri[worst]), worst
+
+
+class TestTriangleBoundFold:
+    def test_equals_the_axis_reduction_on_samples_and_nan_sites(self, sample_snapshots):
+        states = list(sample_snapshots[::10])
+        for site, value in ((5, (math.nan, 0.3)), (9, (0.2, math.nan)), (14, (math.nan, math.nan))):
+            pos = np.array(standard_config(4, 1.05, 0.1).positions)
+            pos[site] = value
+            states.append(C.Configuration(4, 1.05, 0.1, pos))
+        margins = []
+        for cfg in states:
+            rep = A.check_estimate_chain(cfg, A.identity_suite(cfg))
+            got = (rep.triangle_bound_margin, rep.worst_triangle)
+            assert repr(got) == repr(_reference_triangle_bound(cfg))  # repr: NaN equals NaN
+            margins.append(got[0])
+        assert math.isnan(margins[-1]) and not math.isnan(margins[0])

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -596,6 +597,10 @@ class TestOracleCellList:
         # 4 MB (boxes, keys and order of the 18 N^2 tiled triangles)
         assert self._oracle_peak(64) < 6e6
 
+    def test_peak_memory_at_n96_stays_below_6_mb(self):
+        # the boxes of all 18 N^2 tiled triangles peaked at 10.7 MB here
+        assert self._oracle_peak(96) < 6e6
+
     @pytest.mark.parametrize("cfg", REFERENCE_STATES + [pytest.param(16, id="sampled-N16"),
                                                          pytest.param(32, id="sampled-N32")])
     def test_block_test_equals_the_broadcast_form_on_every_chunk(self, cfg, broadcast_overlap_block):
@@ -604,6 +609,136 @@ class TestOracleCellList:
         for _, _, _, P, Q in C._oracle_pairs(cfg):
             got, want = geometry.triangles_overlap_block(P, Q), broadcast_overlap_block(P, Q)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _seam_states():
+    """Sampled states at N = 8, 16 and 32, in the window epsilon = 0.1 and in a wide one, 0.45."""
+    for N in (8, 16, 32):
+        for l, epsilon in ((1.05, 0.1), (1.2, 0.45)):
+            params = SamplerParams(sweeps=30, burn_in=0, thin=30, seed=N)
+            yield pytest.param(run_chain(N, l, epsilon, params).records[-1], id=f"N{N}-eps{epsilon}")
+
+
+SEAM_STATES = list(_seam_states())
+
+_U = 2.0**-53
+
+
+def _all_image_boxes(cfg):
+    """Boxes of all 9T tiled images, shape ``(9, T, 2)`` each, from ``_tiled_corners``."""
+    T = cfg.corners.shape[0]
+    return geometry.corner_box(C._tiled_corners(cfg, np.arange(T), np.arange(len(SHIFTS))[:, None]))
+
+
+def _all_images_pairs(cfg, chunk=64):
+    """``(i, j, k)`` of the oracle's rules over all 9T images, vectorised and
+    chunked: strict box overlap, and ``i < j`` or ``i == j`` under the
+    shifts after (0, 0), in ``(i, j, k)`` order."""
+    T = cfg.corners.shape[0]
+    lo, hi = geometry.corner_box(cfg.corners)
+    lo_s, hi_s = _all_image_boxes(cfg)
+    j = np.arange(T)
+    half = np.array([y > (0, 0) for y in SHIFTS])[:, None]
+    found = []
+    for c0 in range(0, T, chunk):
+        i = np.arange(c0, min(c0 + chunk, T))[:, None, None]
+        box = (lo[i] < hi_s) & (lo_s < hi[i])
+        rule = (i < j) | ((i == j) & half)
+        ii, kk, jj = np.nonzero(box[..., 0] & box[..., 1] & rule)
+        found.append(np.stack((c0 + ii, jj, kk), axis=1))
+    found = np.concatenate(found)
+    return found[np.lexsort(found.T[::-1])]
+
+
+class TestSeamFilter:
+    """The oracle tiles only the centre copies and the ghost images near
+    the seams (``_seam_ghosts``); its pairs stay those over all 9T images."""
+
+    @pytest.mark.parametrize("cfg", SEAM_STATES)
+    def test_pairs_equal_the_all_images_reference(self, cfg):
+        got = [np.stack((ii, jj, kk), axis=1) for ii, jj, kk, _, _ in C._oracle_pairs(cfg)]
+        assert np.array_equal(np.concatenate(got), _all_images_pairs(cfg))
+
+    @pytest.mark.parametrize("cfg", SEAM_STATES + REFERENCE_STATES[::3])
+    def test_dropped_ghosts_overlap_no_centre_box(self, cfg):
+        T = cfg.corners.shape[0]
+        lo, hi = geometry.corner_box(cfg.corners)
+        kept = C._seam_ghosts(cfg.l * cfg.N, lo.T.copy(), hi.T.copy())
+        ghosts = np.array([k * T + j for k in range(len(SHIFTS)) if k != C._CENTRE for j in range(T)])
+        dropped = np.setdiff1d(ghosts, kept)
+        assert np.array_equal(np.sort(kept), kept) and np.isin(kept, ghosts).all()
+        if T >= 2 * 8 * 8:
+            assert len(kept) < len(ghosts) / 4
+        lo_s, hi_s = (b.reshape(-1, 2) for b in _all_image_boxes(cfg))
+        for c0 in range(0, len(dropped), 256):
+            g = dropped[c0 : c0 + 256, None]
+            box = (lo_s[g] < hi) & (lo < hi_s[g])
+            assert not (box[..., 0] & box[..., 1]).any()
+
+    @pytest.mark.parametrize("N", [2, 5, 16])
+    def test_the_prediction_error_stays_within_the_proved_bound(self, N):
+        """Steps (1) and (2) of the proof, in rational arithmetic: every
+        ghost box lies within ``E = u (6 L + 2 M) / (1 - u)`` of its
+        centre box plus ``L s``, on states whose corners reach far out."""
+        states = [run_chain(N, 1.05, 0.1, SamplerParams(sweeps=2, thin=2, seed=N)).records[-1]]
+        rng = np.random.Generator(np.random.PCG64(N))
+        for scale in (1e3, 1e9):  # random positions: the proof assumes no lattice
+            pos = scale * rng.standard_normal((N * N, 2))
+            pos[0] = 0.0
+            states.append(Configuration(N, 1.05, 0.1, pos))
+        for cfg in states:
+            T = cfg.corners.shape[0]
+            L = cfg.l * cfg.N
+            lo, hi = geometry.corner_box(cfg.corners)
+            M = float(np.abs(np.concatenate((lo, hi))).max())
+            E = _U * (6 * L + 2 * M) / (1 - _U)
+            lo_s, hi_s = _all_image_boxes(cfg)
+            worst = 0
+            for k, s in enumerate(C._SHIFT_OFFSETS):
+                Ls = [Fraction(L) * Fraction(float(x)) for x in s]
+                for j in range(T):
+                    for a in (0, 1):
+                        for g, c in ((lo_s[k, j, a], lo[j, a]), (hi_s[k, j, a], hi[j, a])):
+                            worst = max(worst, abs(Fraction(float(g)) - Fraction(float(c)) - Ls[a]))
+            assert E / 8 < worst <= E  # the bound is within a small factor of the worst error
+            assert E + _U * (3.01 * M + 3.02 * L) < C._SEAM_MARGIN * (L + M) * (1 - 2 * _U)
+
+    @pytest.mark.parametrize("side", ["hi", "lo"])
+    def test_the_filter_keeps_a_ghost_at_its_margin_and_drops_it_an_ulp_beyond(self, side):
+        """A predicted box edge that lands on ``fl(CHI + mu)`` (or on
+        ``fl(CLO - mu)``) keeps its ghost; the next float beyond drops it."""
+        L = 1.05 * 4
+        lo, hi = np.array([[-3.0, 0.0], [-3.0, -1.0]]), np.array([[6.0, 1.0], [6.0, 1.0]])  # (axis, box)
+        mu = C._SEAM_MARGIN * (L + 6.0)  # M = 6
+        k = SHIFTS.index((1, 0) if side == "hi" else (-1, 0))
+        t = float(L * C._SHIFT_OFFSETS[k][0])
+        edge, out = (6.0 + mu, math.inf) if side == "hi" else (-3.0 - mu, -math.inf)
+        inside = (lambda x: x + t <= edge) if side == "hi" else (lambda x: x + t >= edge)
+        x = edge - t  # moved to the last float x whose predicted edge x + t is inside
+        while inside(np.nextafter(x, out)):
+            x = np.nextafter(x, out)
+        while not inside(x):
+            x = np.nextafter(x, -out)
+        assert x + t == edge
+
+        def kept(x):
+            b_lo, b_hi = lo.copy(), hi.copy()
+            if side == "hi":  # ghost 1's box moves right by t: its lower x meets CHI
+                b_lo[0, 1], b_hi[0, 1] = x, x + 1.0
+            else:  # it moves left: its upper x meets CLO
+                b_lo[0, 1], b_hi[0, 1] = x - 1.0, x
+            return k * 2 + 1 in C._seam_ghosts(L, b_lo, b_hi).tolist()
+
+        assert kept(x) and not kept(np.nextafter(x, out))
+
+    @pytest.mark.parametrize("value", [2.0**1000, math.inf, math.nan])
+    def test_a_state_outside_the_proof_keeps_every_ghost(self, value):
+        lo, hi = np.array([[-3.0, 0.0], [-3.0, -1.0]]), np.array([[6.0, 1.0], [6.0, 1.0]])
+        hi[1, 0] = value
+        ghosts = [k * 2 + j for k in range(len(SHIFTS)) if k != C._CENTRE for j in (0, 1)]
+        assert C._seam_ghosts(1.05 * 4, lo, hi).tolist() == ghosts
+        hi[1, 0] = 6.0
+        assert len(C._seam_ghosts(1.05 * 4, lo, hi)) < len(ghosts)
 
 
 class TestIsAdmissible:
@@ -960,22 +1095,25 @@ class TestTiledCorners:
 
     @pytest.mark.parametrize("N", [2, 5, 16])
     def test_the_oracle_boxes_the_tilings_of_tiled_corners_bitwise(self, monkeypatch, N):
-        # the oracle builds the nine tilings in one buffer from one gather
+        # every box the cell list holds, the centre copies and each ghost
+        # the seam filter keeps, is that image's own box, bitwise
         cfg = run_chain(N, 1.05, 0.1, SamplerParams(sweeps=2, thin=2, seed=N)).records[-1]
-        boxed = []
-        real = geometry.corner_box
+        held = []
+        real = C._oracle_images
 
-        def recording(T):
-            boxed.append(np.array(T))
-            return real(T)
+        def recording(*args):
+            held.append(real(*args))
+            return held[-1]
 
-        monkeypatch.setattr(geometry, "corner_box", recording)
+        monkeypatch.setattr(C, "_oracle_images", recording)
         next(C._oracle_pairs(cfg))
-        every = np.arange(cfg.corners.shape[0])
-        assert len(boxed) == 1 + len(SHIFTS)  # the centre copies, then one per shift
-        assert boxed[0].tobytes() == cfg.corners.tobytes()
-        for k, tiled in enumerate(boxed[1:]):
-            assert tiled.tobytes() == C._tiled_corners(cfg, every, k).tobytes()
+        (ids, lo_s, hi_s), = held
+        T = cfg.corners.shape[0]
+        assert np.array_equal(ids[:T], C._CENTRE * T + np.arange(T))
+        assert len(set(ids.tolist())) == len(ids)
+        for n, (k, j) in enumerate(zip(*np.divmod(ids, T))):
+            lo, hi = geometry.corner_box(C._tiled_corners(cfg, j, k))
+            assert lo.tobytes() == lo_s[:, n].tobytes() and hi.tobytes() == hi_s[:, n].tobytes()
 
 
 class TestSymmetryMaps:
@@ -1049,3 +1187,14 @@ class TestSerialization:
         record["positions"][0] = 0.5
         with pytest.raises(ValueError):
             from_json(json.dumps(record))
+
+
+class TestFiniteTriangles:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_equals_the_axis_reduction(self, rng, value):
+        corners = standard_config(4, 1.05, 0.1).corners + rng.uniform(-0.01, 0.01, (5, 32, 3, 2))
+        corners[rng.random(corners.shape) < 0.02] = value
+        for c in (corners, corners[2]):  # a stack, and one snapshot
+            want = np.isfinite(c).all(axis=(-2, -1))
+            assert np.array_equal(C._finite_triangles(c), want)
+        assert 0 < np.count_nonzero(~C._finite_triangles(corners)) < corners.shape[0] * 32

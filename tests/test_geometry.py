@@ -727,3 +727,39 @@ class TestOrientSignsExact:
         sign = geometry.orient_signs_exact(pts[:, None, None], pts[None, :, None], pts[None, None, :3])
         assert sign.shape == (7, 7, 3)
         assert sign[2, 2].tolist() == [0, 0, 0]
+
+
+# Entries of the folded rows: every ordering of NaN, both infinities and
+# finite values.  No -0.0: a tie of -0.0 and 0.0 may keep either sign.
+_FOLD_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, 0.5, -2.0, 1e308, -1e-300]
+
+
+class TestFoldColumns:
+    """``_fold_columns`` is bitwise the ``axis=-1`` reduction it replaces,
+    on every row of NaN, infinities and finite values, and on stacks."""
+
+    @staticmethod
+    def _rows(rng, width, dtype):
+        if dtype is bool:
+            combos = np.array(list(np.ndindex(*(2,) * width)), bool)
+            draws = rng.random((4, 500, width)) < 0.8
+        else:
+            entries = np.array(_FOLD_ENTRIES)
+            combos = entries[np.array(list(np.ndindex(*(len(entries),) * min(width, 3))))]
+            combos = np.concatenate([combos, combos[:, :1].repeat(width - combos.shape[1], axis=1)], axis=1)
+            draws = entries[rng.integers(0, len(entries), (4, 500, width))]
+            draws[0] = rng.standard_normal((500, width))
+        return combos, draws
+
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    @pytest.mark.parametrize("op", [np.maximum, np.minimum])
+    def test_max_and_min_equal_the_reduction_bitwise(self, rng, op, width):
+        for a in self._rows(rng, width, float):
+            want = a.max(axis=-1) if op is np.maximum else a.min(axis=-1)
+            assert geometry._fold_columns(op, a).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    def test_all_and_any_equal_the_reduction(self, rng, width):
+        for a in self._rows(rng, width, bool):
+            assert np.array_equal(geometry._fold_columns(np.logical_and, a), a.all(axis=-1))
+            assert np.array_equal(geometry._fold_columns(np.logical_or, a), a.any(axis=-1))
