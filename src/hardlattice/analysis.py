@@ -416,7 +416,7 @@ class EstimateChainReport:
     triangle_bound_margin: float
     l2_vs_side_sum_margin: float
     side_sum_vs_area_margin: float
-    pythagoras_margin: float
+    frame_margin: float
     worst_triangle: int
 
     @property
@@ -425,7 +425,7 @@ class EstimateChainReport:
             self.triangle_bound_margin >= -_RIGIDITY_ALLOWANCE
             and self.l2_vs_side_sum_margin >= 0.0
             and self.side_sum_vs_area_margin >= 0.0
-            and self.pythagoras_margin >= 0.0
+            and self.frame_margin >= 0.0
         )
 
 
@@ -439,8 +439,9 @@ def check_estimate_chain(
     L2 aggregate against the side-deviation sum with the constant
     ``2 * 2``: each bond lies in exactly two triangles, so
     ``sum_T max_k d_k^2 <= 2 sum_bonds d^2``.  (iii) The side sum against
-    the area-difference sum.  (iv) The exact Pythagoras split, read from
-    ``identities``, the :func:`identity_suite` report of ``cfg``.
+    the area-difference sum.  (iv) The frame identity
+    ``sum_T |G_T|^2 = (4/3) sum_b a_b^2``, read from ``identities``, the
+    :func:`identity_suite` report of ``cfg``.
 
     The allowance ``2**-46 = 128 u`` (``u = 2**-53``) bounds the rounding
     of check (i)'s computed margin ``2 fl(max d^2) - fl(dist^2)`` for a
@@ -486,12 +487,11 @@ def check_estimate_chain(
     sds = observables.side_deviation_sum(cfg)
     l2_margin = 2 * RIGIDITY_CONSTANT * LAMBDA0 * sds - LAMBDA0 * float(np.sum(dist2))
     area_margin = FOUR_SQRT3 * cfg.epsilon * cfg.reductions.area_difference - sds
-    pyth = identities.pythagoras_relative_error
     return EstimateChainReport(
         triangle_bound_margin=float(per_tri[worst]),
         l2_vs_side_sum_margin=float(l2_margin),
         side_sum_vs_area_margin=float(area_margin),
-        pythagoras_margin=observables.PYTHAGORAS_RTOL - pyth,
+        frame_margin=observables.FRAME_RTOL - identities.frame_relative_error,
         worst_triangle=worst,
     )
 
@@ -636,7 +636,7 @@ def run_grid_point(
                     f"identity suite failed at N={N}, l={l}: "
                     f"mean_gradient={ident.mean_gradient_error:.3e}, "
                     f"area={ident.area_relative_error:.3e}, "
-                    f"pythagoras={ident.pythagoras_relative_error:.3e}"
+                    f"frame={ident.frame_relative_error:.3e}"
                 )
             r = snap.reductions
             op_id.append(r.id_deviation / T)

@@ -328,7 +328,7 @@ def cmd_verify(args) -> int:
     # ndarray.max keeps a NaN error, which a Python max fold would drop.
     worst_err = np.array(
         [
-            (rep.mean_gradient_error, rep.area_relative_error, rep.pythagoras_relative_error)
+            (rep.mean_gradient_error, rep.area_relative_error, rep.frame_relative_error)
             for rep in identities
         ]
     ).max(axis=0).tolist()
@@ -336,7 +336,7 @@ def cmd_verify(args) -> int:
         "identity-suite",
         all(rep.ok for rep in identities),
         f"n={n_samples} mean_grad={worst_err[0]:.2e} area={worst_err[1]:.2e} "
-        f"pythagoras={worst_err[2]:.2e}",
+        f"frame={worst_err[2]:.2e}",
     )
 
     # 6. Injectivity read off exact omega3, as is_admissible reports

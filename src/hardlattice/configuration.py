@@ -49,11 +49,12 @@ order parameters read:
 * ``gradient_mean``, the mean gradient (the gradient sum over the
   triangles divided by their number), as a row-major 4-tuple;
 * ``area_difference``, the sum of image minus reference areas;
-* ``rotation``, ``(cos, sin)`` of the rotation ``R`` nearest to the mean
-  gradient, or None where every rotation is equally near;
-* ``rotation_deviation``, ``lid_deviation`` and ``id_deviation``, the
+* ``gradient_square_sum``, ``lid_deviation`` and ``id_deviation``, the
   sums over the triangles of the squared Frobenius deviations of the
-  gradients from ``R``, from ``l * Id`` and from ``Id``.
+  gradients from ``0``, from ``l * Id`` and from ``Id``;
+* ``bond_square_sum``, the sum of ``bond_squares``; with
+  ``gradient_square_sum`` it ties the gradients to the bonds in the
+  identity suite's frame identity.
 
 A NaN coordinate makes every reduction it reaches NaN, and a NaN passes
 no comparison.  Caching is safe because a configuration never changes:
@@ -189,10 +190,10 @@ class Reductions(NamedTuple):
     cross_min: float
     gradient_mean: tuple[float, float, float, float]
     area_difference: float
-    rotation: tuple[float, float] | None
-    rotation_deviation: float
+    gradient_square_sum: float
     lid_deviation: float
     id_deviation: float
+    bond_square_sum: float
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -209,8 +210,9 @@ def _reductions(l: float, bond_squares, crosses, gradients) -> list[Reductions]:
     maximum is exact in any order and keeps a NaN.  The mean gradient is
     one reduction over the triangle axis, bitwise ``ndarray.mean(axis=0)``
     of each snapshot (pinned by the tests).  The three deviations of the
-    whole stack come from one :func:`_deviation_planes` pass, with NaN
-    for ``R`` where it is None.  Every sum over the triangles is one
+    whole stack come from one :func:`_deviation_planes` pass against the
+    targets ``0``, ``l * Id`` and ``Id``, the same for every snapshot.
+    Every sum over the triangles or the bonds is one
     :func:`_triangle_sums` call.
     """
     B, T = crosses.shape
@@ -219,16 +221,12 @@ def _reductions(l: float, bond_squares, crosses, gradients) -> list[Reductions]:
     cross_min = np.minimum.reduce(crosses, axis=1).tolist()
     means = (np.add.reduce(gradients, axis=1) / T).reshape(B, 4).tolist()
     areas = _triangle_sums(0.5 * crosses - LAMBDA0).tolist()
-    rotations = [_nearest_rotation(m) for m in means]
-    targets = []
-    for r in rotations:
-        c, s = (math.nan, math.nan) if r is None else r
-        targets.append((c, -s, s, c, l, 0.0, 0.0, l, 1.0, 0.0, 0.0, 1.0))
-    per_triangle = _deviation_planes(gradients, np.array(targets).reshape(B, 3, 2, 2))
-    deviations = _triangle_sums(per_triangle).T.tolist()
+    targets = np.array([[[0.0, 0.0], [0.0, 0.0]], [[l, 0.0], [0.0, l]], [[1.0, 0.0], [0.0, 1.0]]])
+    deviations = _triangle_sums(_deviation_planes(gradients, targets)).T.tolist()
+    bonds = _triangle_sums(bond_squares).tolist()
     return [
-        Reductions(a, b, c, tuple(m), area, r, *devs)
-        for a, b, c, m, area, r, devs in zip(lo, hi, cross_min, means, areas, rotations, deviations)
+        Reductions(a, b, c, tuple(m), area, *devs, bond)
+        for a, b, c, m, area, devs, bond in zip(lo, hi, cross_min, means, areas, deviations, bonds)
     ]
 
 
@@ -258,35 +256,20 @@ def _squared_deviations(gradients: np.ndarray, target: np.ndarray) -> np.ndarray
 
 
 def _deviation_planes(gradients: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """:func:`_squared_deviations` of a ``(B, T, 2, 2)`` stack from each snapshot's targets.
+    """:func:`_squared_deviations` of a ``(B, T, 2, 2)`` stack from each of ``K`` targets.
 
-    ``targets`` has shape ``(B, K, 2, 2)``; the result has shape
-    ``(K, B, T)`` with C-contiguous rows, bitwise
-    ``_squared_deviations(gradients[b], targets[b, k])`` in row ``(k, b)``
+    ``targets`` has shape ``(K, 2, 2)``, the same for every snapshot; the
+    result has shape ``(K, B, T)`` with C-contiguous rows, bitwise
+    ``_squared_deviations(gradients[b], targets[k])`` in row ``(k, b)``
     (pinned by the tests).  The gradients are copied once into four
     contiguous ``(B, T)`` component planes, so every step runs over whole
     planes rather than over trailing axes of length two.
     """
     B, T = gradients.shape[:2]
     planes = np.ascontiguousarray(gradients.reshape(B, T, 4).transpose(2, 0, 1))
-    diff = planes - targets.reshape(B, -1, 4).transpose(1, 2, 0)[..., None]
+    diff = planes - targets.reshape(-1, 4, 1, 1)
     np.multiply(diff, diff, out=diff)
     return ((diff[:, 0] + diff[:, 1]) + diff[:, 2]) + diff[:, 3]
-
-
-def _nearest_rotation(mean) -> tuple[float, float] | None:
-    """``(cos, sin)`` of :func:`geometry.polar_rotation` of the 2x2 ``mean``, row-major.
-
-    None where that raises: every rotation is equally near.  The angle,
-    ``cos`` and ``sin`` are the ``math`` calls of
-    :func:`geometry.polar_rotation` and :func:`geometry.rotation`.
-    """
-    m00, m01, m10, m11 = mean
-    c, s = m00 + m11, m10 - m01
-    if c == 0.0 and s == 0.0:
-        return None
-    theta = math.atan2(s, c)
-    return math.cos(theta), math.sin(theta)
 
 
 def _check_parameters(N: int, l, epsilon) -> None:

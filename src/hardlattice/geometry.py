@@ -35,10 +35,11 @@ class DegenerateTriangleError(ValueError):
 def rotation(theta: float) -> np.ndarray:
     """Counterclockwise rotation matrix for angle ``theta``.
 
-    No run calls :func:`rotation`, :func:`frobenius` or
-    :func:`polar_rotation`: the identity suite and the ``rotation`` of
-    ``Configuration.reductions`` inline them on Python floats, and they
-    are the reference those are tested against.
+    No run calls this, :func:`frobenius` or the nearest rotation's angle
+    below; they are scalar references.  The identity suite's
+    mean-gradient error inlines :func:`frobenius` on Python floats, and
+    the tests build the Pythagoras split around the rotation nearest the
+    mean gradient from the other two.
     """
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -60,7 +61,7 @@ def polar_rotation(M) -> float:
     c = m[0, 0] + m[1, 1]
     s = m[1, 0] - m[0, 1]
     if c == 0.0 and s == 0.0:
-        raise ValueError("polar rotation undefined: all rotations are equidistant")
+        raise ValueError("polar rotation undefined: every rotation is equally close")
     return math.atan2(s, c)
 
 

@@ -869,9 +869,9 @@ class TestScan:
     def test_identity_failure_names_the_first_failing_sample(self, monkeypatch):
         params = SamplerParams(sweeps=200, burn_in=10, thin=1, seed=0)
         snaps = self._reference_snapshots(2, params, 3)
-        errors = [O.identity_suite(s).pythagoras_relative_error for s in snaps]
+        errors = [O.identity_suite(s).frame_relative_error for s in snaps]
         tol = sorted(errors)[-5]  # the four largest errors fail
-        monkeypatch.setattr(O, "PYTHAGORAS_RTOL", tol)
+        monkeypatch.setattr(O, "FRAME_RTOL", tol)
         first = next(O.identity_suite(s) for s in snaps if not O.identity_suite(s).ok)
         with pytest.raises(A.IdentityFailureError) as err:
             A.run_grid_point(2, 1.05, 0.1, params, seed=3)
@@ -879,7 +879,7 @@ class TestScan:
             "identity suite failed at N=2, l=1.05: "
             f"mean_gradient={first.mean_gradient_error:.3e}, "
             f"area={first.area_relative_error:.3e}, "
-            f"pythagoras={first.pythagoras_relative_error:.3e}"
+            f"frame={first.frame_relative_error:.3e}"
         )
 
     def test_csv_layout(self):

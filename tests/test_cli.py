@@ -321,7 +321,7 @@ def test_benchmark_verify_block_stays_within_7_mb_of_import(tmp_path):
 GOLDEN_DIGESTS = {
     "scan-kernel": "e82b45ffef82d2aad9438e254eb2a114977bc8d0d8e426c577ec8ca93959938a",
     "scan-snapshot": "0f5ef6e2429aee5f5308ec3a038a37ac6f4cf960913e9abc04fd36c4e80f6d54",
-    "verify-oracle": "784d5564925327fff44c242d91ce79a52bb678b900b074be736eea95963f696a",
+    "verify-oracle": "2f23fb88de635b3700e7f79ed7cc188b4e7f00aa1f4456808452dd7595338ed9",
 }
 
 
@@ -691,7 +691,7 @@ class TestVerifyCommand:
             calls.append(cfg)
             rep = suite(cfg)
             if len(calls) == 3:
-                rep = dataclasses.replace(rep, pythagoras_relative_error=math.nan)
+                rep = dataclasses.replace(rep, frame_relative_error=math.nan)
             return rep
 
         monkeypatch.setattr(analysis, "identity_suite", nan_once)
@@ -699,7 +699,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--config", path]) == 3
         out = [row.split() for row in capsys.readouterr().out.splitlines()]
         step5 = [row for row in out if row[1] == "identity-suite"]
-        assert step5[0][0] == "FAIL" and step5[0][-1] == "pythagoras=nan"
+        assert step5[0][0] == "FAIL" and step5[0][-1] == "frame=nan"
         # step 7 reads the same report, so it fails too
         assert ["FAIL", "estimate-chain"] in [row[:2] for row in out]
 

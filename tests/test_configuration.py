@@ -110,25 +110,23 @@ def _assert_reductions_equal_references(cfg):
     r = cfg.reductions
     assert type(r) is C.Reductions
     d2, cross, G = cfg.bond_squares, cfg.crosses, cfg.gradients
-    mean = G.mean(axis=0)
-    R = geometry.rotation(geometry.polar_rotation(mean))
     deviations = [float(np.sum(observables.per_triangle_order_parameters(cfg, target)))
-                  for target in (R, cfg.l * np.eye(2), np.eye(2))]
+                  for target in (np.zeros((2, 2)), cfg.l * np.eye(2), np.eye(2))]
     want = C.Reductions(
         bond_square_min=float(d2.min()),
         bond_square_max=float(d2.max()),
         cross_min=float(cross.min()),
-        gradient_mean=tuple(mean.ravel().tolist()),
+        gradient_mean=tuple(G.mean(axis=0).ravel().tolist()),
         area_difference=float(np.sum(0.5 * cross - C.LAMBDA0)),
-        rotation=(float(R[0, 0]), float(R[1, 0])),
-        rotation_deviation=deviations[0],
+        gradient_square_sum=deviations[0],
         lid_deviation=deviations[1],
         id_deviation=deviations[2],
+        bond_square_sum=float(np.sum(d2)),
     )
     for name, got, expected in zip(r._fields, r, want):
         assert repr(got) == repr(expected), name
-    values = [*r[:3], *r.gradient_mean, r.area_difference, *r.rotation, *r[6:]]
-    assert len(values) == 13 and all(type(v) is float for v in values)
+    values = [*r[:3], *r.gradient_mean, *r[4:]]
+    assert len(values) == 12 and all(type(v) is float for v in values)
 
 
 class TestSnapshotBlock:
@@ -975,7 +973,7 @@ class TestNonFiniteSites:
         nan_report = observables.identity_suite(block.snapshots[2])
         assert not nan_report.ok
         assert math.isnan(nan_report.mean_gradient_error)
-        assert math.isnan(nan_report.pythagoras_relative_error)
+        assert math.isnan(nan_report.frame_relative_error)
 
     def test_nan_bond_is_reported(self):
         cfg = _with_site_value(standard_config(2, 1.05, 0.1), 3, (math.nan, 0.0))

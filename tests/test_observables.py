@@ -179,7 +179,6 @@ class TestBlockObservables:
 
     @pytest.mark.parametrize("N", [2, 3, 4, 12])
     def test_record_op_lid_is_the_per_snapshot_mean(self, N):
-        # the same sum the identity suite reads for its Pythagoras split
         self._assert_order_parameter(N, N + 2, "lid_deviation", 1.05 * np.eye(2))
 
 
@@ -190,12 +189,9 @@ def _reference_identity_suite(cfg):
     area = O.area_difference_sum(cfg)
     closed = O.area_difference_closed_form(cfg.N, cfg.l)
     area_err = abs(area - closed) / abs(closed)
-    R = geometry.rotation(geometry.polar_rotation(mean))
-    lhs = O.l2_gradient_deviation(cfg, R)
-    a = O.l2_gradient_deviation(cfg, cfg.l * np.eye(2))
-    b = 2.0 * cfg.N * cfg.N * LAMBDA0 * float(np.sum((cfg.l * np.eye(2) - R) ** 2))
-    pyth_err = abs(lhs - a - b) / max(lhs, 1e-300)
-    return O.IdentityReport(mg_err, area_err, pyth_err)
+    gradient_squares = float(np.sum(O.per_triangle_order_parameters(cfg, np.zeros((2, 2)))))
+    frame = 4.0 * float(np.sum(C.bond_length_squares(cfg.N, cfg.l, cfg.positions))) / 3.0
+    return O.IdentityReport(mg_err, area_err, abs(gradient_squares - frame) / frame)
 
 
 def _block_snapshots(N, epsilon, sweeps, seed):
@@ -230,21 +226,84 @@ class TestLeanIdentitySuite:
                 cfg = Configuration(N, 1.05, 0.1, pos)
                 assert O.identity_suite(cfg) == _reference_identity_suite(cfg)
 
-    def test_undefined_polar_rotation_raises_as_the_reference_does(self):
-        # The boundary rule pins the mean gradient at l * Id, so only a
-        # snapshot whose cached gradients are replaced by a stand-in
-        # reaches the equidistant case; its reductions record is built
-        # from the stand-in on first use.
-        G = np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (8, 1, 1))
-        for suite in (O.identity_suite, _reference_identity_suite):
-            cfg = standard_config(2, 1.05, 0.1)
-            vars(cfg)["gradients"] = G
-            with pytest.raises(ValueError, match="equidistant"):
-                suite(cfg)
-            r = cfg.reductions
-            assert r.rotation is None and math.isnan(r.rotation_deviation)
-            assert r.lid_deviation == pytest.approx(8 * (0.05**2 + 2.05**2))
-            assert r.id_deviation == 32.0
+
+U = 2.0**-53
+
+# Where the frame identity is hard: l near 1, where op_lid is tiny; a wide
+# window; a small odd N; and N = 32, where the seam corners round at l*N.
+FRAME_POINTS = [(8, 1.0005, 0.1), (12, 1.15, 0.3), (5, 1.02, 0.45), (32, 1.05, 0.1)]
+
+
+def _sampled_snapshots(N, l, epsilon, scan_order):
+    """Ten sampled states of one chain, after a burn-in, on either kernel path."""
+    snaps = []
+    sweeps = 60 if N >= 32 else 300
+    params = hl.SamplerParams(sweeps=sweeps, burn_in=sweeps, thin=sweeps // 10, seed=N,
+                              scan_order=scan_order, proposal_radius=epsilon / 2.0)
+    hl.run_chain(N, l, epsilon, params, lambda block: snaps.extend(block.snapshots))
+    assert len(snaps) == 10
+    return snaps
+
+
+class TestFrameIdentity:
+    @pytest.mark.parametrize("scan_order", ["raster", "random"])
+    @pytest.mark.parametrize("N, l, epsilon", FRAME_POINTS)
+    def test_frame_error_is_within_its_rounding_bound(self, N, l, epsilon, scan_order):
+        # observables.FRAME_RTOL's derivation bounds the error by
+        # (226 N + 5 N^2) u on every admissible state
+        for snap in _sampled_snapshots(N, l, epsilon, scan_order):
+            err = O.identity_suite(snap).frame_relative_error
+            assert err <= (226 * N + 5 * N * N) * U
+            assert err <= O.FRAME_RTOL
+
+    @pytest.mark.parametrize("scan_order", ["raster", "random"])
+    @pytest.mark.parametrize("N, l, epsilon", FRAME_POINTS)
+    def test_op_id_is_op_lid_plus_a_constant(self, N, l, epsilon, scan_order):
+        # |G - Id|^2 - |G - l Id|^2 = 2 (l - 1) tr(G - l Id) + 2 (l - 1)^2,
+        # and identity (a) puts tr(mean G - l Id) within sqrt(2) times the
+        # mean-gradient error e_a plus the rounding of the mean, below
+        # 2 T u l.  Each op is a mean of T rounded nonnegative terms,
+        # within (T + 8) u of its value, relatively.  So each snapshot has
+        # |op_id - op_lid - 2 (l - 1)^2| <= 2 sqrt(2) (l - 1)(e_a + 2 T u l)
+        # + (T + 8) u (op_id + op_lid), and the means over n snapshots add
+        # (n + 2) u (mean op_id + mean op_lid) and the u of 2 (l - 1)^2.
+        T = 2 * N * N
+        snaps = _sampled_snapshots(N, l, epsilon, scan_order)
+        op_id = [s.reductions.id_deviation / T for s in snaps]
+        op_lid = [s.reductions.lid_deviation / T for s in snaps]
+        shift = 2.0 * (l - 1.0) ** 2
+        bounds = []
+        for snap, a, b in zip(snaps, op_id, op_lid):
+            e_a = O.identity_suite(snap).mean_gradient_error
+            bounds.append(2.0 * SQRT2 * (l - 1.0) * (e_a + 2 * T * U * l) + (T + 8) * U * (a + b))
+            assert abs(a - b - shift) <= bounds[-1]
+        mean_id, mean_lid = float(np.mean(op_id)), float(np.mean(op_lid))
+        bound = max(bounds) + (len(snaps) + 2) * U * (mean_id + mean_lid) + U * shift
+        assert abs(mean_id - mean_lid - shift) <= bound
+
+    def test_a_perturbed_binv_diagonal_fails_the_frame_check(self, monkeypatch):
+        snap = _sampled_snapshots(4, 1.05, 0.1, "raster")[-1]
+        assert O.identity_suite(snap).ok
+        binv = np.array(C._BINV)
+        binv[0, 0, 0] *= 1.0 + 1e-7
+        monkeypatch.setattr(C, "_BINV", binv)
+        report = O.identity_suite(Configuration(4, snap.l, snap.epsilon, snap.positions))
+        assert report.frame_relative_error > O.FRAME_RTOL and not report.ok
+
+    def test_a_perturbed_binv_off_diagonal_is_caught_by_the_mean_gradient(self, monkeypatch):
+        # The second column of every up triangle's gradient moves by
+        # delta * d1, which changes |G|^2 by 2 delta (G_01 d1_x + G_11 d1_y)
+        # to first order.  Near l Id both G_01 and d1_y vanish, so the
+        # change cancels to first order: the frame error reads about
+        # 1e-11, below FRAME_RTOL.  Identity (a) catches it; the frame
+        # check does not claim to.
+        snap = _sampled_snapshots(4, 1.05, 0.1, "raster")[-1]
+        binv = np.array(C._BINV)
+        binv[0, 0, 1] *= 1.0 + 1e-7
+        monkeypatch.setattr(C, "_BINV", binv)
+        report = O.identity_suite(Configuration(4, snap.l, snap.epsilon, snap.positions))
+        assert report.mean_gradient_error > O.MEAN_GRADIENT_TOL and not report.ok
+        assert report.frame_relative_error < O.FRAME_RTOL
 
 
 class TestLeanSuiteNumpyEqualities:
@@ -254,6 +313,8 @@ class TestLeanSuiteNumpyEqualities:
     the tests, not of IEEE arithmetic, so they are pinned here."""
 
     SIZES = [8, 18, 32, 50, 128, 200, 512, 1152, 2048]
+    # configuration._reductions' targets at l = 1.05: 0, l * Id and Id
+    TARGETS = np.array([np.zeros((2, 2)), 1.05 * np.eye(2), np.eye(2)])
 
     @staticmethod
     def _stack(rng, T):
@@ -308,21 +369,17 @@ class TestLeanSuiteNumpyEqualities:
     @pytest.mark.parametrize("T", SIZES)
     def test_block_deviations_are_each_snapshots(self, rng, B, T):
         # configuration._reductions' deviation pass: one pass over (4, B, T)
-        # component planes against each snapshot's three targets, the
-        # 2x2 sums added in row-major order, then summed over the
-        # triangles in one reduction, against np.sum of each snapshot's
-        # deviations
+        # component planes against the three targets every snapshot
+        # shares, the 2x2 sums added in row-major order, then summed over
+        # the triangles in one reduction, against np.sum of each
+        # snapshot's deviations
         G = self._gradient_block(rng, B, T)
-        targets = np.stack([
-            np.array([geometry.rotation(rng.uniform(-0.1, 0.1)), 1.05 * np.eye(2), np.eye(2)])
-            for _ in range(B)
-        ])
-        per_triangle = C._deviation_planes(G, targets)
+        per_triangle = C._deviation_planes(G, self.TARGETS)
         assert per_triangle.shape == (3, B, T) and per_triangle.flags.c_contiguous
         sums = C._triangle_sums(per_triangle)
         for b in range(B):
             for k in range(3):
-                half = G[b] - targets[b, k]
+                half = G[b] - self.TARGETS[k]
                 want = np.sum(half * half, axis=(-2, -1))
                 self._assert_bitwise(per_triangle[k, b], want, "block deviations")
                 self._assert_bitwise(sums[k, b], np.sum(want), "row sum")
@@ -331,60 +388,45 @@ class TestLeanSuiteNumpyEqualities:
     def test_deviation_planes_are_the_2x2_helper_at_every_size(self, rng, N):
         # against configuration._squared_deviations, the row-major 2x2
         # helper, on sampled-like gradients of a block whose row 1 has a
-        # NaN corner and whose row 2 has no nearest rotation (NaN target,
-        # as configuration._reductions passes it)
-        B = 3
+        # NaN corner
+        B = 2
         base = standard_config(N, 1.05, 0.1).positions
         pos = base + rng.uniform(-0.02, 0.02, (B,) + base.shape)
         pos[:, 0] = 0.0
         pos[1, N * N - 1, 0] = math.nan
         G = C.triangle_gradients(N, C.image_triangle_corners(N, 1.05, pos))
-        targets = np.array([
-            [geometry.rotation(0.01), 1.05 * np.eye(2), np.eye(2)],
-            [geometry.rotation(-0.02), 1.05 * np.eye(2), np.eye(2)],
-            [np.full((2, 2), math.nan), 1.05 * np.eye(2), np.eye(2)],
-        ])
-        planes = C._deviation_planes(G, targets)
+        planes = C._deviation_planes(G, self.TARGETS)
         sums = C._triangle_sums(planes)
         for b in range(B):
             for k in range(3):
-                want = C._squared_deviations(G[b], targets[b, k])
+                want = C._squared_deviations(G[b], self.TARGETS[k])
                 self._assert_bitwise(planes[k, b], want, f"plane {k} of row {b}")
                 self._assert_bitwise(sums[k, b], np.add.reduce(want), f"sum {k} of row {b}")
         assert np.isnan(planes[:, 1]).any() and not np.isnan(planes[:, 0]).any()
-        assert np.isnan(planes[0, 2]).all() and not np.isnan(planes[1:, 2]).any()
 
     @pytest.mark.parametrize("N", [48, 96])
-    def test_reductions_of_a_block_with_nan_and_equidistant_rows(self, N):
-        # the whole record at the sizes of the N-curve: a sampled row, a
-        # row with a NaN site, and a stand-in row whose mean gradient has
-        # no nearest rotation, each against its own lone-snapshot pass
-        T = 2 * N * N
+    def test_reductions_of_a_block_with_a_nan_row(self, N):
+        # the whole record at the sizes of the N-curve: a sampled row and
+        # a row with a NaN site, each against its own lone-snapshot pass
         base = standard_config(N, 1.05, 0.1)
         rng = np.random.default_rng(N)
         pos = base.positions + rng.uniform(-0.02, 0.02, (2,) + base.positions.shape)
         pos[:, 0] = 0.0
         pos[1, 5, 1] = math.nan
         block = C.snapshot_block(N, 1.05, 0.1, pos)
-        G = np.concatenate([np.stack([s.gradients for s in block.snapshots]),
-                            np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (1, T, 1, 1))])
-        d2 = np.concatenate([np.stack([s.bond_squares for s in block.snapshots]), np.ones((1, 3 * N * N))])
-        crosses = np.concatenate([np.stack([s.crosses for s in block.snapshots]), np.ones((1, T))])
+        G = np.stack([s.gradients for s in block.snapshots])
+        d2 = np.stack([s.bond_squares for s in block.snapshots])
+        crosses = np.stack([s.crosses for s in block.snapshots])
         records = C._reductions(1.05, d2, crosses, G)
-        assert records[2].rotation is None and math.isnan(records[2].rotation_deviation)
         assert math.isnan(records[1].lid_deviation) and not math.isnan(records[0].lid_deviation)
+        assert math.isnan(records[1].bond_square_sum) and not math.isnan(records[0].bond_square_sum)
         for b, record in enumerate(records):
             alone = C._reductions(1.05, d2[b:b + 1], crosses[b:b + 1], G[b:b + 1])[0]
             assert repr(record) == repr(alone)
-            targets = [1.05 * np.eye(2), np.eye(2)]
-            if record.rotation is not None:
-                c, s = record.rotation
-                targets.insert(0, np.array([[c, -s], [s, c]]))
-            got = [record.lid_deviation, record.id_deviation]
-            if record.rotation is not None:
-                got.insert(0, record.rotation_deviation)
-            want = [float(np.add.reduce(C._squared_deviations(G[b], t))) for t in targets]
+            got = [record.gradient_square_sum, record.lid_deviation, record.id_deviation]
+            want = [float(np.add.reduce(C._squared_deviations(G[b], t))) for t in self.TARGETS]
             assert repr(got) == repr(want)
+            assert repr(record.bond_square_sum) == repr(float(np.add.reduce(d2[b])))
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 8, 12, 16, 23, 32, 48, 64, 96])
     def test_triangle_sums_are_each_rows_own_sum(self, rng, N):
